@@ -9,13 +9,13 @@ inequalities those families satisfy.
 """
 
 from .checks import (
+    CheckLine,
     CheckOutcome,
     ConvexityReport,
     SweepResult,
     check_midpoint_convexity,
     check_monotone_reduction,
     derivative_bound_check,
-    family_digest,
     find_threshold,
     homogeneity_check,
     kingman_superconvexity_check,

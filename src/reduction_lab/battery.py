@@ -1,18 +1,15 @@
 """Seeded randomized check battery behind the CLI `suite` subcommand.
 
 Every line is a pure function of its seed, so reports are byte-identical
-across runs. Seeds may be dispatched to worker threads (capped by
-REDUCTION_LAB_THREADS); assembly stays ordered by seed either way.
+across runs; seeds run in order.
 """
 
-import os
-import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .checks import (
+    CheckLine,
     check_midpoint_convexity,
     check_monotone_reduction,
     derivative_bound_check,
@@ -21,7 +18,8 @@ from .checks import (
     kirkland_check,
     karlin_monotonicity_check,
     lindqvist_check,
-    perron_derivative,
+    perron_derivative_agreement,
+    strict_convexity_line,
     strict_convexity_probe,
     sweep_spb_in_beta,
     sweep_spb_in_m,
@@ -41,35 +39,10 @@ from .semigroup import growth_bound_estimate, positivity_of_semigroup_check
 
 ORACLE_TOL = 1e-8
 GROWTH_TOL = 1e-3
-DERIVATIVE_MATCH_TOL = 1e-6
 
 
-@dataclass
-class SuiteLine:
-    name: str
-    passed: bool
-    margin: float
-    witness: str
-    advisory: bool = False
-
-    def format(self) -> str:
-        status = "pass" if self.passed else "fail"
-        return f"{self.name},{status},{self.margin:.17g},{self.witness}"
-
-
-def _outcome_line(tag, name, outcome, advisory=False):
-    return SuiteLine(f"{tag}.{name}", outcome.passed, outcome.margin, outcome.witness_text(), advisory)
-
-
-def _convexity_line(tag, name, report, grid, param):
-    witness = f"{param}={grid[report.witness_index]:.9g}"
-    return SuiteLine(f"{tag}.{name}", report.convex, report.strictness_margin, witness)
-
-
-def seed_battery(seed: int) -> list[SuiteLine]:
-    """All checks for one seed, in a fixed order."""
-    tag = f"s{seed:03d}"
-    out = []
+def seed_battery(seed: int) -> list[CheckLine]:
+    """All checks for one seed, in a fixed order, named `s<seed>.<check>`."""
     n = 2 + seed % 5
     A = random_ess_nonneg(n, 1000 + seed)
     V = random_diagonal(n, -1.5, 1.5, 2000 + seed)
@@ -78,42 +51,34 @@ def seed_battery(seed: int) -> list[SuiteLine]:
 
     ev = eigenvalues_oracle(A)
     diff = abs(data_A.spb - float(np.max(ev.real)))
-    out.append(SuiteLine(f"{tag}.oracle_agreement", diff <= ORACLE_TOL, ORACLE_TOL - diff, f"n={n}"))
+    out = [CheckLine("oracle_agreement", diff <= ORACLE_TOL, ORACLE_TOL - diff, f"n={n}")]
 
     beta_grid = np.linspace(-3.0, 3.0, 11)
     sweep_b = sweep_spb_in_beta(fam, beta_grid)
-    out.append(_convexity_line(tag, "convexity_beta", check_midpoint_convexity(sweep_b), beta_grid, "beta"))
+    out.append(CheckLine.from_convexity("convexity_beta", check_midpoint_convexity(sweep_b), beta_grid, "beta"))
 
     m_grid = np.linspace(0.1, 5.0, 11)
     sweep_m = sweep_spb_in_m(fam, m_grid)
-    out.append(_convexity_line(tag, "convexity_m", check_midpoint_convexity(sweep_m), m_grid, "m"))
-    out.append(_outcome_line(tag, "monotone_reduction", check_monotone_reduction(sweep_m, data_A.spb)))
+    out.append(CheckLine.from_convexity("convexity_m", check_midpoint_convexity(sweep_m), m_grid, "m"))
+    out.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep_m, data_A.spb)))
 
     bound = derivative_bound_check(fam, 1.0)
-    out.append(_outcome_line(tag, "derivative_bound", bound))
-    analytic = perron_derivative(fam, 1.0)
-    fd = bound.witness["fd"]
-    dtol = DERIVATIVE_MATCH_TOL * max(1.0, abs(analytic), abs(fd))
-    out.append(
-        SuiteLine(
-            f"{tag}.perron_derivative_agreement",
-            abs(analytic - fd) <= dtol,
-            dtol - abs(analytic - fd),
-            f"m=1;analytic={analytic:.9g}",
-        )
-    )
+    out.append(CheckLine.from_outcome("derivative_bound", bound))
+    out.append(perron_derivative_agreement(fam, bound))
 
-    out.append(_outcome_line(tag, "homogeneity", homogeneity_check(fam, 1.0, 1.0, [0.1, 2.0, 10.0])))
-    out.append(_outcome_line(tag, "lindqvist", lindqvist_check(A, V)))
-    out.append(_outcome_line(tag, "kirkland", kirkland_check(A)))
+    out.append(CheckLine.from_outcome("homogeneity", homogeneity_check(fam, 1.0, 1.0, [0.1, 2.0, 10.0])))
+    out.append(CheckLine.from_outcome("lindqvist", lindqvist_check(A, V)))
+    out.append(CheckLine.from_outcome("kirkland", kirkland_check(A)))
 
     P = random_stochastic(n, 3000 + seed)
     D = random_diagonal(n, 0.2, 2.0, 4000 + seed)
     alpha_grid = np.linspace(0.0, 1.0, 11)
-    out.append(_outcome_line(tag, "karlin_monotonicity", karlin_monotonicity_check(KarlinFamily(P, D), alpha_grid)))
+    out.append(CheckLine.from_outcome("karlin_monotonicity", karlin_monotonicity_check(KarlinFamily(P, D), alpha_grid)))
     scalar_D = np.diag(np.full(n, 1.0 + seed % 3))
     out.append(
-        _outcome_line(tag, "karlin_scalar_invariance", karlin_monotonicity_check(KarlinFamily(P, scalar_D), alpha_grid))
+        CheckLine.from_outcome(
+            "karlin_scalar_invariance", karlin_monotonicity_check(KarlinFamily(P, scalar_D), alpha_grid)
+        )
     )
 
     rng = XorShift64Star(6000 + seed)
@@ -121,59 +86,31 @@ def seed_battery(seed: int) -> list[SuiteLine]:
     g = np.array([[-1.0 + 2.0 * rng.uniform() for _ in range(n)] for _ in range(n)])
     theta_grid = np.linspace(-1.0, 1.0, 9)
     out.append(
-        _convexity_line(
-            tag, "kingman_logconvexity", kingman_superconvexity_check(KingmanFamily(c, g), theta_grid), theta_grid, "theta"
+        CheckLine.from_convexity(
+            "kingman_logconvexity", kingman_superconvexity_check(KingmanFamily(c, g), theta_grid), theta_grid, "theta"
         )
     )
 
     t_grid = [0.01, 0.1, 1.0, 5.0]
-    out.append(_outcome_line(tag, "semigroup_positivity", positivity_of_semigroup_check(A, t_grid)))
+    out.append(CheckLine.from_outcome("semigroup_positivity", positivity_of_semigroup_check(A, t_grid)))
     N = A.copy()
     N[0, 1] = -(1.5 + XorShift64Star(7000 + seed).uniform())
-    out.append(_outcome_line(tag, "semigroup_counterexample", positivity_of_semigroup_check(N, t_grid)))
+    out.append(CheckLine.from_outcome("semigroup_counterexample", positivity_of_semigroup_check(N, t_grid)))
 
     G = random_ess_nonneg(5, 8000 + seed)
     spb_G = spectral_bound(G).spb
     est = growth_bound_estimate(G, t_max=300.0, k=12)
     gtol = GROWTH_TOL * max(1.0, abs(spb_G))
     gap = abs(est.omega - spb_G)
-    out.append(SuiteLine(f"{tag}.growth_bound", gap <= gtol, gtol - gap, f"omega={est.omega:.9g}"))
+    out.append(CheckLine("growth_bound", gap <= gtol, gtol - gap, f"omega={est.omega:.9g}"))
 
-    probe = strict_convexity_probe(fam, beta_grid)
-    scale = max(1.0, float(np.max(np.abs(sweep_b.values))))
-    verdict = "strict" if probe.strictness_margin > 1e-9 * scale else "flat"
-    out.append(
-        SuiteLine(f"{tag}.strict_convexity_probe", True, probe.strictness_margin, f"verdict={verdict}", advisory=True)
-    )
-    return out
+    out.append(strict_convexity_line(strict_convexity_probe(fam, beta_grid), sweep_b))
+    tag = f"s{seed:03d}"
+    return [replace(line, name=f"{tag}.{line.name}") for line in out]
 
 
-def suite_workers() -> int:
-    raw = os.environ.get("REDUCTION_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-        if workers < 1:
-            raise ValueError
-    except ValueError:
-        print(f"ignoring invalid REDUCTION_LAB_THREADS={raw!r}", file=sys.stderr)
-        return 1
-    return workers
-
-
-def run_suite(seed_count: int, workers: int | None = None):
-    """Run the battery over seeds 0..seed_count-1; returns (lines, any_failure)."""
+def run_suite(seed_count: int) -> list[CheckLine]:
+    """The battery over seeds 0..seed_count-1, in seed order."""
     if seed_count < 1:
         raise ValueError("seed count must be >= 1")
-    if workers is None:
-        workers = suite_workers()
-    seeds = range(seed_count)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(seed_battery, seeds))
-    else:
-        batches = [seed_battery(s) for s in seeds]
-    lines = [line for batch in batches for line in batch]
-    failed = any(not line.passed for line in lines)
-    return lines, failed
+    return [line for seed in range(seed_count) for line in seed_battery(seed)]

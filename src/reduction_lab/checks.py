@@ -6,7 +6,6 @@ are signed slacks: nonnegative (up to the stated tolerance) means the
 inequality held.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,23 +19,18 @@ from .errors import (
     ZeroSpectralRadius,
 )
 from .gallery import KarlinFamily, KingmanFamily, LinearFamily, karlin_matrix, kingman_family_eval
-from .matrixio import format_matrix
 from .perron import is_irreducible, perron_vectors, spectral_bound, square_matrix
 
 CONVEXITY_TOL = 1e-9
 CHECK_TOL = 1e-9
 HOMOGENEITY_TOL = 1e-10
 DERIVATIVE_TOL = 1e-6
+DERIVATIVE_MATCH_TOL = 1e-6
+STRICT_CONVEXITY_TOL = 1e-9
 FD_STEP_SCALE = 1e-5
 
 THRESHOLD_VALUE_TOL = 1e-10
 THRESHOLD_WIDTH_TOL = 1e-12
-
-
-def family_digest(kind: str, *matrices) -> str:
-    """Short provenance tag for swept families (stable across runs)."""
-    blob = kind + "|" + "|".join(format_matrix(M) for M in matrices)
-    return f"{kind}:{hashlib.sha1(blob.encode()).hexdigest()[:12]}"
 
 
 @dataclass
@@ -46,7 +40,6 @@ class SweepResult:
     parameter_name: str
     grid: np.ndarray
     values: np.ndarray
-    family_digest: str
     uniform: bool = field(init=False)
 
     def __post_init__(self):
@@ -80,6 +73,34 @@ class CheckOutcome:
         return ";".join(f"{k}={v:.9g}" for k, v in self.witness.items())
 
 
+@dataclass
+class CheckLine:
+    """One report line of `check` and `suite`: `name,pass|fail,margin,witness`.
+
+    Advisory lines carry evidence only; they always pass and `suite` does not
+    count them as mandatory.
+    """
+
+    name: str
+    passed: bool
+    margin: float
+    witness: str
+    advisory: bool = False
+
+    @classmethod
+    def from_outcome(cls, name: str, outcome: CheckOutcome) -> "CheckLine":
+        return cls(name, outcome.passed, outcome.margin, outcome.witness_text())
+
+    @classmethod
+    def from_convexity(cls, name: str, report: ConvexityReport, grid, param: str) -> "CheckLine":
+        witness = f"{param}={grid[report.witness_index]:.9g}"
+        return cls(name, report.convex, report.strictness_margin, witness)
+
+    def format(self) -> str:
+        status = "pass" if self.passed else "fail"
+        return f"{self.name},{status},{self.margin:.17g},{self.witness}"
+
+
 def _sweep_values(points, evaluate, parameter_name):
     values = []
     for p in points:
@@ -96,14 +117,14 @@ def sweep_spb_in_m(F: LinearFamily, m_grid) -> SweepResult:
     if (grid <= 0.0).any():
         raise ValueError("m grid must be strictly positive")
     values = _sweep_values(grid, F.matrix_at, "m")
-    return SweepResult("m", grid, values, family_digest("linear", F.A, F.V))
+    return SweepResult("m", grid, values)
 
 
 def sweep_spb_in_beta(F: LinearFamily, beta_grid) -> SweepResult:
     """spb(A + beta*V) along a beta grid."""
     grid = np.asarray(beta_grid, dtype=float)
     values = _sweep_values(grid, lambda beta: F.matrix_at(1.0, beta), "beta")
-    return SweepResult("beta", grid, values, family_digest("linear", F.A, F.V))
+    return SweepResult("beta", grid, values)
 
 
 def check_midpoint_convexity(S: SweepResult, tol: float = CONVEXITY_TOL) -> ConvexityReport:
@@ -198,6 +219,18 @@ def perron_derivative(F: LinearFamily, m: float) -> float:
     return float(u @ (F.A @ v))
 
 
+def perron_derivative_agreement(F: LinearFamily, bound: CheckOutcome) -> CheckLine:
+    """The analytic derivative u^T A v must match the finite difference of `bound`.
+
+    `bound` is the derivative_bound_check outcome at the same family point.
+    """
+    m, fd = bound.witness["m"], bound.witness["fd"]
+    analytic = perron_derivative(F, m)
+    tol = DERIVATIVE_MATCH_TOL * max(1.0, abs(analytic), abs(fd))
+    gap = abs(analytic - fd)
+    return CheckLine("perron_derivative_agreement", gap <= tol, tol - gap, f"m={m:.9g};analytic={analytic:.9g}")
+
+
 def lindqvist_check(A, D, tol: float = CHECK_TOL) -> CheckOutcome:
     """spb(A + D) - spb(A) >= u(A)^T D v(A) for diagonal D."""
     A = square_matrix(A)
@@ -255,7 +288,7 @@ def kingman_superconvexity_check(
         if rho <= 0.0:
             raise ZeroSpectralRadius(f"spectral radius vanished at theta = {theta}")
         values.append(np.log(rho))
-    sweep = SweepResult("theta", grid, values, family_digest("kingman", F.c, F.g))
+    sweep = SweepResult("theta", grid, values)
     return check_midpoint_convexity(sweep, tol)
 
 
@@ -371,3 +404,14 @@ def strict_convexity_probe(
         raise NotIrreducible("the probe targets irreducible mixing generators")
     sweep = sweep_spb_in_beta(F, beta_grid)
     return check_midpoint_convexity(sweep, tol)
+
+
+def strict_convexity_line(probe: ConvexityReport, sweep: SweepResult) -> CheckLine:
+    """Advisory verdict on a beta-sweep's convexity report: `strict` or `flat`.
+
+    The verdict is `strict` when the smallest second difference exceeds
+    STRICT_CONVEXITY_TOL times the scale of the swept values.
+    """
+    scale = max(1.0, float(np.max(np.abs(sweep.values))))
+    verdict = "strict" if probe.strictness_margin > STRICT_CONVEXITY_TOL * scale else "flat"
+    return CheckLine("strict_convexity_probe", True, probe.strictness_margin, f"verdict={verdict}", advisory=True)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .battery import run_suite
 from .checks import (
+    CheckLine,
     CheckOutcome,
     check_midpoint_convexity,
     check_monotone_reduction,
@@ -25,7 +26,8 @@ from .checks import (
     kirkland_check,
     karlin_monotonicity_check,
     lindqvist_check,
-    perron_derivative,
+    perron_derivative_agreement,
+    strict_convexity_line,
     sweep_spb_in_beta,
     sweep_spb_in_m,
 )
@@ -52,7 +54,6 @@ from .perron import (
     is_essentially_nonnegative,
     is_irreducible,
     is_resolvent_positive_at,
-    perron_vectors,
     spectral_bound,
 )
 from .scenario import Scenario, coefficient_values, kernel_values, parse_scenario
@@ -65,23 +66,14 @@ def _write_lines(path, lines):
             fh.write(line + "\n")
 
 
-def _operator_matrix(sc: Scenario) -> np.ndarray:
-    grid = sc.grid1d
-    if sc.family_kind == "laplacian":
-        return laplacian_1d(grid)
-    if sc.family_kind == "elliptic":
-        x = grid.points
-        a = coefficient_values(sc.coefficients["a"], x, grid.length)
-        b = coefficient_values(sc.coefficients["b"], x, grid.length)
-        c = coefficient_values(sc.coefficients["c"], x, grid.length)
-        return elliptic_1d(a, b, c, grid)
-    K = kernel_values(sc.coefficients["kernel"], grid.points)
-    b = coefficient_values(sc.coefficients["b"], grid.points, grid.length)
-    return nonlocal_operator(K, b, grid)
+def _write_report(path, lines: list[CheckLine]) -> int:
+    """Write the report lines; the exit code is 1 iff any line failed."""
+    _write_lines(path, [line.format() for line in lines])
+    return 0 if all(line.passed for line in lines) else 1
 
 
 def _operator_split(sc: Scenario) -> LinearFamily:
-    """Mixing/growth split for the discretized operators: A mixes, V multiplies."""
+    """Mixing/growth split for the discretized operators: A mixes, V multiplies, the operator is A + V."""
     grid = sc.grid1d
     n = grid.n
     if sc.family_kind == "laplacian":
@@ -122,11 +114,11 @@ def _curve_rows(sc: Scenario):
         values, derivs = [], []
         direction = fam.A if in_m else fam.V
         for p in grid:
-            M = fam.matrix_at(p) if in_m else fam.matrix_at(1.0, p)
-            values.append(spectral_bound(M).spb)
-            if derivs is not None and is_irreducible(M):
-                u, v = perron_vectors(M)
-                derivs.append(float(u @ (direction @ v)))
+            data = spectral_bound(fam.matrix_at(p) if in_m else fam.matrix_at(1.0, p))
+            values.append(data.spb)
+            # Perron vectors come back exactly when the point is irreducible
+            if derivs is not None and data.u is not None:
+                derivs.append(float(data.u @ (direction @ data.v)))
             else:
                 derivs = None
         if derivs is not None:
@@ -152,7 +144,8 @@ def _curve_rows(sc: Scenario):
     else:
         if sc.grid_name != "m":
             raise ParseError(f"{sc.source}: operator families sweep m")
-        A = _operator_matrix(sc)
+        split = _operator_split(sc)
+        A = split.A + split.V
         values = [spectral_bound(m * A).spb for m in grid]
     rows = [f"{format_value(p)},{format_value(s)}" for p, s in zip(grid, values)]
     return "param,spb", rows
@@ -165,72 +158,39 @@ def run_curve(args) -> int:
     return 0
 
 
-def _check_outcome_line(name, outcome: CheckOutcome, lines):
-    status = "pass" if outcome.passed else "fail"
-    lines.append(f"{name},{status},{outcome.margin:.17g},{outcome.witness_text()}")
-    return outcome.passed
-
-
-def _check_convexity_line(name, report, grid, param, lines):
-    status = "pass" if report.convex else "fail"
-    witness = f"{param}={grid[report.witness_index]:.9g}"
-    lines.append(f"{name},{status},{report.strictness_margin:.17g},{witness}")
-    return report.convex
-
-
-def _linear_checks(fam: LinearFamily, sc: Scenario, lines):
-    ok = True
+def _linear_checks(sc: Scenario) -> list[CheckLine]:
+    fam = LinearFamily(sc.matrices["A"], sc.matrices["V"])
     tol = sc.tolerances
     m_grid = sc.grid if sc.grid_name == "m" else np.linspace(0.1, 5.0, 21)
     beta_grid = sc.grid if sc.grid_name == "beta" else np.linspace(-3.0, 3.0, 21)
     sweep_b = sweep_spb_in_beta(fam, beta_grid)
-    ok &= _check_convexity_line(
-        "convexity_beta",
-        check_midpoint_convexity(sweep_b, tol.get("convexity_beta", 1e-9)),
-        beta_grid, "beta", lines,
-    )
+    convex_b = check_midpoint_convexity(sweep_b, tol.get("convexity_beta", 1e-9))
     sweep_m = sweep_spb_in_m(fam, m_grid)
-    ok &= _check_convexity_line(
-        "convexity_m",
-        check_midpoint_convexity(sweep_m, tol.get("convexity_m", 1e-9)),
-        m_grid, "m", lines,
-    )
+    convex_m = check_midpoint_convexity(sweep_m, tol.get("convexity_m", 1e-9))
     spb_A = spectral_bound(fam.A).spb
-    ok &= _check_outcome_line("monotone_reduction", check_monotone_reduction(sweep_m, spb_A), lines)
+    lines = [
+        CheckLine.from_convexity("convexity_beta", convex_b, beta_grid, "beta"),
+        CheckLine.from_convexity("convexity_m", convex_m, m_grid, "m"),
+        CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep_m, spb_A)),
+    ]
     m_mid = float(m_grid[len(m_grid) // 2])
     if is_irreducible(fam.matrix_at(m_mid)):
         bound = derivative_bound_check(fam, m_mid)
-        ok &= _check_outcome_line("derivative_bound", bound, lines)
-        analytic = perron_derivative(fam, m_mid)
-        fd = bound.witness["fd"]
-        dtol = 1e-6 * max(1.0, abs(analytic), abs(fd))
-        agree = CheckOutcome(
-            passed=abs(analytic - fd) <= dtol,
-            margin=dtol - abs(analytic - fd),
-            witness={"m": m_mid, "analytic": analytic},
-        )
-        ok &= _check_outcome_line("perron_derivative_agreement", agree, lines)
-    ok &= _check_outcome_line(
-        "homogeneity", homogeneity_check(fam, m_mid, 1.0, [0.1, 2.0, 10.0]), lines
-    )
+        lines.append(CheckLine.from_outcome("derivative_bound", bound))
+        lines.append(perron_derivative_agreement(fam, bound))
+    lines.append(CheckLine.from_outcome("homogeneity", homogeneity_check(fam, m_mid, 1.0, [0.1, 2.0, 10.0])))
     if is_irreducible(fam.A):
-        ok &= _check_outcome_line("lindqvist", lindqvist_check(fam.A, fam.V), lines)
-        ok &= _check_outcome_line("kirkland", kirkland_check(fam.A), lines)
-        probe = check_midpoint_convexity(sweep_b)
-        scale = max(1.0, float(np.max(np.abs(sweep_b.values))))
-        verdict = "strict" if probe.strictness_margin > 1e-9 * scale else "flat"
-        lines.append(
-            f"strict_convexity_probe,pass,{probe.strictness_margin:.17g},verdict={verdict}"
-        )
-    return ok
+        lines.append(CheckLine.from_outcome("lindqvist", lindqvist_check(fam.A, fam.V)))
+        lines.append(CheckLine.from_outcome("kirkland", kirkland_check(fam.A)))
+        # the probe reads only the second differences, which the beta sweep already has
+        lines.append(strict_convexity_line(convex_b, sweep_b))
+    return lines
 
 
-def _karlin_checks(fam: KarlinFamily, sc: Scenario, lines):
-    ok = True
+def _karlin_checks(sc: Scenario) -> list[CheckLine]:
+    fam = KarlinFamily(sc.matrices["P"], sc.matrices["D"])
     alpha_grid = sc.grid if sc.grid_name == "alpha" else np.linspace(0.0, 1.0, 11)
-    ok &= _check_outcome_line(
-        "karlin_monotonicity", karlin_monotonicity_check(fam, alpha_grid), lines
-    )
+    lines = [CheckLine.from_outcome("karlin_monotonicity", karlin_monotonicity_check(fam, alpha_grid))]
     derived = karlin_to_linear(fam)
     spb_mix = spectral_bound(derived.A).spb
     zero = CheckOutcome(
@@ -239,7 +199,7 @@ def _karlin_checks(fam: KarlinFamily, sc: Scenario, lines):
         witness={"spb": spb_mix},
         detail="reciprocal growth rates form a positive right null vector of (P - I)D",
     )
-    ok &= _check_outcome_line("mixing_spb_zero", zero, lines)
+    lines.append(CheckLine.from_outcome("mixing_spb_zero", zero))
     if np.max(np.abs(fam.P.sum(axis=0) - 1.0)) <= 1e-12:
         # the left-null identity is a theorem only when columns also sum to 1
         worst = float(np.max(np.abs(derived.A.sum(axis=0))))
@@ -250,7 +210,7 @@ def _karlin_checks(fam: KarlinFamily, sc: Scenario, lines):
             witness={"max_colsum": worst},
             detail="ones vector must annihilate (P - I)D from the left",
         )
-        ok &= _check_outcome_line("left_null_identity", null, lines)
+        lines.append(CheckLine.from_outcome("left_null_identity", null))
     worst_gap = 0.0
     for a in alpha_grid:
         direct = ((1.0 - a) * np.eye(fam.n) + a * fam.P) @ fam.D
@@ -259,21 +219,17 @@ def _karlin_checks(fam: KarlinFamily, sc: Scenario, lines):
     cons = CheckOutcome(
         passed=worst_gap <= cons_tol, margin=cons_tol - worst_gap, witness={"max_gap": worst_gap}
     )
-    ok &= _check_outcome_line("karlin_consistency", cons, lines)
+    lines.append(CheckLine.from_outcome("karlin_consistency", cons))
     sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
-    spb_A = spectral_bound(derived.A).spb
-    ok &= _check_outcome_line("monotone_reduction", check_monotone_reduction(sweep, spb_A), lines)
-    return ok
+    lines.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep, spb_mix)))
+    return lines
 
 
-def _kingman_checks(fam: KingmanFamily, sc: Scenario, lines):
-    ok = True
+def _kingman_checks(sc: Scenario) -> list[CheckLine]:
+    fam = KingmanFamily(sc.matrices["c"], sc.matrices["g"])
     theta_grid = sc.grid if sc.grid_name == "theta" else np.linspace(-1.0, 1.0, 9)
-    ok &= _check_convexity_line(
-        "kingman_superconvexity",
-        kingman_superconvexity_check(fam, theta_grid),
-        theta_grid, "theta", lines,
-    )
+    convex = kingman_superconvexity_check(fam, theta_grid)
+    lines = [CheckLine.from_convexity("kingman_superconvexity", convex, theta_grid, "theta")]
     probes = [float(theta_grid[0]), float(theta_grid[len(theta_grid) // 2]), float(theta_grid[-1])]
     worst = 0.0
     if not np.allclose(np.diff(probes), probes[1] - probes[0]):
@@ -290,20 +246,19 @@ def _kingman_checks(fam: KingmanFamily, sc: Scenario, lines):
         witness={"second_difference": worst},
         detail="log of every nonzero entry must be affine in theta",
     )
-    ok &= _check_outcome_line("log_affine_entries", affine, lines)
-    return ok
+    lines.append(CheckLine.from_outcome("log_affine_entries", affine))
+    return lines
 
 
-def _operator_checks(sc: Scenario, lines):
-    ok = True
-    A = _operator_matrix(sc)
+def _operator_checks(sc: Scenario) -> list[CheckLine]:
+    fam = _operator_split(sc)
+    A = fam.A + fam.V
     n = A.shape[0]
     metzler = is_essentially_nonnegative(A)
     off = A[~np.eye(n, dtype=bool)]
     ess = CheckOutcome(passed=metzler, margin=float(np.min(off)), witness={"n": float(n)})
-    ok &= _check_outcome_line("essential_nonnegativity", ess, lines)
-    if not metzler:
-        return ok
+    # _operator_split has already rejected a non-Metzler mixing part, so this line reports the margin
+    lines = [CheckLine.from_outcome("essential_nonnegativity", ess)]
     data = spectral_bound(A)
     if sc.family_kind == "laplacian" and sc.grid1d.boundary in ("neumann", "periodic"):
         zero = CheckOutcome(
@@ -312,7 +267,7 @@ def _operator_checks(sc: Scenario, lines):
             witness={"spb": data.spb},
             detail="zero row sums force spb = 0",
         )
-        ok &= _check_outcome_line("spb_zero", zero, lines)
+        lines.append(CheckLine.from_outcome("spb_zero", zero))
     worst = None
     for offset in (0.1, 1.0, 10.0):
         good = is_resolvent_positive_at(A, data.spb + offset)
@@ -324,38 +279,28 @@ def _operator_checks(sc: Scenario, lines):
         witness={"spb": data.spb},
         detail="resolvent entrywise nonnegative beyond the spectral bound",
     )
-    ok &= _check_outcome_line("resolvent_positive", res, lines)
-    ok &= _check_outcome_line(
-        "semigroup_positivity", positivity_of_semigroup_check(A, [0.1, 1.0, 5.0]), lines
-    )
+    lines.append(CheckLine.from_outcome("resolvent_positive", res))
+    lines.append(CheckLine.from_outcome("semigroup_positivity", positivity_of_semigroup_check(A, [0.1, 1.0, 5.0])))
     est = growth_bound_estimate(A, t_max=50.0, k=10)
     gtol = sc.tolerances.get("growth_bound", 1e-3) * max(1.0, abs(data.spb))
     gap = abs(est.omega - data.spb)
     growth = CheckOutcome(
         passed=gap <= gtol, margin=gtol - gap, witness={"omega": est.omega, "spb": data.spb}
     )
-    ok &= _check_outcome_line("growth_bound", growth, lines)
-    fam = _operator_split(sc)
+    lines.append(CheckLine.from_outcome("growth_bound", growth))
     m_grid = sc.grid if sc.grid_name == "m" else np.linspace(0.5, 2.0, 7)
     sweep = sweep_spb_in_m(fam, m_grid)
     spb_mix = spectral_bound(fam.A).spb
-    ok &= _check_outcome_line("monotone_reduction", check_monotone_reduction(sweep, spb_mix), lines)
-    return ok
+    lines.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep, spb_mix)))
+    return lines
+
+
+FAMILY_CHECKS = {"linear": _linear_checks, "karlin": _karlin_checks, "kingman": _kingman_checks}
 
 
 def run_check(args) -> int:
     sc = parse_scenario(args.scenario)
-    lines: list[str] = []
-    if sc.family_kind == "linear":
-        ok = _linear_checks(LinearFamily(sc.matrices["A"], sc.matrices["V"]), sc, lines)
-    elif sc.family_kind == "karlin":
-        ok = _karlin_checks(KarlinFamily(sc.matrices["P"], sc.matrices["D"]), sc, lines)
-    elif sc.family_kind == "kingman":
-        ok = _kingman_checks(KingmanFamily(sc.matrices["c"], sc.matrices["g"]), sc, lines)
-    else:
-        ok = _operator_checks(sc, lines)
-    _write_lines(args.out, lines)
-    return 0 if ok else 1
+    return _write_report(args.out, FAMILY_CHECKS.get(sc.family_kind, _operator_checks)(sc))
 
 
 def run_threshold(args) -> int:
@@ -375,12 +320,12 @@ def run_threshold(args) -> int:
 
 
 def run_suite_cmd(args) -> int:
-    lines, failed = run_suite(args.seed_count)
-    _write_lines(args.out, [line.format() for line in lines])
+    lines = run_suite(args.seed_count)
+    status = _write_report(args.out, lines)
     mandatory = sum(1 for l in lines if not l.advisory)
     failures = sum(1 for l in lines if not l.passed)
     print(f"suite: {len(lines)} checks over {args.seed_count} seeds, {mandatory} mandatory, {failures} failed")
-    return 1 if failed else 0
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 
 from .errors import NoConvergence, NotEssentiallyNonnegative, NotIrreducible, SingularResolvent
 
@@ -52,7 +53,6 @@ class SpectralData:
 class SccDecomposition:
     component_id: np.ndarray  # component index per vertex
     component_count: int
-    topological_order: np.ndarray  # component ids, sources first
 
 
 def is_essentially_nonnegative(M) -> bool:
@@ -66,66 +66,12 @@ def is_essentially_nonnegative(M) -> bool:
 
 
 def scc_decomposition(M) -> SccDecomposition:
-    """Strongly connected components of the digraph i -> j iff i != j and M[i][j] != 0.
-
-    Iterative Tarjan; components are numbered in emission order, which is a
-    reverse topological order of the condensation.
-    """
+    """Strongly connected components of the digraph i -> j iff i != j and M[i][j] != 0."""
     M = square_matrix(M)
-    n = M.shape[0]
-    adj = []
-    for i in range(n):
-        cols = np.flatnonzero(M[i]).tolist()
-        adj.append([j for j in cols if j != i])
-
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
-    counter = 0
-    comp_count = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            nbrs = adj[v]
-            for k in range(pi, len(nbrs)):
-                w = nbrs[k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = comp_count
-                    if w == v:
-                        break
-                comp_count += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-
-    # emission order is reverse topological, so sources come last; flip it
-    topo = np.arange(comp_count - 1, -1, -1)
-    return SccDecomposition(np.asarray(comp), comp_count, topo)
+    adjacency = M != 0.0
+    np.fill_diagonal(adjacency, False)
+    count, labels = scipy.sparse.csgraph.connected_components(adjacency, directed=True, connection="strong")
+    return SccDecomposition(labels, count)
 
 
 def is_irreducible(M) -> bool:

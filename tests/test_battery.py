@@ -1,4 +1,4 @@
-from reduction_lab.battery import run_suite, seed_battery, suite_workers
+from reduction_lab.battery import seed_battery
 
 CHECKS_PER_SEED = 16
 
@@ -17,21 +17,3 @@ def test_seed_battery_deterministic():
     a = [l.format() for l in seed_battery(3)]
     b = [l.format() for l in seed_battery(3)]
     assert a == b
-
-
-def test_run_suite_ordering_independent_of_workers():
-    seq, failed_seq = run_suite(4, workers=1)
-    par, failed_par = run_suite(4, workers=3)
-    assert [l.format() for l in seq] == [l.format() for l in par]
-    assert failed_seq == failed_par == False
-
-
-def test_suite_workers_env(monkeypatch):
-    monkeypatch.delenv("REDUCTION_LAB_THREADS", raising=False)
-    assert suite_workers() == 1
-    monkeypatch.setenv("REDUCTION_LAB_THREADS", "4")
-    assert suite_workers() == 4
-    monkeypatch.setenv("REDUCTION_LAB_THREADS", "zero")
-    assert suite_workers() == 1
-    monkeypatch.setenv("REDUCTION_LAB_THREADS", "-2")
-    assert suite_workers() == 1

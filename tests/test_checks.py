@@ -87,9 +87,9 @@ def test_sweep_annotates_solver_errors(monkeypatch):
 
 def test_sweep_result_validation():
     with pytest.raises(ValueError):
-        SweepResult("m", [1.0, 2.0], [0.0, 0.0], "x")
+        SweepResult("m", [1.0, 2.0], [0.0, 0.0])
     with pytest.raises(ValueError):
-        SweepResult("m", [1.0, 1.0, 2.0], [0.0, 0.0, 0.0], "x")
+        SweepResult("m", [1.0, 1.0, 2.0], [0.0, 0.0, 0.0])
 
 
 def test_midpoint_convexity_on_closed_form_curve():
@@ -101,14 +101,14 @@ def test_midpoint_convexity_on_closed_form_curve():
 
 
 def test_midpoint_convexity_affine_curve():
-    sweep = SweepResult("m", [1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.5, 2.0], "affine")
+    sweep = SweepResult("m", [1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.5, 2.0])
     report = check_midpoint_convexity(sweep)
     assert report.convex
     assert abs(report.strictness_margin) <= 1e-12
 
 
 def test_midpoint_convexity_concave_spike():
-    sweep = SweepResult("m", [1.0, 2.0, 3.0], [0.0, 1.0, 0.0], "spike")
+    sweep = SweepResult("m", [1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
     report = check_midpoint_convexity(sweep)
     assert not report.convex
     assert report.worst_violation == -2.0
@@ -144,7 +144,7 @@ def test_monotone_reduction_identity_pattern():
 
 
 def test_monotone_reduction_flags_violation():
-    sweep = SweepResult("m", [1.0, 2.0, 3.0], [0.0, 0.5, 0.1], "increase")
+    sweep = SweepResult("m", [1.0, 2.0, 3.0], [0.0, 0.5, 0.1])
     out = check_monotone_reduction(sweep, 0.0)
     assert not out.passed
 

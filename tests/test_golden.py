@@ -1,0 +1,40 @@
+"""Byte-for-byte regression of the CLI reports against recorded golden files.
+
+`tests/golden/<name>.ini` holds one small scenario per family kind (plus a
+reducible linear family whose `check` fails). Next to each are the recorded
+`check` report (`<name>.check`) and `curve` CSV (`<name>.csv`);
+`suite20.txt`/`suite20.stdout` are the report file and stdout line of
+`suite --seed-count 20`. Regenerate them with the matching CLI commands, e.g.
+
+    python -m reduction_lab check tests/golden/linear.ini --out tests/golden/linear.check
+
+only when a change to the reported numbers is intended and explained.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from reduction_lab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.ini"))
+CHECK_EXIT = {"linear_reducible": 1}  # its monotone_reduction line fails
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_check_and_curve_match_golden(name, tmp_path):
+    scenario = str(GOLDEN / f"{name}.ini")
+    report = tmp_path / "report"
+    assert main(["check", scenario, "--out", str(report)]) == CHECK_EXIT.get(name, 0)
+    assert report.read_bytes() == (GOLDEN / f"{name}.check").read_bytes()
+    curve = tmp_path / "curve.csv"
+    assert main(["curve", scenario, "--out", str(curve)]) == 0
+    assert curve.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_suite_matches_golden(tmp_path, capsys):
+    report = tmp_path / "suite.txt"
+    assert main(["suite", "--seed-count", "20", "--out", str(report)]) == 0
+    assert report.read_bytes() == (GOLDEN / "suite20.txt").read_bytes()
+    assert capsys.readouterr().out == (GOLDEN / "suite20.stdout").read_text(encoding="utf-8")
