@@ -9,20 +9,13 @@ from dataclasses import replace
 import numpy as np
 
 from .checks import (
+    CONVEXITY_TOL,
     CheckLine,
-    check_midpoint_convexity,
-    check_monotone_reduction,
-    derivative_bound_check,
-    homogeneity_check,
     kingman_superconvexity_check,
-    kirkland_check,
     karlin_monotonicity_check,
-    lindqvist_check,
-    perron_derivative_agreement,
+    linear_family_lines,
     strict_convexity_line,
     strict_convexity_probe,
-    sweep_spb_in_beta,
-    sweep_spb_in_m,
 )
 from .gallery import (
     KarlinFamily,
@@ -51,24 +44,14 @@ def seed_battery(seed: int) -> list[CheckLine]:
 
     ev = eigenvalues_oracle(A)
     diff = abs(data_A.spb - float(np.max(ev.real)))
-    out = [CheckLine("oracle_agreement", diff <= ORACLE_TOL, ORACLE_TOL - diff, f"n={n}")]
+    out = [CheckLine.within("oracle_agreement", diff, ORACLE_TOL, n=n)]
 
     beta_grid = np.linspace(-3.0, 3.0, 11)
-    sweep_b = sweep_spb_in_beta(fam, beta_grid)
-    out.append(CheckLine.from_convexity("convexity_beta", check_midpoint_convexity(sweep_b), beta_grid, "beta"))
-
     m_grid = np.linspace(0.1, 5.0, 11)
-    sweep_m = sweep_spb_in_m(fam, m_grid)
-    out.append(CheckLine.from_convexity("convexity_m", check_midpoint_convexity(sweep_m), m_grid, "m"))
-    out.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep_m, data_A.spb)))
-
-    bound = derivative_bound_check(fam, 1.0)
-    out.append(CheckLine.from_outcome("derivative_bound", bound))
-    out.append(perron_derivative_agreement(fam, bound))
-
-    out.append(CheckLine.from_outcome("homogeneity", homogeneity_check(fam, 1.0, 1.0, [0.1, 2.0, 10.0])))
-    out.append(CheckLine.from_outcome("lindqvist", lindqvist_check(A, V)))
-    out.append(CheckLine.from_outcome("kirkland", kirkland_check(A)))
+    family_lines, sweep_b, _ = linear_family_lines(
+        fam, data_A.spb, beta_grid, m_grid, 1.0, CONVEXITY_TOL, CONVEXITY_TOL
+    )
+    out += family_lines
 
     P = random_stochastic(n, 3000 + seed)
     D = random_diagonal(n, 0.2, 2.0, 4000 + seed)
@@ -101,8 +84,7 @@ def seed_battery(seed: int) -> list[CheckLine]:
     spb_G = spectral_bound(G).spb
     est = growth_bound_estimate(G, t_max=300.0, k=12)
     gtol = GROWTH_TOL * max(1.0, abs(spb_G))
-    gap = abs(est.omega - spb_G)
-    out.append(CheckLine("growth_bound", gap <= gtol, gtol - gap, f"omega={est.omega:.9g}"))
+    out.append(CheckLine.within("growth_bound", abs(est.omega - spb_G), gtol, omega=est.omega))
 
     out.append(strict_convexity_line(strict_convexity_probe(fam, beta_grid), sweep_b))
     tag = f"s{seed:03d}"

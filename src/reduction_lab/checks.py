@@ -18,8 +18,8 @@ from .errors import (
     ReductionLabError,
     ZeroSpectralRadius,
 )
-from .gallery import KarlinFamily, KingmanFamily, LinearFamily, karlin_matrix, kingman_family_eval
-from .perron import is_irreducible, perron_vectors, spectral_bound, square_matrix
+from .gallery import KarlinFamily, KingmanFamily, LinearFamily, karlin_evaluator, kingman_family_eval
+from .perron import SpectralData, is_irreducible, perron_vectors, spectral_bound, square_matrix
 
 CONVEXITY_TOL = 1e-9
 CHECK_TOL = 1e-9
@@ -92,6 +92,11 @@ class CheckLine:
         return cls(name, outcome.passed, outcome.margin, outcome.witness_text())
 
     @classmethod
+    def within(cls, name: str, gap: float, tol: float, **witness: float) -> "CheckLine":
+        """A line that passes iff gap <= tol, with margin tol - gap."""
+        return cls.from_outcome(name, CheckOutcome(bool(gap <= tol), tol - gap, witness))
+
+    @classmethod
     def from_convexity(cls, name: str, report: ConvexityReport, grid, param: str) -> "CheckLine":
         witness = f"{param}={grid[report.witness_index]:.9g}"
         return cls(name, report.convex, report.strictness_margin, witness)
@@ -101,14 +106,21 @@ class CheckLine:
         return f"{self.name},{status},{self.margin:.17g},{self.witness}"
 
 
-def _sweep_values(points, evaluate, parameter_name):
-    values = []
-    for p in points:
+def solve_along(grid, evaluate, parameter_name: str) -> list[SpectralData]:
+    """spectral_bound(evaluate(p)) at each grid point p, in grid order.
+
+    Every sweep of the library solves its grid here. A library error at a
+    point is re-raised with the point appended to its message; it keeps its
+    type and attributes (such as NoConvergence.residual).
+    """
+    results = []
+    for p in grid:
         try:
-            values.append(spectral_bound(evaluate(p)).spb)
+            results.append(spectral_bound(evaluate(p)))
         except ReductionLabError as exc:
-            raise type(exc)(f"{exc} (at {parameter_name} = {p})") from exc
-    return values
+            exc.args = (f"{exc} (at {parameter_name} = {p})",)
+            raise
+    return results
 
 
 def sweep_spb_in_m(F: LinearFamily, m_grid) -> SweepResult:
@@ -116,15 +128,14 @@ def sweep_spb_in_m(F: LinearFamily, m_grid) -> SweepResult:
     grid = np.asarray(m_grid, dtype=float)
     if (grid <= 0.0).any():
         raise ValueError("m grid must be strictly positive")
-    values = _sweep_values(grid, F.matrix_at, "m")
-    return SweepResult("m", grid, values)
+    return SweepResult("m", grid, [d.spb for d in solve_along(grid, F.matrix_at, "m")])
 
 
 def sweep_spb_in_beta(F: LinearFamily, beta_grid) -> SweepResult:
     """spb(A + beta*V) along a beta grid."""
     grid = np.asarray(beta_grid, dtype=float)
-    values = _sweep_values(grid, lambda beta: F.matrix_at(1.0, beta), "beta")
-    return SweepResult("beta", grid, values)
+    points = solve_along(grid, lambda beta: F.matrix_at(1.0, beta), "beta")
+    return SweepResult("beta", grid, [d.spb for d in points])
 
 
 def check_midpoint_convexity(S: SweepResult, tol: float = CONVEXITY_TOL) -> ConvexityReport:
@@ -227,8 +238,7 @@ def perron_derivative_agreement(F: LinearFamily, bound: CheckOutcome) -> CheckLi
     m, fd = bound.witness["m"], bound.witness["fd"]
     analytic = perron_derivative(F, m)
     tol = DERIVATIVE_MATCH_TOL * max(1.0, abs(analytic), abs(fd))
-    gap = abs(analytic - fd)
-    return CheckLine("perron_derivative_agreement", gap <= tol, tol - gap, f"m={m:.9g};analytic={analytic:.9g}")
+    return CheckLine.within("perron_derivative_agreement", abs(analytic - fd), tol, m=m, analytic=analytic)
 
 
 def lindqvist_check(A, D, tol: float = CHECK_TOL) -> CheckOutcome:
@@ -282,13 +292,11 @@ def kingman_superconvexity_check(
 ) -> ConvexityReport:
     """Midpoint log-convexity of theta -> rho(A(theta)) for a log-affine family."""
     grid = np.asarray(theta_grid, dtype=float)
-    values = []
-    for theta in grid:
-        rho = spectral_bound(kingman_family_eval(F, theta)).spb
-        if rho <= 0.0:
+    rho = [d.spb for d in solve_along(grid, lambda theta: kingman_family_eval(F, theta), "theta")]
+    for theta, r in zip(grid, rho):
+        if r <= 0.0:
             raise ZeroSpectralRadius(f"spectral radius vanished at theta = {theta}")
-        values.append(np.log(rho))
-    sweep = SweepResult("theta", grid, values)
+    sweep = SweepResult("theta", grid, [np.log(r) for r in rho])
     return check_midpoint_convexity(sweep, tol)
 
 
@@ -301,7 +309,7 @@ def karlin_monotonicity_check(F: KarlinFamily, alpha_grid, tol: float = CHECK_TO
     if not is_irreducible(F.P):
         raise NotIrreducible("the monotonicity statement requires irreducible P")
     grid = np.asarray(alpha_grid, dtype=float)
-    values = np.array([spectral_bound(karlin_matrix(F, a)).spb for a in grid])
+    values = np.array([d.spb for d in solve_along(grid, karlin_evaluator(F), "alpha")])
     diag = np.diagonal(F.D)
     scalar = bool((diag == diag[0]).all())
     scale = max(1.0, float(np.max(np.abs(values))))
@@ -363,11 +371,7 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float, presweep: int = 9)
     if not 0.0 < m_lo < m_hi:
         raise ValueError("need 0 < m_lo < m_hi")
 
-    def f(m):
-        return spectral_bound(F.matrix_at(m)).spb
-
-    grid = np.linspace(m_lo, m_hi, presweep)
-    vals = np.array([f(m) for m in grid])
+    vals = sweep_spb_in_m(F, np.linspace(m_lo, m_hi, presweep)).values
     slack = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
     if not ((np.diff(vals) <= slack).all() or (np.diff(vals) >= -slack).all()):
         raise NotMonotoneOnBracket("preliminary sweep is not monotone on the bracket")
@@ -381,7 +385,7 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float, presweep: int = 9)
     lo, hi = m_lo, m_hi
     while hi - lo > THRESHOLD_WIDTH_TOL:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = spectral_bound(F.matrix_at(mid)).spb
         if abs(fm) <= THRESHOLD_VALUE_TOL:
             return mid
         if np.sign(fm) == np.sign(f_lo):
@@ -415,3 +419,30 @@ def strict_convexity_line(probe: ConvexityReport, sweep: SweepResult) -> CheckLi
     scale = max(1.0, float(np.max(np.abs(sweep.values))))
     verdict = "strict" if probe.strictness_margin > STRICT_CONVEXITY_TOL * scale else "flat"
     return CheckLine("strict_convexity_probe", True, probe.strictness_margin, f"verdict={verdict}", advisory=True)
+
+
+def linear_family_lines(
+    F: LinearFamily, spb_A: float, beta_grid, m_grid, m_probe: float, tol_beta: float, tol_m: float
+) -> tuple[list[CheckLine], SweepResult, ConvexityReport]:
+    """The linear-family lines from `convexity_beta` to `kirkland`, in report order.
+
+    The derivative lines need an irreducible family point at m_probe, and
+    `lindqvist`/`kirkland` an irreducible A; otherwise they are left out.
+    Also returns the beta sweep and its convexity report.
+    """
+    sweep_b = sweep_spb_in_beta(F, beta_grid)
+    convex_b = check_midpoint_convexity(sweep_b, tol_beta)
+    sweep_m = sweep_spb_in_m(F, m_grid)
+    lines = [
+        CheckLine.from_convexity("convexity_beta", convex_b, beta_grid, "beta"),
+        CheckLine.from_convexity("convexity_m", check_midpoint_convexity(sweep_m, tol_m), m_grid, "m"),
+        CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep_m, spb_A)),
+    ]
+    if is_irreducible(F.matrix_at(m_probe)):
+        bound = derivative_bound_check(F, m_probe)
+        lines += [CheckLine.from_outcome("derivative_bound", bound), perron_derivative_agreement(F, bound)]
+    lines.append(CheckLine.from_outcome("homogeneity", homogeneity_check(F, m_probe, 1.0, [0.1, 2.0, 10.0])))
+    if is_irreducible(F.A):
+        lines.append(CheckLine.from_outcome("lindqvist", lindqvist_check(F.A, F.V)))
+        lines.append(CheckLine.from_outcome("kirkland", kirkland_check(F.A)))
+    return lines, sweep_b, convex_b

@@ -15,20 +15,15 @@ import numpy as np
 
 from .battery import run_suite
 from .checks import (
+    CONVEXITY_TOL,
     CheckLine,
-    CheckOutcome,
-    check_midpoint_convexity,
     check_monotone_reduction,
-    derivative_bound_check,
     find_threshold,
-    homogeneity_check,
     kingman_superconvexity_check,
-    kirkland_check,
     karlin_monotonicity_check,
-    lindqvist_check,
-    perron_derivative_agreement,
+    linear_family_lines,
+    solve_along,
     strict_convexity_line,
-    sweep_spb_in_beta,
     sweep_spb_in_m,
 )
 from .errors import (
@@ -43,6 +38,7 @@ from .gallery import (
     KingmanFamily,
     LinearFamily,
     elliptic_1d,
+    karlin_evaluator,
     karlin_matrix,
     karlin_to_linear,
     kingman_family_eval,
@@ -50,12 +46,7 @@ from .gallery import (
     nonlocal_operator,
 )
 from .matrixio import format_value, load_matrix
-from .perron import (
-    is_essentially_nonnegative,
-    is_irreducible,
-    is_resolvent_positive_at,
-    spectral_bound,
-)
+from .perron import is_essentially_nonnegative, is_irreducible, is_resolvent_positive_at, spectral_bound
 from .scenario import Scenario, coefficient_values, kernel_values, parse_scenario
 from .semigroup import growth_bound_estimate, positivity_of_semigroup_check
 
@@ -101,54 +92,46 @@ def run_spb(args) -> int:
 
 
 def _curve_rows(sc: Scenario):
-    """Yield (header, rows) for the scenario's sweep."""
+    """(header, rows) of the scenario's sweep.
+
+    Linear families add the analytic derivative u^T (dM/dp) v when every
+    swept point returned Perron vectors, that is, when every point is irreducible.
+    """
     if sc.grid is None:
         raise ParseError(f"{sc.source}: curve needs a [grid] section")
-    grid = sc.grid
-    kind = sc.family_kind
+    kind, name = sc.family_kind, sc.grid_name
+    direction = None
     if kind == "linear":
         fam = LinearFamily(sc.matrices["A"], sc.matrices["V"])
-        if sc.grid_name not in ("m", "beta"):
-            raise ParseError(f"{sc.source}: linear families sweep m or beta")
-        in_m = sc.grid_name == "m"
-        values, derivs = [], []
-        direction = fam.A if in_m else fam.V
-        for p in grid:
-            data = spectral_bound(fam.matrix_at(p) if in_m else fam.matrix_at(1.0, p))
-            values.append(data.spb)
-            # Perron vectors come back exactly when the point is irreducible
-            if derivs is not None and data.u is not None:
-                derivs.append(float(data.u @ (direction @ data.v)))
-            else:
-                derivs = None
-        if derivs is not None:
-            header = "param,spb,analytic_derivative"
-            rows = [
-                f"{format_value(p)},{format_value(s)},{format_value(d)}"
-                for p, s, d in zip(grid, values, derivs)
-            ]
+        if name == "m":
+            evaluate, direction = fam.matrix_at, fam.A
+        elif name == "beta":
+            evaluate, direction = (lambda beta: fam.matrix_at(1.0, beta)), fam.V
         else:
-            header = "param,spb"
-            rows = [f"{format_value(p)},{format_value(s)}" for p, s in zip(grid, values)]
-        return header, rows
-    if kind == "karlin":
-        fam = KarlinFamily(sc.matrices["P"], sc.matrices["D"])
-        if sc.grid_name != "alpha":
+            raise ParseError(f"{sc.source}: linear families sweep m or beta")
+    elif kind == "karlin":
+        if name != "alpha":
             raise ParseError(f"{sc.source}: karlin families sweep alpha")
-        values = [spectral_bound(karlin_matrix(fam, a)).spb for a in grid]
+        evaluate = karlin_evaluator(KarlinFamily(sc.matrices["P"], sc.matrices["D"]))
     elif kind == "kingman":
         fam = KingmanFamily(sc.matrices["c"], sc.matrices["g"])
-        if sc.grid_name != "theta":
+        if name != "theta":
             raise ParseError(f"{sc.source}: kingman families sweep theta")
-        values = [spectral_bound(kingman_family_eval(fam, t)).spb for t in grid]
+        evaluate = lambda theta: kingman_family_eval(fam, theta)  # noqa: E731
     else:
-        if sc.grid_name != "m":
+        if name != "m":
             raise ParseError(f"{sc.source}: operator families sweep m")
         split = _operator_split(sc)
         A = split.A + split.V
-        values = [spectral_bound(m * A).spb for m in grid]
-    rows = [f"{format_value(p)},{format_value(s)}" for p, s in zip(grid, values)]
-    return "param,spb", rows
+        evaluate = lambda m: m * A  # noqa: E731
+    points = solve_along(sc.grid, evaluate, name)
+    if direction is not None and all(d.u is not None for d in points):
+        header = "param,spb,analytic_derivative"
+        cells = [(p, d.spb, float(d.u @ (direction @ d.v))) for p, d in zip(sc.grid, points)]
+    else:
+        header = "param,spb"
+        cells = [(p, d.spb) for p, d in zip(sc.grid, points)]
+    return header, [",".join(format_value(x) for x in row) for row in cells]
 
 
 def run_curve(args) -> int:
@@ -163,25 +146,16 @@ def _linear_checks(sc: Scenario) -> list[CheckLine]:
     tol = sc.tolerances
     m_grid = sc.grid if sc.grid_name == "m" else np.linspace(0.1, 5.0, 21)
     beta_grid = sc.grid if sc.grid_name == "beta" else np.linspace(-3.0, 3.0, 21)
-    sweep_b = sweep_spb_in_beta(fam, beta_grid)
-    convex_b = check_midpoint_convexity(sweep_b, tol.get("convexity_beta", 1e-9))
-    sweep_m = sweep_spb_in_m(fam, m_grid)
-    convex_m = check_midpoint_convexity(sweep_m, tol.get("convexity_m", 1e-9))
-    spb_A = spectral_bound(fam.A).spb
-    lines = [
-        CheckLine.from_convexity("convexity_beta", convex_b, beta_grid, "beta"),
-        CheckLine.from_convexity("convexity_m", convex_m, m_grid, "m"),
-        CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep_m, spb_A)),
-    ]
-    m_mid = float(m_grid[len(m_grid) // 2])
-    if is_irreducible(fam.matrix_at(m_mid)):
-        bound = derivative_bound_check(fam, m_mid)
-        lines.append(CheckLine.from_outcome("derivative_bound", bound))
-        lines.append(perron_derivative_agreement(fam, bound))
-    lines.append(CheckLine.from_outcome("homogeneity", homogeneity_check(fam, m_mid, 1.0, [0.1, 2.0, 10.0])))
+    lines, sweep_b, convex_b = linear_family_lines(
+        fam,
+        spectral_bound(fam.A).spb,
+        beta_grid,
+        m_grid,
+        float(m_grid[len(m_grid) // 2]),
+        tol.get("convexity_beta", CONVEXITY_TOL),
+        tol.get("convexity_m", CONVEXITY_TOL),
+    )
     if is_irreducible(fam.A):
-        lines.append(CheckLine.from_outcome("lindqvist", lindqvist_check(fam.A, fam.V)))
-        lines.append(CheckLine.from_outcome("kirkland", kirkland_check(fam.A)))
         # the probe reads only the second differences, which the beta sweep already has
         lines.append(strict_convexity_line(convex_b, sweep_b))
     return lines
@@ -193,33 +167,19 @@ def _karlin_checks(sc: Scenario) -> list[CheckLine]:
     lines = [CheckLine.from_outcome("karlin_monotonicity", karlin_monotonicity_check(fam, alpha_grid))]
     derived = karlin_to_linear(fam)
     spb_mix = spectral_bound(derived.A).spb
-    zero = CheckOutcome(
-        passed=abs(spb_mix) <= 1e-10,
-        margin=1e-10 - abs(spb_mix),
-        witness={"spb": spb_mix},
-        detail="reciprocal growth rates form a positive right null vector of (P - I)D",
-    )
-    lines.append(CheckLine.from_outcome("mixing_spb_zero", zero))
+    # reciprocal growth rates form a positive right null vector of (P - I)D
+    lines.append(CheckLine.within("mixing_spb_zero", abs(spb_mix), 1e-10, spb=spb_mix))
     if np.max(np.abs(fam.P.sum(axis=0) - 1.0)) <= 1e-12:
         # the left-null identity is a theorem only when columns also sum to 1
         worst = float(np.max(np.abs(derived.A.sum(axis=0))))
         null_tol = 1e-13 * max(1.0, float(np.max(np.abs(derived.A))))
-        null = CheckOutcome(
-            passed=worst <= null_tol,
-            margin=null_tol - worst,
-            witness={"max_colsum": worst},
-            detail="ones vector must annihilate (P - I)D from the left",
-        )
-        lines.append(CheckLine.from_outcome("left_null_identity", null))
+        lines.append(CheckLine.within("left_null_identity", worst, null_tol, max_colsum=worst))
     worst_gap = 0.0
     for a in alpha_grid:
         direct = ((1.0 - a) * np.eye(fam.n) + a * fam.P) @ fam.D
         worst_gap = max(worst_gap, float(np.max(np.abs(direct - karlin_matrix(fam, a)))))
     cons_tol = 1e-13 * max(1.0, float(np.max(np.abs(fam.D))))
-    cons = CheckOutcome(
-        passed=worst_gap <= cons_tol, margin=cons_tol - worst_gap, witness={"max_gap": worst_gap}
-    )
-    lines.append(CheckLine.from_outcome("karlin_consistency", cons))
+    lines.append(CheckLine.within("karlin_consistency", worst_gap, cons_tol, max_gap=worst_gap))
     sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
     lines.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep, spb_mix)))
     return lines
@@ -240,13 +200,8 @@ def _kingman_checks(sc: Scenario) -> list[CheckLine]:
                 continue
             logs = [np.log(fam.c[i, j]) + fam.g[i, j] * t for t in probes]
             worst = max(worst, abs(logs[0] - 2.0 * logs[1] + logs[2]))
-    affine = CheckOutcome(
-        passed=worst <= 1e-12,
-        margin=1e-12 - worst,
-        witness={"second_difference": worst},
-        detail="log of every nonzero entry must be affine in theta",
-    )
-    lines.append(CheckLine.from_outcome("log_affine_entries", affine))
+    # the log of every nonzero entry must be affine in theta
+    lines.append(CheckLine.within("log_affine_entries", worst, 1e-12, second_difference=worst))
     return lines
 
 
@@ -254,40 +209,20 @@ def _operator_checks(sc: Scenario) -> list[CheckLine]:
     fam = _operator_split(sc)
     A = fam.A + fam.V
     n = A.shape[0]
-    metzler = is_essentially_nonnegative(A)
     off = A[~np.eye(n, dtype=bool)]
-    ess = CheckOutcome(passed=metzler, margin=float(np.min(off)), witness={"n": float(n)})
     # _operator_split has already rejected a non-Metzler mixing part, so this line reports the margin
-    lines = [CheckLine.from_outcome("essential_nonnegativity", ess)]
+    lines = [CheckLine("essential_nonnegativity", is_essentially_nonnegative(A), float(np.min(off)), f"n={n}")]
     data = spectral_bound(A)
     if sc.family_kind == "laplacian" and sc.grid1d.boundary in ("neumann", "periodic"):
-        zero = CheckOutcome(
-            passed=abs(data.spb) <= 1e-10,
-            margin=1e-10 - abs(data.spb),
-            witness={"spb": data.spb},
-            detail="zero row sums force spb = 0",
-        )
-        lines.append(CheckLine.from_outcome("spb_zero", zero))
-    worst = None
-    for offset in (0.1, 1.0, 10.0):
-        good = is_resolvent_positive_at(A, data.spb + offset)
-        if not good and worst is None:
-            worst = offset
-    res = CheckOutcome(
-        passed=worst is None,
-        margin=1.0 if worst is None else -1.0,
-        witness={"spb": data.spb},
-        detail="resolvent entrywise nonnegative beyond the spectral bound",
-    )
-    lines.append(CheckLine.from_outcome("resolvent_positive", res))
+        # zero row sums force spb = 0
+        lines.append(CheckLine.within("spb_zero", abs(data.spb), 1e-10, spb=data.spb))
+    # the resolvent is entrywise nonnegative beyond the spectral bound
+    positive = all(is_resolvent_positive_at(A, data.spb + offset) for offset in (0.1, 1.0, 10.0))
+    lines.append(CheckLine("resolvent_positive", positive, 1.0 if positive else -1.0, f"spb={data.spb:.9g}"))
     lines.append(CheckLine.from_outcome("semigroup_positivity", positivity_of_semigroup_check(A, [0.1, 1.0, 5.0])))
     est = growth_bound_estimate(A, t_max=50.0, k=10)
     gtol = sc.tolerances.get("growth_bound", 1e-3) * max(1.0, abs(data.spb))
-    gap = abs(est.omega - data.spb)
-    growth = CheckOutcome(
-        passed=gap <= gtol, margin=gtol - gap, witness={"omega": est.omega, "spb": data.spb}
-    )
-    lines.append(CheckLine.from_outcome("growth_bound", growth))
+    lines.append(CheckLine.within("growth_bound", abs(est.omega - data.spb), gtol, omega=est.omega, spb=data.spb))
     m_grid = sc.grid if sc.grid_name == "m" else np.linspace(0.5, 2.0, 7)
     sweep = sweep_spb_in_m(fam, m_grid)
     spb_mix = spectral_bound(fam.A).spb

@@ -121,16 +121,25 @@ def karlin_to_linear(F: KarlinFamily) -> LinearFamily:
     return LinearFamily(A=A, V=F.D.copy())
 
 
-def karlin_matrix(F: KarlinFamily, alpha: float) -> np.ndarray:
-    """[(1-alpha)I + alpha*P] @ D for alpha in [0, 1].
+def karlin_evaluator(F: KarlinFamily):
+    """The map alpha -> [(1-alpha)I + alpha*P] @ D on [0, 1], built on one split.
 
     Evaluated as alpha*A + V with (A, V) = karlin_to_linear(F), so that the
     two parameterizations agree entrywise exactly, not merely to rounding.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
     fam = karlin_to_linear(F)
-    return fam.matrix_at(alpha)
+
+    def at(alpha: float) -> np.ndarray:
+        if not 0.0 <= alpha <= 1.0:
+            raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
+        return fam.matrix_at(alpha)
+
+    return at
+
+
+def karlin_matrix(F: KarlinFamily, alpha: float) -> np.ndarray:
+    """[(1-alpha)I + alpha*P] @ D for alpha in [0, 1], as karlin_evaluator(F)(alpha)."""
+    return karlin_evaluator(F)(alpha)
 
 
 @dataclass(frozen=True)
@@ -222,34 +231,19 @@ def elliptic_1d(a, b, c, grid: Grid1D) -> np.ndarray:
 
     n = grid.n
     M = av[:, None] * laplacian_1d(grid)
-    h = grid.h
-    periodic = grid.boundary == "periodic"
-    neumann = grid.boundary == "neumann"
-    for i in range(n):
-        bi = bv[i]
-        if bi == 0.0:
-            continue
-        if bi > 0.0:
-            j = i + 1
-            if j >= n:
-                if periodic:
-                    j = 0
-                elif neumann:
-                    continue  # ghost value equals f_i, the difference vanishes
-                else:
-                    j = -1  # absorbing ghost value 0: only the diagonal remains
-        else:
-            j = i - 1
-            if j < 0:
-                if periodic:
-                    j = n - 1
-                elif neumann:
-                    continue
-                else:
-                    j = -1
-        M[i, i] -= abs(bi) / h
-        if j >= 0:
-            M[i, j] += abs(bi) / h
+    rows = np.flatnonzero(bv)
+    cols = np.where(bv[rows] > 0.0, rows + 1, rows - 1)
+    if grid.boundary == "periodic":
+        cols %= n
+    elif grid.boundary == "neumann":
+        # ghost value equals f_i at an outward end, so the difference vanishes
+        keep = (cols >= 0) & (cols < n)
+        rows, cols = rows[keep], cols[keep]
+    w = np.abs(bv[rows]) / grid.h
+    M[rows, rows] -= w
+    # dirichlet: the absorbing ghost value is 0 at an outward end, so only the diagonal remains
+    inside = (cols >= 0) & (cols < n)
+    M[rows[inside], cols[inside]] += w[inside]
     M[np.arange(n), np.arange(n)] += cv
     return M
 

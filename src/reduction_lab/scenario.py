@@ -31,6 +31,7 @@ from .matrixio import load_matrix
 
 FAMILY_KINDS = ("linear", "karlin", "kingman", "laplacian", "elliptic", "nonlocal")
 GRID_NAMES = ("m", "beta", "alpha", "theta")
+TOLERANCE_NAMES = ("convexity_beta", "convexity_m", "growth_bound")
 
 
 @dataclass
@@ -39,7 +40,6 @@ class Scenario:
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
     grid_name: str | None = None
     grid: np.ndarray | None = None
-    seeds: list[int] = field(default_factory=list)
     tolerances: dict[str, float] = field(default_factory=dict)
     grid1d: Grid1D | None = None
     coefficients: dict[str, tuple] = field(default_factory=dict)
@@ -280,13 +280,6 @@ def parse_scenario(path) -> Scenario:
         sc.grid_name = name
         sc.grid = np.linspace(start, stop, count)
 
-    seeds, seed_line = items.take("suite", "seeds")
-    if seeds is not None:
-        try:
-            sc.seeds = [int(p) for p in seeds.split()]
-        except ValueError:
-            raise ParseError(f"{origin}: seeds must be integers", line=seed_line)
-
     m_lo = _take_float(items, "threshold", "m_lo")
     m_hi = _take_float(items, "threshold", "m_hi")
     if (m_lo is None) != (m_hi is None):
@@ -297,7 +290,7 @@ def parse_scenario(path) -> Scenario:
         sc.bracket = (m_lo, m_hi)
 
     for (section, key), (value, line) in list(items.leftovers().items()):
-        if section == "tolerances":
+        if section == "tolerances" and key in TOLERANCE_NAMES:
             try:
                 sc.tolerances[key] = float(value)
             except ValueError:

@@ -76,11 +76,12 @@ def test_sweep_annotates_solver_errors(monkeypatch):
     from reduction_lab import NoConvergence
 
     def explode(M):
-        raise NoConvergence("iteration cap reached")
+        raise NoConvergence("iteration cap reached", residual=0.5, iterations=7)
 
     monkeypatch.setattr(checks_mod, "spectral_bound", explode)
-    with pytest.raises(NoConvergence, match=r"at m = 1"):
+    with pytest.raises(NoConvergence, match=r"at m = 1") as info:
         sweep_spb_in_m(FAM, [1.0, 2.0, 3.0])
+    assert (info.value.residual, info.value.iterations) == (0.5, 7)
     with pytest.raises(NoConvergence, match=r"at beta = -1"):
         sweep_spb_in_beta(FAM, [-1.0, 0.0, 1.0])
 

@@ -2,9 +2,11 @@
 
 `tests/golden/<name>.ini` holds one small scenario per family kind (plus a
 reducible linear family whose `check` fails). Next to each are the recorded
-`check` report (`<name>.check`) and `curve` CSV (`<name>.csv`);
-`suite20.txt`/`suite20.stdout` are the report file and stdout line of
-`suite --seed-count 20`. Regenerate them with the matching CLI commands, e.g.
+`check` report (`<name>.check`) and `curve` CSV (`<name>.csv`), and for a
+scenario with a `[threshold]` section its `threshold` stdout
+(`<name>.threshold`); `suite20.txt`/`suite20.stdout` are the report file and
+stdout line of `suite --seed-count 20`. Regenerate them with the matching CLI
+commands, e.g.
 
     python -m reduction_lab check tests/golden/linear.ini --out tests/golden/linear.check
 
@@ -31,6 +33,12 @@ def test_check_and_curve_match_golden(name, tmp_path):
     curve = tmp_path / "curve.csv"
     assert main(["curve", scenario, "--out", str(curve)]) == 0
     assert curve.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.threshold")))
+def test_threshold_matches_golden(name, capsys):
+    assert main(["threshold", str(GOLDEN / f"{name}.ini")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.threshold").read_text(encoding="utf-8")
 
 
 def test_suite_matches_golden(tmp_path, capsys):

@@ -25,7 +25,7 @@ def test_minimal_linear_scenario(tmp_path):
     assert sc.family_kind == "linear"
     np.testing.assert_array_equal(sc.matrices["A"], [[-1.0, 1.0], [1.0, -1.0]])
     np.testing.assert_array_equal(sc.matrices["V"], np.diag([1.0, -1.0]))
-    assert sc.grid is None and sc.seeds == [] and sc.tolerances == {}
+    assert sc.grid is None and sc.tolerances == {}
 
 
 def test_linear_scenario_with_grid_and_extras(tmp_path):
@@ -40,9 +40,6 @@ start = 0.1
 stop = 5
 count = 21
 
-[suite]
-seeds = 0 1 2
-
 [tolerances]
 convexity_m = 1e-8
 """,
@@ -50,7 +47,6 @@ convexity_m = 1e-8
     )
     assert sc.grid_name == "m"
     assert len(sc.grid) == 21
-    assert sc.seeds == [0, 1, 2]
     assert sc.tolerances == {"convexity_m": 1e-8}
 
 
@@ -144,6 +140,10 @@ def test_unknown_kind_rejected(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ParseError, match="unknown key"):
         parse_scenario(write(tmp_path, MINIMAL_LINEAR + "[family2]\nwat = 1\n"))
+    with pytest.raises(ParseError, match=r"line 8: .*unknown key 'convexity_mm' in section \[tolerances\]"):
+        parse_scenario(write(tmp_path, MINIMAL_LINEAR + "[tolerances]\nconvexity_mm = -5\n"))
+    with pytest.raises(ParseError, match=r"unknown key 'seeds' in section \[suite\]"):
+        parse_scenario(write(tmp_path, MINIMAL_LINEAR + "[suite]\nseeds = 0 1 2\n"))
 
 
 def test_parse_error_carries_line_number(tmp_path):
