@@ -31,6 +31,7 @@ FD_STEP_SCALE = 1e-5
 
 THRESHOLD_VALUE_TOL = 1e-10
 THRESHOLD_WIDTH_TOL = 1e-12
+THRESHOLD_PRESWEEP = 9  # grid points of the monotonicity pre-sweep
 
 
 @dataclass
@@ -361,7 +362,7 @@ def homogeneity_check(
     )
 
 
-def find_threshold(F: LinearFamily, m_lo: float, m_hi: float, presweep: int = 9) -> float:
+def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
     """Bisect spb(m*A + V) = 0 on [m_lo, m_hi].
 
     A preliminary sweep certifies monotonicity on the bracket; endpoints must
@@ -371,7 +372,7 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float, presweep: int = 9)
     if not 0.0 < m_lo < m_hi:
         raise ValueError("need 0 < m_lo < m_hi")
 
-    vals = sweep_spb_in_m(F, np.linspace(m_lo, m_hi, presweep)).values
+    vals = sweep_spb_in_m(F, np.linspace(m_lo, m_hi, THRESHOLD_PRESWEEP)).values
     slack = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
     if not ((np.diff(vals) <= slack).all() or (np.diff(vals) >= -slack).all()):
         raise NotMonotoneOnBracket("preliminary sweep is not monotone on the bracket")

@@ -28,6 +28,7 @@ from .checks import (
 )
 from .errors import (
     InvariantViolation,
+    NoConvergence,
     NoSignChange,
     NotMonotoneOnBracket,
     ParseError,
@@ -39,7 +40,6 @@ from .gallery import (
     LinearFamily,
     elliptic_1d,
     karlin_evaluator,
-    karlin_matrix,
     karlin_to_linear,
     kingman_family_eval,
     laplacian_1d,
@@ -174,10 +174,11 @@ def _karlin_checks(sc: Scenario) -> list[CheckLine]:
         worst = float(np.max(np.abs(derived.A.sum(axis=0))))
         null_tol = 1e-13 * max(1.0, float(np.max(np.abs(derived.A))))
         lines.append(CheckLine.within("left_null_identity", worst, null_tol, max_colsum=worst))
+    evaluate = karlin_evaluator(fam)
     worst_gap = 0.0
     for a in alpha_grid:
         direct = ((1.0 - a) * np.eye(fam.n) + a * fam.P) @ fam.D
-        worst_gap = max(worst_gap, float(np.max(np.abs(direct - karlin_matrix(fam, a)))))
+        worst_gap = max(worst_gap, float(np.max(np.abs(direct - evaluate(a)))))
     cons_tol = 1e-13 * max(1.0, float(np.max(np.abs(fam.D))))
     lines.append(CheckLine.within("karlin_consistency", worst_gap, cons_tol, max_gap=worst_gap))
     sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
@@ -306,6 +307,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except NoConvergence as exc:
+        print(f"NoConvergence: {exc} (residual={exc.residual}, iterations={exc.iterations})", file=sys.stderr)
+        return 3
     except ReductionLabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

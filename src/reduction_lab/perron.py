@@ -2,11 +2,13 @@
 
 The spectral bound spb(M) is the largest real part over the spectrum. For a
 Metzler matrix it is attained by a real eigenvalue with nonnegative left and
-right eigenvectors, which is what the shifted power iteration below computes.
+right eigenvectors, which the Noda inverse iteration below computes together
+with a Collatz-Wielandt bracket that certifies it.
 Reducible inputs are handled by recursing on the strongly connected components
 of the off-diagonal adjacency digraph.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -16,12 +18,10 @@ import scipy.sparse.csgraph
 
 from .errors import NoConvergence, NotEssentiallyNonnegative, NotIrreducible, SingularResolvent
 
-# Solver contract: stop once successive Rayleigh estimates agree to
-# RATIO_TOL*(1+|estimate|) and the eigen-residual is below
-# RESIDUAL_TOL*(1+||M||_inf).
-RATIO_TOL = 1e-13
-RESIDUAL_TOL = 1e-10
-MAX_ITERATIONS = 200_000
+EPS = np.finfo(float).eps
+# Solver contract: a Collatz-Wielandt bracket wider than WIDTH_TOL*||M||_inf
+# raises NoConvergence.
+WIDTH_TOL = 1e-11
 
 
 def square_matrix(entries) -> np.ndarray:
@@ -39,7 +39,10 @@ class SpectralData:
     """Spectral bound plus Perron vectors (absent for reducible inputs).
 
     u and v are normalized so that u @ v = 1 and sum(v) = 1; residual is the
-    max-norm of (M - spb*I) @ v for the returned v.
+    max-norm of (M - spb*I) @ v for the returned v. [spb_lo, spb_hi] is the
+    Collatz-Wielandt bracket min_i (Mv)_i/v_i <= spb <= max_i (Mv)_i/v_i at
+    the returned v; for reducible inputs it is [max spb_lo, max spb_hi] over
+    the diagonal blocks.
     """
 
     spb: float
@@ -47,6 +50,8 @@ class SpectralData:
     v: np.ndarray | None
     iterations: int
     residual: float
+    spb_lo: float
+    spb_hi: float
 
 
 @dataclass
@@ -86,57 +91,78 @@ def is_irreducible(M) -> bool:
     return scc_decomposition(M).component_count == 1
 
 
-def _power_dominant(B, residual_tol, cap):
-    """Dominant eigenpair of an entrywise nonnegative primitive matrix.
+def _noda(M):
+    """Noda inverse iteration for the Perron root of an irreducible Metzler M.
 
-    Iterates from the positive constant vector, keeping iterates normalized to
-    unit sum; returns (rayleigh estimate, vector, iterations, residual).
+    Starting from the constant vector, each step takes the Collatz-Wielandt
+    quotients q = (Mx)/x, whose extremes bracket spb(M) for any positive x,
+    and replaces x by |solve(max(q)*I - M, x)| normalized to unit sum. In
+    exact arithmetic the upper end decreases strictly and the bracket closes
+    superlinearly. Near convergence the shifted system is almost singular and
+    its rounded solution may carry entries of the wrong sign; taking |.| keeps
+    x positive, which is all the bracket needs. The loop stops at the rounding
+    floor of the quotients, at an exactly singular shift, or when a step
+    narrows neither the upper end nor the bracket; the narrowest bracket seen
+    is returned as (x, lo, hi, steps).
     """
-    n = B.shape[0]
+    n = M.shape[0]
+    abs_M = np.abs(M)
+    eye = np.eye(n)
+    ones = np.ones(n)
     x = np.full(n, 1.0 / n)
-    lam_prev = np.inf
-    lam = 0.0
-    res = np.inf
-    for it in range(1, cap + 1):
-        y = B @ x
-        lam = float(x @ y) / float(x @ x)
-        res = float(np.max(np.abs(y - lam * x)))
-        if abs(lam - lam_prev) < RATIO_TOL * (1.0 + abs(lam)) and res <= residual_tol:
-            return lam, x, it, res
-        s = float(y.sum())
-        if not np.isfinite(s) or s <= 0.0:
-            raise NoConvergence("power iterate degenerated", residual=res, iterations=it)
-        x = y / s
-        lam_prev = lam
-    raise NoConvergence(
-        f"power iteration hit the {cap}-iteration cap (last residual {res:.3e})",
-        residual=res,
-        iterations=cap,
-    )
+    best = None  # (width, x, lo, hi) of the narrowest bracket so far
+    prev_hi = np.inf
+    steps = 0
+    while True:
+        q = (M @ x) / x
+        lo, hi = float(q.min()), float(q.max())
+        if best is None or hi - lo < best[0]:
+            best = (hi - lo, x, lo, hi)
+        elif hi >= prev_hi:
+            break
+        if hi - lo <= 4.0 * n * EPS * float(((abs_M @ x) / x).max()):
+            break
+        # solve (hi*I - M) y = x as y = x*z with (hi*I - D^-1 M D) z = 1, D = diag(x):
+        # the scaled system keeps every entry of y accurate relative to itself,
+        # however widely the entries of x spread
+        _, _, z, info = scipy.linalg.lapack.dgesv(hi * eye - M * (x / x[:, None]), ones, overwrite_a=True)
+        if info > 0:
+            break  # hi is an eigenvalue to working precision
+        y = np.abs(z) * x
+        total = float(y.sum())
+        if not (y.min() > 0.0 and math.isfinite(total)):
+            break  # no positive iterate to continue from
+        x = y / total
+        prev_hi = hi
+        steps += 1
+    return (*best[1:], steps)
 
 
 def _solve_irreducible(M) -> SpectralData:
     n = M.shape[0]
     if n == 1:
         one = np.array([1.0])
-        return SpectralData(float(M[0, 0]), one, one.copy(), 0, 0.0)
-    # diagonal shift making M + shift*I entrywise nonnegative with positive
-    # diagonal, hence primitive for irreducible M
-    shift = max(0.0, -float(np.min(np.diagonal(M)))) + 1.0
-    B = M + shift * np.eye(n)
-    residual_tol = RESIDUAL_TOL * (1.0 + float(np.max(np.abs(M).sum(axis=1))))
-    lam_v, v, it_v, _ = _power_dominant(B, residual_tol, MAX_ITERATIONS)
+        spb = float(M[0, 0])
+        return SpectralData(spb, one, one.copy(), 0, 0.0, spb, spb)
+    norm = float(np.max(np.abs(M).sum(axis=1)))
+    v, lo, hi, steps = _noda(M)
     if np.array_equal(M, M.T):
-        u_raw, it_u = v, 0
+        u = v
     else:
-        _, u_raw, it_u, _ = _power_dominant(B.T, residual_tol, MAX_ITERATIONS)
+        u, _, _, steps_u = _noda(M.T)
+        steps += steps_u
+    if hi - lo > WIDTH_TOL * norm:
+        raise NoConvergence(
+            f"Collatz-Wielandt bracket [{lo:.17g}, {hi:.17g}] did not close to "
+            f"{WIDTH_TOL:g}*||M||_inf = {WIDTH_TOL * norm:.3e}",
+            residual=hi - lo,
+            iterations=steps,
+        )
     # two-sided Rayleigh quotient: error is quadratic in the vector errors
-    lam = float(u_raw @ (B @ v)) / float(u_raw @ v)
-    spb = lam - shift
-    v = v / float(v.sum())
-    u = u_raw / float(u_raw @ v)
+    spb = min(max(float(u @ (M @ v)) / float(u @ v), lo), hi)
+    u = u / float(u @ v)
     residual = float(np.max(np.abs(M @ v - spb * v)))
-    return SpectralData(spb, u, v, it_v + it_u, residual)
+    return SpectralData(spb, u, v, steps, residual, lo, hi)
 
 
 def spectral_bound(M) -> SpectralData:
@@ -157,16 +183,19 @@ def spectral_bound(M) -> SpectralData:
     dec = scc_decomposition(M)
     if dec.component_count == 1:
         return _solve_irreducible(M)
-    best = -np.inf
-    iterations = 0
-    residual = 0.0
+    blocks = []
     for cid in range(dec.component_count):
         idx = np.flatnonzero(dec.component_id == cid)
-        block = _solve_irreducible(M[np.ix_(idx, idx)])
-        best = max(best, block.spb)
-        iterations += block.iterations
-        residual = max(residual, block.residual)
-    return SpectralData(best, None, None, iterations, residual)
+        blocks.append(_solve_irreducible(M[np.ix_(idx, idx)]))
+    return SpectralData(
+        max(b.spb for b in blocks),
+        None,
+        None,
+        sum(b.iterations for b in blocks),
+        max(b.residual for b in blocks),
+        max(b.spb_lo for b in blocks),
+        max(b.spb_hi for b in blocks),
+    )
 
 
 def perron_vectors(M):

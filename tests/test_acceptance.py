@@ -165,7 +165,7 @@ def test_c06_discretized_operators():
     sweep = sweep_spb_in_m(fam, np.linspace(1.0, 4.0, 7))
     non_increasing = bool((np.diff(sweep.values) <= 1e-10).all())
     elapsed = time.monotonic() - t0
-    ok = neumann_worst <= 1e-10 and dirichlet_err <= 1e-6 and non_increasing and elapsed < 20.0
+    ok = neumann_worst <= 1e-10 and dirichlet_err <= 1e-10 and non_increasing and elapsed < 20.0
     _report(
         6,
         "discretized operators",

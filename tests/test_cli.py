@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 
+from reduction_lab import perron
 from reduction_lab.cli import main
 
 MATRIX_SYM = "2\n-1 1\n1 -1\n"
@@ -73,6 +76,17 @@ def test_spb_non_metzler_is_numerical_error(tmp_path, capsys):
     path = write(tmp_path, "m.txt", "2\n0 -1\n1 0\n")
     assert main(["spb", path]) == 3
     assert "NotEssentiallyNonnegative" in capsys.readouterr().err
+
+
+def test_no_convergence_reports_residual_and_iterations(tmp_path, capsys, monkeypatch):
+    # any bracket is too wide under a negative tolerance
+    monkeypatch.setattr(perron, "WIDTH_TOL", -1.0)
+    scn = write(tmp_path, "l.scn", LINEAR_SCENARIO)
+    report = tmp_path / "r.txt"
+    assert main(["check", scn, "--out", str(report)]) == 3
+    assert not report.exists()
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"NoConvergence: .* \(residual=\S+, iterations=\d+\)\n", err), err
 
 
 def test_curve_karlin_fixture(tmp_path):

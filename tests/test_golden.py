@@ -15,9 +15,12 @@ only when a change to the reported numbers is intended and explained.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
 
-from reduction_lab.cli import main
+from reduction_lab.cli import _operator_split, main
+from reduction_lab.scenario import parse_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.ini"))
@@ -46,3 +49,29 @@ def test_suite_matches_golden(tmp_path, capsys):
     assert main(["suite", "--seed-count", "20", "--out", str(report)]) == 0
     assert report.read_bytes() == (GOLDEN / "suite20.txt").read_bytes()
     assert capsys.readouterr().out == (GOLDEN / "suite20.stdout").read_text(encoding="utf-8")
+
+
+def _family_matrix(sc, p):
+    """The swept matrix of a golden scenario at parameter p, built from its definition."""
+    kind = sc.family_kind
+    if kind == "linear":
+        A, V = sc.matrices["A"], sc.matrices["V"]
+        return p * A + V if sc.grid_name == "m" else A + p * V
+    if kind == "karlin":
+        P, D = sc.matrices["P"], sc.matrices["D"]
+        return ((1.0 - p) * np.eye(P.shape[0]) + p * P) @ D
+    if kind == "kingman":
+        c, g = sc.matrices["c"], sc.matrices["g"]
+        return np.where(c != 0.0, c * np.exp(g * p), 0.0)
+    split = _operator_split(sc)
+    return p * (split.A + split.V)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_golden_curve_agrees_with_lapack(name):
+    sc = parse_scenario(str(GOLDEN / f"{name}.ini"))
+    rows = np.loadtxt(GOLDEN / f"{name}.csv", delimiter=",", skiprows=1, ndmin=2)
+    for p, spb in rows[:, :2]:
+        M = _family_matrix(sc, p)
+        reference = float(np.max(scipy.linalg.eigvals(M).real))
+        assert abs(spb - reference) <= 1e-13 * np.max(np.abs(M).sum(axis=1)), (p, spb, reference)

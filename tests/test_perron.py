@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,13 +12,22 @@ from reduction_lab import (
     is_essentially_nonnegative,
     is_irreducible,
     is_resolvent_positive_at,
+    perron,
     perron_vectors,
     resolvent,
     scc_decomposition,
     spectral_bound,
     square_matrix,
 )
-from reduction_lab.gallery import random_ess_nonneg
+from reduction_lab.gallery import (
+    Grid1D,
+    KarlinFamily,
+    karlin_evaluator,
+    laplacian_1d,
+    random_diagonal,
+    random_ess_nonneg,
+    random_stochastic,
+)
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 ASYM = np.array([[0.0, 1.0], [1.0, -2.0]])
@@ -26,8 +36,7 @@ SQRT2 = np.sqrt(2.0)
 
 @st.composite
 def metzler(draw, max_n=4):
-    # off-diagonals bounded away from zero keep the shifted iteration matrix
-    # strongly contracting, so the solver converges for every drawn instance
+    # off-diagonals bounded away from zero keep every drawn instance irreducible
     n = draw(st.integers(1, max_n))
     vals = draw(
         st.lists(st.floats(0.1, 3.0), min_size=n * n, max_size=n * n).map(np.array)
@@ -180,3 +189,111 @@ def test_homogeneity_of_spectral_bound(M, alpha):
 def test_no_convergence_reports_residual():
     err = NoConvergence("boom", residual=0.5, iterations=7)
     assert err.residual == 0.5 and err.iterations == 7
+
+
+def _lapack_spb(M):
+    return float(np.max(scipy.linalg.eigvals(M).real))
+
+
+def _norm(M):
+    return float(np.max(np.abs(M).sum(axis=1)))
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        [[-1e-8, 1e-9], [1e-9, -2e-8]],
+        [[0.0, 1e-12], [1e-12, -1e-6]],
+    ],
+)
+def test_tiny_scale_converges_to_lapack(M):
+    # entries far below 1: every shift and tolerance must scale with ||M||
+    M = np.array(M)
+    data = spectral_bound(M)
+    assert abs(data.spb - _lapack_spb(M)) <= 1e-13 * _norm(M)
+    assert data.spb_lo <= data.spb <= data.spb_hi
+
+
+def test_neumann_160_error_below_1e10():
+    n = 160
+    M = laplacian_1d(Grid1D(n, 1.0, "neumann")) + np.diag(np.random.default_rng(0).uniform(0.0, 1.0, n))
+    data = spectral_bound(M)
+    assert abs(data.spb - _lapack_spb(M)) <= 1e-10
+    assert data.spb_hi - data.spb_lo <= 1e-11 * _norm(M)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_spectral_bound_scales_exactly(seed):
+    M = random_ess_nonneg(4, seed)
+    base = spectral_bound(M).spb
+    for k in range(-8, 9):
+        s = 10.0**k
+        assert spectral_bound(s * M).spb == pytest.approx(s * base, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def scaled_metzler(draw, max_n=5):
+    # zero off-diagonals make some draws reducible; the scale spans 1e-8 to 1e8.
+    # Nonzero entries stay at magnitudes of 1e-3 and above before scaling:
+    # scipy.linalg.eigvals returns 6.7e-139 for diag(0, t) at any t below 1e-139.
+    n = draw(st.integers(2, max_n))
+    off = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+    diag = st.one_of(st.just(0.0), st.floats(-3.0, -1e-3), st.floats(1e-3, 1.0))
+    M = np.array(draw(st.lists(off, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(M, draw(st.lists(diag, min_size=n, max_size=n)))
+    return M * 10.0 ** draw(st.integers(-8, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_metzler())
+def test_collatz_wielandt_bracket_encloses_lapack(M):
+    data = spectral_bound(M)
+    norm = _norm(M)
+    floor = 8 * M.shape[0] * np.finfo(float).eps * norm  # rounding of the quotients and of LAPACK
+    reference = _lapack_spb(M)
+    assert data.spb_lo - floor <= reference <= data.spb_hi + floor
+    assert data.spb_lo <= data.spb <= data.spb_hi
+    assert data.spb_hi - data.spb_lo <= 1e-11 * norm
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_near_decoupled_points_converge(n):
+    # almost diagonal matrices: the shifted solve turns nearly singular before
+    # the lower end of the bracket has closed, and its rounded solution may
+    # carry entries of the wrong sign
+    for seed in range(n + 1, n + 4):
+        P = random_stochastic(n, seed)
+        points = [
+            karlin_evaluator(KarlinFamily(P, np.diag(np.linspace(0.2, 1.6, n))))(1e-6),
+            1e-6 * (P - np.eye(n)) + random_diagonal(n, -1.0, 1.0, seed + 1),
+        ]
+        for M in points:
+            data = spectral_bound(M)
+            assert abs(data.spb - _lapack_spb(M)) <= 1e-13 * _norm(M)
+            assert data.spb_hi - data.spb_lo <= 1e-11 * _norm(M)
+
+
+def test_widely_spread_perron_vectors_converge():
+    # sparse entries spanning 12 decades give Perron vectors whose entries
+    # spread over many decades; an unscaled shifted solve leaves the small
+    # entries too inaccurate for the bracket to close
+    rng = np.random.default_rng(0)
+    n = 12
+    solved = 0
+    for _ in range(100):
+        M = rng.uniform(0.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, n))
+        M[rng.uniform(size=(n, n)) < 0.6] = 0.0
+        np.fill_diagonal(M, -rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6.0, 6.0, n))
+        if not is_irreducible(M):
+            continue
+        data = spectral_bound(M)
+        assert abs(data.spb - _lapack_spb(M)) <= 1e-13 * _norm(M)
+        solved += 1
+    assert solved >= 80
+
+
+def test_wide_bracket_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(perron, "WIDTH_TOL", -1.0)
+    with pytest.raises(NoConvergence) as info:
+        spectral_bound(ASYM)
+    assert info.value.residual >= 0.0 and info.value.iterations >= 1
