@@ -75,7 +75,12 @@ def scc_decomposition(M) -> SccDecomposition:
     M = square_matrix(M)
     adjacency = M != 0.0
     np.fill_diagonal(adjacency, False)
-    count, labels = scipy.sparse.csgraph.connected_components(adjacency, directed=True, connection="strong")
+    # CSR built here: csgraph validates a dense input at more cost than the search.
+    # np.nonzero returns strided views, and csgraph needs contiguous indices.
+    rows, cols = np.nonzero(adjacency)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(M)))))
+    graph = scipy.sparse.csr_array((np.ones(cols.size), np.ascontiguousarray(cols), indptr), shape=M.shape)
+    count, labels = scipy.sparse.csgraph.connected_components(graph, directed=True, connection="strong")
     return SccDecomposition(labels, count)
 
 
@@ -91,26 +96,32 @@ def is_irreducible(M) -> bool:
     return scc_decomposition(M).component_count == 1
 
 
-def _noda(M):
+def _noda(M, start=None):
     """Noda inverse iteration for the Perron root of an irreducible Metzler M.
 
-    Starting from the constant vector, each step takes the Collatz-Wielandt
-    quotients q = (Mx)/x, whose extremes bracket spb(M) for any positive x,
-    and replaces x by |solve(max(q)*I - M, x)| normalized to unit sum. In
-    exact arithmetic the upper end decreases strictly and the bracket closes
-    superlinearly. Near convergence the shifted system is almost singular and
-    its rounded solution may carry entries of the wrong sign; taking |.| keeps
-    x positive, which is all the bracket needs. The loop stops at the rounding
-    floor of the quotients, at an exactly singular shift, or when a step
-    narrows neither the upper end nor the bracket; the narrowest bracket seen
-    is returned as (x, lo, hi, steps).
+    Starting from `start` if it is positive and finite, else from the constant
+    vector, each step takes the Collatz-Wielandt quotients q = (Mx)/x, whose
+    extremes bracket spb(M) for any positive x, and replaces x by
+    |solve(max(q)*I - M, x)| normalized to unit sum. In exact arithmetic the
+    upper end decreases strictly and the bracket closes superlinearly. Near
+    convergence the shifted system is almost singular and its rounded solution
+    may carry entries of the wrong sign; taking |.| keeps x positive, which is
+    all the bracket needs. The loop stops at the rounding floor of the
+    quotients, at an exactly singular shift, or when a step narrows neither the
+    upper end nor the bracket; the narrowest bracket seen is returned as
+    (x, lo, hi, steps, factors). factors is (lu, piv, x) of the last scaled
+    system solved, hi*I - diag(x)^-1 M diag(x) in dgesv's LU form, or None if
+    no solve ran.
     """
     n = M.shape[0]
     abs_M = np.abs(M)
     eye = np.eye(n)
     ones = np.ones(n)
     x = np.full(n, 1.0 / n)
+    if start is not None and start.min() > 0.0 and math.isfinite(float(start.sum())):
+        x = start / start.sum()
     best = None  # (width, x, lo, hi) of the narrowest bracket so far
+    factors = None
     prev_hi = np.inf
     steps = 0
     while True:
@@ -125,9 +136,10 @@ def _noda(M):
         # solve (hi*I - M) y = x as y = x*z with (hi*I - D^-1 M D) z = 1, D = diag(x):
         # the scaled system keeps every entry of y accurate relative to itself,
         # however widely the entries of x spread
-        _, _, z, info = scipy.linalg.lapack.dgesv(hi * eye - M * (x / x[:, None]), ones, overwrite_a=True)
+        lu, piv, z, info = scipy.linalg.lapack.dgesv(hi * eye - M * (x / x[:, None]), ones, overwrite_a=True)
         if info > 0:
             break  # hi is an eigenvalue to working precision
+        factors = (lu, piv, x)
         y = np.abs(z) * x
         total = float(y.sum())
         if not (y.min() > 0.0 and math.isfinite(total)):
@@ -135,7 +147,7 @@ def _noda(M):
         x = y / total
         prev_hi = hi
         steps += 1
-    return (*best[1:], steps)
+    return (*best[1:], steps, factors)
 
 
 def _solve_irreducible(M) -> SpectralData:
@@ -145,11 +157,17 @@ def _solve_irreducible(M) -> SpectralData:
         spb = float(M[0, 0])
         return SpectralData(spb, one, one.copy(), 0, 0.0, spb, spb)
     norm = float(np.max(np.abs(M).sum(axis=1)))
-    v, lo, hi, steps = _noda(M)
+    v, lo, hi, steps, factors = _noda(M)
     if np.array_equal(M, M.T):
         u = v
     else:
-        u, _, _, steps_u = _noda(M.T)
+        start = None
+        if factors is not None:
+            # S = hi*I - D^-1 M D with D = diag(x) is factored, and S^T w = x means
+            # (hi*I - M^T)(w/x) = 1: one inverse-iteration step for u at that shift
+            lu, piv, x = factors
+            start = np.abs(scipy.linalg.lapack.dgetrs(lu, piv, x, trans=1)[0]) / x
+        u, _, _, steps_u, _ = _noda(M.T, start)
         steps += steps_u
     if hi - lo > WIDTH_TOL * norm:
         raise NoConvergence(
@@ -172,14 +190,11 @@ def spectral_bound(M) -> SpectralData:
     solved per strongly connected diagonal block and report u = v = None.
     """
     M = square_matrix(M)
-    n = M.shape[0]
-    if not is_essentially_nonnegative(M):
+    off = M[~np.eye(M.shape[0], dtype=bool)]
+    if not (off >= 0.0).all():
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    if n == 1:
-        return _solve_irreducible(M)
-    off = M[~np.eye(n, dtype=bool)]
     if (off != 0.0).all():
-        return _solve_irreducible(M)
+        return _solve_irreducible(M)  # a dense off-diagonal pattern, or n = 1
     dec = scc_decomposition(M)
     if dec.component_count == 1:
         return _solve_irreducible(M)

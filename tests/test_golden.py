@@ -75,3 +75,22 @@ def test_golden_curve_agrees_with_lapack(name):
         M = _family_matrix(sc, p)
         reference = float(np.max(scipy.linalg.eigvals(M).real))
         assert abs(spb - reference) <= 1e-13 * np.max(np.abs(M).sum(axis=1)), (p, spb, reference)
+
+
+DERIVATIVE_CURVES = sorted(
+    name for name in SCENARIOS if "analytic_derivative" in (GOLDEN / f"{name}.csv").read_text().splitlines()[0]
+)
+
+
+@pytest.mark.parametrize("name", DERIVATIVE_CURVES)
+def test_golden_derivative_agrees_with_lapack(name):
+    # d spb/dp = u^T (dM/dp) v / (u^T v) at LAPACK's Perron pair
+    sc = parse_scenario(str(GOLDEN / f"{name}.ini"))
+    direction = sc.matrices["A"] if sc.grid_name == "m" else sc.matrices["V"]
+    rows = np.loadtxt(GOLDEN / f"{name}.csv", delimiter=",", skiprows=1, ndmin=2)
+    for p, _, d in rows:
+        w, vl, vr = scipy.linalg.eig(_family_matrix(sc, p), left=True, right=True)
+        k = np.argmax(w.real)
+        u, v = vl[:, k].real, vr[:, k].real
+        reference = float(u @ (direction @ v)) / float(u @ v)
+        assert abs(d - reference) <= 1e-12 * max(1.0, abs(d)), (p, d, reference)

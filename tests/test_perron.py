@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -297,3 +298,68 @@ def test_wide_bracket_raises_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence) as info:
         spectral_bound(ASYM)
     assert info.value.residual >= 0.0 and info.value.iterations >= 1
+
+
+def _lapack_left_perron(M):
+    w, vl = scipy.linalg.eig(M, left=True, right=False)
+    u = np.abs(vl[:, np.argmax(w.real)].real)
+    return u / u.max()
+
+
+@st.composite
+def irreducible_nonsymmetric_metzler(draw, max_n=32):
+    # a random cycle through every vertex keeps each draw irreducible; entries are
+    # drawn from a seeded generator so that n = 32 stays cheap for hypothesis.
+    # Nonzero entries stay at 1e-3 and above before scaling, as in scaled_metzler.
+    n = draw(st.integers(2, max_n))
+    density = draw(st.sampled_from([1.0, 0.5, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.uniform(1e-3, 3.0, (n, n)) * (rng.uniform(size=(n, n)) < density)
+    cycle = rng.permutation(n)
+    M[cycle, np.roll(cycle, 1)] = rng.uniform(1e-3, 3.0, n)
+    kind = rng.integers(0, 3, n)
+    np.fill_diagonal(M, np.select([kind == 1, kind == 2], [-rng.uniform(1e-3, 3.0, n), rng.uniform(1e-3, 1.0, n)]))
+    return M * 10.0 ** draw(st.integers(-8, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_nonsymmetric_metzler())
+def test_left_perron_vector_matches_lapack(M):
+    # the worst error measured over 3000 draws of this distribution is 1.9e-14 of
+    # max(u), whether the left iteration starts from the constant vector or not
+    data = spectral_bound(M)
+    assert not np.array_equal(M, M.T)
+    assert np.abs(data.u / data.u.max() - _lapack_left_perron(M)).max() <= 1e-13
+    assert abs(data.u @ data.v - 1.0) <= 4 * M.shape[0] * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [3, 8, 32])
+def test_left_vector_without_right_solve_matches_lapack(n):
+    # zero row sums make the constant vector exact for v, so the right iteration
+    # makes no solve and the left iteration starts from the constant vector
+    M = random_stochastic(n, n) - np.eye(n)
+    assert perron._noda(M)[3] == 0  # no solve, so no factors to start from
+    data = spectral_bound(M)
+    assert np.abs(data.u / data.u.max() - _lapack_left_perron(M)).max() <= 1e-13
+    assert abs(data.u @ data.v - 1.0) <= 4 * n * np.finfo(float).eps
+
+
+def test_left_iteration_starts_near_its_answer():
+    # the same matrices cost 750 solves in total when the left iteration starts
+    # from the constant vector; starting it from a transposed solve on the right
+    # iteration's factors costs 447
+    total = sum(spectral_bound(random_ess_nonneg(n, seed)).iterations for n in range(8, 33) for seed in range(3))
+    assert total <= 0.7 * 750
+
+
+def test_scc_matches_dense_csgraph():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 33))
+        M = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < rng.uniform(0.02, 0.5))
+        adjacency = M != 0.0
+        np.fill_diagonal(adjacency, False)
+        count, labels = scipy.sparse.csgraph.connected_components(adjacency, directed=True, connection="strong")
+        dec = scc_decomposition(M)
+        assert dec.component_count == count
+        assert np.array_equal(dec.component_id[:, None] == dec.component_id, labels[:, None] == labels)
