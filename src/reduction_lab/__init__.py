@@ -74,6 +74,6 @@ from .perron import (
     spectral_bound,
     square_matrix,
 )
-from .semigroup import GrowthEstimate, expm, growth_bound_estimate, positivity_of_semigroup_check
+from .semigroup import expm, growth_bound_estimate, positivity_of_semigroup_check
 
 __version__ = "0.1.0"

@@ -58,7 +58,6 @@ class SweepResult:
 @dataclass
 class ConvexityReport:
     convex: bool
-    worst_violation: float  # most negative second difference, 0 if none
     witness_index: int  # center index of the worst triple
     strictness_margin: float  # minimum second difference
 
@@ -150,7 +149,6 @@ def check_midpoint_convexity(S: SweepResult, tol: float = CONVEXITY_TOL) -> Conv
     worst = float(d2[k])
     return ConvexityReport(
         convex=bool(worst >= -tol * scale),
-        worst_violation=min(worst, 0.0),
         witness_index=k + 1,
         strictness_margin=worst,
     )

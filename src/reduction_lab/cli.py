@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .battery import run_suite
+from .battery import GROWTH_TOL, run_suite
 from .checks import (
     CONVEXITY_TOL,
     CheckLine,
@@ -221,9 +221,9 @@ def _operator_checks(sc: Scenario) -> list[CheckLine]:
     positive = all(is_resolvent_positive_at(A, data.spb + offset) for offset in (0.1, 1.0, 10.0))
     lines.append(CheckLine("resolvent_positive", positive, 1.0 if positive else -1.0, f"spb={data.spb:.9g}"))
     lines.append(CheckLine.from_outcome("semigroup_positivity", positivity_of_semigroup_check(A, [0.1, 1.0, 5.0])))
-    est = growth_bound_estimate(A, t_max=50.0, k=10)
-    gtol = sc.tolerances.get("growth_bound", 1e-3) * max(1.0, abs(data.spb))
-    lines.append(CheckLine.within("growth_bound", abs(est.omega - data.spb), gtol, omega=est.omega, spb=data.spb))
+    omega = growth_bound_estimate(A)
+    gtol = sc.tolerances.get("growth_bound", GROWTH_TOL) * max(1.0, abs(data.spb))
+    lines.append(CheckLine.within("growth_bound", abs(omega - data.spb), gtol, omega=omega, spb=data.spb))
     m_grid = sc.grid if sc.grid_name == "m" else np.linspace(0.5, 2.0, 7)
     sweep = sweep_spb_in_m(fam, m_grid)
     spb_mix = spectral_bound(fam.A).spb

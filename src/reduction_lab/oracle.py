@@ -1,9 +1,9 @@
 """Characteristic-polynomial eigenvalue oracle.
 
-Deliberately independent of the power-iteration solver: coefficients come from
-the Faddeev-LeVerrier recurrence and roots from a simultaneous Durand-Kerner
-iteration. Restricted to n <= 8, where the coefficient route is still well
-conditioned for the test matrices this backs.
+Deliberately independent of the Noda inverse-iteration solver: coefficients
+come from the Faddeev-LeVerrier recurrence and roots from a simultaneous
+Durand-Kerner iteration. Restricted to n <= 8, where the coefficient route is
+still well conditioned for the test matrices this backs.
 """
 
 import numpy as np

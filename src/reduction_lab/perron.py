@@ -38,10 +38,9 @@ def square_matrix(entries) -> np.ndarray:
 class SpectralData:
     """Spectral bound plus Perron vectors (absent for reducible inputs).
 
-    u and v are normalized so that u @ v = 1 and sum(v) = 1; residual is the
-    max-norm of (M - spb*I) @ v for the returned v. [spb_lo, spb_hi] is the
-    Collatz-Wielandt bracket min_i (Mv)_i/v_i <= spb <= max_i (Mv)_i/v_i at
-    the returned v; for reducible inputs it is [max spb_lo, max spb_hi] over
+    u and v are normalized so that u @ v = 1 and sum(v) = 1. [spb_lo, spb_hi]
+    is the Collatz-Wielandt bracket min_i (Mv)_i/v_i <= spb <= max_i (Mv)_i/v_i
+    at the returned v; for reducible inputs it is [max spb_lo, max spb_hi] over
     the diagonal blocks.
     """
 
@@ -49,7 +48,6 @@ class SpectralData:
     u: np.ndarray | None
     v: np.ndarray | None
     iterations: int
-    residual: float
     spb_lo: float
     spb_hi: float
 
@@ -60,14 +58,18 @@ class SccDecomposition:
     component_count: int
 
 
+def _off_diagonal_signs(M) -> tuple[bool, bool]:
+    """(all off-diagonal entries >= 0, all off-diagonal entries != 0) of a validated square M.
+
+    Both hold for n = 1. An off-diagonal pattern with no zero is strongly connected.
+    """
+    off = M[~np.eye(M.shape[0], dtype=bool)]
+    return bool((off >= 0.0).all()), bool((off != 0.0).all())
+
+
 def is_essentially_nonnegative(M) -> bool:
     """True iff every off-diagonal entry is >= 0 (exact comparison)."""
-    M = square_matrix(M)
-    n = M.shape[0]
-    if n == 1:
-        return True
-    off = M[~np.eye(n, dtype=bool)]
-    return bool((off >= 0.0).all())
+    return _off_diagonal_signs(square_matrix(M))[0]
 
 
 def scc_decomposition(M) -> SccDecomposition:
@@ -87,13 +89,7 @@ def scc_decomposition(M) -> SccDecomposition:
 def is_irreducible(M) -> bool:
     """True iff the off-diagonal adjacency digraph is strongly connected (n = 1 counts)."""
     M = square_matrix(M)
-    n = M.shape[0]
-    if n == 1:
-        return True
-    off = M[~np.eye(n, dtype=bool)]
-    if (off != 0.0).all():
-        return True  # dense off-diagonal pattern is always strongly connected
-    return scc_decomposition(M).component_count == 1
+    return _off_diagonal_signs(M)[1] or scc_decomposition(M).component_count == 1
 
 
 def _noda(M, start=None):
@@ -155,7 +151,7 @@ def _solve_irreducible(M) -> SpectralData:
     if n == 1:
         one = np.array([1.0])
         spb = float(M[0, 0])
-        return SpectralData(spb, one, one.copy(), 0, 0.0, spb, spb)
+        return SpectralData(spb, one, one.copy(), 0, spb, spb)
     norm = float(np.max(np.abs(M).sum(axis=1)))
     v, lo, hi, steps, factors = _noda(M)
     if np.array_equal(M, M.T):
@@ -179,8 +175,7 @@ def _solve_irreducible(M) -> SpectralData:
     # two-sided Rayleigh quotient: error is quadratic in the vector errors
     spb = min(max(float(u @ (M @ v)) / float(u @ v), lo), hi)
     u = u / float(u @ v)
-    residual = float(np.max(np.abs(M @ v - spb * v)))
-    return SpectralData(spb, u, v, steps, residual, lo, hi)
+    return SpectralData(spb, u, v, steps, lo, hi)
 
 
 def spectral_bound(M) -> SpectralData:
@@ -190,11 +185,11 @@ def spectral_bound(M) -> SpectralData:
     solved per strongly connected diagonal block and report u = v = None.
     """
     M = square_matrix(M)
-    off = M[~np.eye(M.shape[0], dtype=bool)]
-    if not (off >= 0.0).all():
+    nonnegative, dense = _off_diagonal_signs(M)
+    if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    if (off != 0.0).all():
-        return _solve_irreducible(M)  # a dense off-diagonal pattern, or n = 1
+    if dense:
+        return _solve_irreducible(M)
     dec = scc_decomposition(M)
     if dec.component_count == 1:
         return _solve_irreducible(M)
@@ -207,7 +202,6 @@ def spectral_bound(M) -> SpectralData:
         None,
         None,
         sum(b.iterations for b in blocks),
-        max(b.residual for b in blocks),
         max(b.spb_lo for b in blocks),
         max(b.spb_hi for b in blocks),
     )
@@ -216,9 +210,10 @@ def spectral_bound(M) -> SpectralData:
 def perron_vectors(M):
     """Left and right Perron vectors (u, v) with u @ v = 1 and sum(v) = 1."""
     M = square_matrix(M)
-    if not is_essentially_nonnegative(M):
+    nonnegative, dense = _off_diagonal_signs(M)
+    if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    if not is_irreducible(M):
+    if not (dense or scc_decomposition(M).component_count == 1):
         raise NotIrreducible("Perron vectors require an irreducible matrix")
     data = _solve_irreducible(M)
     return data.u, data.v

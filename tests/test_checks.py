@@ -98,7 +98,6 @@ def test_midpoint_convexity_on_closed_form_curve():
     report = check_midpoint_convexity(sweep)
     assert report.convex
     assert report.strictness_margin > 0
-    assert report.worst_violation == 0.0
 
 
 def test_midpoint_convexity_affine_curve():
@@ -112,7 +111,7 @@ def test_midpoint_convexity_concave_spike():
     sweep = SweepResult("m", [1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
     report = check_midpoint_convexity(sweep)
     assert not report.convex
-    assert report.worst_violation == -2.0
+    assert report.strictness_margin == -2.0
     assert report.witness_index == 1
 
 

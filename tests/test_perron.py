@@ -131,7 +131,8 @@ def test_residual_bound():
         M = random_ess_nonneg(5, seed)
         data = spectral_bound(M)
         norm = np.max(np.abs(M).sum(axis=1))
-        assert data.residual <= 1e-10 * (1.0 + norm)
+        assert data.spb_lo <= data.spb <= data.spb_hi
+        assert data.spb_hi - data.spb_lo <= 1e-11 * norm
         assert np.max(np.abs(M @ data.v - data.spb * data.v)) <= 1e-10 * (1.0 + norm)
 
 
