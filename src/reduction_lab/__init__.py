@@ -11,7 +11,6 @@ inequalities those families satisfy.
 from .checks import (
     CheckLine,
     CheckOutcome,
-    ConvexityReport,
     SweepResult,
     check_midpoint_convexity,
     check_monotone_reduction,

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .checks import (
-    CONVEXITY_TOL,
+    CHECK_TOL,
     CheckLine,
     kingman_superconvexity_check,
     karlin_monotonicity_check,
@@ -49,7 +49,7 @@ def seed_battery(seed: int) -> list[CheckLine]:
     beta_grid = np.linspace(-3.0, 3.0, 11)
     m_grid = np.linspace(0.1, 5.0, 11)
     family_lines, sweep_b, _ = linear_family_lines(
-        fam, data_A.spb, beta_grid, m_grid, 1.0, CONVEXITY_TOL, CONVEXITY_TOL
+        fam, data_A.spb, beta_grid, m_grid, 1.0, CHECK_TOL, CHECK_TOL
     )
     out += family_lines
 
@@ -68,11 +68,8 @@ def seed_battery(seed: int) -> list[CheckLine]:
     c = np.array([[0.2 + rng.uniform() for _ in range(n)] for _ in range(n)])
     g = np.array([[-1.0 + 2.0 * rng.uniform() for _ in range(n)] for _ in range(n)])
     theta_grid = np.linspace(-1.0, 1.0, 9)
-    out.append(
-        CheckLine.from_convexity(
-            "kingman_logconvexity", kingman_superconvexity_check(KingmanFamily(c, g), theta_grid), theta_grid, "theta"
-        )
-    )
+    kingman = kingman_superconvexity_check(KingmanFamily(c, g), theta_grid)
+    out.append(CheckLine.from_outcome("kingman_logconvexity", kingman))
 
     t_grid = [0.01, 0.1, 1.0, 5.0]
     out.append(CheckLine.from_outcome("semigroup_positivity", positivity_of_semigroup_check(A, t_grid)))

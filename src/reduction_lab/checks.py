@@ -18,15 +18,12 @@ from .errors import (
     ReductionLabError,
     ZeroSpectralRadius,
 )
-from .gallery import KarlinFamily, KingmanFamily, LinearFamily, karlin_evaluator, kingman_family_eval
+from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagonal, karlin_evaluator, kingman_family_eval
 from .perron import SpectralData, is_irreducible, perron_vectors, spectral_bound, square_matrix
 
-CONVEXITY_TOL = 1e-9
 CHECK_TOL = 1e-9
 HOMOGENEITY_TOL = 1e-10
 DERIVATIVE_TOL = 1e-6
-DERIVATIVE_MATCH_TOL = 1e-6
-STRICT_CONVEXITY_TOL = 1e-9
 FD_STEP_SCALE = 1e-5
 
 THRESHOLD_VALUE_TOL = 1e-10
@@ -53,13 +50,6 @@ class SweepResult:
             raise ValueError("grid must be strictly increasing")
         mean = float(diffs.mean())
         self.uniform = bool(np.max(np.abs(diffs - mean)) <= 1e-9 * mean)
-
-
-@dataclass
-class ConvexityReport:
-    convex: bool
-    witness_index: int  # center index of the worst triple
-    strictness_margin: float  # minimum second difference
 
 
 @dataclass
@@ -95,11 +85,6 @@ class CheckLine:
     def within(cls, name: str, gap: float, tol: float, **witness: float) -> "CheckLine":
         """A line that passes iff gap <= tol, with margin tol - gap."""
         return cls.from_outcome(name, CheckOutcome(bool(gap <= tol), tol - gap, witness))
-
-    @classmethod
-    def from_convexity(cls, name: str, report: ConvexityReport, grid, param: str) -> "CheckLine":
-        witness = f"{param}={grid[report.witness_index]:.9g}"
-        return cls(name, report.convex, report.strictness_margin, witness)
 
     def format(self) -> str:
         status = "pass" if self.passed else "fail"
@@ -138,8 +123,12 @@ def sweep_spb_in_beta(F: LinearFamily, beta_grid) -> SweepResult:
     return SweepResult("beta", grid, [d.spb for d in points])
 
 
-def check_midpoint_convexity(S: SweepResult, tol: float = CONVEXITY_TOL) -> ConvexityReport:
-    """Second-difference convexity test on a uniform sweep."""
+def check_midpoint_convexity(S: SweepResult, tol: float = CHECK_TOL) -> CheckOutcome:
+    """Second-difference convexity test on a uniform sweep.
+
+    The margin is the smallest second difference; the witness is the centre
+    of that triple.
+    """
     if not S.uniform:
         raise NonUniformGrid("midpoint convexity needs a uniformly spaced grid")
     v = S.values
@@ -147,14 +136,10 @@ def check_midpoint_convexity(S: SweepResult, tol: float = CONVEXITY_TOL) -> Conv
     scale = max(1.0, float(np.max(np.abs(v))))
     k = int(np.argmin(d2))
     worst = float(d2[k])
-    return ConvexityReport(
-        convex=bool(worst >= -tol * scale),
-        witness_index=k + 1,
-        strictness_margin=worst,
-    )
+    return CheckOutcome(bool(worst >= -tol * scale), worst, {S.parameter_name: float(S.grid[k + 1])})
 
 
-def check_monotone_reduction(S: SweepResult, spb_A: float, tol: float = CHECK_TOL) -> CheckOutcome:
+def check_monotone_reduction(S: SweepResult, spb_A: float) -> CheckOutcome:
     """Certify spb((m+d)A + V) <= spb(mA + V) + d*spb(A) over all grid pairs.
 
     Also classifies the pairwise slacks: the family must be either strictly
@@ -166,23 +151,14 @@ def check_monotone_reduction(S: SweepResult, spb_A: float, tol: float = CHECK_TO
     grid, v = S.grid, S.values
     span = float(grid[-1] - grid[0])
     scale = max(1.0, float(np.max(np.abs(v))), abs(spb_A) * span)
-    t = tol * scale
-    worst = np.inf
-    witness = {"m": float(grid[0]), "d": 0.0}
-    strict = equal = violations = 0
-    for i in range(len(grid) - 1):
-        for j in range(i + 1, len(grid)):
-            d = float(grid[j] - grid[i])
-            slack = float(v[i] + d * spb_A - v[j])
-            if slack < worst:
-                worst = slack
-                witness = {"m": float(grid[i]), "d": d}
-            if slack > t:
-                strict += 1
-            elif slack >= -t:
-                equal += 1
-            else:
-                violations += 1
+    t = CHECK_TOL * scale
+    i, j = np.triu_indices(len(grid), 1)
+    d = grid[j] - grid[i]
+    slack = v[i] + d * spb_A - v[j]
+    k = int(np.argmin(slack))
+    strict = int(np.count_nonzero(slack > t))
+    equal = int(np.count_nonzero((slack >= -t) & (slack <= t)))
+    violations = len(slack) - strict - equal
     mixed = strict > 0 and equal > 0
     if violations:
         detail = "reduction inequality violated"
@@ -192,13 +168,13 @@ def check_monotone_reduction(S: SweepResult, spb_A: float, tol: float = CHECK_TO
         detail = "strict branch" if strict else "equality branch"
     return CheckOutcome(
         passed=violations == 0 and not mixed,
-        margin=worst,
-        witness=witness,
+        margin=float(slack[k]),
+        witness={"m": float(grid[i[k]]), "d": float(d[k])},
         detail=detail,
     )
 
 
-def derivative_bound_check(F: LinearFamily, m: float, tol: float = DERIVATIVE_TOL) -> CheckOutcome:
+def derivative_bound_check(F: LinearFamily, m: float) -> CheckOutcome:
     """Central-difference d spb/dm at m must not exceed spb(A)."""
     if m <= 0:
         raise ValueError("derivative probe needs m > 0")
@@ -213,7 +189,7 @@ def derivative_bound_check(F: LinearFamily, m: float, tol: float = DERIVATIVE_TO
     scale = max(1.0, abs(spb_A))
     margin = spb_A - fd
     return CheckOutcome(
-        passed=bool(margin >= -tol * scale),
+        passed=bool(margin >= -DERIVATIVE_TOL * scale),
         margin=margin,
         witness={"m": m, "fd": fd},
         detail=f"finite difference {fd:.9g} vs spb(A) {spb_A:.9g}",
@@ -236,16 +212,17 @@ def perron_derivative_agreement(F: LinearFamily, bound: CheckOutcome) -> CheckLi
     """
     m, fd = bound.witness["m"], bound.witness["fd"]
     analytic = perron_derivative(F, m)
-    tol = DERIVATIVE_MATCH_TOL * max(1.0, abs(analytic), abs(fd))
+    tol = DERIVATIVE_TOL * max(1.0, abs(analytic), abs(fd))
     return CheckLine.within("perron_derivative_agreement", abs(analytic - fd), tol, m=m, analytic=analytic)
 
 
-def lindqvist_check(A, D, tol: float = CHECK_TOL) -> CheckOutcome:
-    """spb(A + D) - spb(A) >= u(A)^T D v(A) for diagonal D."""
+def lindqvist_check(A, D) -> CheckOutcome:
+    """spb(A + D) - spb(A) >= u(A)^T D v(A) for diagonal D of the size of A."""
     A = square_matrix(A)
     D = square_matrix(D)
-    if A.shape[0] > 1 and (D[~np.eye(D.shape[0], dtype=bool)] != 0.0).any():
-        raise ValueError("D must be diagonal")
+    if D.shape != A.shape:
+        raise ValueError(f"D is {D.shape[0]}x{D.shape[0]} but A is {A.shape[0]}x{A.shape[0]}")
+    _require_diagonal(D, "D")
     if not is_irreducible(A):
         raise NotIrreducible("the inequality requires an irreducible matrix")
     base = spectral_bound(A)
@@ -254,14 +231,14 @@ def lindqvist_check(A, D, tol: float = CHECK_TOL) -> CheckOutcome:
     margin = (shifted - base.spb) - rhs
     scale = max(1.0, abs(shifted), abs(base.spb), abs(rhs))
     return CheckOutcome(
-        passed=bool(margin >= -tol * scale),
+        passed=bool(margin >= -CHECK_TOL * scale),
         margin=margin,
         witness={"lhs": shifted - base.spb, "rhs": rhs},
         detail="spb shift vs u^T D v",
     )
 
 
-def kirkland_check(A, tol: float = CHECK_TOL) -> CheckOutcome:
+def kirkland_check(A) -> CheckOutcome:
     """e^T A (u o v) >= spb(A), with equality exactly when e^T A = spb(A) e^T."""
     A = square_matrix(A)
     if not is_irreducible(A):
@@ -270,9 +247,9 @@ def kirkland_check(A, tol: float = CHECK_TOL) -> CheckOutcome:
     lhs = float(np.sum(A @ (data.u * data.v)))
     margin = lhs - data.spb
     scale = max(1.0, abs(lhs), abs(data.spb))
-    t = tol * scale
+    t = CHECK_TOL * scale
     at_equality = abs(margin) <= t
-    col_tol = tol * max(1.0, float(np.max(np.abs(A))), abs(data.spb))
+    col_tol = CHECK_TOL * max(1.0, float(np.max(np.abs(A))), abs(data.spb))
     col_condition = bool(np.max(np.abs(A.sum(axis=0) - data.spb)) <= col_tol)
     passed = bool(margin >= -t) and (at_equality == col_condition)
     detail = "equality branch" if at_equality else "strict branch"
@@ -286,9 +263,7 @@ def kirkland_check(A, tol: float = CHECK_TOL) -> CheckOutcome:
     )
 
 
-def kingman_superconvexity_check(
-    F: KingmanFamily, theta_grid, tol: float = CONVEXITY_TOL
-) -> ConvexityReport:
+def kingman_superconvexity_check(F: KingmanFamily, theta_grid) -> CheckOutcome:
     """Midpoint log-convexity of theta -> rho(A(theta)) for a log-affine family."""
     grid = np.asarray(theta_grid, dtype=float)
     rho = [d.spb for d in solve_along(grid, lambda theta: kingman_family_eval(F, theta), "theta")]
@@ -296,10 +271,10 @@ def kingman_superconvexity_check(
         if r <= 0.0:
             raise ZeroSpectralRadius(f"spectral radius vanished at theta = {theta}")
     sweep = SweepResult("theta", grid, [np.log(r) for r in rho])
-    return check_midpoint_convexity(sweep, tol)
+    return check_midpoint_convexity(sweep)
 
 
-def karlin_monotonicity_check(F: KarlinFamily, alpha_grid, tol: float = CHECK_TOL) -> CheckOutcome:
+def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckOutcome:
     """rho([(1-alpha)I + alpha P]D) must not increase along the alpha grid.
 
     Strict decrease is demanded between consecutive points when D is not an
@@ -312,7 +287,7 @@ def karlin_monotonicity_check(F: KarlinFamily, alpha_grid, tol: float = CHECK_TO
     diag = np.diagonal(F.D)
     scalar = bool((diag == diag[0]).all())
     scale = max(1.0, float(np.max(np.abs(values))))
-    t = tol * scale
+    t = CHECK_TOL * scale
     if scalar:
         dev = np.abs(values - values[0])
         k = int(np.argmax(dev))
@@ -334,9 +309,7 @@ def karlin_monotonicity_check(F: KarlinFamily, alpha_grid, tol: float = CHECK_TO
     )
 
 
-def homogeneity_check(
-    F: LinearFamily, m: float, beta: float, alphas, tol: float = HOMOGENEITY_TOL
-) -> CheckOutcome:
+def homogeneity_check(F: LinearFamily, m: float, beta: float, alphas) -> CheckOutcome:
     """spb(alpha*(mA + beta V)) = alpha * spb(mA + beta V) for each alpha > 0."""
     alphas = np.asarray(alphas, dtype=float)
     if (alphas <= 0.0).any():
@@ -348,7 +321,7 @@ def homogeneity_check(
     for alpha in alphas:
         scaled = spectral_bound(alpha * M).spb
         diff = abs(scaled - alpha * base)
-        slack = tol * max(1.0, abs(alpha * base)) - diff
+        slack = HOMOGENEITY_TOL * max(1.0, abs(alpha * base)) - diff
         if slack < margin:
             margin = float(slack)
             witness = {"alpha": float(alpha), "m": m, "beta": beta}
@@ -394,47 +367,44 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def strict_convexity_probe(
-    F: LinearFamily, beta_grid, tol: float = CHECK_TOL
-) -> ConvexityReport:
+def strict_convexity_probe(F: LinearFamily, beta_grid) -> CheckOutcome:
     """Probe whether spb(A + beta V) looks strictly convex on the grid.
 
-    Evidence only: strictness_margin > tol*scale suggests strict convexity for
+    Evidence only: a margin above CHECK_TOL*scale suggests strict convexity for
     the instance, a near-zero margin a flat (affine) stretch. Nothing is
     asserted beyond the report.
     """
     if not is_irreducible(F.A):
         raise NotIrreducible("the probe targets irreducible mixing generators")
-    sweep = sweep_spb_in_beta(F, beta_grid)
-    return check_midpoint_convexity(sweep, tol)
+    return check_midpoint_convexity(sweep_spb_in_beta(F, beta_grid))
 
 
-def strict_convexity_line(probe: ConvexityReport, sweep: SweepResult) -> CheckLine:
-    """Advisory verdict on a beta-sweep's convexity report: `strict` or `flat`.
+def strict_convexity_line(probe: CheckOutcome, sweep: SweepResult) -> CheckLine:
+    """Advisory verdict on a beta-sweep's convexity outcome: `strict` or `flat`.
 
     The verdict is `strict` when the smallest second difference exceeds
-    STRICT_CONVEXITY_TOL times the scale of the swept values.
+    CHECK_TOL times the scale of the swept values.
     """
     scale = max(1.0, float(np.max(np.abs(sweep.values))))
-    verdict = "strict" if probe.strictness_margin > STRICT_CONVEXITY_TOL * scale else "flat"
-    return CheckLine("strict_convexity_probe", True, probe.strictness_margin, f"verdict={verdict}", advisory=True)
+    verdict = "strict" if probe.margin > CHECK_TOL * scale else "flat"
+    return CheckLine("strict_convexity_probe", True, probe.margin, f"verdict={verdict}", advisory=True)
 
 
 def linear_family_lines(
     F: LinearFamily, spb_A: float, beta_grid, m_grid, m_probe: float, tol_beta: float, tol_m: float
-) -> tuple[list[CheckLine], SweepResult, ConvexityReport]:
+) -> tuple[list[CheckLine], SweepResult, CheckOutcome]:
     """The linear-family lines from `convexity_beta` to `kirkland`, in report order.
 
     The derivative lines need an irreducible family point at m_probe, and
     `lindqvist`/`kirkland` an irreducible A; otherwise they are left out.
-    Also returns the beta sweep and its convexity report.
+    Also returns the beta sweep and its convexity outcome.
     """
     sweep_b = sweep_spb_in_beta(F, beta_grid)
     convex_b = check_midpoint_convexity(sweep_b, tol_beta)
     sweep_m = sweep_spb_in_m(F, m_grid)
     lines = [
-        CheckLine.from_convexity("convexity_beta", convex_b, beta_grid, "beta"),
-        CheckLine.from_convexity("convexity_m", check_midpoint_convexity(sweep_m, tol_m), m_grid, "m"),
+        CheckLine.from_outcome("convexity_beta", convex_b),
+        CheckLine.from_outcome("convexity_m", check_midpoint_convexity(sweep_m, tol_m)),
         CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep_m, spb_A)),
     ]
     if is_irreducible(F.matrix_at(m_probe)):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .battery import GROWTH_TOL, run_suite
 from .checks import (
-    CONVEXITY_TOL,
+    CHECK_TOL,
     CheckLine,
     check_monotone_reduction,
     find_threshold,
@@ -105,22 +105,14 @@ def _curve_rows(sc: Scenario):
         fam = LinearFamily(sc.matrices["A"], sc.matrices["V"])
         if name == "m":
             evaluate, direction = fam.matrix_at, fam.A
-        elif name == "beta":
-            evaluate, direction = (lambda beta: fam.matrix_at(1.0, beta)), fam.V
         else:
-            raise ParseError(f"{sc.source}: linear families sweep m or beta")
+            evaluate, direction = (lambda beta: fam.matrix_at(1.0, beta)), fam.V
     elif kind == "karlin":
-        if name != "alpha":
-            raise ParseError(f"{sc.source}: karlin families sweep alpha")
         evaluate = karlin_evaluator(KarlinFamily(sc.matrices["P"], sc.matrices["D"]))
     elif kind == "kingman":
         fam = KingmanFamily(sc.matrices["c"], sc.matrices["g"])
-        if name != "theta":
-            raise ParseError(f"{sc.source}: kingman families sweep theta")
         evaluate = lambda theta: kingman_family_eval(fam, theta)  # noqa: E731
     else:
-        if name != "m":
-            raise ParseError(f"{sc.source}: operator families sweep m")
         split = _operator_split(sc)
         A = split.A + split.V
         evaluate = lambda m: m * A  # noqa: E731
@@ -152,8 +144,8 @@ def _linear_checks(sc: Scenario) -> list[CheckLine]:
         beta_grid,
         m_grid,
         float(m_grid[len(m_grid) // 2]),
-        tol.get("convexity_beta", CONVEXITY_TOL),
-        tol.get("convexity_m", CONVEXITY_TOL),
+        tol.get("convexity_beta", CHECK_TOL),
+        tol.get("convexity_m", CHECK_TOL),
     )
     if is_irreducible(fam.A):
         # the probe reads only the second differences, which the beta sweep already has
@@ -189,18 +181,13 @@ def _karlin_checks(sc: Scenario) -> list[CheckLine]:
 def _kingman_checks(sc: Scenario) -> list[CheckLine]:
     fam = KingmanFamily(sc.matrices["c"], sc.matrices["g"])
     theta_grid = sc.grid if sc.grid_name == "theta" else np.linspace(-1.0, 1.0, 9)
-    convex = kingman_superconvexity_check(fam, theta_grid)
-    lines = [CheckLine.from_convexity("kingman_superconvexity", convex, theta_grid, "theta")]
+    lines = [CheckLine.from_outcome("kingman_superconvexity", kingman_superconvexity_check(fam, theta_grid))]
     probes = [float(theta_grid[0]), float(theta_grid[len(theta_grid) // 2]), float(theta_grid[-1])]
-    worst = 0.0
     if not np.allclose(np.diff(probes), probes[1] - probes[0]):
         probes = [probes[0], 0.5 * (probes[0] + probes[2]), probes[2]]
-    for i in range(fam.n):
-        for j in range(fam.n):
-            if fam.c[i, j] == 0.0:
-                continue
-            logs = [np.log(fam.c[i, j]) + fam.g[i, j] * t for t in probes]
-            worst = max(worst, abs(logs[0] - 2.0 * logs[1] + logs[2]))
+    nonzero = fam.c != 0.0
+    logs = [np.log(fam.c[nonzero]) + fam.g[nonzero] * t for t in probes]
+    worst = float(np.max(np.abs(logs[0] - 2.0 * logs[1] + logs[2]), initial=0.0))
     # the log of every nonzero entry must be affine in theta
     lines.append(CheckLine.within("log_affine_entries", worst, 1e-12, second_difference=worst))
     return lines

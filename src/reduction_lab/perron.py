@@ -234,10 +234,10 @@ def resolvent(M, xi: float) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
 
 
-def is_resolvent_positive_at(M, xi: float, tol: float = 1e-12) -> bool:
-    """True iff the resolvent at xi exists and is entrywise >= -tol."""
+def is_resolvent_positive_at(M, xi: float) -> bool:
+    """True iff the resolvent at xi exists and is entrywise >= -1e-12."""
     try:
         R = resolvent(M, xi)
     except SingularResolvent:
         return False
-    return bool((R >= -tol).all())
+    return bool((R >= -1e-12).all())

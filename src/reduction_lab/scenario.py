@@ -29,8 +29,15 @@ from .errors import InvariantViolation, ParseError
 from .gallery import Grid1D, KarlinFamily, KingmanFamily, LinearFamily
 from .matrixio import load_matrix
 
-FAMILY_KINDS = ("linear", "karlin", "kingman", "laplacian", "elliptic", "nonlocal")
-GRID_NAMES = ("m", "beta", "alpha", "theta")
+# family kind -> the grid names it can sweep
+FAMILY_GRIDS = {
+    "linear": ("m", "beta"),
+    "karlin": ("alpha",),
+    "kingman": ("theta",),
+    "laplacian": ("m",),
+    "elliptic": ("m",),
+    "nonlocal": ("m",),
+}
 TOLERANCE_NAMES = ("convexity_beta", "convexity_m", "growth_bound")
 
 
@@ -222,7 +229,7 @@ def parse_scenario(path) -> Scenario:
 
     kind, kind_line = items.require("family", "kind")
     kind = kind.lower()
-    if kind not in FAMILY_KINDS:
+    if kind not in FAMILY_GRIDS:
         raise ParseError(f"{origin}: unknown family kind {kind!r}", line=kind_line)
     sc = Scenario(family_kind=kind, source=origin)
 
@@ -259,8 +266,9 @@ def parse_scenario(path) -> Scenario:
     name, name_line = items.take("grid", "name")
     if name is not None:
         name = name.lower()
-        if name not in GRID_NAMES:
-            raise ParseError(f"{origin}: grid name must be one of {GRID_NAMES}", line=name_line)
+        if name not in FAMILY_GRIDS[kind]:
+            names = " or ".join(FAMILY_GRIDS[kind])
+            raise ParseError(f"{origin}: {kind} families sweep {names}, not {name!r}", line=name_line)
         start = _take_float(items, "grid", "start")
         stop = _take_float(items, "grid", "stop")
         count = _take_int(items, "grid", "count")

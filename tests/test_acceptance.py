@@ -74,8 +74,8 @@ def test_c02_convexity_in_beta():
         sweep = sweep_spb_in_beta(fam, beta_grid)
         report = check_midpoint_convexity(sweep)
         scale = max(1.0, float(np.max(np.abs(sweep.values))))
-        worst_scaled = min(worst_scaled, report.strictness_margin / scale)
-        if not report.convex:
+        worst_scaled = min(worst_scaled, report.margin / scale)
+        if not report.passed:
             break
     ok = worst_scaled >= -1e-9
     _report(2, "convexity in beta", ok, f"worst scaled second difference {worst_scaled:.2e}")
@@ -91,7 +91,7 @@ def test_c03_convexity_and_derivative_in_m():
         sweep = sweep_spb_in_m(fam, m_grid)
         report = check_midpoint_convexity(sweep)
         scale = max(1.0, float(np.max(np.abs(sweep.values))))
-        worst_conv = min(worst_conv, report.strictness_margin / scale)
+        worst_conv = min(worst_conv, report.margin / scale)
         spb_A = spectral_bound(fam.A).spb
         bound_scale = max(1.0, abs(spb_A))
         for m in m_grid[1:-1]:
@@ -219,13 +219,13 @@ def test_c08_kingman_superconvexity():
         c = np.array([[0.2 + rng.uniform() for _ in range(n)] for _ in range(n)])
         g = np.array([[-1.0 + 2.0 * rng.uniform() for _ in range(n)] for _ in range(n)])
         report = kingman_superconvexity_check(KingmanFamily(c, g), np.linspace(-1.0, 1.0, 9))
-        seeded_ok = seeded_ok and report.convex
-    ok = worst <= 1e-9 and fixture_report.convex and seeded_ok
+        seeded_ok = seeded_ok and report.passed
+    ok = worst <= 1e-9 and fixture_report.passed and seeded_ok
     _report(
         8,
         "superconvexity of the spectral radius",
         ok,
-        f"fixture rho err {worst:.2e}, log-convex fixture {fixture_report.convex}, seeded {seeded_ok}",
+        f"fixture rho err {worst:.2e}, log-convex fixture {fixture_report.passed}, seeded {seeded_ok}",
     )
 
 

@@ -23,6 +23,7 @@ from reduction_lab import (
     sweep_spb_in_beta,
     sweep_spb_in_m,
 )
+from reduction_lab.checks import CHECK_TOL
 from reduction_lab.gallery import karlin_to_linear, random_diagonal, random_ess_nonneg, random_stochastic
 
 A_SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -63,7 +64,7 @@ def test_sweep_in_beta_diagonal_family_piecewise_linear():
     grid = np.linspace(-2.0, 2.0, 9)
     sweep = sweep_spb_in_beta(fam, grid)
     np.testing.assert_allclose(sweep.values, np.maximum(grid, -2.0 * grid), atol=1e-12)
-    assert check_midpoint_convexity(sweep).convex
+    assert check_midpoint_convexity(sweep).passed
 
 
 def test_sweep_requires_positive_m():
@@ -96,23 +97,23 @@ def test_sweep_result_validation():
 def test_midpoint_convexity_on_closed_form_curve():
     sweep = sweep_spb_in_m(FAM, [0.5, 1.0, 1.5, 2.0])
     report = check_midpoint_convexity(sweep)
-    assert report.convex
-    assert report.strictness_margin > 0
+    assert report.passed
+    assert report.margin > 0
 
 
 def test_midpoint_convexity_affine_curve():
     sweep = SweepResult("m", [1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.5, 2.0])
     report = check_midpoint_convexity(sweep)
-    assert report.convex
-    assert abs(report.strictness_margin) <= 1e-12
+    assert report.passed
+    assert abs(report.margin) <= 1e-12
 
 
 def test_midpoint_convexity_concave_spike():
     sweep = SweepResult("m", [1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
     report = check_midpoint_convexity(sweep)
-    assert not report.convex
-    assert report.strictness_margin == -2.0
-    assert report.witness_index == 1
+    assert not report.passed
+    assert report.margin == -2.0
+    assert report.witness == {"m": 2.0}
 
 
 def test_midpoint_convexity_rejects_nonuniform_grid():
@@ -147,6 +148,52 @@ def test_monotone_reduction_flags_violation():
     sweep = SweepResult("m", [1.0, 2.0, 3.0], [0.0, 0.5, 0.1])
     out = check_monotone_reduction(sweep, 0.0)
     assert not out.passed
+
+
+def _monotone_reduction_by_pairs(S, spb_A):
+    """Reference: the pair loop of check_monotone_reduction, first worst pair kept."""
+    grid, v = S.grid, S.values
+    t = CHECK_TOL * max(1.0, float(np.max(np.abs(v))), abs(spb_A) * float(grid[-1] - grid[0]))
+    worst, witness, strict, equal, violations = np.inf, None, 0, 0, 0
+    for i in range(len(grid) - 1):
+        for j in range(i + 1, len(grid)):
+            d = float(grid[j] - grid[i])
+            slack = float(v[i] + d * spb_A - v[j])
+            if slack < worst:
+                worst, witness = slack, {"m": float(grid[i]), "d": d}
+            if slack > t:
+                strict += 1
+            elif slack >= -t:
+                equal += 1
+            else:
+                violations += 1
+    if violations:
+        detail = "reduction inequality violated"
+    elif strict and equal:
+        detail = "mixed strict/equal pairs violate the dichotomy"
+    else:
+        detail = "strict branch" if strict else "equality branch"
+    return violations == 0 and not (strict and equal), worst, witness, detail
+
+
+@pytest.mark.parametrize("shape", ["affine", "concave", "noise", "steps"])
+def test_monotone_reduction_matches_pair_loop(shape):
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        k = int(rng.integers(3, 41))
+        grid = np.linspace(0.1, 5.0, k) if shape != "noise" else np.sort(rng.uniform(0.1, 5.0, k))
+        spb_A = float(rng.uniform(-1.0, 1.0))
+        if shape == "affine":
+            values = spb_A * grid + rng.normal(0.0, 1e-12, k)
+        elif shape == "concave":
+            values = spb_A * grid - rng.uniform(0.1, 2.0) * np.sqrt(grid)
+        elif shape == "steps":
+            values = spb_A * np.round(grid)  # exact ties: equal and strict pairs mixed
+        else:
+            values = rng.normal(size=k)
+        sweep = SweepResult("m", grid, values)
+        out = check_monotone_reduction(sweep, spb_A)
+        assert (out.passed, out.margin, out.witness, out.detail) == _monotone_reduction_by_pairs(sweep, spb_A)
 
 
 def test_derivative_bound_fixture():
@@ -209,6 +256,16 @@ def test_lindqvist_equality_for_scalar_shift():
     assert abs(out.margin) <= 1e-10
 
 
+def test_lindqvist_rejects_mismatched_or_nondiagonal_D():
+    A = random_ess_nonneg(3, 4)
+    with pytest.raises(ValueError):
+        lindqvist_check(A, [[2.0]])
+    with pytest.raises(ValueError):
+        lindqvist_check(A, np.eye(4))
+    with pytest.raises(ValueError):
+        lindqvist_check(A_SYM, [[1.0, 0.5], [0.0, 1.0]])
+
+
 def test_lindqvist_randomized():
     for seed in range(60):
         n = 2 + seed % 4
@@ -242,22 +299,22 @@ def test_kirkland_randomized():
 def test_kingman_fixture_log_cosh():
     fam = KingmanFamily(np.ones((2, 2)), np.diag([1.0, -1.0]))
     report = kingman_superconvexity_check(fam, np.linspace(-2.0, 2.0, 9))
-    assert report.convex
-    assert report.strictness_margin > 0
+    assert report.passed
+    assert report.margin > 0
 
 
 def test_kingman_constant_family_weakly_convex():
     fam = KingmanFamily(np.full((2, 2), 0.7), np.zeros((2, 2)))
     report = kingman_superconvexity_check(fam, np.linspace(-1.0, 1.0, 5))
-    assert report.convex
-    assert abs(report.strictness_margin) <= 1e-11
+    assert report.passed
+    assert abs(report.margin) <= 1e-11
 
 
 def test_kingman_diagonal_family_log_affine():
     fam = KingmanFamily(np.eye(2), np.diag([1.0, 2.0]))
     report = kingman_superconvexity_check(fam, np.linspace(0.5, 1.5, 5))
-    assert report.convex
-    assert abs(report.strictness_margin) <= 1e-10  # log rho = 2 theta is affine
+    assert report.passed
+    assert abs(report.margin) <= 1e-10  # log rho = 2 theta is affine
 
 
 def test_kingman_zero_radius_rejected():
@@ -332,14 +389,14 @@ def test_find_threshold_rejects_non_monotone_bracket():
 def test_strict_convexity_probe_flat_for_scalar_growth():
     fam = LinearFamily(A_SYM, 2.0 * np.eye(2))
     report = strict_convexity_probe(fam, np.linspace(-2.0, 2.0, 9))
-    assert report.convex
-    assert abs(report.strictness_margin) <= 1e-10
+    assert report.passed
+    assert abs(report.margin) <= 1e-10
 
 
 def test_strict_convexity_probe_strict_for_heterogeneous_growth():
     report = strict_convexity_probe(FAM, np.linspace(-2.0, 2.0, 9))
-    assert report.convex
-    assert report.strictness_margin > 1e-6
+    assert report.passed
+    assert report.margin > 1e-6
 
 
 def test_convexity_in_beta_randomized():
@@ -347,7 +404,7 @@ def test_convexity_in_beta_randomized():
         n = 2 + seed % 5
         fam = LinearFamily(random_ess_nonneg(n, seed), random_diagonal(n, -1.5, 1.5, seed + 100))
         report = check_midpoint_convexity(sweep_spb_in_beta(fam, np.linspace(-3.0, 3.0, 11)))
-        assert report.convex
+        assert report.passed
 
 
 def test_convexity_in_m_randomized():
@@ -355,7 +412,7 @@ def test_convexity_in_m_randomized():
         n = 2 + seed % 5
         fam = LinearFamily(random_ess_nonneg(n, seed), random_diagonal(n, -1.5, 1.5, seed + 100))
         report = check_midpoint_convexity(sweep_spb_in_m(fam, np.linspace(0.1, 5.0, 11)))
-        assert report.convex
+        assert report.passed
 
 
 def test_reduction_dichotomy_uniform_across_random_sweeps():

@@ -1,9 +1,11 @@
 import re
 
 import numpy as np
+import pytest
 
 from reduction_lab import perron
-from reduction_lab.cli import main
+from reduction_lab.cli import _kingman_checks, main
+from reduction_lab.scenario import Scenario
 
 MATRIX_SYM = "2\n-1 1\n1 -1\n"
 
@@ -258,6 +260,39 @@ def test_suite_deterministic_and_green(tmp_path):
     lines = out1.read_text().strip().split("\n")
     assert len(lines) == 3 * 16
     assert all(",pass," in row or ",fail," in row for row in lines)
+
+
+@pytest.mark.parametrize(
+    "family, grid_name",
+    [("kind = karlin\nP = 0 1 ; 1 0\nD_diag = 2 0.5", "theta"), ("kind = linear\nA = -1 1 ; 1 -1\nV_diag = 1 -1", "alpha")],
+    ids=["karlin-theta", "linear-alpha"],
+)
+@pytest.mark.parametrize("command", ["check", "curve"])
+def test_grid_name_outside_family_is_parse_error(tmp_path, capsys, family, grid_name, command):
+    text = f"[family]\n{family}\n[grid]\nname = {grid_name}\nstart = 0\nstop = 1\ncount = 3\n"
+    scn = write(tmp_path, "g.scn", text)
+    assert main([command, scn, "--out", str(tmp_path / "out")]) == 2
+    assert "ParseError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_kingman_log_affine_line_matches_entry_loop():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5):
+        c = rng.uniform(0.2, 2.0, (n, n)) * (rng.uniform(size=(n, n)) > 0.4) + np.eye(n)
+        g = rng.normal(size=(n, n))
+        grid = np.linspace(-1.0, 0.7, 6)  # uneven probes: the middle one is replaced
+        sc = Scenario("kingman", {"c": c, "g": g}, "theta", grid)
+        probes = [grid[0], 0.5 * (grid[0] + grid[-1]), grid[-1]]
+        worst = 0.0
+        for i in range(n):
+            for j in range(n):
+                if c[i, j] != 0.0:
+                    logs = [np.log(c[i, j]) + g[i, j] * t for t in probes]
+                    worst = max(worst, abs(logs[0] - 2.0 * logs[1] + logs[2]))
+        (line,) = [l for l in _kingman_checks(sc) if l.name == "log_affine_entries"]
+        assert line.margin == 1e-12 - worst
+        assert line.witness == f"second_difference={worst:.9g}"
 
 
 def test_scenario_parse_error_exit_code(tmp_path):
