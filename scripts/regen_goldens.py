@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Regenerate the golden CLI outputs under tests/golden, refusing verdict changes.
+
+For every `tests/golden/<name>.ini` it runs `check` (writing `<name>.check`) and
+`curve` (writing `<name>.csv`), and `threshold` (stdout to `<name>.threshold`)
+where that file exists; then `suite --seed-count 20` (report `suite20.txt`,
+stdout `suite20.stdout`). These are the commands listed in the
+`tests/test_golden.py` docstring.
+
+The outputs are compared with the committed files first. Each line is reduced
+to its name (the first comma-separated field), its pass/fail word and its
+`verdict=` word; numbers after those may move. If any such key, the number of
+lines, or an exit code differs, the differences are printed, nothing is
+written and the script exits 1. Otherwise the files are overwritten and the
+number of changed lines per file is printed.
+
+    PYTHONPATH=src python scripts/regen_goldens.py
+"""
+
+import contextlib
+import io
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from reduction_lab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+VERDICT = re.compile(r"verdict=(\w+)")
+
+
+def line_key(line: str) -> tuple:
+    """(name, pass/fail word, verdict word) of one output line; absent parts are None."""
+    fields = line.split(",")
+    word = fields[1] if len(fields) > 1 and fields[1] in ("pass", "fail") else None
+    verdict = VERDICT.search(line)
+    return fields[0], word, verdict.group(1) if verdict else None
+
+
+def commands():
+    """(argv, file its --out writes or None, file recording its stdout or None) per golden command."""
+    for ini in sorted(GOLDEN.glob("*.ini")):
+        yield ["check", str(ini)], f"{ini.stem}.check", None
+        yield ["curve", str(ini)], f"{ini.stem}.csv", None
+        if (GOLDEN / f"{ini.stem}.threshold").exists():
+            yield ["threshold", str(ini)], None, f"{ini.stem}.threshold"
+    yield ["suite", "--seed-count", "20"], "suite20.txt", "suite20.stdout"
+
+
+def committed(name: str) -> list[str]:
+    return (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+
+
+def regenerate(scratch: Path) -> tuple[dict[str, str], list[str]]:
+    """New text per golden file, and the key or exit-code differences from the committed files."""
+    new, problems = {}, []
+    for argv, out, stdout_name in commands():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv + (["--out", str(scratch / out)] if out else []))
+        if stdout_name:
+            new[stdout_name] = stdout.getvalue()
+        if out:
+            new[out] = (scratch / out).read_text(encoding="utf-8")
+        # a report exits 1 iff one of its lines fails; curves and thresholds exit 0
+        expected = int(out is not None and any(line_key(line)[1] == "fail" for line in committed(out)))
+        if code != expected:
+            problems.append(f"{' '.join(argv)}: exit code {code}, committed files imply {expected}")
+    for name, text in new.items():
+        old_lines, new_lines = committed(name), text.splitlines()
+        if len(old_lines) != len(new_lines):
+            problems.append(f"{name}: {len(old_lines)} lines committed, {len(new_lines)} now")
+        for number, (old, line) in enumerate(zip(old_lines, new_lines), 1):
+            if line_key(old) != line_key(line):
+                problems.append(f"{name}:{number}: {old!r} -> {line!r}")
+    return new, problems
+
+
+def main_script() -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        new, problems = regenerate(Path(scratch))
+    if problems:
+        print("\n".join(problems))
+        print(f"{len(problems)} differences beyond rounding; no golden file written")
+        return 1
+    lines = files = 0
+    for name, text in new.items():
+        changed = sum(a != b for a, b in zip(committed(name), text.splitlines()))
+        if changed:
+            (GOLDEN / name).write_text(text, encoding="utf-8", newline="\n")
+            print(f"{name}: {changed} lines changed")
+            lines, files = lines + changed, files + 1
+    print(f"{lines} lines changed in {files} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_script())

@@ -94,17 +94,20 @@ class CheckLine:
 def solve_along(grid, evaluate, parameter_name: str) -> list[SpectralData]:
     """spectral_bound(evaluate(p)) at each grid point p, in grid order.
 
-    Every sweep of the library solves its grid here. A library error at a
-    point is re-raised with the point appended to its message; it keeps its
-    type and attributes (such as NoConvergence.residual).
+    Every sweep of the library solves its grid here. Each solve starts from the
+    Perron pair of the previous point. A library error at a point is re-raised
+    with the point appended to its message; it keeps its type and attributes
+    (such as NoConvergence.residual).
     """
     results = []
+    previous = None
     for p in grid:
         try:
-            results.append(spectral_bound(evaluate(p)))
+            previous = spectral_bound(evaluate(p), start=previous)
         except ReductionLabError as exc:
             exc.args = (f"{exc} (at {parameter_name} = {p})",)
             raise
+        results.append(previous)
     return results
 
 
@@ -338,7 +341,7 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
 
     A preliminary sweep certifies monotonicity on the bracket; endpoints must
     straddle zero. Bisection stops at |spb| <= 1e-10 or bracket width
-    <= 1e-12.
+    <= 1e-12; each bisection solve starts from the previous midpoint's Perron pair.
     """
     if not 0.0 < m_lo < m_hi:
         raise ValueError("need 0 < m_lo < m_hi")
@@ -355,9 +358,11 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
     if np.sign(f_lo) == np.sign(f_hi):
         raise NoSignChange("spb has the same sign at both bracket endpoints")
     lo, hi = m_lo, m_hi
+    data = None
     while hi - lo > THRESHOLD_WIDTH_TOL:
         mid = 0.5 * (lo + hi)
-        fm = spectral_bound(F.matrix_at(mid)).spb
+        data = spectral_bound(F.matrix_at(mid), start=data)
+        fm = data.spb
         if abs(fm) <= THRESHOLD_VALUE_TOL:
             return mid
         if np.sign(fm) == np.sign(f_lo):

@@ -8,6 +8,7 @@ Reducible inputs are handled by recursing on the strongly connected components
 of the off-diagonal adjacency digraph.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,7 +42,8 @@ class SpectralData:
     u and v are normalized so that u @ v = 1 and sum(v) = 1. [spb_lo, spb_hi]
     is the Collatz-Wielandt bracket min_i (Mv)_i/v_i <= spb <= max_i (Mv)_i/v_i
     at the returned v; for reducible inputs it is [max spb_lo, max spb_hi] over
-    the diagonal blocks.
+    the diagonal blocks. A result passed back as `spectral_bound(M, start=...)`
+    starts the solve of a nearby M from this Perron pair.
     """
 
     spb: float
@@ -72,18 +74,31 @@ def is_essentially_nonnegative(M) -> bool:
     return _off_diagonal_signs(square_matrix(M))[0]
 
 
-def scc_decomposition(M) -> SccDecomposition:
-    """Strongly connected components of the digraph i -> j iff i != j and M[i][j] != 0."""
-    M = square_matrix(M)
-    adjacency = M != 0.0
-    np.fill_diagonal(adjacency, False)
+@functools.lru_cache(maxsize=64)
+def _scc_labels(n: int, packed: bytes) -> tuple[int, np.ndarray]:
+    """(count, read-only labels) of the SCCs of an n x n adjacency pattern packed by np.packbits."""
+    adjacency = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n).reshape(n, n)
     # CSR built here: csgraph validates a dense input at more cost than the search.
     # np.nonzero returns strided views, and csgraph needs contiguous indices.
     rows, cols = np.nonzero(adjacency)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(M)))))
-    graph = scipy.sparse.csr_array((np.ones(cols.size), np.ascontiguousarray(cols), indptr), shape=M.shape)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    graph = scipy.sparse.csr_array((np.ones(cols.size), np.ascontiguousarray(cols), indptr), shape=(n, n))
     count, labels = scipy.sparse.csgraph.connected_components(graph, directed=True, connection="strong")
-    return SccDecomposition(labels, count)
+    labels.flags.writeable = False
+    return count, labels
+
+
+def scc_decomposition(M) -> SccDecomposition:
+    """Strongly connected components of the digraph i -> j iff i != j and M[i][j] != 0.
+
+    The labels are memoised by off-diagonal pattern (the last 64 patterns); each
+    call returns its own copy.
+    """
+    M = square_matrix(M)
+    adjacency = M != 0.0
+    np.fill_diagonal(adjacency, False)
+    count, labels = _scc_labels(M.shape[0], np.packbits(adjacency).tobytes())
+    return SccDecomposition(labels.copy(), count)
 
 
 def is_irreducible(M) -> bool:
@@ -92,14 +107,20 @@ def is_irreducible(M) -> bool:
     return _off_diagonal_signs(M)[1] or scc_decomposition(M).component_count == 1
 
 
-def _noda(M, start=None):
+def _usable_start(x, n: int) -> bool:
+    """True iff x is a strictly positive, finite vector of length n."""
+    return x is not None and x.shape == (n,) and x.min() > 0.0 and math.isfinite(float(x.sum()))
+
+
+def _noda(M, start=None, below=-math.inf):
     """Noda inverse iteration for the Perron root of an irreducible Metzler M.
 
-    Starting from `start` if it is positive and finite, else from the constant
-    vector, each step takes the Collatz-Wielandt quotients q = (Mx)/x, whose
-    extremes bracket spb(M) for any positive x, and replaces x by
-    |solve(max(q)*I - M, x)| normalized to unit sum. In exact arithmetic the
-    upper end decreases strictly and the bracket closes superlinearly. Near
+    Starting from `start` if it is a strictly positive, finite vector of length
+    n, else from the constant vector, each step takes the Collatz-Wielandt
+    quotients q = (Mx)/x, whose extremes bracket spb(M) for any positive x, and
+    replaces x by |solve(max(q)*I - M, x)| normalized to unit sum. In exact
+    arithmetic the upper end decreases strictly and the bracket closes
+    superlinearly. Near
     convergence the shifted system is almost singular and its rounded solution
     may carry entries of the wrong sign; taking |.| keeps x positive, which is
     all the bracket needs. The loop stops at the rounding floor of the
@@ -107,14 +128,15 @@ def _noda(M, start=None):
     upper end nor the bracket; the narrowest bracket seen is returned as
     (x, lo, hi, steps, factors). factors is (lu, piv, x) of the last scaled
     system solved, hi*I - diag(x)^-1 M diag(x) in dgesv's LU form, or None if
-    no solve ran.
+    no solve ran. As soon as the upper end falls below `below`, the current
+    bracket is returned instead, with factors None.
     """
     n = M.shape[0]
     abs_M = np.abs(M)
     eye = np.eye(n)
     ones = np.ones(n)
     x = np.full(n, 1.0 / n)
-    if start is not None and start.min() > 0.0 and math.isfinite(float(start.sum())):
+    if _usable_start(start, n):
         x = start / start.sum()
     best = None  # (width, x, lo, hi) of the narrowest bracket so far
     factors = None
@@ -123,6 +145,8 @@ def _noda(M, start=None):
     while True:
         q = (M @ x) / x
         lo, hi = float(q.min()), float(q.max())
+        if hi < below:
+            return x, lo, hi, steps, None
         if best is None or hi - lo < best[0]:
             best = (hi - lo, x, lo, hi)
         elif hi >= prev_hi:
@@ -146,24 +170,34 @@ def _noda(M, start=None):
     return (*best[1:], steps, factors)
 
 
-def _solve_irreducible(M) -> SpectralData:
+def _solve_irreducible(M, start: SpectralData | None = None, below: float = -math.inf) -> SpectralData:
+    """Certified Perron pair of an irreducible M, started from `start`'s vectors.
+
+    A start whose v is not usable (see _usable_start) is ignored as a whole. A
+    solve whose upper end falls below `below` stops there and reports
+    spb = spb_hi = that upper end, with no vectors.
+    """
     n = M.shape[0]
     if n == 1:
         one = np.array([1.0])
         spb = float(M[0, 0])
         return SpectralData(spb, one, one.copy(), 0, spb, spb)
     norm = float(np.max(np.abs(M).sum(axis=1)))
-    v, lo, hi, steps, factors = _noda(M)
+    if start is not None and not _usable_start(start.v, n):
+        start = None
+    v, lo, hi, steps, factors = _noda(M, None if start is None else start.v, below)
+    if hi < below:
+        return SpectralData(hi, None, None, steps, lo, hi)
     if np.array_equal(M, M.T):
         u = v
     else:
-        start = None
+        u_start = None if start is None else start.u
         if factors is not None:
             # S = hi*I - D^-1 M D with D = diag(x) is factored, and S^T w = x means
             # (hi*I - M^T)(w/x) = 1: one inverse-iteration step for u at that shift
             lu, piv, x = factors
-            start = np.abs(scipy.linalg.lapack.dgetrs(lu, piv, x, trans=1)[0]) / x
-        u, _, _, steps_u, _ = _noda(M.T, start)
+            u_start = np.abs(scipy.linalg.lapack.dgetrs(lu, piv, x, trans=1)[0]) / x
+        u, _, _, steps_u, _ = _noda(M.T, u_start)
         steps += steps_u
     if hi - lo > WIDTH_TOL * norm:
         raise NoConvergence(
@@ -178,25 +212,37 @@ def _solve_irreducible(M) -> SpectralData:
     return SpectralData(spb, u, v, steps, lo, hi)
 
 
-def spectral_bound(M) -> SpectralData:
+def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     """Spectral bound of an essentially nonnegative matrix.
 
-    Irreducible inputs return Perron vectors as well; reducible inputs are
-    solved per strongly connected diagonal block and report u = v = None.
+    Irreducible inputs return Perron vectors as well; the iterations start from
+    the vectors of `start`, the result at a nearby matrix, where those are
+    strictly positive, finite and of matching length. Reducible inputs are
+    solved per strongly connected diagonal block, ignore `start` and report
+    u = v = None. Their blocks are solved in descending order of their largest
+    row sum; a block stops as soon as its upper end falls below the largest
+    lower end already certified, which leaves the reported maxima unchanged.
     """
     M = square_matrix(M)
     nonnegative, dense = _off_diagonal_signs(M)
     if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
     if dense:
-        return _solve_irreducible(M)
+        return _solve_irreducible(M, start)
     dec = scc_decomposition(M)
     if dec.component_count == 1:
-        return _solve_irreducible(M)
-    blocks = []
+        return _solve_irreducible(M, start)
+    submatrices = []
     for cid in range(dec.component_count):
         idx = np.flatnonzero(dec.component_id == cid)
-        blocks.append(_solve_irreducible(M[np.ix_(idx, idx)]))
+        submatrices.append(M[np.ix_(idx, idx)])
+    # the largest row sum is the upper end of the bracket at the constant vector
+    submatrices.sort(key=lambda B: float(B.sum(axis=1).max()), reverse=True)
+    blocks = []
+    below = -math.inf
+    for B in submatrices:
+        blocks.append(_solve_irreducible(B, below=below))
+        below = max(below, blocks[-1].spb_lo)
     return SpectralData(
         max(b.spb for b in blocks),
         None,

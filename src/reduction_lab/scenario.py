@@ -20,6 +20,7 @@ the named built-ins `constant:<value>`, `gaussian:<sigma>`, and
 `linear:<slope>,<intercept>`.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -300,9 +301,12 @@ def parse_scenario(path) -> Scenario:
     for (section, key), (value, line) in list(items.leftovers().items()):
         if section == "tolerances" and key in TOLERANCE_NAMES:
             try:
-                sc.tolerances[key] = float(value)
+                tol = float(value)
             except ValueError:
                 raise ParseError(f"{origin}: tolerance {key} must be a number", line=line)
+            if not (math.isfinite(tol) and tol >= 0.0):
+                raise ParseError(f"{origin}: tolerance {key} must be finite and >= 0, got {value!r}", line=line)
+            sc.tolerances[key] = tol
         else:
             raise ParseError(f"{origin}: unknown key {key!r} in section [{section}]", line=line)
 

@@ -76,7 +76,7 @@ def test_sweep_annotates_solver_errors(monkeypatch):
     import reduction_lab.checks as checks_mod
     from reduction_lab import NoConvergence
 
-    def explode(M):
+    def explode(M, start=None):
         raise NoConvergence("iteration cap reached", residual=0.5, iterations=7)
 
     monkeypatch.setattr(checks_mod, "spectral_bound", explode)

@@ -237,6 +237,14 @@ convexity_beta = 0
     assert main(["check", scn, "--out", str(tmp_path / "r.txt")]) == 1
 
 
+def test_nan_tolerance_is_parse_error(tmp_path, capsys):
+    # a NaN tolerance used to fail a convex curve whose margin is positive
+    scn = write(tmp_path, "nan.scn", "[family]\nkind = linear\nA = -1 1 ; 1 -1\nV_diag = 1 -1\n[tolerances]\nconvexity_m = nan\n")
+    assert main(["check", scn, "--out", str(tmp_path / "r.txt")]) == 2
+    assert "ParseError" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_check_numerical_failure_exit_code(tmp_path):
     # nilpotent entry pattern has zero spectral radius, so log(rho) blows up
     scn = write(

@@ -1,0 +1,203 @@
+"""Warm starts along sweeps, certified early exit of reducible blocks, and the SCC memo."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+import scipy.sparse.csgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reduction_lab import KingmanFamily, LinearFamily, perron, scc_decomposition, spectral_bound
+from reduction_lab.checks import solve_along
+from reduction_lab.gallery import kingman_family_eval, random_ess_nonneg, random_stochastic
+from reduction_lab.scenario import parse_scenario
+from test_golden import GOLDEN, SCENARIOS, _family_matrix
+from test_perron import _lapack_left_perron, _lapack_spb, _norm
+
+EPS = np.finfo(float).eps
+
+def _assert_warm_matches_cold(matrices, warm):
+    for M, w in zip(matrices, warm):
+        n, norm = M.shape[0], _norm(M)
+        cold = spectral_bound(M)
+        assert abs(w.spb - cold.spb) <= 4 * n * EPS * norm, (w.spb, cold.spb)
+        floor = 8 * n * EPS * norm  # rounding of the quotients and of LAPACK
+        assert w.spb_lo - floor <= _lapack_spb(M) <= w.spb_hi + floor
+        assert w.spb_lo <= w.spb <= w.spb_hi
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_warm_sweep_matches_cold_solves_on_golden_families(name):
+    sc = parse_scenario(str(GOLDEN / f"{name}.ini"))
+    matrices = [_family_matrix(sc, p) for p in sc.grid]
+    _assert_warm_matches_cold(matrices, solve_along(sc.grid, lambda p: _family_matrix(sc, p), sc.grid_name))
+
+
+@st.composite
+def metzler_family(draw):
+    # zero off-diagonals make some draws reducible; the scale spans 1e-8 to 1e8
+    n = draw(st.integers(2, 12))
+    density = draw(st.sampled_from([1.0, 0.5, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.uniform(1e-3, 3.0, (n, n)) * (rng.uniform(size=(n, n)) < density)
+    np.fill_diagonal(A, -rng.uniform(0.0, 3.0, n))
+    V = np.diag(rng.uniform(-2.0, 2.0, n))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    return LinearFamily(scale * A, scale * V)
+
+
+@settings(max_examples=40, deadline=None)
+@given(metzler_family())
+def test_warm_sweep_matches_cold_solves_on_random_families(F):
+    grid = np.linspace(0.1, 5.0, 21)
+    _assert_warm_matches_cold([F.matrix_at(m) for m in grid], solve_along(grid, F.matrix_at, "m"))
+
+
+def test_warm_sweep_saves_solves():
+    sc = parse_scenario(str(GOLDEN / "linear.ini"))
+    matrices = [_family_matrix(sc, p) for p in sc.grid]
+    warm = sum(d.iterations for d in solve_along(sc.grid, lambda p: _family_matrix(sc, p), sc.grid_name))
+    cold = sum(spectral_bound(M).iterations for M in matrices)
+    assert warm < cold
+
+
+def _assert_identical(a, b):
+    assert (a.spb, a.spb_lo, a.spb_hi, a.iterations) == (b.spb, b.spb_lo, b.spb_hi, b.iterations)
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_invalid_start_gives_the_cold_result(seed):
+    n = 6
+    # zero row sums make the constant vector exact, so the right iteration makes no
+    # solve there and the left iteration would start from start.u if the start were used
+    for M in (random_ess_nonneg(n, seed), random_stochastic(n, seed) - np.eye(n)):
+        cold = spectral_bound(M)
+        reducible = spectral_bound(np.diag(np.arange(1.0, n + 1.0)))
+        assert reducible.v is None
+        zero_v = cold.v.copy()
+        zero_v[seed] = 0.0
+        nan_v = cold.v.copy()
+        nan_v[seed] = np.nan
+        starts = [
+            reducible,
+            spectral_bound(random_ess_nonneg(n - 1, seed)),
+            dataclasses.replace(cold, v=zero_v),
+            dataclasses.replace(cold, v=np.zeros(n), u=np.zeros(n)),
+            dataclasses.replace(cold, v=nan_v),
+        ]
+        for start in starts:
+            _assert_identical(spectral_bound(M, start=start), cold)
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_unrelated_start_still_certifies(n):
+    rng = np.random.default_rng(n)
+    for seed in range(5):
+        M = random_ess_nonneg(n, seed)
+        # a start whose Perron vectors spread over several decades
+        other = rng.uniform(0.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-4.0, 4.0, (n, n)) + 1e-3
+        start = spectral_bound(other)
+        data = spectral_bound(M, start=start)
+        norm = _norm(M)
+        floor = 8 * n * EPS * norm
+        assert data.spb_lo - floor <= _lapack_spb(M) <= data.spb_hi + floor
+        assert data.spb_hi - data.spb_lo <= perron.WIDTH_TOL * norm
+        assert np.abs(data.v / data.v.max() - _lapack_left_perron(M.T)).max() <= 1e-13
+        assert np.abs(data.u / data.u.max() - _lapack_left_perron(M)).max() <= 1e-13
+
+
+def _every_block_solved(M):
+    """(max spb, max spb_lo, max spb_hi, total solves) with every diagonal block solved in full."""
+    adjacency = M != 0.0
+    np.fill_diagonal(adjacency, False)
+    count, labels = scipy.sparse.csgraph.connected_components(adjacency, directed=True, connection="strong")
+    blocks = []
+    for cid in range(count):
+        idx = np.flatnonzero(labels == cid)
+        blocks.append(spectral_bound(M[np.ix_(idx, idx)]))
+    return (
+        max(b.spb for b in blocks),
+        max(b.spb_lo for b in blocks),
+        max(b.spb_hi for b in blocks),
+        sum(b.iterations for b in blocks),
+    )
+
+
+def _block_triangular(rng, sizes, identical=False):
+    """A positive block upper-triangular (c, g) pair: irreducible diagonal blocks, random coupling."""
+    n = sum(sizes)
+    c = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.5))
+    g = rng.normal(size=(n, n))
+    start = 0
+    for k in sizes:
+        block = slice(start, start + k)
+        c[block, block] = rng.uniform(0.1, 2.0, (k, k))
+        start += k
+    if identical:
+        k = sizes[0]
+        c[k:, k:], g[k:, k:] = c[:k, :k], g[:k, :k]
+    return KingmanFamily(c, g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_early_exit_keeps_the_maxima_of_full_block_solves(seed):
+    rng = np.random.default_rng(seed)
+    sizes = [int(k) for k in rng.integers(1, 7, size=int(rng.integers(2, 5)))]
+    F = _block_triangular(rng, sizes)
+    saved = 0
+    for theta in np.linspace(-1.0, 1.0, 9):
+        M = kingman_family_eval(F, theta)
+        data = spectral_bound(M)
+        spb, lo, hi, solves = _every_block_solved(M)
+        assert (data.spb, data.spb_lo, data.spb_hi) == (spb, lo, hi)
+        assert data.u is None and data.v is None
+        assert data.iterations <= solves
+        saved += solves - data.iterations
+    assert saved > 0  # some block stopped early
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_identical_blocks_are_both_solved_in_full(k):
+    rng = np.random.default_rng(k)
+    F = _block_triangular(rng, [k, k], identical=True)
+    for theta in np.linspace(-1.0, 1.0, 5):
+        M = kingman_family_eval(F, theta)
+        data = spectral_bound(M)
+        block = spectral_bound(M[:k, :k])
+        assert (data.spb, data.spb_lo, data.spb_hi) == (block.spb, block.spb_lo, block.spb_hi)
+        assert (data.spb, data.spb_lo, data.spb_hi) == _every_block_solved(M)[:3]
+        assert data.iterations == 2 * block.iterations
+
+
+def test_noda_stops_below_the_bound():
+    M = random_ess_nonneg(6, 4)
+    x, lo, hi, steps, factors = perron._noda(M, below=np.inf)
+    row_sums = M.sum(axis=1)
+    assert steps == 0 and factors is None
+    assert (lo, hi) == pytest.approx((row_sums.min(), row_sums.max()), rel=1e-15)
+
+
+def test_dominant_block_is_solved_first():
+    # the other block is the sink of the condensation, which csgraph labels 0;
+    # solved first, the dominant block certifies it below the maximum at the
+    # constant vector, so that block makes no solve
+    small = random_ess_nonneg(4, 1) - 10.0 * np.eye(4)
+    large = random_ess_nonneg(4, 2)
+    M = np.block([[large, np.ones((4, 4))], [np.zeros((4, 4)), small]])
+    assert small.sum(axis=1).max() < spectral_bound(large).spb_lo
+    data = spectral_bound(M)
+    full = spectral_bound(large)
+    assert (data.spb, data.spb_lo, data.spb_hi, data.iterations) == (full.spb, full.spb_lo, full.spb_hi, full.iterations)
+
+
+def test_scc_memo_returns_independent_labels():
+    M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    first = scc_decomposition(M)
+    expected = first.component_id.copy()
+    first.component_id[:] = 7
+    again = scc_decomposition(2.0 * M)  # same off-diagonal pattern
+    assert again.component_count == 2
+    assert np.array_equal(again.component_id, expected)
+    assert again.component_id.flags.writeable

@@ -5,12 +5,18 @@ reducible linear family whose `check` fails). Next to each are the recorded
 `check` report (`<name>.check`) and `curve` CSV (`<name>.csv`), and for a
 scenario with a `[threshold]` section its `threshold` stdout
 (`<name>.threshold`); `suite20.txt`/`suite20.stdout` are the report file and
-stdout line of `suite --seed-count 20`. Regenerate them with the matching CLI
+stdout line of `suite --seed-count 20`. They are the outputs of the matching CLI
 commands, e.g.
 
     python -m reduction_lab check tests/golden/linear.ini --out tests/golden/linear.check
 
-only when a change to the reported numbers is intended and explained.
+Regenerate them all with
+
+    PYTHONPATH=src python scripts/regen_goldens.py
+
+only when a change to the reported numbers is intended and explained. The
+script runs every such command and writes nothing if a line's name, pass/fail
+word or `verdict=` word, or an exit code, would change.
 """
 
 from pathlib import Path

@@ -146,6 +146,15 @@ def test_unknown_key_rejected(tmp_path):
         parse_scenario(write(tmp_path, MINIMAL_LINEAR + "[suite]\nseeds = 0 1 2\n"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("key", ["convexity_beta", "convexity_m", "growth_bound"])
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, key, value):
+    with pytest.raises(ParseError, match=rf"line 8: .*tolerance {key} must be finite and >= 0"):
+        parse_scenario(write(tmp_path, MINIMAL_LINEAR + f"[tolerances]\n{key} = {value}\n"))
+    sc = parse_scenario(write(tmp_path, MINIMAL_LINEAR + f"[tolerances]\n{key} = 0\n"))
+    assert sc.tolerances == {key: 0.0}
+
+
 def test_parse_error_carries_line_number(tmp_path):
     with pytest.raises(ParseError, match="line 3"):
         parse_scenario(write(tmp_path, "[family]\nkind = linear\nnot a key value\n"))
