@@ -34,20 +34,10 @@ from .errors import (
     ParseError,
     ReductionLabError,
 )
-from .gallery import (
-    KarlinFamily,
-    KingmanFamily,
-    LinearFamily,
-    elliptic_1d,
-    karlin_evaluator,
-    karlin_to_linear,
-    kingman_family_eval,
-    laplacian_1d,
-    nonlocal_operator,
-)
+from .gallery import karlin_evaluator, karlin_to_linear, kingman_family_eval
 from .matrixio import format_value, load_matrix
 from .perron import is_essentially_nonnegative, is_irreducible, is_resolvent_positive_at, spectral_bound
-from .scenario import Scenario, coefficient_values, kernel_values, parse_scenario
+from .scenario import Scenario, parse_scenario
 from .semigroup import growth_bound_estimate, positivity_of_semigroup_check
 
 
@@ -61,24 +51,6 @@ def _write_report(path, lines: list[CheckLine]) -> int:
     """Write the report lines; the exit code is 1 iff any line failed."""
     _write_lines(path, [line.format() for line in lines])
     return 0 if all(line.passed for line in lines) else 1
-
-
-def _operator_split(sc: Scenario) -> LinearFamily:
-    """Mixing/growth split for the discretized operators: A mixes, V multiplies, the operator is A + V."""
-    grid = sc.grid1d
-    n = grid.n
-    if sc.family_kind == "laplacian":
-        return LinearFamily(laplacian_1d(grid), np.zeros((n, n)))
-    if sc.family_kind == "elliptic":
-        x = grid.points
-        a = coefficient_values(sc.coefficients["a"], x, grid.length)
-        b = coefficient_values(sc.coefficients["b"], x, grid.length)
-        c = coefficient_values(sc.coefficients["c"], x, grid.length)
-        return LinearFamily(elliptic_1d(a, b, 0.0, grid), np.diag(c))
-    K = kernel_values(sc.coefficients["kernel"], grid.points)
-    b = coefficient_values(sc.coefficients["b"], grid.points, grid.length)
-    mixing = nonlocal_operator(K, np.zeros(n), grid)
-    return LinearFamily(mixing, np.diag(b))
 
 
 def run_spb(args) -> int:
@@ -99,22 +71,19 @@ def _curve_rows(sc: Scenario):
     """
     if sc.grid is None:
         raise ParseError(f"{sc.source}: curve needs a [grid] section")
-    kind, name = sc.family_kind, sc.grid_name
+    kind, name, fam = sc.family_kind, sc.grid_name, sc.family
     direction = None
     if kind == "linear":
-        fam = LinearFamily(sc.matrices["A"], sc.matrices["V"])
         if name == "m":
             evaluate, direction = fam.matrix_at, fam.A
         else:
             evaluate, direction = (lambda beta: fam.matrix_at(1.0, beta)), fam.V
     elif kind == "karlin":
-        evaluate = karlin_evaluator(KarlinFamily(sc.matrices["P"], sc.matrices["D"]))
+        evaluate = karlin_evaluator(fam)
     elif kind == "kingman":
-        fam = KingmanFamily(sc.matrices["c"], sc.matrices["g"])
         evaluate = lambda theta: kingman_family_eval(fam, theta)  # noqa: E731
     else:
-        split = _operator_split(sc)
-        A = split.A + split.V
+        A = fam.A + fam.V
         evaluate = lambda m: m * A  # noqa: E731
     points = solve_along(sc.grid, evaluate, name)
     if direction is not None and all(d.u is not None for d in points):
@@ -134,10 +103,8 @@ def run_curve(args) -> int:
 
 
 def _linear_checks(sc: Scenario) -> list[CheckLine]:
-    fam = LinearFamily(sc.matrices["A"], sc.matrices["V"])
-    tol = sc.tolerances
-    m_grid = sc.grid if sc.grid_name == "m" else np.linspace(0.1, 5.0, 21)
-    beta_grid = sc.grid if sc.grid_name == "beta" else np.linspace(-3.0, 3.0, 21)
+    fam, tol = sc.family, sc.tolerances
+    m_grid, beta_grid = sc.grid_for("m"), sc.grid_for("beta")
     lines, sweep_b, convex_b = linear_family_lines(
         fam,
         spectral_bound(fam.A).spb,
@@ -154,8 +121,7 @@ def _linear_checks(sc: Scenario) -> list[CheckLine]:
 
 
 def _karlin_checks(sc: Scenario) -> list[CheckLine]:
-    fam = KarlinFamily(sc.matrices["P"], sc.matrices["D"])
-    alpha_grid = sc.grid if sc.grid_name == "alpha" else np.linspace(0.0, 1.0, 11)
+    fam, alpha_grid = sc.family, sc.grid_for("alpha")
     lines = [CheckLine.from_outcome("karlin_monotonicity", karlin_monotonicity_check(fam, alpha_grid))]
     derived = karlin_to_linear(fam)
     spb_mix = spectral_bound(derived.A).spb
@@ -179,8 +145,7 @@ def _karlin_checks(sc: Scenario) -> list[CheckLine]:
 
 
 def _kingman_checks(sc: Scenario) -> list[CheckLine]:
-    fam = KingmanFamily(sc.matrices["c"], sc.matrices["g"])
-    theta_grid = sc.grid if sc.grid_name == "theta" else np.linspace(-1.0, 1.0, 9)
+    fam, theta_grid = sc.family, sc.grid_for("theta")
     lines = [CheckLine.from_outcome("kingman_superconvexity", kingman_superconvexity_check(fam, theta_grid))]
     probes = [float(theta_grid[0]), float(theta_grid[len(theta_grid) // 2]), float(theta_grid[-1])]
     if not np.allclose(np.diff(probes), probes[1] - probes[0]):
@@ -194,11 +159,11 @@ def _kingman_checks(sc: Scenario) -> list[CheckLine]:
 
 
 def _operator_checks(sc: Scenario) -> list[CheckLine]:
-    fam = _operator_split(sc)
+    fam = sc.family
     A = fam.A + fam.V
     n = A.shape[0]
     off = A[~np.eye(n, dtype=bool)]
-    # _operator_split has already rejected a non-Metzler mixing part, so this line reports the margin
+    # parse_scenario has already rejected a non-Metzler mixing part, so this line reports the margin
     lines = [CheckLine("essential_nonnegativity", is_essentially_nonnegative(A), float(np.min(off)), f"n={n}")]
     data = spectral_bound(A)
     if sc.family_kind == "laplacian" and sc.grid1d.boundary in ("neumann", "periodic"):
@@ -211,8 +176,7 @@ def _operator_checks(sc: Scenario) -> list[CheckLine]:
     omega = growth_bound_estimate(A)
     gtol = sc.tolerances.get("growth_bound", GROWTH_TOL) * max(1.0, abs(data.spb))
     lines.append(CheckLine.within("growth_bound", abs(omega - data.spb), gtol, omega=omega, spb=data.spb))
-    m_grid = sc.grid if sc.grid_name == "m" else np.linspace(0.5, 2.0, 7)
-    sweep = sweep_spb_in_m(fam, m_grid)
+    sweep = sweep_spb_in_m(fam, sc.grid_for("m"))
     spb_mix = spectral_bound(fam.A).spb
     lines.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep, spb_mix)))
     return lines
@@ -232,9 +196,8 @@ def run_threshold(args) -> int:
         raise ParseError(f"{sc.source}: threshold needs a linear family")
     if sc.bracket is None:
         raise ParseError(f"{sc.source}: threshold needs a [threshold] section with m_lo, m_hi")
-    fam = LinearFamily(sc.matrices["A"], sc.matrices["V"])
     try:
-        m_star = find_threshold(fam, *sc.bracket)
+        m_star = find_threshold(sc.family, *sc.bracket)
     except (NoSignChange, NotMonotoneOnBracket) as exc:
         print(type(exc).__name__)
         return 3

@@ -27,32 +27,47 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, ParseError
-from .gallery import Grid1D, KarlinFamily, KingmanFamily, LinearFamily
+from .gallery import Grid1D, KarlinFamily, KingmanFamily, LinearFamily, elliptic_1d, laplacian_1d, nonlocal_operator
 from .matrixio import load_matrix
 
-# family kind -> the grid names it can sweep
+# family kind -> {grid name it can sweep: (start, stop, count) of the grid `check` sweeps when none is given}
 FAMILY_GRIDS = {
-    "linear": ("m", "beta"),
-    "karlin": ("alpha",),
-    "kingman": ("theta",),
-    "laplacian": ("m",),
-    "elliptic": ("m",),
-    "nonlocal": ("m",),
+    "linear": {"m": (0.1, 5.0, 21), "beta": (-3.0, 3.0, 21)},
+    "karlin": {"alpha": (0.0, 1.0, 11)},
+    "kingman": {"theta": (-1.0, 1.0, 9)},
+    "laplacian": {"m": (0.5, 2.0, 7)},
+    "elliptic": {"m": (0.5, 2.0, 7)},
+    "nonlocal": {"m": (0.5, 2.0, 7)},
+}
+# matrix family kind -> (constructor, its [family] matrix keys)
+MATRIX_FAMILIES = {
+    "linear": (LinearFamily, ("a", "v")),
+    "karlin": (KarlinFamily, ("p", "d")),
+    "kingman": (KingmanFamily, ("c", "g")),
 }
 TOLERANCE_NAMES = ("convexity_beta", "convexity_m", "growth_bound")
 
 
 @dataclass
 class Scenario:
+    """A parsed scenario. `family` is built at parse time, so an invalid family or
+    operator fails there; for the operator kinds it is the split LinearFamily(A, V)
+    of mixing and growth, and the operator is A + V."""
+
     family_kind: str
-    matrices: dict[str, np.ndarray] = field(default_factory=dict)
+    family: LinearFamily | KarlinFamily | KingmanFamily
     grid_name: str | None = None
     grid: np.ndarray | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
     grid1d: Grid1D | None = None
-    coefficients: dict[str, tuple] = field(default_factory=dict)
     bracket: tuple[float, float] | None = None
     source: str = "<memory>"
+
+    def grid_for(self, name: str) -> np.ndarray:
+        """The scenario's grid if it sweeps `name`, else the kind's default grid of that name."""
+        if self.grid_name == name:
+            return self.grid
+        return np.linspace(*FAMILY_GRIDS[self.family_kind][name])
 
 
 def parse_builtin(spec: str, line=None):
@@ -99,6 +114,19 @@ def kernel_values(builtin: tuple, x: np.ndarray) -> np.ndarray:
         return np.exp(-(diff**2) / (2.0 * sigma * sigma))
     slope, intercept = params
     return slope * np.abs(diff) + intercept
+
+
+def _operator_family(kind: str, grid: Grid1D, coefficients: dict[str, tuple]) -> LinearFamily:
+    """Mixing/growth split of a discretized operator: A mixes, V multiplies, the operator is A + V."""
+    n, x = grid.n, grid.points
+    if kind == "laplacian":
+        return LinearFamily(laplacian_1d(grid), np.zeros((n, n)))
+    if kind == "elliptic":
+        a, b, c = (coefficient_values(coefficients[key], x, grid.length) for key in "abc")
+        return LinearFamily(elliptic_1d(a, b, 0.0, grid), np.diag(c))
+    K = kernel_values(coefficients["kernel"], x)
+    b = coefficient_values(coefficients["b"], x, grid.length)
+    return LinearFamily(nonlocal_operator(K, np.zeros(n), grid), np.diag(b))
 
 
 def _read_items(text: str, origin: str):
@@ -209,19 +237,6 @@ def _take_int(items, section, key, default=None):
         raise ParseError(f"{items.origin}: {key} must be an integer, got {value!r}", line=line)
 
 
-def _validate_family(sc: Scenario):
-    """Build the family objects once so constructor invariants run."""
-    try:
-        if sc.family_kind == "linear":
-            LinearFamily(sc.matrices["A"], sc.matrices["V"])
-        elif sc.family_kind == "karlin":
-            KarlinFamily(sc.matrices["P"], sc.matrices["D"])
-        elif sc.family_kind == "kingman":
-            KingmanFamily(sc.matrices["c"], sc.matrices["g"])
-    except ValueError as exc:
-        raise InvariantViolation(f"{sc.source}: {exc}")
-
-
 def parse_scenario(path) -> Scenario:
     origin = str(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -232,17 +247,10 @@ def parse_scenario(path) -> Scenario:
     kind = kind.lower()
     if kind not in FAMILY_GRIDS:
         raise ParseError(f"{origin}: unknown family kind {kind!r}", line=kind_line)
-    sc = Scenario(family_kind=kind, source=origin)
-
-    if kind == "linear":
-        sc.matrices["A"] = _require_matrix(items, "family", "a")
-        sc.matrices["V"] = _require_matrix(items, "family", "v")
-    elif kind == "karlin":
-        sc.matrices["P"] = _require_matrix(items, "family", "p")
-        sc.matrices["D"] = _require_matrix(items, "family", "d")
-    elif kind == "kingman":
-        sc.matrices["c"] = _require_matrix(items, "family", "c")
-        sc.matrices["g"] = _require_matrix(items, "family", "g")
+    grid1d = None
+    if kind in MATRIX_FAMILIES:
+        constructor, keys = MATRIX_FAMILIES[kind]
+        args = [_require_matrix(items, "family", key) for key in keys]
     else:
         n = _take_int(items, "operator", "n")
         length = _take_float(items, "operator", "length", 1.0)
@@ -251,19 +259,22 @@ def parse_scenario(path) -> Scenario:
         if n is None:
             raise ParseError(f"{origin}: operator families need [operator] n")
         try:
-            sc.grid1d = Grid1D(n=n, length=length, boundary=boundary)
+            grid1d = Grid1D(n=n, length=length, boundary=boundary)
         except ValueError as exc:
             raise InvariantViolation(f"{origin}: {exc}")
+        coefficients = {}
         if kind == "elliptic":
             for coef, default in (("a", "constant:1"), ("b", "constant:0"), ("c", "constant:0")):
                 value, line = items.take("operator", coef)
-                sc.coefficients[coef] = parse_builtin(value or default, line)
+                coefficients[coef] = parse_builtin(value or default, line)
         elif kind == "nonlocal":
             kernel, kline = items.require("operator", "kernel")
-            sc.coefficients["kernel"] = parse_builtin(kernel, kline)
+            coefficients["kernel"] = parse_builtin(kernel, kline)
             value, line = items.take("operator", "b")
-            sc.coefficients["b"] = parse_builtin(value or "constant:0", line)
+            coefficients["b"] = parse_builtin(value or "constant:0", line)
+        constructor, args = _operator_family, (kind, grid1d, coefficients)
 
+    grid_name = grid = bracket = None
     name, name_line = items.take("grid", "name")
     if name is not None:
         name = name.lower()
@@ -286,8 +297,7 @@ def parse_scenario(path) -> Scenario:
             raise ParseError(f"{origin}: m grids must start above 0")
         if name == "alpha" and (start < 0 or stop > 1):
             raise ParseError(f"{origin}: alpha grids must stay inside [0, 1]")
-        sc.grid_name = name
-        sc.grid = np.linspace(start, stop, count)
+        grid_name, grid = name, np.linspace(start, stop, count)
 
     m_lo = _take_float(items, "threshold", "m_lo")
     m_hi = _take_float(items, "threshold", "m_hi")
@@ -296,8 +306,9 @@ def parse_scenario(path) -> Scenario:
     if m_lo is not None:
         if not 0 < m_lo < m_hi:
             raise ParseError(f"{origin}: threshold bracket needs 0 < m_lo < m_hi")
-        sc.bracket = (m_lo, m_hi)
+        bracket = (m_lo, m_hi)
 
+    tolerances = {}
     for (section, key), (value, line) in list(items.leftovers().items()):
         if section == "tolerances" and key in TOLERANCE_NAMES:
             try:
@@ -306,9 +317,12 @@ def parse_scenario(path) -> Scenario:
                 raise ParseError(f"{origin}: tolerance {key} must be a number", line=line)
             if not (math.isfinite(tol) and tol >= 0.0):
                 raise ParseError(f"{origin}: tolerance {key} must be finite and >= 0, got {value!r}", line=line)
-            sc.tolerances[key] = tol
+            tolerances[key] = tol
         else:
             raise ParseError(f"{origin}: unknown key {key!r} in section [{section}]", line=line)
 
-    _validate_family(sc)
-    return sc
+    try:
+        family = constructor(*args)
+    except ValueError as exc:
+        raise InvariantViolation(f"{origin}: {exc}")
+    return Scenario(kind, family, grid_name, grid, tolerances, grid1d, bracket, origin)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from reduction_lab import perron
+from reduction_lab import KingmanFamily, perron
 from reduction_lab.cli import _kingman_checks, main
 from reduction_lab.scenario import Scenario
 
@@ -290,7 +290,7 @@ def test_kingman_log_affine_line_matches_entry_loop():
         c = rng.uniform(0.2, 2.0, (n, n)) * (rng.uniform(size=(n, n)) > 0.4) + np.eye(n)
         g = rng.normal(size=(n, n))
         grid = np.linspace(-1.0, 0.7, 6)  # uneven probes: the middle one is replaced
-        sc = Scenario("kingman", {"c": c, "g": g}, "theta", grid)
+        sc = Scenario("kingman", KingmanFamily(c, g), "theta", grid)
         probes = [grid[0], 0.5 * (grid[0] + grid[-1]), grid[-1]]
         worst = 0.0
         for i in range(n):
@@ -306,3 +306,46 @@ def test_kingman_log_affine_line_matches_entry_loop():
 def test_scenario_parse_error_exit_code(tmp_path):
     scn = write(tmp_path, "bad.scn", "[family]\nkind = linear\nA = -1 1 ; 1 -1\nV_diag = 1 -1\n[grid]\nname = m\nstart = 0.1\nstop = 5\ncount = 2\n")
     assert main(["curve", scn, "--out", str(tmp_path / "c.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "operator, error, code",
+    [
+        ("kind = elliptic\n[operator]\nn = 8\nc = constant:nan", "InvariantViolation", 2),
+        # a gaussian width of 1e-200 squares to 0, so the kernel diagonal is 0/0
+        ("kind = nonlocal\n[operator]\nn = 8\nkernel = gaussian:1e-200", "InvariantViolation", 2),
+        ("kind = elliptic\n[operator]\nn = 8\na = linear:-1,0.5", "NonPositiveDiffusion", 3),
+        ("kind = nonlocal\n[operator]\nn = 8\nkernel = constant:-1", "NegativeKernel", 3),
+    ],
+    ids=["elliptic-nan-growth", "nonlocal-nan-kernel", "elliptic-negative-diffusion", "nonlocal-negative-kernel"],
+)
+@pytest.mark.parametrize("command", ["check", "curve"])
+def test_invalid_operator_fails_before_any_output(tmp_path, capsys, operator, error, code, command):
+    scn = write(tmp_path, "op.scn", f"[family]\n{operator}\n[grid]\nname = m\nstart = 0.5\nstop = 2\ncount = 3\n")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert main([command, scn, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "family, grid",
+    [
+        ("kind = linear\nA = -1 2 ; 0.5 -1\nV_diag = 1 -2", "m 0.1 5 21"),
+        ("kind = linear\nA = -1 2 ; 0.5 -1\nV_diag = 1 -2", "beta -3 3 21"),
+        ("kind = karlin\nP = 0.2 0.8 ; 0.6 0.4\nD_diag = 2 0.5", "alpha 0 1 11"),
+        ("kind = kingman\nc = 1 2 ; 0.5 1\ng = 0.3 -1 ; 1 0.2", "theta -1 1 9"),
+        ("kind = elliptic\n[operator]\nn = 10\nb = linear:1,-0.5\nc = gaussian:0.2", "m 0.5 2 7"),
+    ],
+    ids=["linear-m", "linear-beta", "karlin", "kingman", "elliptic"],
+)
+def test_check_default_grid_matches_explicit_grid(tmp_path, family, grid):
+    # without a [grid] section, check sweeps the kind's default grid of each name
+    name, start, stop, count = grid.split()
+    default = write(tmp_path, "default.scn", f"[family]\n{family}\n")
+    explicit = write(
+        tmp_path, "explicit.scn", f"[family]\n{family}\n[grid]\nname = {name}\nstart = {start}\nstop = {stop}\ncount = {count}\n"
+    )
+    assert main(["check", default, "--out", str(tmp_path / "default.txt")]) == 0
+    assert main(["check", explicit, "--out", str(tmp_path / "explicit.txt")]) == 0
+    assert (tmp_path / "default.txt").read_bytes() == (tmp_path / "explicit.txt").read_bytes()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from reduction_lab import InvariantViolation, ParseError, save_matrix
+from reduction_lab import InvariantViolation, LinearFamily, ParseError, save_matrix
+from reduction_lab.gallery import Grid1D, elliptic_1d
 from reduction_lab.scenario import coefficient_values, kernel_values, parse_builtin, parse_scenario
 
 
@@ -23,8 +24,9 @@ V_diag = 1 -1
 def test_minimal_linear_scenario(tmp_path):
     sc = parse_scenario(write(tmp_path, MINIMAL_LINEAR))
     assert sc.family_kind == "linear"
-    np.testing.assert_array_equal(sc.matrices["A"], [[-1.0, 1.0], [1.0, -1.0]])
-    np.testing.assert_array_equal(sc.matrices["V"], np.diag([1.0, -1.0]))
+    assert isinstance(sc.family, LinearFamily)
+    np.testing.assert_array_equal(sc.family.A, [[-1.0, 1.0], [1.0, -1.0]])
+    np.testing.assert_array_equal(sc.family.V, np.diag([1.0, -1.0]))
     assert sc.grid is None and sc.tolerances == {}
 
 
@@ -63,7 +65,7 @@ V_diag = 2 0.5
 """,
         )
     )
-    np.testing.assert_array_equal(sc.matrices["A"], [[-2.0, 0.5], [2.0, -0.5]])
+    np.testing.assert_array_equal(sc.family.A, [[-2.0, 0.5], [2.0, -0.5]])
 
 
 def test_missing_file_reference(tmp_path):
@@ -178,9 +180,12 @@ c = gaussian:0.5
 """,
         )
     )
-    assert sc.grid1d.n == 8 and sc.grid1d.boundary == "neumann"
-    assert sc.coefficients["a"] == ("constant", (1.0,))
-    assert sc.coefficients["b"] == ("linear", (2.0, 0.0))
+    grid = Grid1D(n=8, length=2.0, boundary="neumann")
+    assert sc.grid1d == grid
+    # a = 1 and b(x) = 2x go into the mixing part; c, a gaussian bump at mid-domain, is the growth part
+    x = grid.points
+    np.testing.assert_array_equal(sc.family.A, elliptic_1d(1.0, lambda x: 2.0 * x, 0.0, grid))
+    np.testing.assert_allclose(sc.family.V, np.diag(np.exp(-((x - 1.0) ** 2) / 0.5)), rtol=1e-15, atol=0.0)
 
 
 def test_threshold_bracket(tmp_path):

@@ -1,0 +1,32 @@
+"""Smoke runs of the demo scripts, which exercise the public API end to end."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_fixture_curves(tmp_path):
+    run = _run(ROOT / "scripts" / "fixture_curves.py", "--points", 5, "--out-dir", tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert "convex: True" in run.stdout
+    rows = (tmp_path / "mixing_family.csv").read_text().splitlines()
+    assert rows[0] == "m,spb,closed_form,analytic_derivative" and len(rows) == 6
+    for row in rows[1:]:
+        _, spb, closed, _ = (float(x) for x in row.split(","))
+        assert abs(spb - closed) <= 1e-12
+    assert len((tmp_path / "dispersal_family.csv").read_text().splitlines()) == 6
+
+
+def test_mixing_reduction_1d():
+    run = _run(ROOT / "scripts" / "mixing_reduction_1d.py", "--n", 8, "--points", 3)
+    assert run.returncode == 0, run.stderr
+    assert "reduction check: pass" in run.stdout

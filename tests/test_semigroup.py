@@ -16,7 +16,6 @@ from reduction_lab import (
     semigroup,
     spectral_bound,
 )
-from reduction_lab.cli import _operator_split
 from reduction_lab.gallery import random_diagonal, random_ess_nonneg
 from reduction_lab.rng import XorShift64Star
 from reduction_lab.scenario import parse_scenario
@@ -118,7 +117,7 @@ def test_growth_bound_small_gap_nonlocal(tmp_path):
     # spb 0.24077 with the next eigenvalue at 0.21341: a fit over t <= 50 misses by 1.8e-3
     scenario = tmp_path / "nonlocal.ini"
     scenario.write_text("[family]\nkind = nonlocal\n[operator]\nn = 100\nkernel = gaussian:0.1\n", encoding="utf-8")
-    fam = _operator_split(parse_scenario(str(scenario)))
+    fam = parse_scenario(str(scenario)).family
     M = fam.A + fam.V
     assert abs(growth_bound_estimate(M) - spectral_bound(M).spb) <= 1e-12
 
