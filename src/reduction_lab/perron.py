@@ -23,6 +23,13 @@ EPS = np.finfo(float).eps
 # Solver contract: a Collatz-Wielandt bracket wider than WIDTH_TOL*||M||_inf
 # raises NoConvergence.
 WIDTH_TOL = 1e-11
+# bound once: the solves below run on matrices of a few rows, where the lookups
+# and the Python wrappers behind ndarray.min/max cost more than the arithmetic
+_dgesv = scipy.linalg.lapack.dgesv
+_dgetrs = scipy.linalg.lapack.dgetrs
+_min = np.minimum.reduce
+_max = np.maximum.reduce
+_sum = np.add.reduce
 
 
 def square_matrix(entries) -> np.ndarray:
@@ -42,8 +49,10 @@ class SpectralData:
     u and v are normalized so that u @ v = 1 and sum(v) = 1. [spb_lo, spb_hi]
     is the Collatz-Wielandt bracket min_i (Mv)_i/v_i <= spb <= max_i (Mv)_i/v_i
     at the returned v; for reducible inputs it is [max spb_lo, max spb_hi] over
-    the diagonal blocks. A result passed back as `spectral_bound(M, start=...)`
-    starts the solve of a nearby M from this Perron pair.
+    the diagonal blocks, whose own results `blocks` lists in the order of the
+    component labels of scc_decomposition (None for irreducible inputs). A
+    result passed back as `spectral_bound(M, start=...)` starts the solve of a
+    nearby M from this Perron pair, or each diagonal block from its own.
     """
 
     spb: float
@@ -52,6 +61,7 @@ class SpectralData:
     iterations: int
     spb_lo: float
     spb_hi: float
+    blocks: list["SpectralData"] | None = None
 
 
 @dataclass
@@ -60,12 +70,20 @@ class SccDecomposition:
     component_count: int
 
 
+@functools.lru_cache(maxsize=64)
+def _off_diagonal_mask(n: int) -> np.ndarray:
+    """Read-only boolean n x n mask of the off-diagonal entries."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _off_diagonal_signs(M) -> tuple[bool, bool]:
     """(all off-diagonal entries >= 0, all off-diagonal entries != 0) of a validated square M.
 
     Both hold for n = 1. An off-diagonal pattern with no zero is strongly connected.
     """
-    off = M[~np.eye(M.shape[0], dtype=bool)]
+    off = M[_off_diagonal_mask(M.shape[0])]
     return bool((off >= 0.0).all()), bool((off != 0.0).all())
 
 
@@ -109,10 +127,10 @@ def is_irreducible(M) -> bool:
 
 def _usable_start(x, n: int) -> bool:
     """True iff x is a strictly positive, finite vector of length n."""
-    return x is not None and x.shape == (n,) and x.min() > 0.0 and math.isfinite(float(x.sum()))
+    return x is not None and x.shape == (n,) and _min(x) > 0.0 and math.isfinite(float(_sum(x)))
 
 
-def _noda(M, start=None, below=-math.inf):
+def _noda(M, abs_M, start=None, below=-math.inf):
     """Noda inverse iteration for the Perron root of an irreducible Metzler M.
 
     Starting from `start` if it is a strictly positive, finite vector of length
@@ -129,42 +147,51 @@ def _noda(M, start=None, below=-math.inf):
     (x, lo, hi, steps, factors). factors is (lu, piv, x) of the last scaled
     system solved, hi*I - diag(x)^-1 M diag(x) in dgesv's LU form, or None if
     no solve ran. As soon as the upper end falls below `below`, the current
-    bracket is returned instead, with factors None.
+    bracket is returned instead, with factors None. abs_M is |M|, which scales
+    the rounding floor.
     """
     n = M.shape[0]
-    abs_M = np.abs(M)
-    eye = np.eye(n)
     ones = np.ones(n)
     x = np.full(n, 1.0 / n)
     if _usable_start(start, n):
-        x = start / start.sum()
+        x = start / _sum(start)
     best = None  # (width, x, lo, hi) of the narrowest bracket so far
     factors = None
     prev_hi = np.inf
     steps = 0
     while True:
-        q = (M @ x) / x
-        lo, hi = float(q.min()), float(q.max())
+        q = M @ x
+        q /= x
+        lo, hi = float(_min(q)), float(_max(q))
         if hi < below:
             return x, lo, hi, steps, None
         if best is None or hi - lo < best[0]:
             best = (hi - lo, x, lo, hi)
         elif hi >= prev_hi:
             break
-        if hi - lo <= 4.0 * n * EPS * float(((abs_M @ x) / x).max()):
+        q = abs_M @ x
+        q /= x
+        if hi - lo <= 4.0 * n * EPS * float(_max(q)):
             break
         # solve (hi*I - M) y = x as y = x*z with (hi*I - D^-1 M D) z = 1, D = diag(x):
         # the scaled system keeps every entry of y accurate relative to itself,
-        # however widely the entries of x spread
-        lu, piv, z, info = scipy.linalg.lapack.dgesv(hi * eye - M * (x / x[:, None]), ones, overwrite_a=True)
+        # however widely the entries of x spread. St is S^T in C order, so St.T
+        # is S in the Fortran order that dgesv factors without a copy.
+        St = x[:, None] / x
+        St *= M.T
+        np.negative(St, out=St)
+        St.reshape(-1)[:: n + 1] += hi
+        lu, piv, z, info = _dgesv(St.T, ones, overwrite_a=True)
         if info > 0:
             break  # hi is an eigenvalue to working precision
         factors = (lu, piv, x)
-        y = np.abs(z) * x
-        total = float(y.sum())
-        if not (y.min() > 0.0 and math.isfinite(total)):
+        np.abs(z, out=z)
+        z *= x  # y = x*z
+        total = float(_sum(z))
+        if not (_min(z) > 0.0 and math.isfinite(total)):
             break  # no positive iterate to continue from
-        x = y / total
+        z /= total
+        x = z
         prev_hi = hi
         steps += 1
     return (*best[1:], steps, factors)
@@ -175,20 +202,22 @@ def _solve_irreducible(M, start: SpectralData | None = None, below: float = -mat
 
     A start whose v is not usable (see _usable_start) is ignored as a whole. A
     solve whose upper end falls below `below` stops there and reports
-    spb = spb_hi = that upper end, with no vectors.
+    spb = spb_hi = that upper end, no u, and its last iterate as v, which a
+    later solve can start from.
     """
     n = M.shape[0]
     if n == 1:
         one = np.array([1.0])
         spb = float(M[0, 0])
         return SpectralData(spb, one, one.copy(), 0, spb, spb)
-    norm = float(np.max(np.abs(M).sum(axis=1)))
+    abs_M = np.abs(M)
+    norm = float(_max(abs_M.sum(axis=1)))
     if start is not None and not _usable_start(start.v, n):
         start = None
-    v, lo, hi, steps, factors = _noda(M, None if start is None else start.v, below)
+    v, lo, hi, steps, factors = _noda(M, abs_M, None if start is None else start.v, below)
     if hi < below:
-        return SpectralData(hi, None, None, steps, lo, hi)
-    if np.array_equal(M, M.T):
+        return SpectralData(hi, None, v, steps, lo, hi)
+    if (M == M.T).all():
         u = v
     else:
         u_start = None if start is None else start.u
@@ -196,8 +225,8 @@ def _solve_irreducible(M, start: SpectralData | None = None, below: float = -mat
             # S = hi*I - D^-1 M D with D = diag(x) is factored, and S^T w = x means
             # (hi*I - M^T)(w/x) = 1: one inverse-iteration step for u at that shift
             lu, piv, x = factors
-            u_start = np.abs(scipy.linalg.lapack.dgetrs(lu, piv, x, trans=1)[0]) / x
-        u, _, _, steps_u, _ = _noda(M.T, u_start)
+            u_start = np.abs(_dgetrs(lu, piv, x, trans=1)[0]) / x
+        u, _, _, steps_u, _ = _noda(M.T, abs_M.T, u_start)
         steps += steps_u
     if hi - lo > WIDTH_TOL * norm:
         raise NoConvergence(
@@ -218,10 +247,14 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     Irreducible inputs return Perron vectors as well; the iterations start from
     the vectors of `start`, the result at a nearby matrix, where those are
     strictly positive, finite and of matching length. Reducible inputs are
-    solved per strongly connected diagonal block, ignore `start` and report
-    u = v = None. Their blocks are solved in descending order of their largest
-    row sum; a block stops as soon as its upper end falls below the largest
-    lower end already certified, which leaves the reported maxima unchanged.
+    solved per strongly connected diagonal block and report u = v = None and
+    the block results as `blocks`. Block c starts from start.blocks[c] when
+    `start` has as many blocks as M, under the same rules as an irreducible
+    start. The blocks are solved in descending order of start.blocks[c].spb_hi,
+    or for a cold start of their largest row sum, the upper end of the bracket
+    at the constant vector. A block stops as soon as its upper end falls below the
+    largest lower end already certified, which leaves the reported maxima
+    unchanged, and keeps its last iterate as v for the next start.
     """
     M = square_matrix(M)
     nonnegative, dense = _off_diagonal_signs(M)
@@ -230,26 +263,35 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     if dense:
         return _solve_irreducible(M, start)
     dec = scc_decomposition(M)
-    if dec.component_count == 1:
+    count = dec.component_count
+    if count == 1:
         return _solve_irreducible(M, start)
     submatrices = []
-    for cid in range(dec.component_count):
+    for cid in range(count):
         idx = np.flatnonzero(dec.component_id == cid)
         submatrices.append(M[np.ix_(idx, idx)])
-    # the largest row sum is the upper end of the bracket at the constant vector
-    submatrices.sort(key=lambda B: float(B.sum(axis=1).max()), reverse=True)
-    blocks = []
+    # the likely dominant block goes first, so that the others can stop early
+    if start is not None and start.blocks is not None and len(start.blocks) == count:
+        starts = start.blocks
+        upper = [b.spb_hi for b in starts]
+    else:
+        starts = [None] * count
+        upper = [float(_max(B.sum(axis=1))) for B in submatrices]
+    order = sorted(range(count), key=upper.__getitem__, reverse=True)
+    blocks = [None] * count
     below = -math.inf
-    for B in submatrices:
-        blocks.append(_solve_irreducible(B, below=below))
-        below = max(below, blocks[-1].spb_lo)
+    for c in order:
+        blocks[c] = _solve_irreducible(submatrices[c], starts[c], below)
+        below = max(below, blocks[c].spb_lo)
+    solved = [blocks[c] for c in order]  # maxima in solve order: a tie of 0.0 and -0.0 keeps its sign
     return SpectralData(
-        max(b.spb for b in blocks),
+        max(b.spb for b in solved),
         None,
         None,
-        sum(b.iterations for b in blocks),
-        max(b.spb_lo for b in blocks),
-        max(b.spb_hi for b in blocks),
+        sum(b.iterations for b in solved),
+        max(b.spb_lo for b in solved),
+        max(b.spb_hi for b in solved),
+        blocks,
     )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation, ParseError
+from .errors import InvariantViolation, NegativeKernel, NonPositiveDiffusion, ParseError
 from .gallery import Grid1D, KarlinFamily, KingmanFamily, LinearFamily, elliptic_1d, laplacian_1d, nonlocal_operator
 from .matrixio import load_matrix
 
@@ -85,6 +85,8 @@ def parse_builtin(spec: str, line=None):
     if name == "gaussian" and len(params) == 1:
         if params[0] <= 0:
             raise ParseError("gaussian width must be positive", line=line)
+        if 2.0 * params[0] * params[0] == 0.0:
+            raise ParseError(f"gaussian width {params[0]!r} squares to 0 in double precision", line=line)
         return (name, params)
     if name == "linear" and len(params) == 2:
         return (name, params)
@@ -325,4 +327,6 @@ def parse_scenario(path) -> Scenario:
         family = constructor(*args)
     except ValueError as exc:
         raise InvariantViolation(f"{origin}: {exc}")
+    except (NonPositiveDiffusion, NegativeKernel) as exc:
+        raise type(exc)(f"{origin}: {exc}")
     return Scenario(kind, family, grid_name, grid, tolerances, grid1d, bracket, origin)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -312,8 +313,7 @@ def test_scenario_parse_error_exit_code(tmp_path):
     "operator, error, code",
     [
         ("kind = elliptic\n[operator]\nn = 8\nc = constant:nan", "InvariantViolation", 2),
-        # a gaussian width of 1e-200 squares to 0, so the kernel diagonal is 0/0
-        ("kind = nonlocal\n[operator]\nn = 8\nkernel = gaussian:1e-200", "InvariantViolation", 2),
+        ("kind = nonlocal\n[operator]\nn = 8\nkernel = constant:nan", "InvariantViolation", 2),
         ("kind = elliptic\n[operator]\nn = 8\na = linear:-1,0.5", "NonPositiveDiffusion", 3),
         ("kind = nonlocal\n[operator]\nn = 8\nkernel = constant:-1", "NegativeKernel", 3),
     ],
@@ -326,6 +326,36 @@ def test_invalid_operator_fails_before_any_output(tmp_path, capsys, operator, er
         assert main([command, scn, "--out", str(tmp_path / "out")]) == code
     assert capsys.readouterr().err.startswith(f"{error}: ")
     assert not (tmp_path / "out").exists()
+
+
+def _argv(command, scenario, out):
+    return [command, scenario] if command == "threshold" else [command, scenario, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["check", "curve", "threshold"])
+def test_underflowing_gaussian_width_is_a_parse_error(tmp_path, capsys, command):
+    # 2*sigma^2 is 0 for sigma = 1e-200: the kernel would be 0/0 on its diagonal
+    scn = write(tmp_path, "op.scn", "[family]\nkind = nonlocal\n[operator]\nn = 8\nkernel = gaussian:1e-200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(_argv(command, scn, tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == "ParseError: line 5: gaussian width 1e-200 squares to 0 in double precision\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "operator, error",
+    [
+        ("kind = elliptic\n[operator]\nn = 8\na = constant:-1", "NonPositiveDiffusion"),
+        ("kind = nonlocal\n[operator]\nn = 8\nkernel = constant:-1", "NegativeKernel"),
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "curve", "threshold"])
+def test_operator_errors_name_the_scenario(tmp_path, capsys, operator, error, command):
+    scn = write(tmp_path, "op.scn", f"[family]\n{operator}\n")
+    assert main(_argv(command, scn, tmp_path / "out")) == 3
+    assert capsys.readouterr().err.startswith(f"{error}: {scn}: ")
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,9 @@
-"""Warm starts along sweeps, certified early exit of reducible blocks, and the SCC memo."""
+"""Warm starts along sweeps (block by block on reducible inputs), certified early exit of blocks, the SCC memo."""
 
 import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +12,10 @@ from reduction_lab.checks import solve_along
 from reduction_lab.gallery import kingman_family_eval, random_ess_nonneg, random_stochastic
 from reduction_lab.scenario import parse_scenario
 from test_golden import GOLDEN, SCENARIOS, _family_matrix
-from test_perron import _lapack_left_perron, _lapack_spb, _norm
+from test_perron import _lapack_block_spb, _lapack_left_perron, _norm, _scc_blocks
 
 EPS = np.finfo(float).eps
+
 
 def _assert_warm_matches_cold(matrices, warm):
     for M, w in zip(matrices, warm):
@@ -23,7 +23,7 @@ def _assert_warm_matches_cold(matrices, warm):
         cold = spectral_bound(M)
         assert abs(w.spb - cold.spb) <= 4 * n * EPS * norm, (w.spb, cold.spb)
         floor = 8 * n * EPS * norm  # rounding of the quotients and of LAPACK
-        assert w.spb_lo - floor <= _lapack_spb(M) <= w.spb_hi + floor
+        assert w.spb_lo - floor <= _lapack_block_spb(M) <= w.spb_hi + floor
         assert w.spb_lo <= w.spb <= w.spb_hi
 
 
@@ -102,7 +102,7 @@ def test_unrelated_start_still_certifies(n):
         data = spectral_bound(M, start=start)
         norm = _norm(M)
         floor = 8 * n * EPS * norm
-        assert data.spb_lo - floor <= _lapack_spb(M) <= data.spb_hi + floor
+        assert data.spb_lo - floor <= _lapack_block_spb(M) <= data.spb_hi + floor
         assert data.spb_hi - data.spb_lo <= perron.WIDTH_TOL * norm
         assert np.abs(data.v / data.v.max() - _lapack_left_perron(M.T)).max() <= 1e-13
         assert np.abs(data.u / data.u.max() - _lapack_left_perron(M)).max() <= 1e-13
@@ -110,13 +110,7 @@ def test_unrelated_start_still_certifies(n):
 
 def _every_block_solved(M):
     """(max spb, max spb_lo, max spb_hi, total solves) with every diagonal block solved in full."""
-    adjacency = M != 0.0
-    np.fill_diagonal(adjacency, False)
-    count, labels = scipy.sparse.csgraph.connected_components(adjacency, directed=True, connection="strong")
-    blocks = []
-    for cid in range(count):
-        idx = np.flatnonzero(labels == cid)
-        blocks.append(spectral_bound(M[np.ix_(idx, idx)]))
+    blocks = [spectral_bound(B) for B in _scc_blocks(M)]
     return (
         max(b.spb for b in blocks),
         max(b.spb_lo for b in blocks),
@@ -173,7 +167,7 @@ def test_identical_blocks_are_both_solved_in_full(k):
 
 def test_noda_stops_below_the_bound():
     M = random_ess_nonneg(6, 4)
-    x, lo, hi, steps, factors = perron._noda(M, below=np.inf)
+    x, lo, hi, steps, factors = perron._noda(M, np.abs(M), below=np.inf)
     row_sums = M.sum(axis=1)
     assert steps == 0 and factors is None
     assert (lo, hi) == pytest.approx((row_sums.min(), row_sums.max()), rel=1e-15)
@@ -201,3 +195,88 @@ def test_scc_memo_returns_independent_labels():
     assert again.component_count == 2
     assert np.array_equal(again.component_id, expected)
     assert again.component_id.flags.writeable
+
+
+def _kingman_sweep(F, grid):
+    """(matrices, warm results) of a kingman family along a theta grid."""
+    evaluate = lambda theta: kingman_family_eval(F, theta)  # noqa: E731
+    return [evaluate(theta) for theta in grid], solve_along(grid, evaluate, "theta")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_warm_block_sweep_matches_cold_solves(seed):
+    rng = np.random.default_rng(100 + seed)
+    sizes = [int(k) for k in rng.integers(1, 7, size=int(rng.integers(2, 5)))]
+    matrices, warm = _kingman_sweep(_block_triangular(rng, sizes), np.linspace(-1.0, 1.0, 41))
+    _assert_warm_matches_cold(matrices, warm)
+    for data in warm:
+        assert data.u is None and data.v is None
+        assert sorted(b.v.size for b in data.blocks) == sorted(sizes)  # a stopped block keeps its iterate
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_warm_sweep_of_a_reducible_kingman_family_matches_cold_solves(n):
+    # the lower-left quarter of c is zero: two diagonal blocks of n/2, both dense
+    c = np.abs(random_ess_nonneg(n, n + 4))
+    c[n // 2 :, : n // 2] = 0.0
+    matrices, warm = _kingman_sweep(KingmanFamily(c, random_ess_nonneg(n, n + 5)), np.linspace(-1.0, 1.0, 51))
+    _assert_warm_matches_cold(matrices, warm)
+    assert all(len(data.blocks) == 2 for data in warm)
+
+
+def test_start_with_another_block_count_gives_the_cold_result():
+    rng = np.random.default_rng(5)
+    M = kingman_family_eval(_block_triangular(rng, [3, 2, 4]), 0.3)
+    cold = spectral_bound(M)
+    assert len(cold.blocks) == 3
+    starts = [
+        spectral_bound(kingman_family_eval(_block_triangular(rng, [4, 5]), 0.3)),
+        spectral_bound(kingman_family_eval(_block_triangular(rng, [2, 2, 2, 3]), 0.3)),
+        spectral_bound(random_ess_nonneg(9, 1)),
+    ]
+    for start in starts:
+        warm = spectral_bound(M, start=start)
+        _assert_identical(warm, cold)
+        assert len(warm.blocks) == len(cold.blocks)
+        for a, b in zip(warm.blocks, cold.blocks):
+            _assert_identical(a, b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_continuation_saves_solves(seed):
+    rng = np.random.default_rng(200 + seed)
+    matrices, warm = _kingman_sweep(_block_triangular(rng, [5, 4, 6]), np.linspace(-1.0, 1.0, 41))
+    cold = sum(spectral_bound(M).iterations for M in matrices)
+    assert sum(data.iterations for data in warm) <= 0.8 * cold
+
+
+def test_stopped_block_keeps_its_iterate():
+    # the block of `small` is certified below the dominant one at its first
+    # bracket and keeps that iterate, the constant vector, as its v
+    small = random_ess_nonneg(4, 1) - 10.0 * np.eye(4)
+    large = random_ess_nonneg(4, 2)
+    M = np.block([[large, np.ones((4, 4))], [np.zeros((4, 4)), small]])
+    data = spectral_bound(M)
+    dec = scc_decomposition(M)
+    stopped = data.blocks[dec.component_id[4]]
+    solved = data.blocks[dec.component_id[0]]
+    assert stopped.iterations == 0 and stopped.u is None and np.array_equal(stopped.v, np.full(4, 0.25))
+    assert stopped.spb == stopped.spb_hi < solved.spb_lo
+    _assert_identical(solved, spectral_bound(large))
+
+
+def test_warm_start_solves_the_previously_dominant_block_first():
+    # the first block has the larger row sum (9) but the smaller spb (-1 + sqrt(0.1));
+    # a cold solve takes it first by row sum and solves both blocks in full, a warm
+    # one takes the second block first by its spb_hi and stops the first at once
+    M = np.zeros((4, 4))
+    M[:2, :2] = [[-1.0, 10.0], [0.01, -1.0]]
+    M[2:, 2:] = [[0.0, 1.0], [1.0, 0.0]]
+    M[0, 2] = 0.5
+    dec = scc_decomposition(M)
+    first, second = dec.component_id[0], dec.component_id[2]
+    cold = spectral_bound(M)
+    assert cold.blocks[first].u is not None and cold.blocks[second].u is not None
+    warm = spectral_bound(M, start=cold)
+    assert warm.blocks[first].u is None and warm.blocks[first].iterations == 0
+    assert (warm.spb, warm.spb_lo, warm.spb_hi) == (cold.spb, cold.spb_lo, cold.spb_hi)

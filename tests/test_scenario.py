@@ -209,3 +209,9 @@ def test_builtin_coefficients():
         parse_builtin("spline:1")
     with pytest.raises(ParseError):
         parse_builtin("gaussian:-1")
+
+
+def test_gaussian_width_whose_square_underflows_is_rejected():
+    with pytest.raises(ParseError, match="^line 3: gaussian width 1e-200 squares to 0"):
+        parse_builtin("gaussian:1e-200", line=3)
+    assert parse_builtin("gaussian:1e-150") == ("gaussian", (1e-150,))  # 2*sigma^2 = 2e-300 is a normal number
