@@ -8,11 +8,11 @@ stdout `suite20.stdout`). These are the commands listed in the
 `tests/test_golden.py` docstring.
 
 The outputs are compared with the committed files first. Each line is reduced
-to its name (the first comma-separated field), its pass/fail word and its
-`verdict=` word; numbers after those may move. If any such key, the number of
-lines, or an exit code differs, the differences are printed, nothing is
-written and the script exits 1. Otherwise the files are overwritten and the
-number of changed lines per file is printed.
+to its name (the first comma-separated field), its number of comma-separated
+fields, its pass/fail word and its `verdict=` word; numbers after those may
+move. If any such key, the number of lines, or an exit code differs, the
+differences are printed, nothing is written and the script exits 1. Otherwise
+the files are overwritten and the number of changed lines per file is printed.
 
     PYTHONPATH=src python scripts/regen_goldens.py
 """
@@ -31,11 +31,11 @@ VERDICT = re.compile(r"verdict=(\w+)")
 
 
 def line_key(line: str) -> tuple:
-    """(name, pass/fail word, verdict word) of one output line; absent parts are None."""
+    """(name, field count, pass/fail word, verdict word) of one output line; absent parts are None."""
     fields = line.split(",")
     word = fields[1] if len(fields) > 1 and fields[1] in ("pass", "fail") else None
     verdict = VERDICT.search(line)
-    return fields[0], word, verdict.group(1) if verdict else None
+    return fields[0], len(fields), word, verdict.group(1) if verdict else None
 
 
 def commands():
@@ -64,7 +64,7 @@ def regenerate(scratch: Path) -> tuple[dict[str, str], list[str]]:
         if out:
             new[out] = (scratch / out).read_text(encoding="utf-8")
         # a report exits 1 iff one of its lines fails; curves and thresholds exit 0
-        expected = int(out is not None and any(line_key(line)[1] == "fail" for line in committed(out)))
+        expected = int(out is not None and any(line_key(line)[2] == "fail" for line in committed(out)))
         if code != expected:
             problems.append(f"{' '.join(argv)}: exit code {code}, committed files imply {expected}")
     for name, text in new.items():

@@ -18,7 +18,7 @@ from .errors import (
     ReductionLabError,
     ZeroSpectralRadius,
 )
-from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagonal, karlin_evaluator, kingman_family_eval
+from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagonal
 from .perron import SpectralData, is_irreducible, perron_vectors, spectral_bound, square_matrix
 
 CHECK_TOL = 1e-9
@@ -269,7 +269,7 @@ def kirkland_check(A) -> CheckOutcome:
 def kingman_superconvexity_check(F: KingmanFamily, theta_grid) -> CheckOutcome:
     """Midpoint log-convexity of theta -> rho(A(theta)) for a log-affine family."""
     grid = np.asarray(theta_grid, dtype=float)
-    rho = [d.spb for d in solve_along(grid, lambda theta: kingman_family_eval(F, theta), "theta")]
+    rho = [d.spb for d in solve_along(grid, F.matrix_at, "theta")]
     for theta, r in zip(grid, rho):
         if r <= 0.0:
             raise ZeroSpectralRadius(f"spectral radius vanished at theta = {theta}")
@@ -286,7 +286,7 @@ def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckOutcome:
     if not is_irreducible(F.P):
         raise NotIrreducible("the monotonicity statement requires irreducible P")
     grid = np.asarray(alpha_grid, dtype=float)
-    values = np.array([d.spb for d in solve_along(grid, karlin_evaluator(F), "alpha")])
+    values = np.array([d.spb for d in solve_along(grid, F.matrix_at, "alpha")])
     diag = np.diagonal(F.D)
     scalar = bool((diag == diag[0]).all())
     scale = max(1.0, float(np.max(np.abs(values))))

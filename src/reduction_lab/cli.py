@@ -34,7 +34,6 @@ from .errors import (
     ParseError,
     ReductionLabError,
 )
-from .gallery import karlin_evaluator, karlin_to_linear, kingman_family_eval
 from .matrixio import format_value, load_matrix
 from .perron import is_essentially_nonnegative, is_irreducible, is_resolvent_positive_at, spectral_bound
 from .scenario import Scenario, parse_scenario
@@ -66,25 +65,17 @@ def run_spb(args) -> int:
 def _curve_rows(sc: Scenario):
     """(header, rows) of the scenario's sweep.
 
-    Linear families add the analytic derivative u^T (dM/dp) v when every
-    swept point returned Perron vectors, that is, when every point is irreducible.
+    Every family sweeps through its `matrix_at`; an m or beta sweep of m*A + beta*V
+    (the linear and operator kinds) adds the analytic derivative u^T (dM/dp) v when
+    every swept point returned Perron vectors, that is, when every point is irreducible.
     """
     if sc.grid is None:
         raise ParseError(f"{sc.source}: curve needs a [grid] section")
-    kind, name, fam = sc.family_kind, sc.grid_name, sc.family
-    direction = None
-    if kind == "linear":
-        if name == "m":
-            evaluate, direction = fam.matrix_at, fam.A
-        else:
-            evaluate, direction = (lambda beta: fam.matrix_at(1.0, beta)), fam.V
-    elif kind == "karlin":
-        evaluate = karlin_evaluator(fam)
-    elif kind == "kingman":
-        evaluate = lambda theta: kingman_family_eval(fam, theta)  # noqa: E731
+    name, fam = sc.grid_name, sc.family
+    if name == "beta":
+        evaluate, direction = (lambda beta: fam.matrix_at(1.0, beta)), fam.V
     else:
-        A = fam.A + fam.V
-        evaluate = lambda m: m * A  # noqa: E731
+        evaluate, direction = fam.matrix_at, (fam.A if name == "m" else None)
     points = solve_along(sc.grid, evaluate, name)
     if direction is not None and all(d.u is not None for d in points):
         header = "param,spb,analytic_derivative"
@@ -123,7 +114,7 @@ def _linear_checks(sc: Scenario) -> list[CheckLine]:
 def _karlin_checks(sc: Scenario) -> list[CheckLine]:
     fam, alpha_grid = sc.family, sc.grid_for("alpha")
     lines = [CheckLine.from_outcome("karlin_monotonicity", karlin_monotonicity_check(fam, alpha_grid))]
-    derived = karlin_to_linear(fam)
+    derived = fam.linear
     spb_mix = spectral_bound(derived.A).spb
     # reciprocal growth rates form a positive right null vector of (P - I)D
     lines.append(CheckLine.within("mixing_spb_zero", abs(spb_mix), 1e-10, spb=spb_mix))
@@ -132,11 +123,10 @@ def _karlin_checks(sc: Scenario) -> list[CheckLine]:
         worst = float(np.max(np.abs(derived.A.sum(axis=0))))
         null_tol = 1e-13 * max(1.0, float(np.max(np.abs(derived.A))))
         lines.append(CheckLine.within("left_null_identity", worst, null_tol, max_colsum=worst))
-    evaluate = karlin_evaluator(fam)
     worst_gap = 0.0
     for a in alpha_grid:
         direct = ((1.0 - a) * np.eye(fam.n) + a * fam.P) @ fam.D
-        worst_gap = max(worst_gap, float(np.max(np.abs(direct - evaluate(a)))))
+        worst_gap = max(worst_gap, float(np.max(np.abs(direct - fam.matrix_at(a)))))
     cons_tol = 1e-13 * max(1.0, float(np.max(np.abs(fam.D))))
     lines.append(CheckLine.within("karlin_consistency", worst_gap, cons_tol, max_gap=worst_gap))
     sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
@@ -160,7 +150,7 @@ def _kingman_checks(sc: Scenario) -> list[CheckLine]:
 
 def _operator_checks(sc: Scenario) -> list[CheckLine]:
     fam = sc.family
-    A = fam.A + fam.V
+    A = fam.matrix_at(1.0)
     n = A.shape[0]
     off = A[~np.eye(n, dtype=bool)]
     # parse_scenario has already rejected a non-Metzler mixing part, so this line reports the margin

@@ -4,11 +4,12 @@ Everything here constructs matrices for the sweep-and-certify layer: linear
 mixing-growth pairs m*A + beta*V, row-stochastic dispersal families
 [(1-alpha)I + alpha*P]D, entrywise log-affine families c_ij*exp(g_ij*theta),
 and finite-difference / quadrature surrogates of diffusion, drift-diffusion,
-and nonlocal dispersal operators. Discretizers produce exactly essentially
-nonnegative matrices by construction.
+and nonlocal dispersal operators. Each family class evaluates its member at a
+parameter with `matrix_at`, the one evaluator every sweep calls. Discretizers
+produce exactly essentially nonnegative matrices by construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,10 +58,15 @@ class LinearFamily:
 
 @dataclass
 class KarlinFamily:
-    """Row-stochastic dispersal pattern P with positive diagonal growth D."""
+    """Row-stochastic dispersal pattern P with positive diagonal growth D.
+
+    `linear` is the split karlin_to_linear(self), built once; the family is
+    evaluated on it, so the two parameterizations agree entrywise exactly.
+    """
 
     P: np.ndarray
     D: np.ndarray
+    linear: LinearFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.P = square_matrix(self.P)
@@ -75,10 +81,17 @@ class KarlinFamily:
         _require_diagonal(self.D, "D")
         if (np.diagonal(self.D) <= 0.0).any():
             raise ValueError("D must have strictly positive diagonal")
+        self.linear = karlin_to_linear(self)
 
     @property
     def n(self) -> int:
         return self.P.shape[0]
+
+    def matrix_at(self, alpha: float) -> np.ndarray:
+        """[(1-alpha)I + alpha*P] @ D for alpha in [0, 1], evaluated as alpha*A + V."""
+        if not 0.0 <= alpha <= 1.0:
+            raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
+        return self.linear.matrix_at(alpha)
 
 
 @dataclass
@@ -100,12 +113,16 @@ class KingmanFamily:
     def n(self) -> int:
         return self.c.shape[0]
 
+    def matrix_at(self, theta: float) -> np.ndarray:
+        """Evaluate the family at theta; zero coefficients stay exactly zero."""
+        with np.errstate(over="raise"):
+            grown = np.exp(self.g * theta)
+        return np.where(self.c != 0.0, self.c * grown, 0.0)
+
 
 def kingman_family_eval(F: KingmanFamily, theta: float) -> np.ndarray:
-    """Evaluate the family at theta; zero coefficients stay exactly zero."""
-    with np.errstate(over="raise"):
-        grown = np.exp(F.g * theta)
-    return np.where(F.c != 0.0, F.c * grown, 0.0)
+    """F.matrix_at(theta)."""
+    return F.matrix_at(theta)
 
 
 def karlin_to_linear(F: KarlinFamily) -> LinearFamily:
@@ -121,25 +138,9 @@ def karlin_to_linear(F: KarlinFamily) -> LinearFamily:
     return LinearFamily(A=A, V=F.D.copy())
 
 
-def karlin_evaluator(F: KarlinFamily):
-    """The map alpha -> [(1-alpha)I + alpha*P] @ D on [0, 1], built on one split.
-
-    Evaluated as alpha*A + V with (A, V) = karlin_to_linear(F), so that the
-    two parameterizations agree entrywise exactly, not merely to rounding.
-    """
-    fam = karlin_to_linear(F)
-
-    def at(alpha: float) -> np.ndarray:
-        if not 0.0 <= alpha <= 1.0:
-            raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
-        return fam.matrix_at(alpha)
-
-    return at
-
-
 def karlin_matrix(F: KarlinFamily, alpha: float) -> np.ndarray:
-    """[(1-alpha)I + alpha*P] @ D for alpha in [0, 1], as karlin_evaluator(F)(alpha)."""
-    return karlin_evaluator(F)(alpha)
+    """F.matrix_at(alpha): [(1-alpha)I + alpha*P] @ D for alpha in [0, 1]."""
+    return F.matrix_at(alpha)
 
 
 @dataclass(frozen=True)

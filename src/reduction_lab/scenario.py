@@ -70,27 +70,31 @@ class Scenario:
         return np.linspace(*FAMILY_GRIDS[self.family_kind][name])
 
 
-def parse_builtin(spec: str, line=None):
-    """Parse `constant:<v>`, `gaussian:<sigma>`, `linear:<slope>,<intercept>`."""
+def parse_builtin(spec: str, line=None, origin=None):
+    """Parse `constant:<v>`, `gaussian:<sigma>`, `linear:<slope>,<intercept>`.
+
+    An error names `origin` (the scenario path) when one is given.
+    """
+    prefix = f"{origin}: " if origin is not None else ""
     name, sep, rest = spec.partition(":")
     name = name.strip().lower()
     if not sep:
-        raise ParseError(f"coefficient {spec!r} needs the form name:params", line=line)
+        raise ParseError(f"{prefix}coefficient {spec!r} needs the form name:params", line=line)
     try:
         params = tuple(float(p) for p in rest.split(","))
     except ValueError:
-        raise ParseError(f"bad numeric parameters in {spec!r}", line=line)
+        raise ParseError(f"{prefix}bad numeric parameters in {spec!r}", line=line)
     if name == "constant" and len(params) == 1:
         return (name, params)
     if name == "gaussian" and len(params) == 1:
         if params[0] <= 0:
-            raise ParseError("gaussian width must be positive", line=line)
+            raise ParseError(f"{prefix}gaussian width must be positive", line=line)
         if 2.0 * params[0] * params[0] == 0.0:
-            raise ParseError(f"gaussian width {params[0]!r} squares to 0 in double precision", line=line)
+            raise ParseError(f"{prefix}gaussian width {params[0]!r} squares to 0 in double precision", line=line)
         return (name, params)
     if name == "linear" and len(params) == 2:
         return (name, params)
-    raise ParseError(f"unknown coefficient builtin {spec!r}", line=line)
+    raise ParseError(f"{prefix}unknown coefficient builtin {spec!r}", line=line)
 
 
 def coefficient_values(builtin: tuple, x: np.ndarray, length: float) -> np.ndarray:
@@ -100,7 +104,8 @@ def coefficient_values(builtin: tuple, x: np.ndarray, length: float) -> np.ndarr
         return np.full(x.shape, params[0])
     if name == "gaussian":
         sigma = params[0]
-        return np.exp(-((x - 0.5 * length) ** 2) / (2.0 * sigma * sigma))
+        with np.errstate(over="ignore"):  # a tiny width gives -inf exponents, and exp(-inf) = 0
+            return np.exp(-((x - 0.5 * length) ** 2) / (2.0 * sigma * sigma))
     slope, intercept = params
     return slope * x + intercept
 
@@ -113,7 +118,8 @@ def kernel_values(builtin: tuple, x: np.ndarray) -> np.ndarray:
         return np.full((len(x), len(x)), params[0])
     if name == "gaussian":
         sigma = params[0]
-        return np.exp(-(diff**2) / (2.0 * sigma * sigma))
+        with np.errstate(over="ignore"):  # a tiny width gives -inf exponents, and exp(-inf) = 0
+            return np.exp(-(diff**2) / (2.0 * sigma * sigma))
     slope, intercept = params
     return slope * np.abs(diff) + intercept
 
@@ -268,12 +274,12 @@ def parse_scenario(path) -> Scenario:
         if kind == "elliptic":
             for coef, default in (("a", "constant:1"), ("b", "constant:0"), ("c", "constant:0")):
                 value, line = items.take("operator", coef)
-                coefficients[coef] = parse_builtin(value or default, line)
+                coefficients[coef] = parse_builtin(value or default, line, origin)
         elif kind == "nonlocal":
             kernel, kline = items.require("operator", "kernel")
-            coefficients["kernel"] = parse_builtin(kernel, kline)
+            coefficients["kernel"] = parse_builtin(kernel, kline, origin)
             value, line = items.take("operator", "b")
-            coefficients["b"] = parse_builtin(value or "constant:0", line)
+            coefficients["b"] = parse_builtin(value or "constant:0", line, origin)
         constructor, args = _operator_family, (kind, grid1d, coefficients)
 
     grid_name = grid = bracket = None

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from reduction_lab import KingmanFamily, perron
+from reduction_lab import KingmanFamily, perron, save_matrix
 from reduction_lab.cli import _kingman_checks, main
-from reduction_lab.scenario import Scenario
+from reduction_lab.scenario import Scenario, parse_scenario
 
 MATRIX_SYM = "2\n-1 1\n1 -1\n"
 
@@ -139,11 +139,32 @@ count = 4
     out = tmp_path / "curve.csv"
     assert main(["curve", scn, "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "param,spb"
+    assert lines[0] == "param,spb,analytic_derivative"
     values = [float(r.split(",")[1]) for r in lines[1:]]
     # spb(m L) scales linearly in m and is negative for absorbing boundaries
     assert all(v < 0 for v in values)
     assert abs(values[-1] - 4.0 * values[0]) <= 1e-8 * abs(values[0])
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [
+        "kind = elliptic\n[operator]\nn = 12\nb = linear:1,-0.5\nc = gaussian:0.1",
+        "kind = nonlocal\n[operator]\nn = 12\nboundary = periodic\nkernel = gaussian:0.2\nb = gaussian:0.15",
+    ],
+    ids=["elliptic", "nonlocal"],
+)
+def test_operator_curve_sweeps_its_linear_split(tmp_path, operator):
+    # an operator kind parses to LinearFamily(A, V), and curve sweeps m*A + V as for a linear family
+    grid = "[grid]\nname = m\nstart = 0.5\nstop = 2\ncount = 4\n"
+    op = write(tmp_path, "op.scn", f"[family]\n{operator}\n{grid}")
+    fam = parse_scenario(op).family
+    save_matrix(tmp_path / "A.txt", fam.A)
+    save_matrix(tmp_path / "V.txt", fam.V)
+    lin = write(tmp_path, "lin.scn", f"[family]\nkind = linear\nA_file = A.txt\nV_file = V.txt\n{grid}")
+    assert main(["curve", op, "--out", str(tmp_path / "op.csv")]) == 0
+    assert main(["curve", lin, "--out", str(tmp_path / "lin.csv")]) == 0
+    assert (tmp_path / "op.csv").read_bytes() == (tmp_path / "lin.csv").read_bytes()
 
 
 def test_curve_requires_grid(tmp_path):
@@ -340,8 +361,22 @@ def test_underflowing_gaussian_width_is_a_parse_error(tmp_path, capsys, command)
         warnings.simplefilter("error")
         assert main(_argv(command, scn, tmp_path / "out")) == 2
     err = capsys.readouterr().err
-    assert err == "ParseError: line 5: gaussian width 1e-200 squares to 0 in double precision\n"
+    assert err == f"ParseError: line 5: {scn}: gaussian width 1e-200 squares to 0 in double precision\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "operator",
+    ["kind = nonlocal\n[operator]\nn = 8\nkernel = gaussian:1e-158", "kind = elliptic\n[operator]\nn = 8\nc = gaussian:1e-158"],
+    ids=["kernel", "coefficient"],
+)
+def test_tiny_gaussian_width_checks_without_warnings(tmp_path, capsys, operator):
+    # 2*sigma^2 is a subnormal 2e-316: the exponents overflow to -inf, and exp(-inf) = 0 is the limit
+    scn = write(tmp_path, "op.scn", f"[family]\n{operator}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", scn, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,9 @@ Regenerate them all with
     PYTHONPATH=src python scripts/regen_goldens.py
 
 only when a change to the reported numbers is intended and explained. The
-script runs every such command and writes nothing if a line's name, pass/fail
-word or `verdict=` word, or an exit code, would change.
+script runs every such command and writes nothing if a line's name, number of
+comma-separated fields, pass/fail word or `verdict=` word, or an exit code,
+would change.
 """
 
 from pathlib import Path
@@ -60,17 +61,15 @@ def test_suite_matches_golden(tmp_path, capsys):
 def _family_matrix(sc, p):
     """The swept matrix of a golden scenario at parameter p, built from its definition."""
     kind, fam = sc.family_kind, sc.family
-    if kind == "linear":
-        A, V = fam.A, fam.V
-        return p * A + V if sc.grid_name == "m" else A + p * V
     if kind == "karlin":
         P, D = fam.P, fam.D
         return ((1.0 - p) * np.eye(P.shape[0]) + p * P) @ D
     if kind == "kingman":
         c, g = fam.c, fam.g
         return np.where(c != 0.0, c * np.exp(g * p), 0.0)
-    # the operator kinds parse to their mixing/growth split, and the operator is A + V
-    return p * (fam.A + fam.V)
+    # linear, and the operator kinds, which parse to their mixing/growth split (A, V)
+    A, V = fam.A, fam.V
+    return p * A + V if sc.grid_name == "m" else A + p * V
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

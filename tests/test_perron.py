@@ -23,7 +23,6 @@ from reduction_lab import (
 from reduction_lab.gallery import (
     Grid1D,
     KarlinFamily,
-    karlin_evaluator,
     laplacian_1d,
     random_diagonal,
     random_ess_nonneg,
@@ -298,7 +297,7 @@ def test_near_decoupled_points_converge(n):
     for seed in range(n + 1, n + 4):
         P = random_stochastic(n, seed)
         points = [
-            karlin_evaluator(KarlinFamily(P, np.diag(np.linspace(0.2, 1.6, n))))(1e-6),
+            KarlinFamily(P, np.diag(np.linspace(0.2, 1.6, n))).matrix_at(1e-6),
             1e-6 * (P - np.eye(n)) + random_diagonal(n, -1.0, 1.0, seed + 1),
         ]
         for M in points:
