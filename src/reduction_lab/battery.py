@@ -9,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 
 from .checks import (
-    CHECK_TOL,
     CheckLine,
     kingman_superconvexity_check,
     karlin_monotonicity_check,
@@ -28,10 +27,9 @@ from .gallery import (
 from .oracle import eigenvalues_oracle
 from .perron import spectral_bound
 from .rng import XorShift64Star
-from .semigroup import growth_bound_estimate, positivity_of_semigroup_check
+from .semigroup import GROWTH_TOL, growth_bound_estimate, positivity_of_semigroup_check
 
 ORACLE_TOL = 1e-8
-GROWTH_TOL = 1e-9
 
 
 def seed_battery(seed: int) -> list[CheckLine]:
@@ -48,9 +46,7 @@ def seed_battery(seed: int) -> list[CheckLine]:
 
     beta_grid = np.linspace(-3.0, 3.0, 11)
     m_grid = np.linspace(0.1, 5.0, 11)
-    family_lines, sweep_b, _ = linear_family_lines(
-        fam, data_A.spb, beta_grid, m_grid, 1.0, CHECK_TOL, CHECK_TOL
-    )
+    family_lines, sweep_b, _ = linear_family_lines(fam, data_A.spb, beta_grid, m_grid, 1.0)
     out += family_lines
 
     P = random_stochastic(n, 3000 + seed)

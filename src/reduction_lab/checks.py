@@ -126,8 +126,8 @@ def sweep_spb_in_beta(F: LinearFamily, beta_grid) -> SweepResult:
     return SweepResult("beta", grid, [d.spb for d in points])
 
 
-def check_midpoint_convexity(S: SweepResult, tol: float = CHECK_TOL) -> CheckOutcome:
-    """Second-difference convexity test on a uniform sweep.
+def check_midpoint_convexity(S: SweepResult) -> CheckOutcome:
+    """Second-difference convexity test on a uniform sweep, to CHECK_TOL times its scale.
 
     The margin is the smallest second difference; the witness is the centre
     of that triple.
@@ -139,7 +139,7 @@ def check_midpoint_convexity(S: SweepResult, tol: float = CHECK_TOL) -> CheckOut
     scale = max(1.0, float(np.max(np.abs(v))))
     k = int(np.argmin(d2))
     worst = float(d2[k])
-    return CheckOutcome(bool(worst >= -tol * scale), worst, {S.parameter_name: float(S.grid[k + 1])})
+    return CheckOutcome(bool(worst >= -CHECK_TOL * scale), worst, {S.parameter_name: float(S.grid[k + 1])})
 
 
 def check_monotone_reduction(S: SweepResult, spb_A: float) -> CheckOutcome:
@@ -184,7 +184,7 @@ def derivative_bound_check(F: LinearFamily, m: float) -> CheckOutcome:
     M = F.matrix_at(m)
     if not is_irreducible(M):
         raise NotIrreducible("derivative bound requires an irreducible family point")
-    h = FD_STEP_SCALE * max(1.0, m)
+    h = min(FD_STEP_SCALE * max(1.0, m), 0.5 * m)  # m - h stays positive
     lo = spectral_bound(F.matrix_at(m - h)).spb
     hi = spectral_bound(F.matrix_at(m + h)).spb
     fd = (hi - lo) / (2.0 * h)
@@ -396,7 +396,7 @@ def strict_convexity_line(probe: CheckOutcome, sweep: SweepResult) -> CheckLine:
 
 
 def linear_family_lines(
-    F: LinearFamily, spb_A: float, beta_grid, m_grid, m_probe: float, tol_beta: float, tol_m: float
+    F: LinearFamily, spb_A: float, beta_grid, m_grid, m_probe: float
 ) -> tuple[list[CheckLine], SweepResult, CheckOutcome]:
     """The linear-family lines from `convexity_beta` to `kirkland`, in report order.
 
@@ -405,11 +405,11 @@ def linear_family_lines(
     Also returns the beta sweep and its convexity outcome.
     """
     sweep_b = sweep_spb_in_beta(F, beta_grid)
-    convex_b = check_midpoint_convexity(sweep_b, tol_beta)
+    convex_b = check_midpoint_convexity(sweep_b)
     sweep_m = sweep_spb_in_m(F, m_grid)
     lines = [
         CheckLine.from_outcome("convexity_beta", convex_b),
-        CheckLine.from_outcome("convexity_m", check_midpoint_convexity(sweep_m, tol_m)),
+        CheckLine.from_outcome("convexity_m", check_midpoint_convexity(sweep_m)),
         CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep_m, spb_A)),
     ]
     if is_irreducible(F.matrix_at(m_probe)):

@@ -13,9 +13,8 @@ import sys
 
 import numpy as np
 
-from .battery import GROWTH_TOL, run_suite
+from .battery import run_suite
 from .checks import (
-    CHECK_TOL,
     CheckLine,
     check_monotone_reduction,
     find_threshold,
@@ -37,7 +36,7 @@ from .errors import (
 from .matrixio import format_value, load_matrix
 from .perron import is_essentially_nonnegative, is_irreducible, is_resolvent_positive_at, spectral_bound
 from .scenario import Scenario, parse_scenario
-from .semigroup import growth_bound_estimate, positivity_of_semigroup_check
+from .semigroup import GROWTH_TOL, growth_bound_estimate, positivity_of_semigroup_check
 
 
 def _write_lines(path, lines):
@@ -94,16 +93,10 @@ def run_curve(args) -> int:
 
 
 def _linear_checks(sc: Scenario) -> list[CheckLine]:
-    fam, tol = sc.family, sc.tolerances
+    fam = sc.family
     m_grid, beta_grid = sc.grid_for("m"), sc.grid_for("beta")
     lines, sweep_b, convex_b = linear_family_lines(
-        fam,
-        spectral_bound(fam.A).spb,
-        beta_grid,
-        m_grid,
-        float(m_grid[len(m_grid) // 2]),
-        tol.get("convexity_beta", CHECK_TOL),
-        tol.get("convexity_m", CHECK_TOL),
+        fam, spectral_bound(fam.A).spb, beta_grid, m_grid, float(m_grid[len(m_grid) // 2])
     )
     if is_irreducible(fam.A):
         # the probe reads only the second differences, which the beta sweep already has
@@ -164,7 +157,7 @@ def _operator_checks(sc: Scenario) -> list[CheckLine]:
     lines.append(CheckLine("resolvent_positive", positive, 1.0 if positive else -1.0, f"spb={data.spb:.9g}"))
     lines.append(CheckLine.from_outcome("semigroup_positivity", positivity_of_semigroup_check(A, [0.1, 1.0, 5.0])))
     omega = growth_bound_estimate(A)
-    gtol = sc.tolerances.get("growth_bound", GROWTH_TOL) * max(1.0, abs(data.spb))
+    gtol = GROWTH_TOL * max(1.0, abs(data.spb))
     lines.append(CheckLine.within("growth_bound", abs(omega - data.spb), gtol, omega=omega, spb=data.spb))
     sweep = sweep_spb_in_m(fam, sc.grid_for("m"))
     spb_mix = spectral_bound(fam.A).spb
@@ -193,6 +186,14 @@ def run_threshold(args) -> int:
         return 3
     print(format_value(m_star))
     return 0
+
+
+def positive_int(text: str) -> int:
+    """argparse type of a count; argparse reports the ValueError as an invalid positive_int."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 def run_suite_cmd(args) -> int:
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_threshold)
 
     p = sub.add_parser("suite", help="run the seeded randomized battery")
-    p.add_argument("--seed-count", type=int, required=True)
+    p.add_argument("--seed-count", type=positive_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=run_suite_cmd)
 

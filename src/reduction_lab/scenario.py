@@ -18,14 +18,17 @@ references in the shared matrix text format, or as `<name>_diag = d1 d2 ...`
 diagonal shorthand. Coefficient functions for the discretized operators use
 the named built-ins `constant:<value>`, `gaussian:<sigma>`, and
 `linear:<slope>,<intercept>`.
+
+A scenario chooses a family, its grids and a threshold bracket, never how
+strictly a check is judged; any other key is a ParseError.
 """
 
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import THRESHOLD_PRESWEEP
 from .errors import InvariantViolation, NegativeKernel, NonPositiveDiffusion, ParseError
 from .gallery import Grid1D, KarlinFamily, KingmanFamily, LinearFamily, elliptic_1d, laplacian_1d, nonlocal_operator
 from .matrixio import load_matrix
@@ -45,7 +48,6 @@ MATRIX_FAMILIES = {
     "karlin": (KarlinFamily, ("p", "d")),
     "kingman": (KingmanFamily, ("c", "g")),
 }
-TOLERANCE_NAMES = ("convexity_beta", "convexity_m", "growth_bound")
 
 
 @dataclass
@@ -58,7 +60,6 @@ class Scenario:
     family: LinearFamily | KarlinFamily | KingmanFamily
     grid_name: str | None = None
     grid: np.ndarray | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
     grid1d: Grid1D | None = None
     bracket: tuple[float, float] | None = None
     source: str = "<memory>"
@@ -245,6 +246,14 @@ def _take_int(items, section, key, default=None):
         raise ParseError(f"{items.origin}: {key} must be an integer, got {value!r}", line=line)
 
 
+def _linspace(origin, start, stop, count):
+    """np.linspace(start, stop, count); a ParseError if rounding repeats a point."""
+    points = np.linspace(start, stop, count)
+    if not (np.diff(points) > 0.0).all():
+        raise ParseError(f"{origin}: {count} points from {start!r} to {stop!r} repeat a value in double precision")
+    return points
+
+
 def parse_scenario(path) -> Scenario:
     origin = str(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -292,9 +301,6 @@ def parse_scenario(path) -> Scenario:
         start = _take_float(items, "grid", "start")
         stop = _take_float(items, "grid", "stop")
         count = _take_int(items, "grid", "count")
-        spacing, sp_line = items.take("grid", "spacing")
-        if spacing is not None and spacing.lower() != "linear":
-            raise ParseError(f"{origin}: only linear spacing is supported", line=sp_line)
         if start is None or stop is None or count is None:
             raise ParseError(f"{origin}: grid needs start, stop and count")
         if count < 3:
@@ -305,7 +311,7 @@ def parse_scenario(path) -> Scenario:
             raise ParseError(f"{origin}: m grids must start above 0")
         if name == "alpha" and (start < 0 or stop > 1):
             raise ParseError(f"{origin}: alpha grids must stay inside [0, 1]")
-        grid_name, grid = name, np.linspace(start, stop, count)
+        grid_name, grid = name, _linspace(origin, start, stop, count)
 
     m_lo = _take_float(items, "threshold", "m_lo")
     m_hi = _take_float(items, "threshold", "m_hi")
@@ -314,20 +320,11 @@ def parse_scenario(path) -> Scenario:
     if m_lo is not None:
         if not 0 < m_lo < m_hi:
             raise ParseError(f"{origin}: threshold bracket needs 0 < m_lo < m_hi")
+        _linspace(origin, m_lo, m_hi, THRESHOLD_PRESWEEP)  # the points of find_threshold's pre-sweep
         bracket = (m_lo, m_hi)
 
-    tolerances = {}
-    for (section, key), (value, line) in list(items.leftovers().items()):
-        if section == "tolerances" and key in TOLERANCE_NAMES:
-            try:
-                tol = float(value)
-            except ValueError:
-                raise ParseError(f"{origin}: tolerance {key} must be a number", line=line)
-            if not (math.isfinite(tol) and tol >= 0.0):
-                raise ParseError(f"{origin}: tolerance {key} must be finite and >= 0, got {value!r}", line=line)
-            tolerances[key] = tol
-        else:
-            raise ParseError(f"{origin}: unknown key {key!r} in section [{section}]", line=line)
+    for (section, key), (_, line) in items.leftovers().items():
+        raise ParseError(f"{origin}: unknown key {key!r} in section [{section}]", line=line)
 
     try:
         family = constructor(*args)
@@ -335,4 +332,4 @@ def parse_scenario(path) -> Scenario:
         raise InvariantViolation(f"{origin}: {exc}")
     except (NonPositiveDiffusion, NegativeKernel) as exc:
         raise type(exc)(f"{origin}: {exc}")
-    return Scenario(kind, family, grid_name, grid, tolerances, grid1d, bracket, origin)
+    return Scenario(kind, family, grid_name, grid, grid1d, bracket, origin)

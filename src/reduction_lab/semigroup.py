@@ -24,6 +24,7 @@ TAYLOR_TERMS = 16
 SCALE_TARGET = 0.5
 SEMIGROUP_POSITIVITY_TOL = 1e-10
 MAX_DOUBLINGS = 64
+GROWTH_TOL = 1e-9  # growth_bound checks pass when |omega - spb| <= GROWTH_TOL*max(1, |spb|)
 
 
 def expm(M, t: float) -> np.ndarray:

@@ -240,31 +240,49 @@ boundary = neumann
     assert "growth_bound,pass" in text
 
 
-def test_check_failure_sets_exit_code(tmp_path):
+def test_check_failure_sets_exit_code(tmp_path, monkeypatch):
     # scalar V makes the beta curve affine; a zero tolerance then trips on
     # solver noise, exercising the check-failure exit path
-    scn = write(
-        tmp_path,
-        "flat.scn",
-        """
-[family]
-kind = linear
-A = -1 1 ; 1 -1
-V_diag = 1 1
-
-[tolerances]
-convexity_beta = 0
-""",
-    )
+    monkeypatch.setattr("reduction_lab.checks.CHECK_TOL", 0.0)
+    scn = write(tmp_path, "flat.scn", "[family]\nkind = linear\nA = -1 1 ; 1 -1\nV_diag = 1 1\n")
     assert main(["check", scn, "--out", str(tmp_path / "r.txt")]) == 1
+    assert (tmp_path / "r.txt").read_text().startswith("convexity_beta,fail,")
 
 
 def test_nan_tolerance_is_parse_error(tmp_path, capsys):
-    # a NaN tolerance used to fail a convex curve whose margin is positive
+    # tolerances are constants of the library, so a scenario cannot set one
     scn = write(tmp_path, "nan.scn", "[family]\nkind = linear\nA = -1 1 ; 1 -1\nV_diag = 1 -1\n[tolerances]\nconvexity_m = nan\n")
     assert main(["check", scn, "--out", str(tmp_path / "r.txt")]) == 2
     assert "ParseError" in capsys.readouterr().err
     assert not (tmp_path / "r.txt").exists()
+
+
+def test_check_derivative_probe_near_zero_m(tmp_path):
+    # the probe sits at m = 1.05e-6, where the default step 1e-5 would reach m - h < 0
+    scn = write(tmp_path, "small.scn", LINEAR_SCENARIO.replace("start = 0.5\nstop = 2.5", "start = 1e-7\nstop = 2e-6"))
+    out = tmp_path / "r.txt"
+    assert main(["check", scn, "--out", str(out)]) == 0
+    (line,) = [l for l in out.read_text().splitlines() if l.startswith("derivative_bound,")]
+    fd = float(re.search(r"fd=(\S+)", line).group(1))
+    m = 1.05e-6
+    assert fd == pytest.approx(-1.0 + m / np.sqrt(m * m + 1.0), abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("check", "[grid]\nname = beta\nstart = 1\nstop = 1.0000000000000002\ncount = 5"),
+        ("curve", "[grid]\nname = beta\nstart = 1\nstop = 1.0000000000000002\ncount = 5"),
+        ("threshold", "[threshold]\nm_lo = 1\nm_hi = 1.0000000000000002"),
+    ],
+    ids=["check", "curve", "threshold"],
+)
+def test_repeating_grid_points_are_a_parse_error(tmp_path, capsys, command, section):
+    # 5 (grid) or 9 (threshold pre-sweep) points between adjacent doubles must repeat
+    scn = write(tmp_path, "dup.scn", f"[family]\nkind = linear\nA = -1 1 ; 1 -1\nV_diag = 1 -1\n{section}\n")
+    assert main(_argv(command, scn, tmp_path / "out")) == 2
+    assert re.fullmatch(rf"ParseError: {re.escape(scn)}: \d points from .* repeat a value in double precision\n", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_numerical_failure_exit_code(tmp_path):
@@ -290,6 +308,15 @@ def test_suite_deterministic_and_green(tmp_path):
     lines = out1.read_text().strip().split("\n")
     assert len(lines) == 3 * 16
     assert all(",pass," in row or ",fail," in row for row in lines)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_suite_seed_count_below_one_is_usage_error(tmp_path, capsys, count):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["suite", "--seed-count", count, "--out", str(tmp_path / "s.txt")])
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,7 @@ def test_minimal_linear_scenario(tmp_path):
     assert isinstance(sc.family, LinearFamily)
     np.testing.assert_array_equal(sc.family.A, [[-1.0, 1.0], [1.0, -1.0]])
     np.testing.assert_array_equal(sc.family.V, np.diag([1.0, -1.0]))
-    assert sc.grid is None and sc.tolerances == {}
+    assert sc.grid is None
 
 
 def test_linear_scenario_with_grid_and_extras(tmp_path):
@@ -41,15 +44,11 @@ name = m
 start = 0.1
 stop = 5
 count = 21
-
-[tolerances]
-convexity_m = 1e-8
 """,
         )
     )
     assert sc.grid_name == "m"
     assert len(sc.grid) == 21
-    assert sc.tolerances == {"convexity_m": 1e-8}
 
 
 def test_matrix_file_reference(tmp_path):
@@ -142,19 +141,23 @@ def test_unknown_kind_rejected(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ParseError, match="unknown key"):
         parse_scenario(write(tmp_path, MINIMAL_LINEAR + "[family2]\nwat = 1\n"))
-    with pytest.raises(ParseError, match=r"line 8: .*unknown key 'convexity_mm' in section \[tolerances\]"):
-        parse_scenario(write(tmp_path, MINIMAL_LINEAR + "[tolerances]\nconvexity_mm = -5\n"))
+    with pytest.raises(ParseError, match=r"line 8: .*unknown key 'convexity_m' in section \[tolerances\]"):
+        parse_scenario(write(tmp_path, MINIMAL_LINEAR + "[tolerances]\nconvexity_m = 1e-8\n"))
+    grid = "[grid]\nname = m\nstart = 0.1\nstop = 5\ncount = 21\n"
+    with pytest.raises(ParseError, match=r"line 12: .*unknown key 'spacing' in section \[grid\]"):
+        parse_scenario(write(tmp_path, MINIMAL_LINEAR + grid + "spacing = linear\n"))
     with pytest.raises(ParseError, match=r"unknown key 'seeds' in section \[suite\]"):
         parse_scenario(write(tmp_path, MINIMAL_LINEAR + "[suite]\nseeds = 0 1 2\n"))
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("key", ["convexity_beta", "convexity_m", "growth_bound"])
-def test_tolerance_must_be_finite_and_nonnegative(tmp_path, key, value):
-    with pytest.raises(ParseError, match=rf"line 8: .*tolerance {key} must be finite and >= 0"):
-        parse_scenario(write(tmp_path, MINIMAL_LINEAR + f"[tolerances]\n{key} = {value}\n"))
-    sc = parse_scenario(write(tmp_path, MINIMAL_LINEAR + f"[tolerances]\n{key} = 0\n"))
-    assert sc.tolerances == {key: 0.0}
+def test_readme_scenario_example_parses(tmp_path):
+    # the README's scenario block documents every key a linear scenario takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    sc = parse_scenario(write(tmp_path, block))
+    assert sc.family_kind == "linear"
+    assert sc.grid_name == "m" and len(sc.grid) == 21
+    assert sc.bracket == (0.1, 10.0)
 
 
 def test_parse_error_carries_line_number(tmp_path):
