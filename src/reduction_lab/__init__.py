@@ -22,6 +22,7 @@ from .checks import (
     karlin_monotonicity_check,
     lindqvist_check,
     perron_derivative,
+    positivity_of_semigroup_check,
     strict_convexity_probe,
     sweep_spb_in_beta,
     sweep_spb_in_m,
@@ -73,6 +74,6 @@ from .perron import (
     spectral_bound,
     square_matrix,
 )
-from .semigroup import expm, growth_bound_estimate, positivity_of_semigroup_check
+from .semigroup import expm, growth_bound_estimate
 
 __version__ = "0.1.0"

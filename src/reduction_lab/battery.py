@@ -13,6 +13,7 @@ from .checks import (
     kingman_superconvexity_check,
     karlin_monotonicity_check,
     linear_family_lines,
+    positivity_of_semigroup_check,
     strict_convexity_line,
     strict_convexity_probe,
 )
@@ -27,7 +28,7 @@ from .gallery import (
 from .oracle import eigenvalues_oracle
 from .perron import spectral_bound
 from .rng import XorShift64Star
-from .semigroup import GROWTH_TOL, growth_bound_estimate, positivity_of_semigroup_check
+from .semigroup import GROWTH_TOL, growth_bound_estimate
 
 ORACLE_TOL = 1e-8
 

@@ -1,9 +1,9 @@
-"""Sweep drivers and numerical certifiers.
+"""Sweep drivers, numerical certifiers and the report lines built from them.
 
 Each checker sweeps a family, tests the asserted inequality on the sampled
 grid, and reports a worst-case margin with the witnessing parameters. Margins
 are signed slacks: nonnegative (up to the stated tolerance) means the
-inequality held.
+inequality held. The `*_lines` functions build each family kind's `check` report.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +19,9 @@ from .errors import (
     ZeroSpectralRadius,
 )
 from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagonal
-from .perron import SpectralData, is_irreducible, perron_vectors, spectral_bound, square_matrix
+from .perron import SpectralData, is_essentially_nonnegative, is_irreducible, is_resolvent_positive_at
+from .perron import perron_vectors, spectral_bound, square_matrix
+from .semigroup import GROWTH_TOL, expm, growth_bound_estimate
 
 CHECK_TOL = 1e-9
 HOMOGENEITY_TOL = 1e-10
@@ -29,6 +31,13 @@ FD_STEP_SCALE = 1e-5
 THRESHOLD_VALUE_TOL = 1e-10
 THRESHOLD_WIDTH_TOL = 1e-12
 THRESHOLD_PRESWEEP = 9  # grid points of the monotonicity pre-sweep
+SEMIGROUP_POSITIVITY_TOL = 1e-10
+
+
+def is_uniform(grid: np.ndarray) -> bool:
+    """Whether the steps of a strictly increasing grid agree to 1e-9 of their mean."""
+    diffs = np.diff(grid)
+    return bool(np.max(np.abs(diffs - diffs.mean())) <= 1e-9 * float(diffs.mean()))
 
 
 @dataclass
@@ -45,11 +54,9 @@ class SweepResult:
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape or len(self.grid) < 3:
             raise ValueError("grid and values must be equal-length vectors with >= 3 points")
-        diffs = np.diff(self.grid)
-        if (diffs <= 0.0).any():
+        if (np.diff(self.grid) <= 0.0).any():
             raise ValueError("grid must be strictly increasing")
-        mean = float(diffs.mean())
-        self.uniform = bool(np.max(np.abs(diffs - mean)) <= 1e-9 * mean)
+        self.uniform = is_uniform(self.grid)
 
 
 @dataclass
@@ -336,6 +343,43 @@ def homogeneity_check(F: LinearFamily, m: float, beta: float, alphas) -> CheckOu
     )
 
 
+def positivity_of_semigroup_check(M, t_grid) -> CheckOutcome:
+    """Check: e^{tM} >= 0 on the probed times iff M is essentially nonnegative.
+
+    For Metzler inputs the resolvent at spb + 1 is additionally required to be
+    entrywise nonnegative.
+    """
+    M = square_matrix(M)
+    t_grid = np.asarray(t_grid, dtype=float)
+    if (t_grid <= 0.0).any():
+        raise ValueError("probe times must be strictly positive")
+    metzler = is_essentially_nonnegative(M)
+    min_entry = np.inf
+    worst_t = float(t_grid[0])
+    for t in t_grid:
+        entry = float(expm(M, t).min())
+        if entry < min_entry:
+            min_entry = entry
+            worst_t = float(t)
+    semigroup_positive = min_entry >= -SEMIGROUP_POSITIVITY_TOL
+    equivalence = semigroup_positive == metzler
+
+    resolvent_ok = True
+    detail = "non-Metzler instance"
+    if metzler:
+        resolvent_ok = is_resolvent_positive_at(M, spectral_bound(M).spb + 1.0)
+        detail = f"Metzler instance; resolvent at spb+1 positive: {resolvent_ok}"
+        margin = min_entry + SEMIGROUP_POSITIVITY_TOL
+    else:
+        margin = -SEMIGROUP_POSITIVITY_TOL - min_entry
+    return CheckOutcome(
+        passed=bool(equivalence and resolvent_ok),
+        margin=float(margin),
+        witness={"t": worst_t, "min_entry": min_entry},
+        detail=detail,
+    )
+
+
 def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
     """Bisect spb(m*A + V) = 0 on [m_lo, m_hi].
 
@@ -420,3 +464,77 @@ def linear_family_lines(
         lines.append(CheckLine.from_outcome("lindqvist", lindqvist_check(F.A, F.V)))
         lines.append(CheckLine.from_outcome("kirkland", kirkland_check(F.A)))
     return lines, sweep_b, convex_b
+
+
+def linear_check_lines(F: LinearFamily, beta_grid, m_grid) -> list[CheckLine]:
+    """The `check` report of a linear family: the family lines probed at the middle of
+    the m grid, then the strict-convexity line when A is irreducible."""
+    lines, sweep_b, convex_b = linear_family_lines(
+        F, spectral_bound(F.A).spb, beta_grid, m_grid, float(m_grid[len(m_grid) // 2])
+    )
+    if is_irreducible(F.A):
+        # the probe reads only the second differences, which the beta sweep already has
+        lines.append(strict_convexity_line(convex_b, sweep_b))
+    return lines
+
+
+def karlin_family_lines(F: KarlinFamily, alpha_grid) -> list[CheckLine]:
+    """The `check` report of a Karlin family [(1-alpha)I + alpha P]D."""
+    lines = [CheckLine.from_outcome("karlin_monotonicity", karlin_monotonicity_check(F, alpha_grid))]
+    derived = F.linear
+    spb_mix = spectral_bound(derived.A).spb
+    # reciprocal growth rates form a positive right null vector of (P - I)D
+    lines.append(CheckLine.within("mixing_spb_zero", abs(spb_mix), 1e-10, spb=spb_mix))
+    if np.max(np.abs(F.P.sum(axis=0) - 1.0)) <= 1e-12:
+        # the left-null identity is a theorem only when columns also sum to 1
+        worst = float(np.max(np.abs(derived.A.sum(axis=0))))
+        null_tol = 1e-13 * max(1.0, float(np.max(np.abs(derived.A))))
+        lines.append(CheckLine.within("left_null_identity", worst, null_tol, max_colsum=worst))
+    worst_gap = 0.0
+    for a in alpha_grid:
+        direct = ((1.0 - a) * np.eye(F.n) + a * F.P) @ F.D
+        worst_gap = max(worst_gap, float(np.max(np.abs(direct - F.matrix_at(a)))))
+    cons_tol = 1e-13 * max(1.0, float(np.max(np.abs(F.D))))
+    lines.append(CheckLine.within("karlin_consistency", worst_gap, cons_tol, max_gap=worst_gap))
+    sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
+    lines.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep, spb_mix)))
+    return lines
+
+
+def kingman_family_lines(F: KingmanFamily, theta_grid) -> list[CheckLine]:
+    """The `check` report of a Kingman family; `log_affine_entries` probes the grid's
+    ends and its middle point, or the midpoint when that point is not halfway."""
+    lines = [CheckLine.from_outcome("kingman_superconvexity", kingman_superconvexity_check(F, theta_grid))]
+    probes = [float(theta_grid[0]), float(theta_grid[len(theta_grid) // 2]), float(theta_grid[-1])]
+    if not np.allclose(np.diff(probes), probes[1] - probes[0], atol=0.0):
+        probes = [probes[0], 0.5 * (probes[0] + probes[2]), probes[2]]
+    nonzero = F.c != 0.0
+    logs = [np.log(F.c[nonzero]) + F.g[nonzero] * t for t in probes]
+    worst = float(np.max(np.abs(logs[0] - 2.0 * logs[1] + logs[2]), initial=0.0))
+    # the log of every nonzero entry must be affine in theta
+    lines.append(CheckLine.within("log_affine_entries", worst, 1e-12, second_difference=worst))
+    return lines
+
+
+def operator_family_lines(F: LinearFamily, m_grid, zero_row_sums: bool) -> list[CheckLine]:
+    """The `check` report of an operator A + V split as F; zero row sums force
+    spb = 0, so `zero_row_sums` adds the `spb_zero` line."""
+    A = F.matrix_at(1.0)
+    n = A.shape[0]
+    off = A[~np.eye(n, dtype=bool)]
+    # parse_scenario has already rejected a non-Metzler mixing part, so this line reports the margin
+    lines = [CheckLine("essential_nonnegativity", is_essentially_nonnegative(A), float(np.min(off)), f"n={n}")]
+    data = spectral_bound(A)
+    if zero_row_sums:
+        lines.append(CheckLine.within("spb_zero", abs(data.spb), 1e-10, spb=data.spb))
+    # the resolvent is entrywise nonnegative beyond the spectral bound
+    positive = all(is_resolvent_positive_at(A, data.spb + offset) for offset in (0.1, 1.0, 10.0))
+    lines.append(CheckLine("resolvent_positive", positive, 1.0 if positive else -1.0, f"spb={data.spb:.9g}"))
+    lines.append(CheckLine.from_outcome("semigroup_positivity", positivity_of_semigroup_check(A, [0.1, 1.0, 5.0])))
+    omega = growth_bound_estimate(A)
+    gtol = GROWTH_TOL * max(1.0, abs(data.spb))
+    lines.append(CheckLine.within("growth_bound", abs(omega - data.spb), gtol, omega=omega, spb=data.spb))
+    sweep = sweep_spb_in_m(F, m_grid)
+    spb_mix = spectral_bound(F.A).spb
+    lines.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep, spb_mix)))
+    return lines

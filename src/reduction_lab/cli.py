@@ -11,19 +11,15 @@ Exit codes: 0 success, 1 check failure, 2 parse/IO error, 3 numerical failure.
 import argparse
 import sys
 
-import numpy as np
-
 from .battery import run_suite
 from .checks import (
     CheckLine,
-    check_monotone_reduction,
     find_threshold,
-    kingman_superconvexity_check,
-    karlin_monotonicity_check,
-    linear_family_lines,
+    karlin_family_lines,
+    kingman_family_lines,
+    linear_check_lines,
+    operator_family_lines,
     solve_along,
-    strict_convexity_line,
-    sweep_spb_in_m,
 )
 from .errors import (
     InvariantViolation,
@@ -34,9 +30,8 @@ from .errors import (
     ReductionLabError,
 )
 from .matrixio import format_value, load_matrix
-from .perron import is_essentially_nonnegative, is_irreducible, is_resolvent_positive_at, spectral_bound
+from .perron import spectral_bound
 from .scenario import Scenario, parse_scenario
-from .semigroup import GROWTH_TOL, growth_bound_estimate, positivity_of_semigroup_check
 
 
 def _write_lines(path, lines):
@@ -92,85 +87,21 @@ def run_curve(args) -> int:
     return 0
 
 
-def _linear_checks(sc: Scenario) -> list[CheckLine]:
-    fam = sc.family
-    m_grid, beta_grid = sc.grid_for("m"), sc.grid_for("beta")
-    lines, sweep_b, convex_b = linear_family_lines(
-        fam, spectral_bound(fam.A).spb, beta_grid, m_grid, float(m_grid[len(m_grid) // 2])
-    )
-    if is_irreducible(fam.A):
-        # the probe reads only the second differences, which the beta sweep already has
-        lines.append(strict_convexity_line(convex_b, sweep_b))
-    return lines
-
-
-def _karlin_checks(sc: Scenario) -> list[CheckLine]:
-    fam, alpha_grid = sc.family, sc.grid_for("alpha")
-    lines = [CheckLine.from_outcome("karlin_monotonicity", karlin_monotonicity_check(fam, alpha_grid))]
-    derived = fam.linear
-    spb_mix = spectral_bound(derived.A).spb
-    # reciprocal growth rates form a positive right null vector of (P - I)D
-    lines.append(CheckLine.within("mixing_spb_zero", abs(spb_mix), 1e-10, spb=spb_mix))
-    if np.max(np.abs(fam.P.sum(axis=0) - 1.0)) <= 1e-12:
-        # the left-null identity is a theorem only when columns also sum to 1
-        worst = float(np.max(np.abs(derived.A.sum(axis=0))))
-        null_tol = 1e-13 * max(1.0, float(np.max(np.abs(derived.A))))
-        lines.append(CheckLine.within("left_null_identity", worst, null_tol, max_colsum=worst))
-    worst_gap = 0.0
-    for a in alpha_grid:
-        direct = ((1.0 - a) * np.eye(fam.n) + a * fam.P) @ fam.D
-        worst_gap = max(worst_gap, float(np.max(np.abs(direct - fam.matrix_at(a)))))
-    cons_tol = 1e-13 * max(1.0, float(np.max(np.abs(fam.D))))
-    lines.append(CheckLine.within("karlin_consistency", worst_gap, cons_tol, max_gap=worst_gap))
-    sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
-    lines.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep, spb_mix)))
-    return lines
-
-
-def _kingman_checks(sc: Scenario) -> list[CheckLine]:
-    fam, theta_grid = sc.family, sc.grid_for("theta")
-    lines = [CheckLine.from_outcome("kingman_superconvexity", kingman_superconvexity_check(fam, theta_grid))]
-    probes = [float(theta_grid[0]), float(theta_grid[len(theta_grid) // 2]), float(theta_grid[-1])]
-    if not np.allclose(np.diff(probes), probes[1] - probes[0]):
-        probes = [probes[0], 0.5 * (probes[0] + probes[2]), probes[2]]
-    nonzero = fam.c != 0.0
-    logs = [np.log(fam.c[nonzero]) + fam.g[nonzero] * t for t in probes]
-    worst = float(np.max(np.abs(logs[0] - 2.0 * logs[1] + logs[2]), initial=0.0))
-    # the log of every nonzero entry must be affine in theta
-    lines.append(CheckLine.within("log_affine_entries", worst, 1e-12, second_difference=worst))
-    return lines
-
-
-def _operator_checks(sc: Scenario) -> list[CheckLine]:
-    fam = sc.family
-    A = fam.matrix_at(1.0)
-    n = A.shape[0]
-    off = A[~np.eye(n, dtype=bool)]
-    # parse_scenario has already rejected a non-Metzler mixing part, so this line reports the margin
-    lines = [CheckLine("essential_nonnegativity", is_essentially_nonnegative(A), float(np.min(off)), f"n={n}")]
-    data = spectral_bound(A)
-    if sc.family_kind == "laplacian" and sc.grid1d.boundary in ("neumann", "periodic"):
-        # zero row sums force spb = 0
-        lines.append(CheckLine.within("spb_zero", abs(data.spb), 1e-10, spb=data.spb))
-    # the resolvent is entrywise nonnegative beyond the spectral bound
-    positive = all(is_resolvent_positive_at(A, data.spb + offset) for offset in (0.1, 1.0, 10.0))
-    lines.append(CheckLine("resolvent_positive", positive, 1.0 if positive else -1.0, f"spb={data.spb:.9g}"))
-    lines.append(CheckLine.from_outcome("semigroup_positivity", positivity_of_semigroup_check(A, [0.1, 1.0, 5.0])))
-    omega = growth_bound_estimate(A)
-    gtol = GROWTH_TOL * max(1.0, abs(data.spb))
-    lines.append(CheckLine.within("growth_bound", abs(omega - data.spb), gtol, omega=omega, spb=data.spb))
-    sweep = sweep_spb_in_m(fam, sc.grid_for("m"))
-    spb_mix = spectral_bound(fam.A).spb
-    lines.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep, spb_mix)))
-    return lines
-
-
-FAMILY_CHECKS = {"linear": _linear_checks, "karlin": _karlin_checks, "kingman": _kingman_checks}
+# family kind -> the builder of its `check` report; a Neumann or periodic
+# Laplacian has zero row sums, the operator builder's last argument
+FAMILY_CHECKS = {
+    "linear": lambda sc: linear_check_lines(sc.family, sc.grid_for("beta"), sc.grid_for("m")),
+    "karlin": lambda sc: karlin_family_lines(sc.family, sc.grid_for("alpha")),
+    "kingman": lambda sc: kingman_family_lines(sc.family, sc.grid_for("theta")),
+    "laplacian": lambda sc: operator_family_lines(sc.family, sc.grid_for("m"), sc.grid1d.boundary != "dirichlet"),
+    "elliptic": lambda sc: operator_family_lines(sc.family, sc.grid_for("m"), False),
+    "nonlocal": lambda sc: operator_family_lines(sc.family, sc.grid_for("m"), False),
+}
 
 
 def run_check(args) -> int:
     sc = parse_scenario(args.scenario)
-    return _write_report(args.out, FAMILY_CHECKS.get(sc.family_kind, _operator_checks)(sc))
+    return _write_report(args.out, FAMILY_CHECKS[sc.family_kind](sc))
 
 
 def run_threshold(args) -> int:

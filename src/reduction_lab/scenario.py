@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import THRESHOLD_PRESWEEP
+from .checks import THRESHOLD_PRESWEEP, is_uniform
 from .errors import InvariantViolation, NegativeKernel, NonPositiveDiffusion, ParseError
 from .gallery import Grid1D, KarlinFamily, KingmanFamily, LinearFamily, elliptic_1d, laplacian_1d, nonlocal_operator
 from .matrixio import load_matrix
@@ -312,6 +312,8 @@ def parse_scenario(path) -> Scenario:
         if name == "alpha" and (start < 0 or stop > 1):
             raise ParseError(f"{origin}: alpha grids must stay inside [0, 1]")
         grid_name, grid = name, _linspace(origin, start, stop, count)
+        if not is_uniform(grid):  # the second differences of `check` need even steps
+            raise ParseError(f"{origin}: {count} points from {start!r} to {stop!r} are unevenly spaced")
 
     m_lo = _take_float(items, "threshold", "m_lo")
     m_hi = _take_float(items, "threshold", "m_hi")

@@ -2,27 +2,19 @@
 
 In finite dimension the growth bound omega(M) = lim (1/t) log ||e^{tM}||
 coincides with the spectral bound, and the semigroup e^{tM} is entrywise
-nonnegative for all t >= 0 exactly when M is essentially nonnegative. Both
-facts are checked numerically here.
+nonnegative for all t >= 0 exactly when M is essentially nonnegative. This
+module only computes; `checks.py` certifies both facts with these numbers.
 """
 
 import math
 
 import numpy as np
 
-from .checks import CheckOutcome
 from .errors import NoConvergence, OverflowRisk
-from .perron import (
-    EPS,
-    is_essentially_nonnegative,
-    is_resolvent_positive_at,
-    spectral_bound,
-    square_matrix,
-)
+from .perron import EPS, square_matrix
 
 TAYLOR_TERMS = 16
 SCALE_TARGET = 0.5
-SEMIGROUP_POSITIVITY_TOL = 1e-10
 MAX_DOUBLINGS = 64
 GROWTH_TOL = 1e-9  # growth_bound checks pass when |omega - spb| <= GROWTH_TOL*max(1, |spb|)
 
@@ -48,43 +40,6 @@ def expm(M, t: float) -> np.ndarray:
     for _ in range(squarings):
         P = P @ P
     return P
-
-
-def positivity_of_semigroup_check(M, t_grid) -> CheckOutcome:
-    """Check: e^{tM} >= 0 on the probed times iff M is essentially nonnegative.
-
-    For Metzler inputs the resolvent at spb + 1 is additionally required to be
-    entrywise nonnegative.
-    """
-    M = square_matrix(M)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid <= 0.0).any():
-        raise ValueError("probe times must be strictly positive")
-    metzler = is_essentially_nonnegative(M)
-    min_entry = np.inf
-    worst_t = float(t_grid[0])
-    for t in t_grid:
-        entry = float(expm(M, t).min())
-        if entry < min_entry:
-            min_entry = entry
-            worst_t = float(t)
-    semigroup_positive = min_entry >= -SEMIGROUP_POSITIVITY_TOL
-    equivalence = semigroup_positive == metzler
-
-    resolvent_ok = True
-    detail = "non-Metzler instance"
-    if metzler:
-        resolvent_ok = is_resolvent_positive_at(M, spectral_bound(M).spb + 1.0)
-        detail = f"Metzler instance; resolvent at spb+1 positive: {resolvent_ok}"
-        margin = min_entry + SEMIGROUP_POSITIVITY_TOL
-    else:
-        margin = -SEMIGROUP_POSITIVITY_TOL - min_entry
-    return CheckOutcome(
-        passed=bool(equivalence and resolvent_ok),
-        margin=float(margin),
-        witness={"t": worst_t, "min_entry": min_entry},
-        detail=detail,
-    )
 
 
 def _renormalized(E):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from reduction_lab import KingmanFamily, perron, save_matrix
-from reduction_lab.cli import _kingman_checks, main
-from reduction_lab.scenario import Scenario, parse_scenario
+from reduction_lab.checks import kingman_family_lines
+from reduction_lab.cli import main
+from reduction_lab.scenario import parse_scenario
 
 MATRIX_SYM = "2\n-1 1\n1 -1\n"
 
@@ -218,24 +219,31 @@ def test_check_karlin_scenario(tmp_path):
     assert "left_null_identity" in names and "karlin_consistency" in names
 
 
-def test_check_operator_scenario(tmp_path):
+@pytest.mark.parametrize(
+    "kind, boundary", [("laplacian", "dirichlet"), ("laplacian", "neumann"), ("laplacian", "periodic"), ("elliptic", "neumann")]
+)
+def test_check_operator_scenario(tmp_path, kind, boundary):
     scn = write(
         tmp_path,
         "op.scn",
-        """
+        f"""
 [family]
-kind = laplacian
+kind = {kind}
 
 [operator]
 n = 12
 length = 1
-boundary = neumann
+boundary = {boundary}
 """,
     )
     out = tmp_path / "report.txt"
     assert main(["check", scn, "--out", str(out)]) == 0
     text = out.read_text()
-    assert "spb_zero,pass" in text
+    # only a Laplacian with Neumann or periodic boundary rows has zero row sums, so spb = 0
+    zero_row_sums = kind == "laplacian" and boundary != "dirichlet"
+    assert [l.startswith("spb_zero,") for l in text.splitlines()].count(True) == int(zero_row_sums)
+    if zero_row_sums:
+        assert "spb_zero,pass" in text
     assert "essential_nonnegativity,pass" in text
     assert "growth_bound,pass" in text
 
@@ -268,20 +276,26 @@ def test_check_derivative_probe_near_zero_m(tmp_path):
     assert fd == pytest.approx(-1.0 + m / np.sqrt(m * m + 1.0), abs=1e-8)
 
 
+UNEVEN_GRID = "[grid]\nname = beta\nstart = 1\nstop = 1.0000000000000009\ncount = 4"
+
+
 @pytest.mark.parametrize(
-    "command, section",
+    "command, section, problem",
     [
-        ("check", "[grid]\nname = beta\nstart = 1\nstop = 1.0000000000000002\ncount = 5"),
-        ("curve", "[grid]\nname = beta\nstart = 1\nstop = 1.0000000000000002\ncount = 5"),
-        ("threshold", "[threshold]\nm_lo = 1\nm_hi = 1.0000000000000002"),
+        ("check", "[grid]\nname = beta\nstart = 1\nstop = 1.0000000000000002\ncount = 5", "repeat a value in double precision"),
+        ("curve", "[grid]\nname = beta\nstart = 1\nstop = 1.0000000000000002\ncount = 5", "repeat a value in double precision"),
+        ("threshold", "[threshold]\nm_lo = 1\nm_hi = 1.0000000000000002", "repeat a value in double precision"),
+        ("check", UNEVEN_GRID, "are unevenly spaced"),
+        ("curve", UNEVEN_GRID, "are unevenly spaced"),
     ],
-    ids=["check", "curve", "threshold"],
+    ids=["check", "curve", "threshold", "check-uneven", "curve-uneven"],
 )
-def test_repeating_grid_points_are_a_parse_error(tmp_path, capsys, command, section):
-    # 5 (grid) or 9 (threshold pre-sweep) points between adjacent doubles must repeat
+def test_repeating_grid_points_are_a_parse_error(tmp_path, capsys, command, section, problem):
+    # 5 (grid) or 9 (threshold pre-sweep) points between adjacent doubles must repeat;
+    # 4 points across 3 ulp round to steps of 1, 2 and 1 ulp
     scn = write(tmp_path, "dup.scn", f"[family]\nkind = linear\nA = -1 1 ; 1 -1\nV_diag = 1 -1\n{section}\n")
     assert main(_argv(command, scn, tmp_path / "out")) == 2
-    assert re.fullmatch(rf"ParseError: {re.escape(scn)}: \d points from .* repeat a value in double precision\n", capsys.readouterr().err)
+    assert re.fullmatch(rf"ParseError: {re.escape(scn)}: \d points from .* {problem}\n", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -338,18 +352,18 @@ def test_kingman_log_affine_line_matches_entry_loop():
     for n in (2, 3, 5):
         c = rng.uniform(0.2, 2.0, (n, n)) * (rng.uniform(size=(n, n)) > 0.4) + np.eye(n)
         g = rng.normal(size=(n, n))
-        grid = np.linspace(-1.0, 0.7, 6)  # uneven probes: the middle one is replaced
-        sc = Scenario("kingman", KingmanFamily(c, g), "theta", grid)
-        probes = [grid[0], 0.5 * (grid[0] + grid[-1]), grid[-1]]
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                if c[i, j] != 0.0:
-                    logs = [np.log(c[i, j]) + g[i, j] * t for t in probes]
-                    worst = max(worst, abs(logs[0] - 2.0 * logs[1] + logs[2]))
-        (line,) = [l for l in _kingman_checks(sc) if l.name == "log_affine_entries"]
-        assert line.margin == 1e-12 - worst
-        assert line.witness == f"second_difference={worst:.9g}"
+        # uneven probes: the middle one is replaced, also when the grid is narrower than 1e-8
+        for grid in (np.linspace(-1.0, 0.7, 6), np.linspace(0, 3e-9, 4)):
+            probes = [grid[0], 0.5 * (grid[0] + grid[-1]), grid[-1]]
+            worst = 0.0
+            for i in range(n):
+                for j in range(n):
+                    if c[i, j] != 0.0:
+                        logs = [np.log(c[i, j]) + g[i, j] * t for t in probes]
+                        worst = max(worst, abs(logs[0] - 2.0 * logs[1] + logs[2]))
+            (line,) = [l for l in kingman_family_lines(KingmanFamily(c, g), grid) if l.name == "log_affine_entries"]
+            assert line.margin == 1e-12 - worst
+            assert line.witness == f"second_difference={worst:.9g}"
 
 
 def test_scenario_parse_error_exit_code(tmp_path):
