@@ -12,7 +12,9 @@ to its name (the first comma-separated field), its number of comma-separated
 fields, its pass/fail word and its `verdict=` word; numbers after those may
 move. If any such key, the number of lines, or an exit code differs, the
 differences are printed, nothing is written and the script exits 1. Otherwise
-the files are overwritten and the number of changed lines per file is printed.
+the files are overwritten, and per file the number of changed lines is printed
+with the names of the changed lines (a suite line without its `sNNN.` seed
+prefix), so that a reviewer sees which kinds of line moved.
 
     PYTHONPATH=src python scripts/regen_goldens.py
 """
@@ -28,6 +30,7 @@ from reduction_lab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 VERDICT = re.compile(r"verdict=(\w+)")
+SEED_PREFIX = re.compile(r"^s\d+\.")
 
 
 def line_key(line: str) -> tuple:
@@ -86,11 +89,12 @@ def main_script() -> int:
         return 1
     lines = files = 0
     for name, text in new.items():
-        changed = sum(a != b for a, b in zip(committed(name), text.splitlines()))
+        changed = [new_line for old, new_line in zip(committed(name), text.splitlines()) if old != new_line]
         if changed:
             (GOLDEN / name).write_text(text, encoding="utf-8", newline="\n")
-            print(f"{name}: {changed} lines changed")
-            lines, files = lines + changed, files + 1
+            kinds = sorted({SEED_PREFIX.sub("", line_key(line)[0]) for line in changed})
+            print(f"{name}: {len(changed)} lines changed ({', '.join(kinds)})")
+            lines, files = lines + len(changed), files + 1
     print(f"{lines} lines changed in {files} files")
     return 0
 

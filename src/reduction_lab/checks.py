@@ -516,16 +516,16 @@ def kingman_family_lines(F: KingmanFamily, theta_grid) -> list[CheckLine]:
     return lines
 
 
-def operator_family_lines(F: LinearFamily, m_grid, zero_row_sums: bool) -> list[CheckLine]:
-    """The `check` report of an operator A + V split as F; zero row sums force
-    spb = 0, so `zero_row_sums` adds the `spb_zero` line."""
+def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
+    """The `check` report of an operator A + V split as F; a Metzler operator whose
+    rows sum to exactly 0 has spb = 0, which the `spb_zero` line checks."""
     A = F.matrix_at(1.0)
     n = A.shape[0]
     off = A[~np.eye(n, dtype=bool)]
     # parse_scenario has already rejected a non-Metzler mixing part, so this line reports the margin
     lines = [CheckLine("essential_nonnegativity", is_essentially_nonnegative(A), float(np.min(off)), f"n={n}")]
     data = spectral_bound(A)
-    if zero_row_sums:
+    if not A.sum(axis=1).any():
         lines.append(CheckLine.within("spb_zero", abs(data.spb), 1e-10, spb=data.spb))
     # the resolvent is entrywise nonnegative beyond the spectral bound
     positive = all(is_resolvent_positive_at(A, data.spb + offset) for offset in (0.1, 1.0, 10.0))

@@ -87,15 +87,14 @@ def run_curve(args) -> int:
     return 0
 
 
-# family kind -> the builder of its `check` report; a Neumann or periodic
-# Laplacian has zero row sums, the operator builder's last argument
+# family kind -> the builder of its `check` report
 FAMILY_CHECKS = {
     "linear": lambda sc: linear_check_lines(sc.family, sc.grid_for("beta"), sc.grid_for("m")),
     "karlin": lambda sc: karlin_family_lines(sc.family, sc.grid_for("alpha")),
     "kingman": lambda sc: kingman_family_lines(sc.family, sc.grid_for("theta")),
-    "laplacian": lambda sc: operator_family_lines(sc.family, sc.grid_for("m"), sc.grid1d.boundary != "dirichlet"),
-    "elliptic": lambda sc: operator_family_lines(sc.family, sc.grid_for("m"), False),
-    "nonlocal": lambda sc: operator_family_lines(sc.family, sc.grid_for("m"), False),
+    **dict.fromkeys(
+        ("laplacian", "elliptic", "nonlocal"), lambda sc: operator_family_lines(sc.family, sc.grid_for("m"))
+    ),
 }
 
 

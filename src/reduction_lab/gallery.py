@@ -6,14 +6,16 @@ mixing-growth pairs m*A + beta*V, row-stochastic dispersal families
 and finite-difference / quadrature surrogates of diffusion, drift-diffusion,
 and nonlocal dispersal operators. Each family class evaluates its member at a
 parameter with `matrix_at`, the one evaluator every sweep calls. Discretizers
-produce exactly essentially nonnegative matrices by construction.
+build only the mixing generator, essentially nonnegative by construction; a
+growth term is an operator of multiplication, the V of a LinearFamily.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidAlpha, NegativeKernel, NonPositiveDiffusion
+from .errors import InvalidAlpha, NegativeKernel, NonPositiveDiffusion, OverflowRisk
 from .perron import is_essentially_nonnegative, square_matrix
 from .rng import XorShift64Star
 
@@ -114,10 +116,12 @@ class KingmanFamily:
         return self.c.shape[0]
 
     def matrix_at(self, theta: float) -> np.ndarray:
-        """Evaluate the family at theta; zero coefficients stay exactly zero."""
-        with np.errstate(over="raise"):
-            grown = np.exp(self.g * theta)
-        return np.where(self.c != 0.0, self.c * grown, 0.0)
+        """Evaluate the family at theta; zero coefficients stay exactly zero, an overflow is OverflowRisk."""
+        try:
+            with np.errstate(over="raise"):
+                return np.where(self.c != 0.0, self.c * np.exp(self.g * theta), 0.0)
+        except FloatingPointError:
+            raise OverflowRisk(f"c*exp(g*theta) overflows double precision at theta = {theta}") from None
 
 
 def kingman_family_eval(F: KingmanFamily, theta: float) -> np.ndarray:
@@ -160,6 +164,9 @@ class Grid1D:
             raise ValueError("grid needs n >= 2 points")
         if not self.length > 0:
             raise ValueError("grid length must be positive")
+        h2 = self.h * self.h  # laplacian_1d scales by 1/h^2
+        if not (h2 > 0.0 and 0.0 < 1.0 / h2 < math.inf):
+            raise ValueError(f"grid length {self.length!r} gives a spacing h whose 1/h^2 is not finite and positive")
         if self.boundary not in ("dirichlet", "neumann", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
@@ -200,14 +207,9 @@ def laplacian_1d(grid: Grid1D) -> np.ndarray:
 
 
 def _sample_on_grid(f, x: np.ndarray, name: str) -> np.ndarray:
-    if callable(f):
-        vals = np.asarray(f(x), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(x.shape, float(vals))
-    else:
-        vals = np.asarray(f, dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(x.shape, float(vals))
+    vals = np.asarray(f(x) if callable(f) else f, dtype=float)
+    if vals.ndim == 0:
+        vals = np.full(x.shape, float(vals))
     if vals.shape != x.shape:
         raise ValueError(f"{name} must evaluate to one value per grid point")
     if not np.isfinite(vals).all():
@@ -215,18 +217,18 @@ def _sample_on_grid(f, x: np.ndarray, name: str) -> np.ndarray:
     return vals
 
 
-def elliptic_1d(a, b, c, grid: Grid1D) -> np.ndarray:
-    """Upwind discretization of a(x) f'' + b(x) f' + c(x) f.
+def elliptic_1d(a, b, grid: Grid1D) -> np.ndarray:
+    """Upwind discretization of the mixing generator a(x) f'' + b(x) f'.
 
     Diffusion uses central differences; drift is upwinded (forward difference
     where b > 0, backward where b < 0), which keeps every off-diagonal entry
     nonnegative regardless of the drift magnitude. Coefficients may be
-    callables on the grid points, arrays, or scalars.
+    callables on the grid points, arrays, or scalars. A growth term c(x) f
+    multiplies, so it is the V of a LinearFamily, not part of this matrix.
     """
     x = grid.points
     av = _sample_on_grid(a, x, "a")
     bv = _sample_on_grid(b, x, "b")
-    cv = _sample_on_grid(c, x, "c")
     if (av <= 0.0).any():
         raise NonPositiveDiffusion("diffusion coefficient must be strictly positive on the grid")
 
@@ -245,17 +247,16 @@ def elliptic_1d(a, b, c, grid: Grid1D) -> np.ndarray:
     # dirichlet: the absorbing ghost value is 0 at an outward end, so only the diagonal remains
     inside = (cols >= 0) & (cols < n)
     M[rows[inside], cols[inside]] += w[inside]
-    M[np.arange(n), np.arange(n)] += cv
     return M
 
 
-def nonlocal_operator(K, b, grid: Grid1D) -> np.ndarray:
-    """Quadrature matrix for f -> integral K(x, y) f(y) dy + b(x) f(x).
+def nonlocal_operator(K, grid: Grid1D) -> np.ndarray:
+    """Quadrature matrix K * h of the dispersal f -> integral K(x, y) f(y) dy.
 
-    K holds kernel samples on the grid (n x n, entrywise nonnegative) and b
-    the diagonal multiplier samples. Weights are the trapezoid rule on the
-    interior points, which is uniform w_j = h there; nonnegative weights keep
-    the result essentially nonnegative.
+    K holds kernel samples on the grid (n x n, entrywise nonnegative). The
+    trapezoid rule on the interior points has the uniform weight h there, so
+    the result is entrywise nonnegative. A growth term b(x) f is the V of a
+    LinearFamily, not part of this matrix.
     """
     K = np.asarray(K, dtype=float)
     n = grid.n
@@ -265,9 +266,7 @@ def nonlocal_operator(K, b, grid: Grid1D) -> np.ndarray:
         raise ValueError("kernel samples must be finite")
     if (K < 0.0).any():
         raise NegativeKernel("kernel samples must be entrywise nonnegative")
-    bv = _sample_on_grid(b, grid.points, "b")
-    weights = np.full(n, grid.h)
-    return K * weights[None, :] + np.diag(bv)
+    return K * grid.h
 
 
 def random_stochastic(n: int, seed: int) -> np.ndarray:

@@ -200,7 +200,8 @@ def _noda(M, abs_M, start=None, below=-math.inf):
 def _solve_irreducible(M, start: SpectralData | None = None, below: float = -math.inf) -> SpectralData:
     """Certified Perron pair of an irreducible M, started from `start`'s vectors.
 
-    A start whose v is not usable (see _usable_start) is ignored as a whole. A
+    A start whose v is not usable (see _usable_start) is ignored as a whole; a
+    started solve left wider than WIDTH_TOL*||M||_inf is solved again cold. A
     solve whose upper end falls below `below` stops there and reports
     spb = spb_hi = that upper end, no u, and its last iterate as v, which a
     later solve can start from.
@@ -217,6 +218,10 @@ def _solve_irreducible(M, start: SpectralData | None = None, below: float = -mat
     v, lo, hi, steps, factors = _noda(M, abs_M, None if start is None else start.v, below)
     if hi < below:
         return SpectralData(hi, None, v, steps, lo, hi)
+    if start is not None and hi - lo > WIDTH_TOL * norm:
+        cold = _solve_irreducible(M, None, below)
+        cold.iterations += steps
+        return cold
     if (M == M.T).all():
         u = v
     else:

@@ -60,7 +60,6 @@ class Scenario:
     family: LinearFamily | KarlinFamily | KingmanFamily
     grid_name: str | None = None
     grid: np.ndarray | None = None
-    grid1d: Grid1D | None = None
     bracket: tuple[float, float] | None = None
     source: str = "<memory>"
 
@@ -132,10 +131,10 @@ def _operator_family(kind: str, grid: Grid1D, coefficients: dict[str, tuple]) ->
         return LinearFamily(laplacian_1d(grid), np.zeros((n, n)))
     if kind == "elliptic":
         a, b, c = (coefficient_values(coefficients[key], x, grid.length) for key in "abc")
-        return LinearFamily(elliptic_1d(a, b, 0.0, grid), np.diag(c))
+        return LinearFamily(elliptic_1d(a, b, grid), np.diag(c))
     K = kernel_values(coefficients["kernel"], x)
     b = coefficient_values(coefficients["b"], x, grid.length)
-    return LinearFamily(nonlocal_operator(K, np.zeros(n), grid), np.diag(b))
+    return LinearFamily(nonlocal_operator(K, grid), np.diag(b))
 
 
 def _read_items(text: str, origin: str):
@@ -264,7 +263,6 @@ def parse_scenario(path) -> Scenario:
     kind = kind.lower()
     if kind not in FAMILY_GRIDS:
         raise ParseError(f"{origin}: unknown family kind {kind!r}", line=kind_line)
-    grid1d = None
     if kind in MATRIX_FAMILIES:
         constructor, keys = MATRIX_FAMILIES[kind]
         args = [_require_matrix(items, "family", key) for key in keys]
@@ -334,4 +332,4 @@ def parse_scenario(path) -> Scenario:
         raise InvariantViolation(f"{origin}: {exc}")
     except (NonPositiveDiffusion, NegativeKernel) as exc:
         raise type(exc)(f"{origin}: {exc}")
-    return Scenario(kind, family, grid_name, grid, grid1d, bracket, origin)
+    return Scenario(kind, family, grid_name, grid, bracket, origin)

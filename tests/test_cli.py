@@ -239,13 +239,53 @@ boundary = {boundary}
     out = tmp_path / "report.txt"
     assert main(["check", scn, "--out", str(out)]) == 0
     text = out.read_text()
-    # only a Laplacian with Neumann or periodic boundary rows has zero row sums, so spb = 0
-    zero_row_sums = kind == "laplacian" and boundary != "dirichlet"
-    assert [l.startswith("spb_zero,") for l in text.splitlines()].count(True) == int(zero_row_sums)
-    if zero_row_sums:
+    # with default coefficients every operator here is the Laplacian; its Neumann and
+    # periodic boundary rows give zero row sums, so spb = 0
+    zero_rows = boundary != "dirichlet"
+    assert [l.startswith("spb_zero,") for l in text.splitlines()].count(True) == int(zero_rows)
+    if zero_rows:
         assert "spb_zero,pass" in text
     assert "essential_nonnegativity,pass" in text
     assert "growth_bound,pass" in text
+
+
+@pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+def test_default_elliptic_check_matches_laplacian(tmp_path, boundary):
+    # a = 1, b = 0, c = 0 discretize to the Laplacian bit for bit, so the reports agree byte for byte
+    reports = []
+    for kind in ("laplacian", "elliptic"):
+        scn = write(tmp_path, f"{kind}.scn", f"[family]\nkind = {kind}\n[operator]\nn = 12\nboundary = {boundary}\n")
+        out = tmp_path / f"{kind}.txt"
+        assert main(["check", scn, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert b"\nspb_zero,pass," in reports[0]
+
+
+@pytest.mark.parametrize("command", ["check", "curve"])
+def test_overflowing_kingman_entry_exits_3(tmp_path, capsys, command):
+    # exp(1000*0.8) overflows double precision
+    scn = write(
+        tmp_path,
+        "k.scn",
+        "[family]\nkind = kingman\nc = 1 1 ; 1 1\ng = 1000 0 ; 0 0\n[grid]\nname = theta\nstart = 0.7\nstop = 0.9\ncount = 3\n",
+    )
+    assert main([command, scn, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("OverflowRisk: ") and "theta = 0.8" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("length", ["inf", "1e200"])
+@pytest.mark.parametrize("command", ["check", "curve"])
+def test_operator_length_without_finite_spacing_is_rejected(tmp_path, capsys, length, command):
+    # 1/h^2 is 0 at these lengths, which would make the Laplacian the zero matrix
+    scn = write(
+        tmp_path, "op.scn", f"[family]\nkind = laplacian\n[operator]\nn = 8\nlength = {length}\n[grid]\nname = m\nstart = 0.5\nstop = 2\ncount = 3\n"
+    )
+    assert main([command, scn, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"InvariantViolation: {scn}: grid length ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_failure_sets_exit_code(tmp_path, monkeypatch):

@@ -108,6 +108,19 @@ def test_unrelated_start_still_certifies(n):
         assert np.abs(data.u / data.u.max() - _lapack_left_perron(M)).max() <= 1e-13
 
 
+def test_start_whose_solve_overflows_falls_back_to_the_cold_solve():
+    # from the Perron pair of a, the first scaled solve of b overflows and leaves the
+    # bracket [3.7e108, 1.4e217] open; the cold solve closes it
+    a = np.array([[np.exp(250.0), 1.0], [1.0, 1.0]])
+    b = np.array([[np.exp(500.0), 1.0], [1.0, 1.0]])
+    cold = spectral_bound(b)
+    warm = spectral_bound(b, start=spectral_bound(a))
+    assert warm.spb == cold.spb == 1.4035922178528375e217
+    assert (warm.spb_lo, warm.spb_hi) == (cold.spb_lo, cold.spb_hi)
+    np.testing.assert_array_equal(warm.v, cold.v)
+    np.testing.assert_array_equal(warm.u, cold.u)
+
+
 def _every_block_solved(M):
     """(max spb, max spb_lo, max spb_hi, total solves) with every diagonal block solved in full."""
     blocks = [spectral_bound(B) for B in _scc_blocks(M)]

@@ -124,22 +124,14 @@ def test_laplacian_dirichlet_spb_closed_form():
 
 def test_elliptic_degenerate_equals_laplacian():
     grid = Grid1D(5, 2.0, "dirichlet")
-    np.testing.assert_array_equal(elliptic_1d(1.0, 0.0, 0.0, grid), laplacian_1d(grid))
-
-
-def test_elliptic_diagonal_term_additivity():
-    grid = Grid1D(6, 1.0, "neumann")
-    v = np.linspace(-1.0, 1.0, 6)
-    np.testing.assert_array_equal(
-        elliptic_1d(1.0, 0.0, v, grid), laplacian_1d(grid) + np.diag(v)
-    )
+    np.testing.assert_array_equal(elliptic_1d(1.0, 0.0, grid), laplacian_1d(grid))
 
 
 def test_elliptic_upwind_keeps_metzler_structure():
     grid = Grid1D(4, 1.0, "dirichlet")
-    M = elliptic_1d(1.0, 10.0, 0.0, grid)
+    M = elliptic_1d(1.0, 10.0, grid)
     assert is_essentially_nonnegative(M)
-    M = elliptic_1d(1.0, -10.0, 0.0, grid)
+    M = elliptic_1d(1.0, -10.0, grid)
     assert is_essentially_nonnegative(M)
 
 
@@ -151,30 +143,24 @@ def test_elliptic_upwind_keeps_metzler_structure():
 )
 def test_elliptic_upwind_metzler_property(a, b, boundary):
     grid = Grid1D(5, 1.0, boundary)
-    M = elliptic_1d(np.array(a), np.array(b), 0.0, grid)
+    M = elliptic_1d(np.array(a), np.array(b), grid)
     assert is_essentially_nonnegative(M)
 
 
 def test_elliptic_rejects_nonpositive_diffusion():
     with pytest.raises(NonPositiveDiffusion):
-        elliptic_1d(0.0, 0.0, 0.0, Grid1D(4, 1.0))
-
-
-def test_nonlocal_pure_multiplication():
-    grid = Grid1D(3, 1.0)
-    b = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_array_equal(nonlocal_operator(np.zeros((3, 3)), b, grid), np.diag(b))
+        elliptic_1d(0.0, 0.0, Grid1D(4, 1.0))
 
 
 def test_nonlocal_rank_one_kernel():
     grid = Grid1D(3, 1.0)
-    M = nonlocal_operator(np.ones((3, 3)), np.zeros(3), grid)
+    M = nonlocal_operator(np.ones((3, 3)), grid)
     np.testing.assert_array_equal(M, grid.h * np.ones((3, 3)))
 
 
 def test_nonlocal_constant_kernel_spb():
     grid = Grid1D(3, 1.0)
-    M = nonlocal_operator(np.ones((3, 3)), -np.ones(3), grid)
+    M = nonlocal_operator(np.ones((3, 3)), grid) - np.eye(3)
     spb = spectral_bound(M).spb
     oracle = float(np.max(eigenvalues_oracle(M).real))
     assert abs(spb - (3 * grid.h - 1.0)) <= 1e-10
@@ -185,7 +171,7 @@ def test_nonlocal_rejects_negative_kernel():
     K = np.ones((3, 3))
     K[0, 2] = -0.1
     with pytest.raises(NegativeKernel):
-        nonlocal_operator(K, np.zeros(3), Grid1D(3, 1.0))
+        nonlocal_operator(K, Grid1D(3, 1.0))
 
 
 def test_kingman_eval():

@@ -184,10 +184,9 @@ c = gaussian:0.5
         )
     )
     grid = Grid1D(n=8, length=2.0, boundary="neumann")
-    assert sc.grid1d == grid
     # a = 1 and b(x) = 2x go into the mixing part; c, a gaussian bump at mid-domain, is the growth part
     x = grid.points
-    np.testing.assert_array_equal(sc.family.A, elliptic_1d(1.0, lambda x: 2.0 * x, 0.0, grid))
+    np.testing.assert_array_equal(sc.family.A, elliptic_1d(1.0, lambda x: 2.0 * x, grid))
     np.testing.assert_allclose(sc.family.V, np.diag(np.exp(-((x - 1.0) ** 2) / 0.5)), rtol=1e-15, atol=0.0)
 
 

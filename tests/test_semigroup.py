@@ -51,6 +51,17 @@ def test_expm_stays_nonnegative_for_metzler():
             assert expm(M, t).min() >= -1e-12
 
 
+@pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+def test_expm_of_a_large_norm_operator_matches_eigh(t):
+    # ||M||_inf is about 4e4, so t*M needs many squarings
+    grid = Grid1D(100, 1.0, "dirichlet")
+    M = laplacian_1d(grid) + np.diag(np.linspace(-1.0, 3.0, 100))
+    w, Q = np.linalg.eigh(M)
+    reference = (Q * np.exp(t * w)) @ Q.T
+    E = expm(M, t)
+    assert np.max(np.abs(E - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.integers(0, 50))
 def test_semigroup_property(s, t, seed):
