@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 check failure, 2 parse/IO error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import sys
 
 from .battery import run_suite
@@ -135,7 +136,9 @@ def run_suite_cmd(args) -> int:
     return status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: `main` may run many times in one."""
     parser = argparse.ArgumentParser(
         prog="reduction-lab",
         description="Spectral-bound sweeps and reduction certifiers for Metzler matrix families",

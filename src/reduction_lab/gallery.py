@@ -116,10 +116,17 @@ class KingmanFamily:
         return self.c.shape[0]
 
     def matrix_at(self, theta: float) -> np.ndarray:
-        """Evaluate the family at theta; zero coefficients stay exactly zero, an overflow is OverflowRisk."""
+        """Evaluate the family at theta; zero coefficients stay exactly zero, an overflow is OverflowRisk.
+
+        exp(g*theta) is taken only where c != 0, so an entry that is 0 at every
+        theta cannot overflow.
+        """
+        A = np.zeros_like(self.c)
+        nonzero = self.c != 0.0
         try:
             with np.errstate(over="raise"):
-                return np.where(self.c != 0.0, self.c * np.exp(self.g * theta), 0.0)
+                A[nonzero] = self.c[nonzero] * np.exp(self.g[nonzero] * theta)
+            return A
         except FloatingPointError:
             raise OverflowRisk(f"c*exp(g*theta) overflows double precision at theta = {theta}") from None
 

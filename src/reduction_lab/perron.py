@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.csgraph
 
 from .errors import NoConvergence, NotEssentiallyNonnegative, NotIrreducible, SingularResolvent
 
@@ -25,11 +23,21 @@ EPS = np.finfo(float).eps
 WIDTH_TOL = 1e-11
 # bound once: the solves below run on matrices of a few rows, where the lookups
 # and the Python wrappers behind ndarray.min/max cost more than the arithmetic
-_dgesv = scipy.linalg.lapack.dgesv
-_dgetrs = scipy.linalg.lapack.dgetrs
 _min = np.minimum.reduce
 _max = np.maximum.reduce
 _sum = np.add.reduce
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported by the first solve rather than with the package.
+
+    Importing scipy.linalg takes longer than most runs compute, and a run that
+    only writes or parses files never solves.
+    """
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def square_matrix(entries) -> np.ndarray:
@@ -95,13 +103,15 @@ def is_essentially_nonnegative(M) -> bool:
 @functools.lru_cache(maxsize=64)
 def _scc_labels(n: int, packed: bytes) -> tuple[int, np.ndarray]:
     """(count, read-only labels) of the SCCs of an n x n adjacency pattern packed by np.packbits."""
+    from scipy.sparse import csgraph, csr_array
+
     adjacency = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n).reshape(n, n)
     # CSR built here: csgraph validates a dense input at more cost than the search.
     # np.nonzero returns strided views, and csgraph needs contiguous indices.
     rows, cols = np.nonzero(adjacency)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    graph = scipy.sparse.csr_array((np.ones(cols.size), np.ascontiguousarray(cols), indptr), shape=(n, n))
-    count, labels = scipy.sparse.csgraph.connected_components(graph, directed=True, connection="strong")
+    graph = csr_array((np.ones(cols.size), np.ascontiguousarray(cols), indptr), shape=(n, n))
+    count, labels = csgraph.connected_components(graph, directed=True, connection="strong")
     labels.flags.writeable = False
     return count, labels
 
@@ -151,6 +161,12 @@ def _noda(M, abs_M, start=None, below=-math.inf):
     the rounding floor.
     """
     n = M.shape[0]
+    dgesv = _lapack().dgesv
+    floor = 4.0 * n * EPS  # times max(|M|x/x), the rounding floor of the quotients
+    # Off the diagonal |M| = M, so (|M|x)_i/x_i = q_i + 2*max(0, -M_ii) and
+    # max(|M|x/x) <= |hi| + reach: while hi - lo exceeds twice floor times that
+    # bound, the floor test cannot pass and |M|x/x is not computed.
+    reach = 2.0 * max(0.0, -float(_min(M.diagonal())))
     ones = np.ones(n)
     x = np.full(n, 1.0 / n)
     if _usable_start(start, n):
@@ -169,10 +185,11 @@ def _noda(M, abs_M, start=None, below=-math.inf):
             best = (hi - lo, x, lo, hi)
         elif hi >= prev_hi:
             break
-        q = abs_M @ x
-        q /= x
-        if hi - lo <= 4.0 * n * EPS * float(_max(q)):
-            break
+        if hi - lo <= 2.0 * floor * (abs(hi) + reach):
+            q = abs_M @ x
+            q /= x
+            if hi - lo <= floor * float(_max(q)):
+                break
         # solve (hi*I - M) y = x as y = x*z with (hi*I - D^-1 M D) z = 1, D = diag(x):
         # the scaled system keeps every entry of y accurate relative to itself,
         # however widely the entries of x spread. St is S^T in C order, so St.T
@@ -181,7 +198,7 @@ def _noda(M, abs_M, start=None, below=-math.inf):
         St *= M.T
         np.negative(St, out=St)
         St.reshape(-1)[:: n + 1] += hi
-        lu, piv, z, info = _dgesv(St.T, ones, overwrite_a=True)
+        lu, piv, z, info = dgesv(St.T, ones, overwrite_a=True)
         if info > 0:
             break  # hi is an eigenvalue to working precision
         factors = (lu, piv, x)
@@ -230,7 +247,7 @@ def _solve_irreducible(M, start: SpectralData | None = None, below: float = -mat
             # S = hi*I - D^-1 M D with D = diag(x) is factored, and S^T w = x means
             # (hi*I - M^T)(w/x) = 1: one inverse-iteration step for u at that shift
             lu, piv, x = factors
-            u_start = np.abs(_dgetrs(lu, piv, x, trans=1)[0]) / x
+            u_start = np.abs(_lapack().dgetrs(lu, piv, x, trans=1)[0]) / x
         u, _, _, steps_u, _ = _noda(M.T, abs_M.T, u_start)
         steps += steps_u
     if hi - lo > WIDTH_TOL * norm:
@@ -314,17 +331,19 @@ def perron_vectors(M):
 
 def resolvent(M, xi: float) -> np.ndarray:
     """(xi*I - M)^-1 via LU with partial pivoting (n right-hand-side solves)."""
+    from scipy.linalg import lu_factor, lu_solve
+
     M = square_matrix(M)
     n = M.shape[0]
     shifted = xi * np.eye(n) - M
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exactly-zero pivots
-        lu, piv = scipy.linalg.lu_factor(shifted, check_finite=False)
+        lu, piv = lu_factor(shifted, check_finite=False)
     pivots = np.abs(np.diagonal(lu))
     tiny = n * np.finfo(float).eps * max(float(np.max(np.abs(shifted))), np.finfo(float).tiny)
     if float(np.min(pivots)) <= tiny:
         raise SingularResolvent(f"xi = {xi} lies in the spectrum within pivot tolerance")
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
+    return lu_solve((lu, piv), np.eye(n), check_finite=False)
 
 
 def is_resolvent_positive_at(M, xi: float) -> bool:

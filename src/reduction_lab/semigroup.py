@@ -9,7 +9,6 @@ module only computes; `checks.py` certifies both facts with these numbers.
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoConvergence, OverflowRisk
 from .perron import EPS, square_matrix
@@ -21,10 +20,12 @@ GROWTH_TOL = 1e-9  # growth_bound checks pass when |omega - spb| <= GROWTH_TOL*m
 
 def expm(M, t: float) -> np.ndarray:
     """e^{tM}, by scipy's scaling and squaring with Pade approximants (Al-Mohy & Higham 2009)."""
+    from scipy.linalg import expm as scipy_expm  # imported on first use, like the solver's LAPACK
+
     M = square_matrix(M)
     if t < 0:
         raise ValueError("time must be nonnegative")
-    return scipy.linalg.expm(t * M)
+    return scipy_expm(t * M)
 
 
 def _renormalized(E):

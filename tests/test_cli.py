@@ -276,6 +276,24 @@ def test_overflowing_kingman_entry_exits_3(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["check", "curve"])
+def test_kingman_zero_coefficient_with_overflowing_rate_exits_0(tmp_path, command):
+    # c_02 = 0, so exp(1000*theta) is never taken and every grid point is solved
+    scn = write(
+        tmp_path,
+        "k.scn",
+        "[family]\nkind = kingman\nc = 1 0.5 0 ; 0.5 1 0.5 ; 0 0.5 1\ng = 0 0.3 1000 ; 0.3 0 0.3 ; 0 0.3 0\n"
+        "[grid]\nname = theta\nstart = 0\nstop = 0.8\ncount = 5\n",
+    )
+    out = tmp_path / "out"
+    assert main([command, scn, "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    if command == "curve":
+        assert len(lines) == 6 and lines[-1].startswith("0.80000000000000004,")
+    else:
+        assert [l.split(",")[:2] for l in lines] == [["kingman_superconvexity", "pass"], ["log_affine_entries", "pass"]]
+
+
 @pytest.mark.parametrize("length", ["inf", "1e200"])
 @pytest.mark.parametrize("command", ["check", "curve"])
 def test_operator_length_without_finite_spacing_is_rejected(tmp_path, capsys, length, command):

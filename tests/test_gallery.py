@@ -11,6 +11,7 @@ from reduction_lab import (
     LinearFamily,
     NegativeKernel,
     NonPositiveDiffusion,
+    OverflowRisk,
     elliptic_1d,
     eigenvalues_oracle,
     is_essentially_nonnegative,
@@ -193,6 +194,16 @@ def test_kingman_log_entries_are_affine():
                 continue
             logs = [np.log(kingman_family_eval(fam, t)[i, j]) for t in thetas]
             assert abs(logs[0] - 2.0 * logs[1] + logs[2]) <= 1e-12
+
+
+def test_kingman_zero_coefficient_never_overflows():
+    # exp(1000*0.8) overflows, but c = 0 makes that entry 0 at every theta
+    fam = KingmanFamily([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1000.0], [0.0, 0.0]])
+    A = fam.matrix_at(0.8)
+    np.testing.assert_array_equal(A, np.eye(2))
+    assert not np.signbit(A).any()
+    with pytest.raises(OverflowRisk):
+        KingmanFamily([[1.0, 2.0], [0.0, 1.0]], [[0.0, 1000.0], [0.0, 0.0]]).matrix_at(0.8)
 
 
 def test_random_stochastic_properties():

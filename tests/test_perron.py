@@ -365,6 +365,19 @@ def test_left_perron_vector_matches_lapack(M):
     assert abs(data.u @ data.v - 1.0) <= 4 * M.shape[0] * np.finfo(float).eps
 
 
+@settings(max_examples=60, deadline=None)
+@given(irreducible_nonsymmetric_metzler(), st.integers(0, 2**32 - 1))
+def test_rounding_floor_bound_holds(M, seed):
+    # _noda skips |M|x/x while hi - lo exceeds 2*4*n*eps*(|hi| + reach): sound only if
+    # max(|M|x/x) <= |hi| + reach up to rounding, at any positive x and for M or M^T
+    x = 10.0 ** np.random.default_rng(seed).uniform(-6.0, 6.0, M.shape[0])
+    reach = 2.0 * max(0.0, -float(np.min(np.diagonal(M))))
+    for P in (M, M.T):
+        hi = float(np.max(P @ x / x))
+        bound = abs(hi) + reach
+        assert float(np.max(np.abs(P) @ x / x)) <= bound * (1.0 + 8 * M.shape[0] * np.finfo(float).eps)
+
+
 @pytest.mark.parametrize("n", [3, 8, 32])
 def test_left_vector_without_right_solve_matches_lapack(n):
     # zero row sums make the constant vector exact for v, so the right iteration
