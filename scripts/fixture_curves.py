@@ -16,7 +16,6 @@ from reduction_lab import (
     LinearFamily,
     check_midpoint_convexity,
     check_monotone_reduction,
-    karlin_matrix,
     perron_derivative,
     spectral_bound,
     sweep_spb_in_m,
@@ -51,7 +50,7 @@ def main():
     with open(path, "w", newline="\n") as fh:
         fh.write("alpha,rho\n")
         for a in alpha_grid:
-            rho = spectral_bound(karlin_matrix(karlin, float(a))).spb
+            rho = spectral_bound(karlin.matrix_at(float(a))).spb
             fh.write(f"{a:.17g},{rho:.17g}\n")
     print(f"wrote {path}")
 

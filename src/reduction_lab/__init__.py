@@ -17,6 +17,7 @@ from .checks import (
     derivative_bound_check,
     find_threshold,
     homogeneity_check,
+    is_resolvent_positive_at,
     kingman_superconvexity_check,
     kirkland_check,
     karlin_monotonicity_check,
@@ -67,7 +68,6 @@ from .perron import (
     SpectralData,
     is_essentially_nonnegative,
     is_irreducible,
-    is_resolvent_positive_at,
     perron_vectors,
     resolvent,
     scc_decomposition,

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .checks import (
+    GROWTH_TOL,
     CheckLine,
     kingman_superconvexity_check,
     karlin_monotonicity_check,
@@ -28,7 +29,7 @@ from .gallery import (
 from .oracle import eigenvalues_oracle
 from .perron import spectral_bound
 from .rng import XorShift64Star
-from .semigroup import GROWTH_TOL, growth_bound_estimate
+from .semigroup import growth_bound_estimate
 
 ORACLE_TOL = 1e-8
 

@@ -3,7 +3,7 @@
 Each checker sweeps a family, tests the asserted inequality on the sampled
 grid, and reports a worst-case margin with the witnessing parameters. Margins
 are signed slacks: nonnegative (up to the stated tolerance) means the
-inequality held. The `*_lines` functions build each family kind's `check` report.
+inequality held. FAMILY_KINDS maps each family kind to the `*_lines` builder of its `check` report.
 """
 
 from dataclasses import dataclass, field
@@ -16,12 +16,13 @@ from .errors import (
     NotIrreducible,
     NotMonotoneOnBracket,
     ReductionLabError,
+    SingularResolvent,
     ZeroSpectralRadius,
 )
 from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagonal
-from .perron import SpectralData, is_essentially_nonnegative, is_irreducible, is_resolvent_positive_at
-from .perron import perron_vectors, spectral_bound, square_matrix
-from .semigroup import GROWTH_TOL, expm, growth_bound_estimate
+from .perron import SpectralData, is_essentially_nonnegative, is_irreducible
+from .perron import perron_vectors, resolvent, spectral_bound, square_matrix
+from .semigroup import expm, growth_bound_estimate
 
 CHECK_TOL = 1e-9
 HOMOGENEITY_TOL = 1e-10
@@ -32,6 +33,8 @@ THRESHOLD_VALUE_TOL = 1e-10
 THRESHOLD_WIDTH_TOL = 1e-12
 THRESHOLD_PRESWEEP = 9  # grid points of the monotonicity pre-sweep
 SEMIGROUP_POSITIVITY_TOL = 1e-10
+RESOLVENT_POSITIVITY_TOL = 1e-12
+GROWTH_TOL = 1e-9  # growth_bound checks pass when |omega - spb| <= GROWTH_TOL*max(1, |spb|)
 
 
 def is_uniform(grid: np.ndarray) -> bool:
@@ -126,11 +129,33 @@ def sweep_spb_in_m(F: LinearFamily, m_grid) -> SweepResult:
     return SweepResult("m", grid, [d.spb for d in solve_along(grid, F.matrix_at, "m")])
 
 
+def _at_beta(F: LinearFamily):
+    """beta -> A + beta*V, the member of F that every beta sweep solves."""
+    return lambda beta: F.matrix_at(1.0, beta)
+
+
 def sweep_spb_in_beta(F: LinearFamily, beta_grid) -> SweepResult:
     """spb(A + beta*V) along a beta grid."""
     grid = np.asarray(beta_grid, dtype=float)
-    points = solve_along(grid, lambda beta: F.matrix_at(1.0, beta), "beta")
-    return SweepResult("beta", grid, [d.spb for d in points])
+    return SweepResult("beta", grid, [d.spb for d in solve_along(grid, _at_beta(F), "beta")])
+
+
+def curve_table(F, name: str, grid) -> tuple[str, list[tuple[float, ...]]]:
+    """(CSV header, rows) of the sweep of F along `grid`, a grid of the parameter `name`.
+
+    Every family sweeps through its `matrix_at`; an m or beta sweep of m*A + beta*V
+    (the linear and operator kinds) adds the analytic derivative u^T (dM/dp) v when
+    every swept point returned Perron vectors, that is, when every point is irreducible.
+    """
+    if name == "beta":
+        evaluate, direction = _at_beta(F), F.V
+    else:
+        evaluate, direction = F.matrix_at, (F.A if name == "m" else None)
+    points = solve_along(grid, evaluate, name)
+    if direction is None or any(d.u is None for d in points):
+        return "param,spb", [(p, d.spb) for p, d in zip(grid, points)]
+    rows = [(p, d.spb, float(d.u @ (direction @ d.v))) for p, d in zip(grid, points)]
+    return "param,spb,analytic_derivative", rows
 
 
 def check_midpoint_convexity(S: SweepResult) -> CheckOutcome:
@@ -343,6 +368,15 @@ def homogeneity_check(F: LinearFamily, m: float, beta: float, alphas) -> CheckOu
     )
 
 
+def is_resolvent_positive_at(M, xi: float) -> bool:
+    """True iff the resolvent at xi exists and is entrywise >= -RESOLVENT_POSITIVITY_TOL."""
+    try:
+        R = resolvent(M, xi)
+    except SingularResolvent:
+        return False
+    return bool((R >= -RESOLVENT_POSITIVITY_TOL).all())
+
+
 def positivity_of_semigroup_check(M, t_grid) -> CheckOutcome:
     """Check: e^{tM} >= 0 on the probed times iff M is essentially nonnegative.
 
@@ -466,7 +500,7 @@ def linear_family_lines(
     return lines, sweep_b, convex_b
 
 
-def linear_check_lines(F: LinearFamily, beta_grid, m_grid) -> list[CheckLine]:
+def linear_check_lines(F: LinearFamily, m_grid, beta_grid) -> list[CheckLine]:
     """The `check` report of a linear family: the family lines probed at the middle of
     the m grid, then the strict-convexity line when A is irreducible."""
     lines, sweep_b, convex_b = linear_family_lines(
@@ -538,3 +572,13 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     spb_mix = spectral_bound(F.A).spb
     lines.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep, spb_mix)))
     return lines
+
+
+# family kind -> (builder of its `check` report, {grid name it sweeps: (start, stop, count) of the
+# default grid}); a builder takes the family and one grid per name, in this order
+FAMILY_KINDS = {
+    "linear": (linear_check_lines, {"m": (0.1, 5.0, 21), "beta": (-3.0, 3.0, 21)}),
+    "karlin": (karlin_family_lines, {"alpha": (0.0, 1.0, 11)}),
+    "kingman": (kingman_family_lines, {"theta": (-1.0, 1.0, 9)}),
+    **dict.fromkeys(("laplacian", "elliptic", "nonlocal"), (operator_family_lines, {"m": (0.5, 2.0, 7)})),
+}

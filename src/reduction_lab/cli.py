@@ -13,15 +13,7 @@ import functools
 import sys
 
 from .battery import run_suite
-from .checks import (
-    CheckLine,
-    find_threshold,
-    karlin_family_lines,
-    kingman_family_lines,
-    linear_check_lines,
-    operator_family_lines,
-    solve_along,
-)
+from .checks import FAMILY_KINDS, CheckLine, curve_table, find_threshold
 from .errors import (
     InvariantViolation,
     NoConvergence,
@@ -32,7 +24,7 @@ from .errors import (
 )
 from .matrixio import format_value, load_matrix
 from .perron import spectral_bound
-from .scenario import Scenario, parse_scenario
+from .scenario import parse_scenario
 
 
 def _write_lines(path, lines):
@@ -57,51 +49,19 @@ def run_spb(args) -> int:
     return 0
 
 
-def _curve_rows(sc: Scenario):
-    """(header, rows) of the scenario's sweep.
-
-    Every family sweeps through its `matrix_at`; an m or beta sweep of m*A + beta*V
-    (the linear and operator kinds) adds the analytic derivative u^T (dM/dp) v when
-    every swept point returned Perron vectors, that is, when every point is irreducible.
-    """
-    if sc.grid is None:
-        raise ParseError(f"{sc.source}: curve needs a [grid] section")
-    name, fam = sc.grid_name, sc.family
-    if name == "beta":
-        evaluate, direction = (lambda beta: fam.matrix_at(1.0, beta)), fam.V
-    else:
-        evaluate, direction = fam.matrix_at, (fam.A if name == "m" else None)
-    points = solve_along(sc.grid, evaluate, name)
-    if direction is not None and all(d.u is not None for d in points):
-        header = "param,spb,analytic_derivative"
-        cells = [(p, d.spb, float(d.u @ (direction @ d.v))) for p, d in zip(sc.grid, points)]
-    else:
-        header = "param,spb"
-        cells = [(p, d.spb) for p, d in zip(sc.grid, points)]
-    return header, [",".join(format_value(x) for x in row) for row in cells]
-
-
 def run_curve(args) -> int:
     sc = parse_scenario(args.scenario)
-    header, rows = _curve_rows(sc)
-    _write_lines(args.out, [header] + rows)
+    if sc.grid is None:
+        raise ParseError(f"{sc.source}: curve needs a [grid] section")
+    header, rows = curve_table(sc.family, sc.grid_name, sc.grid)
+    _write_lines(args.out, [header] + [",".join(format_value(x) for x in row) for row in rows])
     return 0
-
-
-# family kind -> the builder of its `check` report
-FAMILY_CHECKS = {
-    "linear": lambda sc: linear_check_lines(sc.family, sc.grid_for("beta"), sc.grid_for("m")),
-    "karlin": lambda sc: karlin_family_lines(sc.family, sc.grid_for("alpha")),
-    "kingman": lambda sc: kingman_family_lines(sc.family, sc.grid_for("theta")),
-    **dict.fromkeys(
-        ("laplacian", "elliptic", "nonlocal"), lambda sc: operator_family_lines(sc.family, sc.grid_for("m"))
-    ),
-}
 
 
 def run_check(args) -> int:
     sc = parse_scenario(args.scenario)
-    return _write_report(args.out, FAMILY_CHECKS[sc.family_kind](sc))
+    builder, grids = FAMILY_KINDS[sc.family_kind]
+    return _write_report(args.out, builder(sc.family, *map(sc.grid_for, grids)))
 
 
 def run_threshold(args) -> int:

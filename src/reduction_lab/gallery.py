@@ -20,6 +20,7 @@ from .perron import is_essentially_nonnegative, square_matrix
 from .rng import XorShift64Star
 
 STOCHASTIC_ROW_TOL = 1e-12
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def _require_diagonal(M, name):
@@ -118,17 +119,22 @@ class KingmanFamily:
     def matrix_at(self, theta: float) -> np.ndarray:
         """Evaluate the family at theta; zero coefficients stay exactly zero, an overflow is OverflowRisk.
 
-        exp(g*theta) is taken only where c != 0, so an entry that is 0 at every
-        theta cannot overflow.
+        exp(g*theta) is taken only where c != 0, so an entry that is 0 at every theta cannot
+        overflow; where it is not a normal finite number, the entry is exp(log(c) + g*theta).
         """
         A = np.zeros_like(self.c)
         nonzero = self.c != 0.0
-        try:
-            with np.errstate(over="raise"):
-                A[nonzero] = self.c[nonzero] * np.exp(self.g[nonzero] * theta)
-            return A
-        except FloatingPointError:
-            raise OverflowRisk(f"c*exp(g*theta) overflows double precision at theta = {theta}") from None
+        c, exponent = self.c[nonzero], self.g[nonzero] * theta
+        with np.errstate(over="ignore"):
+            growth = np.exp(exponent)
+            entries = c * growth
+            outside = (growth < _TINY) | (growth == math.inf)
+            if outside.any():
+                entries[outside] = np.exp(np.log(c[outside]) + exponent[outside])
+        if np.isinf(entries).any():
+            raise OverflowRisk(f"c*exp(g*theta) overflows double precision at theta = {theta}")
+        A[nonzero] = entries
+        return A
 
 
 def kingman_family_eval(F: KingmanFamily, theta: float) -> np.ndarray:

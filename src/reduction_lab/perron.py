@@ -151,12 +151,13 @@ def _noda(M, abs_M, start=None, below=-math.inf):
     superlinearly. Near
     convergence the shifted system is almost singular and its rounded solution
     may carry entries of the wrong sign; taking |.| keeps x positive, which is
-    all the bracket needs. The loop stops at the rounding floor of the
-    quotients, at an exactly singular shift, or when a step narrows neither the
-    upper end nor the bracket; the narrowest bracket seen is returned as
-    (x, lo, hi, steps, factors). factors is (lu, piv, x) of the last scaled
-    system solved, hi*I - diag(x)^-1 M diag(x) in dgesv's LU form, or None if
-    no solve ran. As soon as the upper end falls below `below`, the current
+    all the bracket needs. An exactly singular shift hi is moved up by twice
+    the rounding floor for one more solve. The loop stops at the rounding floor
+    of the quotients, at a shift still singular after that move, or when a step
+    narrows neither the upper end nor the bracket; the narrowest bracket seen is
+    returned as (x, lo, hi, steps, factors). factors is (lu, piv, x) of the last
+    scaled system solved, shift*I - diag(x)^-1 M diag(x) in dgesv's LU form, or
+    None if no solve ran. As soon as the upper end falls below `below`, the current
     bracket is returned instead, with factors None. abs_M is |M|, which scales
     the rounding floor.
     """
@@ -193,14 +194,19 @@ def _noda(M, abs_M, start=None, below=-math.inf):
         # solve (hi*I - M) y = x as y = x*z with (hi*I - D^-1 M D) z = 1, D = diag(x):
         # the scaled system keeps every entry of y accurate relative to itself,
         # however widely the entries of x spread. St is S^T in C order, so St.T
-        # is S in the Fortran order that dgesv factors without a copy.
-        St = x[:, None] / x
-        St *= M.T
-        np.negative(St, out=St)
-        St.reshape(-1)[:: n + 1] += hi
-        lu, piv, z, info = dgesv(St.T, ones, overwrite_a=True)
+        # is S in the Fortran order that dgesv factors without a copy. At info > 0, hi is an
+        # eigenvalue to working precision while lo may still lag, so the shift moves just
+        # past it for one more solve (Wilkinson's remedy at an exact eigenvalue).
+        for shift in (hi, hi + 2.0 * floor * (abs(hi) + reach)):
+            St = x[:, None] / x
+            St *= M.T
+            np.negative(St, out=St)
+            St.reshape(-1)[:: n + 1] += shift
+            lu, piv, z, info = dgesv(St.T, ones, overwrite_a=True)
+            if info == 0:
+                break
         if info > 0:
-            break  # hi is an eigenvalue to working precision
+            break  # the moved shift is singular too
         factors = (lu, piv, x)
         np.abs(z, out=z)
         z *= x  # y = x*z
@@ -345,11 +351,3 @@ def resolvent(M, xi: float) -> np.ndarray:
         raise SingularResolvent(f"xi = {xi} lies in the spectrum within pivot tolerance")
     return lu_solve((lu, piv), np.eye(n), check_finite=False)
 
-
-def is_resolvent_positive_at(M, xi: float) -> bool:
-    """True iff the resolvent at xi exists and is entrywise >= -1e-12."""
-    try:
-        R = resolvent(M, xi)
-    except SingularResolvent:
-        return False
-    return bool((R >= -1e-12).all())

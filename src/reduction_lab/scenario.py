@@ -28,20 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import THRESHOLD_PRESWEEP, is_uniform
+from .checks import FAMILY_KINDS, THRESHOLD_PRESWEEP, is_uniform
 from .errors import InvariantViolation, NegativeKernel, NonPositiveDiffusion, ParseError
 from .gallery import Grid1D, KarlinFamily, KingmanFamily, LinearFamily, elliptic_1d, laplacian_1d, nonlocal_operator
 from .matrixio import load_matrix
 
-# family kind -> {grid name it can sweep: (start, stop, count) of the grid `check` sweeps when none is given}
-FAMILY_GRIDS = {
-    "linear": {"m": (0.1, 5.0, 21), "beta": (-3.0, 3.0, 21)},
-    "karlin": {"alpha": (0.0, 1.0, 11)},
-    "kingman": {"theta": (-1.0, 1.0, 9)},
-    "laplacian": {"m": (0.5, 2.0, 7)},
-    "elliptic": {"m": (0.5, 2.0, 7)},
-    "nonlocal": {"m": (0.5, 2.0, 7)},
-}
 # matrix family kind -> (constructor, its [family] matrix keys)
 MATRIX_FAMILIES = {
     "linear": (LinearFamily, ("a", "v")),
@@ -67,7 +58,7 @@ class Scenario:
         """The scenario's grid if it sweeps `name`, else the kind's default grid of that name."""
         if self.grid_name == name:
             return self.grid
-        return np.linspace(*FAMILY_GRIDS[self.family_kind][name])
+        return np.linspace(*FAMILY_KINDS[self.family_kind][1][name])
 
 
 def parse_builtin(spec: str, line=None, origin=None):
@@ -261,7 +252,7 @@ def parse_scenario(path) -> Scenario:
 
     kind, kind_line = items.require("family", "kind")
     kind = kind.lower()
-    if kind not in FAMILY_GRIDS:
+    if kind not in FAMILY_KINDS:
         raise ParseError(f"{origin}: unknown family kind {kind!r}", line=kind_line)
     if kind in MATRIX_FAMILIES:
         constructor, keys = MATRIX_FAMILIES[kind]
@@ -293,8 +284,8 @@ def parse_scenario(path) -> Scenario:
     name, name_line = items.take("grid", "name")
     if name is not None:
         name = name.lower()
-        if name not in FAMILY_GRIDS[kind]:
-            names = " or ".join(FAMILY_GRIDS[kind])
+        if name not in FAMILY_KINDS[kind][1]:
+            names = " or ".join(FAMILY_KINDS[kind][1])
             raise ParseError(f"{origin}: {kind} families sweep {names}, not {name!r}", line=name_line)
         start = _take_float(items, "grid", "start")
         stop = _take_float(items, "grid", "stop")

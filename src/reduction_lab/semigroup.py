@@ -15,7 +15,6 @@ from .perron import EPS, square_matrix
 
 SCALE_TARGET = 0.5
 MAX_DOUBLINGS = 64
-GROWTH_TOL = 1e-9  # growth_bound checks pass when |omega - spb| <= GROWTH_TOL*max(1, |spb|)
 
 
 def expm(M, t: float) -> np.ndarray:

@@ -21,9 +21,7 @@ from reduction_lab import (
     eigenvalues_oracle,
     find_threshold,
     growth_bound_estimate,
-    karlin_matrix,
     karlin_monotonicity_check,
-    kingman_family_eval,
     kingman_superconvexity_check,
     kirkland_check,
     laplacian_1d,
@@ -125,7 +123,7 @@ def test_c04_closed_form_fixture():
 
 def test_c05_karlin_monotonicity():
     fixture = KarlinFamily(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([2.0, 0.5]))
-    values = [spectral_bound(karlin_matrix(fixture, a)).spb for a in (0.0, 0.5, 1.0)]
+    values = [spectral_bound(fixture.matrix_at(a)).spb for a in (0.0, 0.5, 1.0)]
     fixture_err = float(np.max(np.abs(np.array(values) - [2.0, 1.25, 1.0])))
     grid = np.linspace(0.0, 1.0, 11)
     strict_ok = True
@@ -137,7 +135,7 @@ def test_c05_karlin_monotonicity():
         strict_ok = strict_ok and out.passed and out.margin > 0
         c = 0.5 + (seed % 4)
         scalar_vals = [
-            spectral_bound(karlin_matrix(KarlinFamily(P, np.diag(np.full(n, c))), a)).spb for a in grid
+            spectral_bound(KarlinFamily(P, np.diag(np.full(n, c))).matrix_at(a)).spb for a in grid
         ]
         const_dev = max(const_dev, float(np.ptp(scalar_vals)))
     ok = fixture_err <= 1e-10 and strict_ok and const_dev <= 1e-10
@@ -209,7 +207,7 @@ def test_c08_kingman_superconvexity():
     fixture = KingmanFamily(np.ones((2, 2)), np.diag([1.0, -1.0]))
     worst = 0.0
     for theta in np.linspace(-2.0, 2.0, 9):
-        rho = spectral_bound(kingman_family_eval(fixture, float(theta))).spb
+        rho = spectral_bound(fixture.matrix_at(float(theta))).spb
         worst = max(worst, abs(rho - 2.0 * np.cosh(theta)))
     fixture_report = kingman_superconvexity_check(fixture, np.linspace(-2.0, 2.0, 9))
     seeded_ok = True

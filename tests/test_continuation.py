@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from reduction_lab import KingmanFamily, LinearFamily, perron, scc_decomposition, spectral_bound
 from reduction_lab.checks import solve_along
-from reduction_lab.gallery import kingman_family_eval, random_ess_nonneg, random_stochastic
+from reduction_lab.gallery import random_ess_nonneg, random_stochastic
 from reduction_lab.scenario import parse_scenario
 from test_golden import GOLDEN, SCENARIOS, _family_matrix
 from test_perron import _lapack_block_spb, _lapack_left_perron, _norm, _scc_blocks
@@ -155,7 +155,7 @@ def test_early_exit_keeps_the_maxima_of_full_block_solves(seed):
     F = _block_triangular(rng, sizes)
     saved = 0
     for theta in np.linspace(-1.0, 1.0, 9):
-        M = kingman_family_eval(F, theta)
+        M = F.matrix_at(theta)
         data = spectral_bound(M)
         spb, lo, hi, solves = _every_block_solved(M)
         assert (data.spb, data.spb_lo, data.spb_hi) == (spb, lo, hi)
@@ -170,7 +170,7 @@ def test_identical_blocks_are_both_solved_in_full(k):
     rng = np.random.default_rng(k)
     F = _block_triangular(rng, [k, k], identical=True)
     for theta in np.linspace(-1.0, 1.0, 5):
-        M = kingman_family_eval(F, theta)
+        M = F.matrix_at(theta)
         data = spectral_bound(M)
         block = spectral_bound(M[:k, :k])
         assert (data.spb, data.spb_lo, data.spb_hi) == (block.spb, block.spb_lo, block.spb_hi)
@@ -212,8 +212,7 @@ def test_scc_memo_returns_independent_labels():
 
 def _kingman_sweep(F, grid):
     """(matrices, warm results) of a kingman family along a theta grid."""
-    evaluate = lambda theta: kingman_family_eval(F, theta)  # noqa: E731
-    return [evaluate(theta) for theta in grid], solve_along(grid, evaluate, "theta")
+    return [F.matrix_at(theta) for theta in grid], solve_along(grid, F.matrix_at, "theta")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -239,12 +238,12 @@ def test_warm_sweep_of_a_reducible_kingman_family_matches_cold_solves(n):
 
 def test_start_with_another_block_count_gives_the_cold_result():
     rng = np.random.default_rng(5)
-    M = kingman_family_eval(_block_triangular(rng, [3, 2, 4]), 0.3)
+    M = _block_triangular(rng, [3, 2, 4]).matrix_at(0.3)
     cold = spectral_bound(M)
     assert len(cold.blocks) == 3
     starts = [
-        spectral_bound(kingman_family_eval(_block_triangular(rng, [4, 5]), 0.3)),
-        spectral_bound(kingman_family_eval(_block_triangular(rng, [2, 2, 2, 3]), 0.3)),
+        spectral_bound(_block_triangular(rng, [4, 5]).matrix_at(0.3)),
+        spectral_bound(_block_triangular(rng, [2, 2, 2, 3]).matrix_at(0.3)),
         spectral_bound(random_ess_nonneg(9, 1)),
     ]
     for start in starts:

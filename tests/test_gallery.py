@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from reduction_lab import (
     elliptic_1d,
     eigenvalues_oracle,
     is_essentially_nonnegative,
+    is_irreducible,
     karlin_matrix,
     karlin_to_linear,
     kingman_family_eval,
@@ -51,11 +54,11 @@ def test_karlin_family_validation():
 
 def test_karlin_matrix_fixture():
     fam = KarlinFamily(P_SWAP, D_FIX)
-    np.testing.assert_array_equal(karlin_matrix(fam, 0.0), D_FIX)
-    np.testing.assert_array_equal(karlin_matrix(fam, 1.0), [[0.0, 0.5], [2.0, 0.0]])
-    np.testing.assert_array_equal(karlin_matrix(fam, 0.5), [[1.0, 0.25], [1.0, 0.25]])
+    np.testing.assert_array_equal(fam.matrix_at(0.0), D_FIX)
+    np.testing.assert_array_equal(fam.matrix_at(1.0), [[0.0, 0.5], [2.0, 0.0]])
+    np.testing.assert_array_equal(fam.matrix_at(0.5), [[1.0, 0.25], [1.0, 0.25]])
     with pytest.raises(InvalidAlpha):
-        karlin_matrix(fam, 1.5)
+        fam.matrix_at(1.5)
 
 
 def test_karlin_to_linear_fixture():
@@ -90,7 +93,7 @@ def test_karlin_consistency_is_exact():
     fam = KarlinFamily(random_stochastic(4, 7), random_diagonal(4, 0.5, 2.0, 8))
     lin = karlin_to_linear(fam)
     for alpha in (0.0, 1.0 / 3.0, 0.5, 0.77, 1.0):
-        np.testing.assert_array_equal(karlin_matrix(fam, alpha), alpha * lin.A + lin.V)
+        np.testing.assert_array_equal(fam.matrix_at(alpha), alpha * lin.A + lin.V)
 
 
 def test_grid_validation():
@@ -177,9 +180,9 @@ def test_nonlocal_rejects_negative_kernel():
 
 def test_kingman_eval():
     fam = KingmanFamily(np.eye(2), [[5.0, 1.0], [1.0, -5.0]])
-    np.testing.assert_array_equal(kingman_family_eval(fam, 0.0), np.eye(2))
+    np.testing.assert_array_equal(fam.matrix_at(0.0), np.eye(2))
     fam = KingmanFamily(np.ones((2, 2)), [[1.0, 0.0], [0.0, -1.0]])
-    A = kingman_family_eval(fam, 0.7)
+    A = fam.matrix_at(0.7)
     np.testing.assert_allclose(A, [[np.exp(0.7), 1.0], [1.0, np.exp(-0.7)]], atol=1e-15)
     assert abs(spectral_bound(A).spb - 2.0 * np.cosh(0.7)) <= 1e-12
 
@@ -190,9 +193,9 @@ def test_kingman_log_entries_are_affine():
     for i in range(2):
         for j in range(2):
             if fam.c[i, j] == 0.0:
-                assert all(kingman_family_eval(fam, t)[i, j] == 0.0 for t in thetas)
+                assert all(fam.matrix_at(t)[i, j] == 0.0 for t in thetas)
                 continue
-            logs = [np.log(kingman_family_eval(fam, t)[i, j]) for t in thetas]
+            logs = [np.log(fam.matrix_at(t)[i, j]) for t in thetas]
             assert abs(logs[0] - 2.0 * logs[1] + logs[2]) <= 1e-12
 
 
@@ -204,6 +207,27 @@ def test_kingman_zero_coefficient_never_overflows():
     assert not np.signbit(A).any()
     with pytest.raises(OverflowRisk):
         KingmanFamily([[1.0, 2.0], [0.0, 1.0]], [[0.0, 1000.0], [0.0, 0.0]]).matrix_at(0.8)
+
+
+def test_kingman_entry_whose_exp_overflows_is_representable():
+    # exp(1000*0.8) overflows, but 1e-300*exp(800) = 2.7e47
+    A = KingmanFamily([[1.0, 1e-300], [0.0, 1.0]], [[0.0, 1000.0], [0.0, 0.0]]).matrix_at(0.8)
+    assert A[0, 1] == pytest.approx(math.exp(800.0 - 300.0 * math.log(10.0)), rel=1e-12)
+    assert A[0, 0] == A[1, 1] == 1.0 and A[1, 0] == 0.0
+
+
+def test_kingman_entry_whose_exp_underflows_stays_positive():
+    # exp(-800) underflows to 0, but 1e300*exp(-800) = 3.7e-48 keeps the matrix irreducible
+    A = KingmanFamily([[1.0, 1e300], [1.0, 1.0]], [[0.0, -800.0], [0.0, 0.0]]).matrix_at(1.0)
+    assert A[0, 1] == pytest.approx(math.exp(300.0 * math.log(10.0) - 800.0), rel=1e-12)
+    assert is_irreducible(A)
+
+
+def test_wrappers_return_their_methods_result():
+    karlin = KarlinFamily(P_SWAP, D_FIX)
+    np.testing.assert_array_equal(karlin_matrix(karlin, 0.3), karlin.matrix_at(0.3))
+    kingman = KingmanFamily([[0.5, 0.0], [2.0, 1.0]], [[1.0, 3.0], [-2.0, 0.3]])
+    np.testing.assert_array_equal(kingman_family_eval(kingman, 0.7), kingman.matrix_at(0.7))
 
 
 def test_random_stochastic_properties():

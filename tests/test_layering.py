@@ -6,16 +6,18 @@ import pathlib
 import pytest
 
 import reduction_lab
+from reduction_lab.checks import FAMILY_KINDS
 
 PACKAGE = pathlib.Path(reduction_lab.__file__).parent
 NUMERICS = ["errors", "rng", "perron", "oracle", "semigroup", "gallery", "matrixio"]
 REPORTING = {"checks", "scenario", "battery", "cli"}
+GRID_NAMES = {name for _, grids in FAMILY_KINDS.values() for name in grids}
 
 
 def imported_modules(module: str) -> set[str]:
     """Names of the package modules (as `checks`) and outside modules (as `numpy`) that `module` imports."""
     names = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+    for node in ast.walk(parse(module)):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
             names.update(alias.name for alias in node.names)  # from . import checks
         elif isinstance(node, ast.ImportFrom):
@@ -34,18 +36,29 @@ def test_cli_imports_neither_semigroup_nor_numpy():
     assert imported_modules("cli").isdisjoint({"semigroup", "numpy"})
 
 
-def module_body_imports(module: str) -> set[str]:
-    """Outside modules (as `scipy`) that `module` imports when it is loaded, outside any function body."""
-    names, pending = set(), list(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body)
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def module_body_nodes(module: str):
+    """The AST nodes of `module` that run when it is loaded, outside any function body."""
+    pending = list(parse(module).body)
     while pending:
         node = pending.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
+        yield node
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def module_body_imports(module: str) -> set[str]:
+    """Outside modules (as `scipy`) that `module` imports when it is loaded, outside any function body."""
+    names = set()
+    for node in module_body_nodes(module):
         if isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
         elif isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
-        pending.extend(ast.iter_child_nodes(node))
     return names
 
 
@@ -53,3 +66,27 @@ def module_body_imports(module: str) -> set[str]:
 def test_no_module_imports_scipy_when_loaded(module):
     # scipy is loaded by the first LAPACK call, so `import reduction_lab` loads numpy only
     assert "scipy" not in module_body_imports(module)
+
+
+def test_cli_holds_no_matrix_arithmetic_and_no_per_kind_code():
+    # cli.py parses, dispatches and writes: sweeps and products live in checks.py,
+    # and each family kind's grids and builder only in checks.FAMILY_KINDS
+    for node in ast.walk(parse("cli")):
+        assert not isinstance(getattr(node, "op", None), ast.MatMult)
+        assert not isinstance(node, ast.Lambda)
+        assert not (isinstance(node, ast.Constant) and node.value in GRID_NAMES)
+
+
+def test_cli_reaches_check_builders_only_through_family_kinds():
+    names = {
+        alias.name
+        for node in ast.walk(parse("cli"))
+        if isinstance(node, ast.ImportFrom) and node.module == "checks"
+        for alias in node.names
+    }
+    assert "FAMILY_KINDS" in names
+    assert not [name for name in names if name.endswith("_lines") or name == "solve_along"]
+
+
+def test_scenario_defines_no_grid_table():
+    assert not [n for n in module_body_nodes("scenario") if isinstance(n, ast.Constant) and n.value in GRID_NAMES]

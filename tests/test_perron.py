@@ -306,6 +306,14 @@ def test_near_decoupled_points_converge(n):
             assert data.spb_hi - data.spb_lo <= 1e-11 * _norm(M)
 
 
+def _widely_spread(rng, n):
+    """A sparse Metzler draw (60% zeros) whose entries span 12 decades."""
+    M = rng.uniform(0.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, n))
+    M[rng.uniform(size=(n, n)) < 0.6] = 0.0
+    np.fill_diagonal(M, -rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6.0, 6.0, n))
+    return M
+
+
 def test_widely_spread_perron_vectors_converge():
     # sparse entries spanning 12 decades give Perron vectors whose entries
     # spread over many decades; an unscaled shifted solve leaves the small
@@ -314,15 +322,33 @@ def test_widely_spread_perron_vectors_converge():
     n = 12
     solved = 0
     for _ in range(100):
-        M = rng.uniform(0.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, n))
-        M[rng.uniform(size=(n, n)) < 0.6] = 0.0
-        np.fill_diagonal(M, -rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6.0, 6.0, n))
+        M = _widely_spread(rng, n)
         if not is_irreducible(M):
             continue
         data = spectral_bound(M)
         assert abs(data.spb - _lapack_spb(M)) <= 1e-13 * _norm(M)
         solved += 1
     assert solved >= 80
+
+
+# (seed, n) -> indices of _widely_spread draws on which a Noda shift hit the
+# Perron root exactly (a singular solve) while the bracket was still open
+SINGULAR_SHIFT_DRAWS = {
+    (7, 4): (688, 737, 1672),
+    (7, 12): (962, 2928),
+    (8, 4): (556, 1091, 1140, 2468, 2768, 2889),
+}
+
+
+@pytest.mark.parametrize(("seed", "n"), sorted(SINGULAR_SHIFT_DRAWS))
+def test_singular_shift_steps_past_the_root(seed, n):
+    rng = np.random.default_rng(seed)
+    draws = [_widely_spread(rng, n) for _ in range(max(SINGULAR_SHIFT_DRAWS[seed, n]) + 1)]
+    for k in SINGULAR_SHIFT_DRAWS[seed, n]:
+        M = draws[k]
+        data = spectral_bound(M)
+        assert abs(data.spb - _lapack_block_spb(M)) <= 1e-13 * _norm(M), k
+        assert data.spb_hi - data.spb_lo <= perron.WIDTH_TOL * _norm(M), k
 
 
 def test_wide_bracket_raises_no_convergence(monkeypatch):
