@@ -14,13 +14,18 @@ move. If any such key, the number of lines, or an exit code differs, the
 differences are printed, nothing is written and the script exits 1. Otherwise
 the files are overwritten, and per file the number of changed lines is printed
 with the names of the changed lines (a suite line without its `sNNN.` seed
-prefix), so that a reviewer sees which kinds of line moved.
+prefix), so that a reviewer sees which kinds of line moved, and the largest
+relative change |new - old|/max(|new|, |old|) of any number on them, with its
+line and both numbers, so that a reviewer sees whether the moves are at
+rounding level. A margin near zero moves by a large relative amount at a tiny
+absolute one, which the two numbers show.
 
     PYTHONPATH=src python scripts/regen_goldens.py
 """
 
 import contextlib
 import io
+import math
 import re
 import sys
 import tempfile
@@ -31,6 +36,7 @@ from reduction_lab.cli import main
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 VERDICT = re.compile(r"verdict=(\w+)")
 SEED_PREFIX = re.compile(r"^s\d+\.")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 
 def line_key(line: str) -> tuple:
@@ -39,6 +45,24 @@ def line_key(line: str) -> tuple:
     word = fields[1] if len(fields) > 1 and fields[1] in ("pass", "fail") else None
     verdict = VERDICT.search(line)
     return fields[0], len(fields), word, verdict.group(1) if verdict else None
+
+
+def largest_relative_change(pairs) -> tuple[float, str]:
+    """Largest |new - old|/max(|new|, |old|) over the numbers of (old, new) line pairs, and where.
+
+    The place is `name: old -> new` of the line's first field and the two
+    numbers; a pair whose lines hold different counts of numbers counts as inf.
+    """
+    largest, where = 0.0, ""
+    for old, new in pairs:
+        old_numbers, new_numbers = NUMBER.findall(old), NUMBER.findall(new)
+        if len(old_numbers) != len(new_numbers):
+            return math.inf, f"{line_key(new)[0]}: {len(old_numbers)} -> {len(new_numbers)} numbers"
+        for a, b in zip(old_numbers, new_numbers):
+            x, y = float(a), float(b)
+            if x != y and abs(y - x) / max(abs(x), abs(y)) > largest:
+                largest, where = abs(y - x) / max(abs(x), abs(y)), f"{line_key(new)[0]}: {a} -> {b}"
+    return largest, where
 
 
 def commands():
@@ -89,11 +113,13 @@ def main_script() -> int:
         return 1
     lines = files = 0
     for name, text in new.items():
-        changed = [new_line for old, new_line in zip(committed(name), text.splitlines()) if old != new_line]
+        changed = [(old, line) for old, line in zip(committed(name), text.splitlines()) if old != line]
         if changed:
             (GOLDEN / name).write_text(text, encoding="utf-8", newline="\n")
-            kinds = sorted({SEED_PREFIX.sub("", line_key(line)[0]) for line in changed})
+            kinds = sorted({SEED_PREFIX.sub("", line_key(line)[0]) for _, line in changed})
+            largest, where = largest_relative_change(changed)
             print(f"{name}: {len(changed)} lines changed ({', '.join(kinds)})")
+            print(f"  largest relative change {largest:.2g} ({where})")
             lines, files = lines + len(changed), files + 1
     print(f"{lines} lines changed in {files} files")
     return 0

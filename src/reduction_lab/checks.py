@@ -105,7 +105,7 @@ def solve_along(grid, evaluate, parameter_name: str) -> list[SpectralData]:
     """spectral_bound(evaluate(p)) at each grid point p, in grid order.
 
     Every sweep of the library solves its grid here. Each solve starts from the
-    Perron pair of the previous point. A library error at a point is re-raised
+    result at the previous point. A library error at a point is re-raised
     with the point appended to its message; it keeps its type and attributes
     (such as NoConvergence.residual).
     """
@@ -419,7 +419,7 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
 
     A preliminary sweep certifies monotonicity on the bracket; endpoints must
     straddle zero. Bisection stops at |spb| <= 1e-10 or bracket width
-    <= 1e-12; each bisection solve starts from the previous midpoint's Perron pair.
+    <= 1e-12; each bisection solve starts from the previous midpoint's result.
     """
     if not 0.0 < m_lo < m_hi:
         raise ValueError("need 0 < m_lo < m_hi")

@@ -60,7 +60,7 @@ class SpectralData:
     the diagonal blocks, whose own results `blocks` lists in the order of the
     component labels of scc_decomposition (None for irreducible inputs). A
     result passed back as `spectral_bound(M, start=...)` starts the solve of a
-    nearby M from this Perron pair, or each diagonal block from its own.
+    nearby M from this v, or each diagonal block from its own.
     """
 
     spb: float
@@ -78,21 +78,17 @@ class SccDecomposition:
     component_count: int
 
 
-@functools.lru_cache(maxsize=64)
-def _off_diagonal_mask(n: int) -> np.ndarray:
-    """Read-only boolean n x n mask of the off-diagonal entries."""
-    mask = ~np.eye(n, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def _off_diagonal_signs(M) -> tuple[bool, bool]:
     """(all off-diagonal entries >= 0, all off-diagonal entries != 0) of a validated square M.
 
     Both hold for n = 1. An off-diagonal pattern with no zero is strongly connected.
     """
-    off = M[_off_diagonal_mask(M.shape[0])]
-    return bool((off >= 0.0).all()), bool((off != 0.0).all())
+    off = M.copy()
+    off.reshape(-1)[:: M.shape[0] + 1] = 1.0  # a positive diagonal leaves both answers to the off-diagonal
+    least = float(_min(off, axis=None))
+    if least >= 0.0:
+        return True, least > 0.0  # a zero among nonnegative entries is the least of them
+    return False, bool((off != 0.0).all())
 
 
 def is_essentially_nonnegative(M) -> bool:
@@ -140,40 +136,60 @@ def _usable_start(x, n: int) -> bool:
     return x is not None and x.shape == (n,) and _min(x) > 0.0 and math.isfinite(float(_sum(x)))
 
 
-def _noda(M, abs_M, start=None, below=-math.inf):
+@functools.lru_cache(maxsize=64)
+def _ones(n: int) -> np.ndarray:
+    """Read-only ones(n), the right-hand side of every Noda step."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
+def _scaled_solve(neg_MT, x, shift, slack, rhs, trans=False):
+    """z with S z = rhs, or S^T z = rhs if trans, for S = shift*I - D^-1 M D, D = diag(x), -M^T = neg_MT.
+
+    Solving (shift*I - M) y = x as y = x*z with rhs = 1 keeps every entry of y
+    accurate relative to itself, however widely the entries of x spread. At
+    info > 0 the shift is an eigenvalue to working precision, so the system is
+    rebuilt at shift + slack, just past it, and solved once more (Wilkinson's
+    remedy at an exact eigenvalue); None if that is singular too.
+    """
+    n = x.shape[0]
+    dgesv = _lapack().dgesv
+    for s in (shift, shift + slack):
+        # St is S^T in C order, so St.T is S in the Fortran order that dgesv
+        # factors without a copy; S^T costs dgesv one copy to Fortran order
+        St = x[:, None] / x
+        St *= neg_MT
+        St.reshape(-1)[:: n + 1] += s
+        z, info = dgesv(St if trans else St.T, rhs, overwrite_a=True)[2:]
+        if info == 0:
+            return z
+    return None
+
+
+def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
     """Noda inverse iteration for the Perron root of an irreducible Metzler M.
 
-    Starting from `start` if it is a strictly positive, finite vector of length
-    n, else from the constant vector, each step takes the Collatz-Wielandt
-    quotients q = (Mx)/x, whose extremes bracket spb(M) for any positive x, and
-    replaces x by |solve(max(q)*I - M, x)| normalized to unit sum. In exact
-    arithmetic the upper end decreases strictly and the bracket closes
-    superlinearly. Near
-    convergence the shifted system is almost singular and its rounded solution
-    may carry entries of the wrong sign; taking |.| keeps x positive, which is
-    all the bracket needs. An exactly singular shift hi is moved up by twice
-    the rounding floor for one more solve. The loop stops at the rounding floor
-    of the quotients, at a shift still singular after that move, or when a step
-    narrows neither the upper end nor the bracket; the narrowest bracket seen is
-    returned as (x, lo, hi, steps, factors). factors is (lu, piv, x) of the last
-    scaled system solved, shift*I - diag(x)^-1 M diag(x) in dgesv's LU form, or
-    None if no solve ran. As soon as the upper end falls below `below`, the current
-    bracket is returned instead, with factors None. abs_M is |M|, which scales
-    the rounding floor.
+    Starting from `start`, a strictly positive, finite vector of length n, or
+    from the constant vector if it is None, each step takes the
+    Collatz-Wielandt quotients q = (Mx)/x, whose extremes bracket spb(M) for
+    any positive x, and replaces x by |solve(max(q)*I - M, x)| normalized to
+    unit sum (_scaled_solve). In exact arithmetic the upper end decreases
+    strictly and the bracket closes superlinearly. Near convergence the
+    shifted system is almost singular and its rounded solution may carry
+    entries of the wrong sign; taking |.| keeps x positive, which is all the
+    bracket needs. The loop stops at the rounding floor of the quotients,
+    floor*max(|M|x/x), at a shift still singular after _scaled_solve's move,
+    or when a step narrows neither the upper end nor the bracket; the
+    narrowest bracket seen is returned as (x, lo, hi, steps), steps counting
+    the solves made. As soon as the upper end falls below `below`, the current
+    bracket is returned instead. neg_MT is -M^T and abs_M is |M|; reach is
+    2*max(0, -min_i M_ii), the same for M and M^T.
     """
     n = M.shape[0]
-    dgesv = _lapack().dgesv
-    floor = 4.0 * n * EPS  # times max(|M|x/x), the rounding floor of the quotients
-    # Off the diagonal |M| = M, so (|M|x)_i/x_i = q_i + 2*max(0, -M_ii) and
-    # max(|M|x/x) <= |hi| + reach: while hi - lo exceeds twice floor times that
-    # bound, the floor test cannot pass and |M|x/x is not computed.
-    reach = 2.0 * max(0.0, -float(_min(M.diagonal())))
-    ones = np.ones(n)
-    x = np.full(n, 1.0 / n)
-    if _usable_start(start, n):
-        x = start / _sum(start)
+    ones = _ones(n)
+    x = np.full(n, 1.0 / n) if start is None else start / _sum(start)
     best = None  # (width, x, lo, hi) of the narrowest bracket so far
-    factors = None
     prev_hi = np.inf
     steps = 0
     while True:
@@ -181,33 +197,23 @@ def _noda(M, abs_M, start=None, below=-math.inf):
         q /= x
         lo, hi = float(_min(q)), float(_max(q))
         if hi < below:
-            return x, lo, hi, steps, None
+            return x, lo, hi, steps
         if best is None or hi - lo < best[0]:
             best = (hi - lo, x, lo, hi)
         elif hi >= prev_hi:
             break
-        if hi - lo <= 2.0 * floor * (abs(hi) + reach):
+        # Off the diagonal |M| = M, so (|M|x)_i/x_i = q_i + 2*max(0, -M_ii) and
+        # max(|M|x/x) <= |hi| + reach: while hi - lo exceeds twice floor times that
+        # bound, the floor test cannot pass and |M|x/x is not computed.
+        slack = 2.0 * floor * (abs(hi) + reach)
+        if hi - lo <= slack:
             q = abs_M @ x
             q /= x
             if hi - lo <= floor * float(_max(q)):
                 break
-        # solve (hi*I - M) y = x as y = x*z with (hi*I - D^-1 M D) z = 1, D = diag(x):
-        # the scaled system keeps every entry of y accurate relative to itself,
-        # however widely the entries of x spread. St is S^T in C order, so St.T
-        # is S in the Fortran order that dgesv factors without a copy. At info > 0, hi is an
-        # eigenvalue to working precision while lo may still lag, so the shift moves just
-        # past it for one more solve (Wilkinson's remedy at an exact eigenvalue).
-        for shift in (hi, hi + 2.0 * floor * (abs(hi) + reach)):
-            St = x[:, None] / x
-            St *= M.T
-            np.negative(St, out=St)
-            St.reshape(-1)[:: n + 1] += shift
-            lu, piv, z, info = dgesv(St.T, ones, overwrite_a=True)
-            if info == 0:
-                break
-        if info > 0:
-            break  # the moved shift is singular too
-        factors = (lu, piv, x)
+        z = _scaled_solve(neg_MT, x, hi, slack, ones)
+        if z is None:
+            break
         np.abs(z, out=z)
         z *= x  # y = x*z
         total = float(_sum(z))
@@ -217,17 +223,30 @@ def _noda(M, abs_M, start=None, below=-math.inf):
         x = z
         prev_hi = hi
         steps += 1
-    return (*best[1:], steps, factors)
+    return (*best[1:], steps)
+
+
+def _too_wide(abs_M, lo, hi) -> bool:
+    """True iff the bracket [lo, hi] is wider than WIDTH_TOL*||M||_inf.
+
+    lo <= spb <= hi and |spb| <= ||M||_inf give ||M||_inf >= |hi| - (hi - lo),
+    which settles most brackets without the norm; the factor 0.5 covers the
+    rounding of the quotients. NaN and infinite ends fall through to the norm.
+    """
+    width = hi - lo
+    return not width <= 0.5 * WIDTH_TOL * (abs(hi) - width) and width > WIDTH_TOL * float(_max(abs_M.sum(axis=1)))
 
 
 def _solve_irreducible(M, start: SpectralData | None = None, below: float = -math.inf) -> SpectralData:
-    """Certified Perron pair of an irreducible M, started from `start`'s vectors.
+    """Certified Perron pair of an irreducible M, started from `start`'s v.
 
     A start whose v is not usable (see _usable_start) is ignored as a whole; a
     started solve left wider than WIDTH_TOL*||M||_inf is solved again cold. A
     solve whose upper end falls below `below` stops there and reports
     spb = spb_hi = that upper end, no u, and its last iterate as v, which a
-    later solve can start from.
+    later solve can start from. u starts from one transposed scaled solve at
+    the certified shift hi and is certified by its own Noda run; iterations
+    counts every shifted solve, that one included.
     """
     n = M.shape[0]
     if n == 1:
@@ -235,46 +254,52 @@ def _solve_irreducible(M, start: SpectralData | None = None, below: float = -mat
         spb = float(M[0, 0])
         return SpectralData(spb, one, one.copy(), 0, spb, spb)
     abs_M = np.abs(M)
-    norm = float(_max(abs_M.sum(axis=1)))
+    neg = -M  # -M^T of the u iteration on M^T; its transpose serves the v iteration
+    floor = 4.0 * n * EPS  # times max(|M|x/x), the rounding floor of the quotients
+    reach = 2.0 * max(0.0, -float(_min(M.diagonal())))
     if start is not None and not _usable_start(start.v, n):
         start = None
-    v, lo, hi, steps, factors = _noda(M, abs_M, None if start is None else start.v, below)
+    v, lo, hi, steps = _noda(M, neg.T, abs_M, floor, reach, None if start is None else start.v, below)
     if hi < below:
         return SpectralData(hi, None, v, steps, lo, hi)
-    if start is not None and hi - lo > WIDTH_TOL * norm:
-        cold = _solve_irreducible(M, None, below)
-        cold.iterations += steps
-        return cold
-    if (M == M.T).all():
-        u = v
-    else:
-        u_start = None if start is None else start.u
-        if factors is not None:
-            # S = hi*I - D^-1 M D with D = diag(x) is factored, and S^T w = x means
-            # (hi*I - M^T)(w/x) = 1: one inverse-iteration step for u at that shift
-            lu, piv, x = factors
-            u_start = np.abs(_lapack().dgetrs(lu, piv, x, trans=1)[0]) / x
-        u, _, _, steps_u, _ = _noda(M.T, abs_M.T, u_start)
-        steps += steps_u
-    if hi - lo > WIDTH_TOL * norm:
+    if _too_wide(abs_M, lo, hi):
+        if start is not None:
+            cold = _solve_irreducible(M, None, below)
+            cold.iterations += steps
+            return cold
         raise NoConvergence(
             f"Collatz-Wielandt bracket [{lo:.17g}, {hi:.17g}] did not close to "
-            f"{WIDTH_TOL:g}*||M||_inf = {WIDTH_TOL * norm:.3e}",
+            f"{WIDTH_TOL:g}*||M||_inf = {WIDTH_TOL * float(_max(abs_M.sum(axis=1))):.3e}",
             residual=hi - lo,
             iterations=steps,
         )
+    if (M == M.T).all():
+        u = v
+    else:
+        # S^T w = v with S = hi*I - D^-1 M D, D = diag(v), means (hi*I - M^T)(w/v) = 1:
+        # one inverse-iteration step for u at the certified shift
+        u_start = None
+        w = _scaled_solve(neg.T, v, hi, 2.0 * floor * (abs(hi) + reach), v, trans=True)
+        if w is not None:
+            steps += 1
+            u_start = np.abs(w, out=w)
+            u_start /= v
+            if not _usable_start(u_start, n):
+                u_start = None
+        u, _, _, steps_u = _noda(M.T, neg, abs_M.T, floor, reach, u_start)
+        steps += steps_u
     # two-sided Rayleigh quotient: error is quadratic in the vector errors
-    spb = min(max(float(u @ (M @ v)) / float(u @ v), lo), hi)
-    u = u / float(u @ v)
-    return SpectralData(spb, u, v, steps, lo, hi)
+    uv = float(u @ v)
+    spb = min(max(float(u @ (M @ v)) / uv, lo), hi)
+    return SpectralData(spb, u / uv, v, steps, lo, hi)
 
 
 def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     """Spectral bound of an essentially nonnegative matrix.
 
-    Irreducible inputs return Perron vectors as well; the iterations start from
-    the vectors of `start`, the result at a nearby matrix, where those are
-    strictly positive, finite and of matching length. Reducible inputs are
+    Irreducible inputs return Perron vectors as well; the v iteration starts
+    from start.v, of the result at a nearby matrix, where it is strictly
+    positive, finite and of matching length. Reducible inputs are
     solved per strongly connected diagonal block and report u = v = None and
     the block results as `blocks`. Block c starts from start.blocks[c] when
     `start` has as many blocks as M, under the same rules as an irreducible
@@ -297,7 +322,7 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     submatrices = []
     for cid in range(count):
         idx = np.flatnonzero(dec.component_id == cid)
-        submatrices.append(M[np.ix_(idx, idx)])
+        submatrices.append(M[idx[:, None], idx])
     # the likely dominant block goes first, so that the others can stop early
     if start is not None and start.blocks is not None and len(start.blocks) == count:
         starts = start.blocks

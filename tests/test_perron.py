@@ -404,21 +404,58 @@ def test_rounding_floor_bound_holds(M, seed):
         assert float(np.max(np.abs(P) @ x / x)) <= bound * (1.0 + 8 * M.shape[0] * np.finfo(float).eps)
 
 
-@pytest.mark.parametrize("n", [3, 8, 32])
+def _noda(M, **kwargs):
+    """perron._noda on M with the arguments that _solve_irreducible derives from M."""
+    reach = 2.0 * max(0.0, -float(np.min(np.diagonal(M))))
+    return perron._noda(M, -M.T, np.abs(M), 4.0 * M.shape[0] * np.finfo(float).eps, reach, **kwargs)
+
+
+@pytest.mark.parametrize("n", [3, 8, 12, 32])
 def test_left_vector_without_right_solve_matches_lapack(n):
     # zero row sums make the constant vector exact for v, so the right iteration
-    # makes no solve and the left iteration starts from the constant vector
+    # makes no solve; the transposed solve at the exact root hi moves past it,
+    # and its u needs no further solve (5 solves at n = 12 when u started from
+    # the constant vector)
     M = random_stochastic(n, n) - np.eye(n)
-    assert perron._noda(M, np.abs(M))[3] == 0  # no solve, so no factors to start from
+    assert _noda(M)[3] == 0
     data = spectral_bound(M)
+    assert data.iterations <= 1
     assert np.abs(data.u / data.u.max() - _lapack_left_perron(M)).max() <= 1e-13
     assert abs(data.u @ data.v - 1.0) <= 4 * n * np.finfo(float).eps
 
 
+def test_left_start_steps_past_an_exact_root():
+    # spb = 1 with v = (2, 1)/3 exactly, so S^T at hi = 1 is exactly singular
+    M = np.array([[0.0, 2.0], [0.5, 0.0]])
+    data = spectral_bound(M)
+    assert data.spb_lo == data.spb_hi == 1.0
+    v = np.array([2.0, 1.0]) / 3.0
+    assert perron._scaled_solve(-M.T, v, 1.0, 0.0, v, trans=True) is None
+    assert np.abs(data.u / data.u[1] - [0.5, 1.0]).max() <= 1e-15
+
+
+@pytest.mark.parametrize(("seed", "n"), [(7, 4), (7, 6), (7, 12), (10, 4), (10, 6), (10, 12)])
+def test_left_vector_is_certified_by_its_own_bracket(seed, n):
+    # judged by the Collatz-Wielandt quotients of M^T at u, not by LAPACK, which
+    # is not the truth on such draws; u taken from the transposed start alone,
+    # without its own Noda run, leaves widths up to 1.4*||M||_inf here
+    rng = np.random.default_rng(seed)
+    solved = 0
+    for _ in range(300):
+        M = _widely_spread(rng, n)
+        if not is_irreducible(M):
+            continue
+        u = spectral_bound(M).u
+        q = M.T @ u / u
+        assert q.max() - q.min() <= 1e-13 * _norm(M)
+        solved += 1
+    assert solved >= 30
+
+
 def test_left_iteration_starts_near_its_answer():
     # the same matrices cost 750 solves in total when the left iteration starts
-    # from the constant vector; starting it from a transposed solve on the right
-    # iteration's factors costs 447
+    # from the constant vector; starting it from one transposed solve at the
+    # certified shift costs 451, its 75 transposed solves included
     total = sum(spectral_bound(random_ess_nonneg(n, seed)).iterations for n in range(8, 33) for seed in range(3))
     assert total <= 0.7 * 750
 

@@ -1,9 +1,12 @@
 """Smoke runs of the demo scripts, which exercise the public API end to end."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +33,13 @@ def test_mixing_reduction_1d():
     run = _run(ROOT / "scripts" / "mixing_reduction_1d.py", "--n", 8, "--points", 3)
     assert run.returncode == 0, run.stderr
     assert "reduction check: pass" in run.stdout
+
+
+def test_regen_goldens_measures_the_largest_relative_change():
+    spec = importlib.util.spec_from_file_location("regen_goldens", ROOT / "scripts" / "regen_goldens.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    pairs = [("s001.spb,pass,margin=1.0e-3,x=2", "s001.spb,pass,margin=1.1e-3,x=2"), ("a,-0,4", "a,0,4.000000004")]
+    assert regen.largest_relative_change(pairs) == (pytest.approx(1.0 / 11.0, rel=1e-12), "s001.spb: 1.0e-3 -> 1.1e-3")
+    assert regen.largest_relative_change(pairs[1:]) == (pytest.approx(1e-9, rel=1e-6), "a: 4 -> 4.000000004")
+    assert regen.largest_relative_change([("a,1,2", "a,1")]) == (float("inf"), "a: 2 -> 1 numbers")
