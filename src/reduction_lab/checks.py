@@ -3,9 +3,12 @@
 Each checker sweeps a family, tests the asserted inequality on the sampled
 grid, and reports a worst-case margin with the witnessing parameters. Margins
 are signed slacks: nonnegative (up to the stated tolerance) means the
-inequality held. FAMILY_KINDS maps each family kind to the `*_lines` builder of its `check` report.
+inequality held. FAMILY_KINDS maps each family kind to the `*_lines` builder
+of its `check` report and to the grids it sweeps, each with its default grid
+and its domain.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -574,11 +577,25 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     return lines
 
 
-# family kind -> (builder of its `check` report, {grid name it sweeps: (start, stop, count) of the
-# default grid}); a builder takes the family and one grid per name, in this order
+@dataclass(frozen=True)
+class GridSpec:
+    """A grid a family kind sweeps: the (start, stop, count) of its default grid, and
+    the interval [lo, hi] its points must lie in, which `domain` states in words."""
+
+    default: tuple[float, float, int]
+    lo: float = -math.inf
+    hi: float = math.inf
+    domain: str = ""
+
+
+M_DOMAIN = {"lo": math.ulp(0.0), "domain": "start above 0"}  # ulp(0), the least positive double: m > 0
+OPERATOR_KIND = (operator_family_lines, {"m": GridSpec((0.5, 2.0, 7), **M_DOMAIN)})
+
+# family kind -> (builder of its `check` report, {grid name it sweeps: GridSpec});
+# a builder takes the family and one grid per name, in this order
 FAMILY_KINDS = {
-    "linear": (linear_check_lines, {"m": (0.1, 5.0, 21), "beta": (-3.0, 3.0, 21)}),
-    "karlin": (karlin_family_lines, {"alpha": (0.0, 1.0, 11)}),
-    "kingman": (kingman_family_lines, {"theta": (-1.0, 1.0, 9)}),
-    **dict.fromkeys(("laplacian", "elliptic", "nonlocal"), (operator_family_lines, {"m": (0.5, 2.0, 7)})),
+    "linear": (linear_check_lines, {"m": GridSpec((0.1, 5.0, 21), **M_DOMAIN), "beta": GridSpec((-3.0, 3.0, 21))}),
+    "karlin": (karlin_family_lines, {"alpha": GridSpec((0.0, 1.0, 11), 0.0, 1.0, "stay inside [0, 1]")}),
+    "kingman": (kingman_family_lines, {"theta": GridSpec((-1.0, 1.0, 9))}),
+    **dict.fromkeys(("laplacian", "elliptic", "nonlocal"), OPERATOR_KIND),
 }

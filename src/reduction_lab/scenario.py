@@ -1,17 +1,5 @@
-"""Scenario files: flat `key = value` lines with bracketed section headers.
-
-Example:
-
-    [family]
-    kind = linear
-    A = -1 1 ; 1 -1
-    V_diag = 1 -1
-
-    [grid]
-    name = m
-    start = 0.1
-    stop = 5
-    count = 21
+"""Scenario files: flat `key = value` lines with bracketed section headers, as in
+README's "Scenario format", which shows a complete file and each kind's keys.
 
 Matrices may be given inline (rows separated by `;`), as `<name>_file = path`
 references in the shared matrix text format, or as `<name>_diag = d1 d2 ...`
@@ -23,6 +11,8 @@ A scenario chooses a family, its grids and a threshold bracket, never how
 strictly a check is judged; any other key is a ParseError.
 """
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -32,13 +22,6 @@ from .checks import FAMILY_KINDS, THRESHOLD_PRESWEEP, is_uniform
 from .errors import InvariantViolation, NegativeKernel, NonPositiveDiffusion, ParseError
 from .gallery import Grid1D, KarlinFamily, KingmanFamily, LinearFamily, elliptic_1d, laplacian_1d, nonlocal_operator
 from .matrixio import load_matrix
-
-# matrix family kind -> (constructor, its [family] matrix keys)
-MATRIX_FAMILIES = {
-    "linear": (LinearFamily, ("a", "v")),
-    "karlin": (KarlinFamily, ("p", "d")),
-    "kingman": (KingmanFamily, ("c", "g")),
-}
 
 
 @dataclass
@@ -58,7 +41,11 @@ class Scenario:
         """The scenario's grid if it sweeps `name`, else the kind's default grid of that name."""
         if self.grid_name == name:
             return self.grid
-        return np.linspace(*FAMILY_KINDS[self.family_kind][1][name])
+        return np.linspace(*FAMILY_KINDS[self.family_kind][1][name].default)
+
+
+# coefficient built-in -> number of parameters
+BUILTIN_ARITY = {"constant": 1, "gaussian": 1, "linear": 2}
 
 
 def parse_builtin(spec: str, line=None, origin=None):
@@ -75,57 +62,88 @@ def parse_builtin(spec: str, line=None, origin=None):
         params = tuple(float(p) for p in rest.split(","))
     except ValueError:
         raise ParseError(f"{prefix}bad numeric parameters in {spec!r}", line=line)
-    if name == "constant" and len(params) == 1:
-        return (name, params)
-    if name == "gaussian" and len(params) == 1:
+    if len(params) != BUILTIN_ARITY.get(name):
+        raise ParseError(f"{prefix}unknown coefficient builtin {spec!r}", line=line)
+    if name == "gaussian":
         if params[0] <= 0:
             raise ParseError(f"{prefix}gaussian width must be positive", line=line)
         if 2.0 * params[0] * params[0] == 0.0:
             raise ParseError(f"{prefix}gaussian width {params[0]!r} squares to 0 in double precision", line=line)
-        return (name, params)
-    if name == "linear" and len(params) == 2:
-        return (name, params)
-    raise ParseError(f"{prefix}unknown coefficient builtin {spec!r}", line=line)
+    return (name, params)
 
 
-def coefficient_values(builtin: tuple, x: np.ndarray, length: float) -> np.ndarray:
-    """Sample a named coefficient on grid points; gaussian bumps sit at mid-domain."""
+def profile(builtin: tuple, d: np.ndarray, center: float) -> np.ndarray:
+    """Sample a parsed built-in f at d: the constant, the gaussian exp(-(d - center)^2/(2 sigma^2)),
+    or slope*d + intercept. A coefficient is sampled at the grid points x with center = L/2, a
+    kernel K(x_i, x_j) at the distances |x_i - x_j| with center = 0."""
     name, params = builtin
     if name == "constant":
-        return np.full(x.shape, params[0])
+        return np.full(d.shape, params[0])
     if name == "gaussian":
         sigma = params[0]
         with np.errstate(over="ignore"):  # a tiny width gives -inf exponents, and exp(-inf) = 0
-            return np.exp(-((x - 0.5 * length) ** 2) / (2.0 * sigma * sigma))
+            return np.exp(-((d - center) ** 2) / (2.0 * sigma * sigma))
     slope, intercept = params
-    return slope * x + intercept
+    return slope * d + intercept
 
 
-def kernel_values(builtin: tuple, x: np.ndarray) -> np.ndarray:
-    """Sample a named kernel K(x_i, y_j) on the grid; depends on |x - y|."""
-    name, params = builtin
-    diff = x[:, None] - x[None, :]
-    if name == "constant":
-        return np.full((len(x), len(x)), params[0])
-    if name == "gaussian":
-        sigma = params[0]
-        with np.errstate(over="ignore"):  # a tiny width gives -inf exponents, and exp(-inf) = 0
-            return np.exp(-(diff**2) / (2.0 * sigma * sigma))
-    slope, intercept = params
-    return slope * np.abs(diff) + intercept
+def _at_points(builtin: tuple, grid: Grid1D) -> np.ndarray:
+    return profile(builtin, grid.points, grid.length / 2)
 
 
-def _operator_family(kind: str, grid: Grid1D, coefficients: dict[str, tuple]) -> LinearFamily:
-    """Mixing/growth split of a discretized operator: A mixes, V multiplies, the operator is A + V."""
-    n, x = grid.n, grid.points
-    if kind == "laplacian":
-        return LinearFamily(laplacian_1d(grid), np.zeros((n, n)))
-    if kind == "elliptic":
-        a, b, c = (coefficient_values(coefficients[key], x, grid.length) for key in "abc")
-        return LinearFamily(elliptic_1d(a, b, grid), np.diag(c))
-    K = kernel_values(coefficients["kernel"], x)
-    b = coefficient_values(coefficients["b"], x, grid.length)
-    return LinearFamily(nonlocal_operator(K, grid), np.diag(b))
+def _laplacian(grid: Grid1D) -> LinearFamily:
+    return LinearFamily(laplacian_1d(grid), np.zeros((grid.n, grid.n)))
+
+
+def _elliptic(grid: Grid1D, a, b, c) -> LinearFamily:
+    return LinearFamily(elliptic_1d(_at_points(a, grid), _at_points(b, grid), grid), np.diag(_at_points(c, grid)))
+
+
+def _nonlocal(grid: Grid1D, kernel, b) -> LinearFamily:
+    x = grid.points
+    K = profile(kernel, np.abs(x[:, None] - x[None, :]), 0.0)
+    return LinearFamily(nonlocal_operator(K, grid), np.diag(_at_points(b, grid)))
+
+
+def _matrices(items, constructor, keys):
+    """The call that builds a matrix kind: `constructor` of its [family] matrices `keys`, in order."""
+    return functools.partial(constructor, *[_require_matrix(items, key) for key in keys])
+
+
+def _operator(items, split, coefficients):
+    """The call that builds an operator kind: `split(grid, **coefficients)` of its [operator]
+    grid and coefficient built-ins {key: default, None when required}, which returns the
+    LinearFamily(A, V) of mixing and growth whose operator is A + V."""
+    n = items.number("operator", "n", int)
+    length = items.number("operator", "length", float, 1.0)
+    boundary, _ = items.take("operator", "boundary")
+    if n is None:
+        raise ParseError(f"{items.origin}: operator families need [operator] n")
+    try:
+        grid = Grid1D(n=n, length=length, boundary=(boundary or "dirichlet").lower())
+    except ValueError as exc:
+        raise InvariantViolation(f"{items.origin}: {exc}")
+    builtins = {}
+    for key, default in coefficients.items():
+        if default is None:
+            value, line = items.require("operator", key)
+        else:
+            value, line = items.take("operator", key)
+            value = value or default
+        builtins[key] = parse_builtin(value, line, items.origin)
+    return functools.partial(split, grid, **builtins)
+
+
+# family kind -> (reader, constructor, keys) of how a scenario writes it: the [family] matrices
+# of a matrix kind, the [operator] coefficients of an operator kind; kinds as in checks.FAMILY_KINDS
+SCENARIO_KINDS = {
+    "linear": (_matrices, LinearFamily, ("a", "v")),
+    "karlin": (_matrices, KarlinFamily, ("p", "d")),
+    "kingman": (_matrices, KingmanFamily, ("c", "g")),
+    "laplacian": (_operator, _laplacian, {}),
+    "elliptic": (_operator, _elliptic, {"a": "constant:1", "b": "constant:0", "c": "constant:0"}),
+    "nonlocal": (_operator, _nonlocal, {"kernel": None, "b": "constant:0"}),
+}
 
 
 def _read_items(text: str, origin: str):
@@ -152,16 +170,13 @@ def _read_items(text: str, origin: str):
 
 
 class _Items:
-    def __init__(self, items, origin, base_dir):
-        self.items = dict(items)
+    def __init__(self, items, origin):
+        self.remaining = items
         self.origin = origin
-        self.base_dir = base_dir
 
-    def take(self, section, key, default=None):
-        entry = self.items.pop((section, key), None)
-        if entry is None:
-            return default, None
-        return entry
+    def take(self, section, key):
+        """(value, line) of the key, or (None, None) when it is absent."""
+        return self.remaining.pop((section, key), (None, None))
 
     def require(self, section, key):
         value, line = self.take(section, key)
@@ -169,71 +184,58 @@ class _Items:
             raise ParseError(f"{self.origin}: missing [{section}] {key}")
         return value, line
 
-    def leftovers(self):
-        return self.items
+    def number(self, section, key, read, default=None, finite=False):
+        """`read(value)` of the key, `read` being float or int, or `default` when it is absent;
+        with `finite`, a non-finite value is an error."""
+        value, line = self.take(section, key)
+        if value is None:
+            return default
+        try:
+            number = read(value)
+        except ValueError:
+            noun = "an integer" if read is int else "a number"
+            raise ParseError(f"{self.origin}: {key} must be {noun}, got {value!r}", line=line)
+        if finite and not math.isfinite(number):  # linspace would warn, then repeat points
+            raise ParseError(f"{self.origin}: {key} must be finite, got {value!r}", line=line)
+        return number
+
+
+def _floats(text, line, origin):
+    try:
+        return [float(p) for p in text.split()]
+    except ValueError as exc:
+        raise ParseError(f"{origin}: {exc}", line=line)
 
 
 def _parse_inline_matrix(value, line, origin):
     rows = [r.strip() for r in value.split(";") if r.strip()]
     if not rows:
         raise ParseError(f"{origin}: empty inline matrix", line=line)
-    try:
-        data = [[float(p) for p in r.split()] for r in rows]
-    except ValueError as exc:
-        raise ParseError(f"{origin}: {exc}", line=line)
+    data = [_floats(r, line, origin) for r in rows]
     widths = {len(r) for r in data}
     if widths != {len(data)}:
         raise ParseError(f"{origin}: inline matrix must be square", line=line)
     return np.asarray(data)
 
 
-def _take_matrix(items: _Items, section, name):
-    inline, line = items.take(section, name)
+def _require_matrix(items: _Items, name):
+    """The [family] matrix `name`, given inline, as `<name>_diag` or as `<name>_file`."""
+    inline, line = items.take("family", name)
     if inline is not None:
         return _parse_inline_matrix(inline, line, items.origin)
-    diag, line = items.take(section, f"{name}_diag")
+    diag, line = items.take("family", f"{name}_diag")
     if diag is not None:
-        try:
-            entries = [float(p) for p in diag.split()]
-        except ValueError as exc:
-            raise ParseError(f"{items.origin}: {exc}", line=line)
+        entries = _floats(diag, line, items.origin)
         if not entries:
             raise ParseError(f"{items.origin}: empty diagonal", line=line)
         return np.diag(entries)
-    path, line = items.take(section, f"{name}_file")
-    if path is not None:
-        full = path if os.path.isabs(path) else os.path.join(items.base_dir, path)
-        if not os.path.exists(full):
-            raise ParseError(f"{items.origin}: referenced file {path!r} does not exist", line=line)
-        return load_matrix(full)
-    return None
-
-
-def _require_matrix(items, section, name):
-    M = _take_matrix(items, section, name)
-    if M is None:
-        raise ParseError(f"{items.origin}: family needs matrix {name!r} in section [{section}]")
-    return M
-
-
-def _take_float(items, section, key, default=None):
-    value, line = items.take(section, key)
-    if value is None:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"{items.origin}: {key} must be a number, got {value!r}", line=line)
-
-
-def _take_int(items, section, key, default=None):
-    value, line = items.take(section, key)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"{items.origin}: {key} must be an integer, got {value!r}", line=line)
+    path, line = items.take("family", f"{name}_file")
+    if path is None:
+        raise ParseError(f"{items.origin}: family needs matrix {name!r} in section [family]")
+    full = os.path.join(os.path.dirname(os.path.abspath(items.origin)), path)  # an absolute path stays as it is
+    if not os.path.exists(full):
+        raise ParseError(f"{items.origin}: referenced file {path!r} does not exist", line=line)
+    return load_matrix(full)
 
 
 def _linspace(origin, start, stop, count):
@@ -247,65 +249,40 @@ def _linspace(origin, start, stop, count):
 def parse_scenario(path) -> Scenario:
     origin = str(path)
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    items = _Items(_read_items(text, origin), origin, os.path.dirname(os.path.abspath(origin)))
+        items = _Items(_read_items(fh.read(), origin), origin)
 
     kind, kind_line = items.require("family", "kind")
     kind = kind.lower()
-    if kind not in FAMILY_KINDS:
+    if kind not in SCENARIO_KINDS:
         raise ParseError(f"{origin}: unknown family kind {kind!r}", line=kind_line)
-    if kind in MATRIX_FAMILIES:
-        constructor, keys = MATRIX_FAMILIES[kind]
-        args = [_require_matrix(items, "family", key) for key in keys]
-    else:
-        n = _take_int(items, "operator", "n")
-        length = _take_float(items, "operator", "length", 1.0)
-        boundary, bline = items.take("operator", "boundary")
-        boundary = (boundary or "dirichlet").lower()
-        if n is None:
-            raise ParseError(f"{origin}: operator families need [operator] n")
-        try:
-            grid1d = Grid1D(n=n, length=length, boundary=boundary)
-        except ValueError as exc:
-            raise InvariantViolation(f"{origin}: {exc}")
-        coefficients = {}
-        if kind == "elliptic":
-            for coef, default in (("a", "constant:1"), ("b", "constant:0"), ("c", "constant:0")):
-                value, line = items.take("operator", coef)
-                coefficients[coef] = parse_builtin(value or default, line, origin)
-        elif kind == "nonlocal":
-            kernel, kline = items.require("operator", "kernel")
-            coefficients["kernel"] = parse_builtin(kernel, kline, origin)
-            value, line = items.take("operator", "b")
-            coefficients["b"] = parse_builtin(value or "constant:0", line, origin)
-        constructor, args = _operator_family, (kind, grid1d, coefficients)
+    read, constructor, keys = SCENARIO_KINDS[kind]
+    build = read(items, constructor, keys)
 
     grid_name = grid = bracket = None
+    grids = FAMILY_KINDS[kind][1]
     name, name_line = items.take("grid", "name")
     if name is not None:
         name = name.lower()
-        if name not in FAMILY_KINDS[kind][1]:
-            names = " or ".join(FAMILY_KINDS[kind][1])
-            raise ParseError(f"{origin}: {kind} families sweep {names}, not {name!r}", line=name_line)
-        start = _take_float(items, "grid", "start")
-        stop = _take_float(items, "grid", "stop")
-        count = _take_int(items, "grid", "count")
+        if name not in grids:
+            raise ParseError(f"{origin}: {kind} families sweep {' or '.join(grids)}, not {name!r}", line=name_line)
+        start = items.number("grid", "start", float, finite=True)
+        stop = items.number("grid", "stop", float, finite=True)
+        count = items.number("grid", "count", int)
         if start is None or stop is None or count is None:
             raise ParseError(f"{origin}: grid needs start, stop and count")
         if count < 3:
             raise ParseError(f"{origin}: grid count >= 3 required, got {count}")
         if not start < stop:
             raise ParseError(f"{origin}: grid start must be below stop")
-        if name == "m" and start <= 0:
-            raise ParseError(f"{origin}: m grids must start above 0")
-        if name == "alpha" and (start < 0 or stop > 1):
-            raise ParseError(f"{origin}: alpha grids must stay inside [0, 1]")
+        spec = grids[name]
+        if start < spec.lo or stop > spec.hi:
+            raise ParseError(f"{origin}: {name} grids must {spec.domain}")
         grid_name, grid = name, _linspace(origin, start, stop, count)
         if not is_uniform(grid):  # the second differences of `check` need even steps
             raise ParseError(f"{origin}: {count} points from {start!r} to {stop!r} are unevenly spaced")
 
-    m_lo = _take_float(items, "threshold", "m_lo")
-    m_hi = _take_float(items, "threshold", "m_hi")
+    m_lo = items.number("threshold", "m_lo", float, finite=True)
+    m_hi = items.number("threshold", "m_hi", float, finite=True)
     if (m_lo is None) != (m_hi is None):
         raise ParseError(f"{origin}: threshold needs both m_lo and m_hi")
     if m_lo is not None:
@@ -314,11 +291,11 @@ def parse_scenario(path) -> Scenario:
         _linspace(origin, m_lo, m_hi, THRESHOLD_PRESWEEP)  # the points of find_threshold's pre-sweep
         bracket = (m_lo, m_hi)
 
-    for (section, key), (_, line) in items.leftovers().items():
+    for (section, key), (_, line) in items.remaining.items():
         raise ParseError(f"{origin}: unknown key {key!r} in section [{section}]", line=line)
 
     try:
-        family = constructor(*args)
+        family = build()
     except ValueError as exc:
         raise InvariantViolation(f"{origin}: {exc}")
     except (NonPositiveDiffusion, NegativeKernel) as exc:

@@ -357,6 +357,26 @@ def test_repeating_grid_points_are_a_parse_error(tmp_path, capsys, command, sect
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, section, problem",
+    [
+        ("check", "[grid]\nname = beta\nstart = -inf\nstop = 1\ncount = 5", "line 7: {}: start must be finite, got '-inf'"),
+        ("curve", "[grid]\nname = beta\nstart = -1\nstop = inf\ncount = 5", "line 8: {}: stop must be finite, got 'inf'"),
+        ("threshold", "[threshold]\nm_lo = nan\nm_hi = 10", "line 6: {}: m_lo must be finite, got 'nan'"),
+        ("threshold", "[threshold]\nm_lo = 0.1\nm_hi = inf", "line 7: {}: m_hi must be finite, got 'inf'"),
+    ],
+    ids=["start", "stop", "m_lo", "m_hi"],
+)
+def test_non_finite_bounds_are_a_parse_error(tmp_path, capsys, command, section, problem):
+    # linspace over an infinite bound warns and then repeats points, and a NaN fails every comparison
+    scn = write(tmp_path, "inf.scn", f"[family]\nkind = linear\nA = -1 1 ; 1 -1\nV_diag = 1 -1\n{section}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(_argv(command, scn, tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "ParseError: " + problem.format(scn) + "\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_numerical_failure_exit_code(tmp_path):
     # nilpotent entry pattern has zero spectral radius, so log(rho) blows up
     scn = write(

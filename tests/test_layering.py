@@ -7,6 +7,7 @@ import pytest
 
 import reduction_lab
 from reduction_lab.checks import FAMILY_KINDS
+from reduction_lab.scenario import SCENARIO_KINDS
 
 PACKAGE = pathlib.Path(reduction_lab.__file__).parent
 NUMERICS = ["errors", "rng", "perron", "oracle", "semigroup", "gallery", "matrixio"]
@@ -90,3 +91,16 @@ def test_cli_reaches_check_builders_only_through_family_kinds():
 
 def test_scenario_defines_no_grid_table():
     assert not [n for n in module_body_nodes("scenario") if isinstance(n, ast.Constant) and n.value in GRID_NAMES]
+
+
+def test_scenario_compares_no_string_with_a_kind_or_grid_name():
+    # every per-kind and per-grid fact is a table row, so a new kind or grid needs only rows
+    names = set(FAMILY_KINDS) | GRID_NAMES
+    for node in ast.walk(parse("scenario")):
+        if isinstance(node, ast.Compare):
+            constants = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+            assert constants.isdisjoint(names), ast.unparse(node)
+
+
+def test_scenario_writes_exactly_the_family_kinds():
+    assert SCENARIO_KINDS.keys() == FAMILY_KINDS.keys()

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from reduction_lab import InvariantViolation, LinearFamily, ParseError, save_matrix
+from reduction_lab.checks import FAMILY_KINDS
 from reduction_lab.gallery import Grid1D, elliptic_1d
-from reduction_lab.scenario import coefficient_values, kernel_values, parse_builtin, parse_scenario
+from reduction_lab.scenario import parse_builtin, parse_scenario, profile
 
 
 def write(tmp_path, text, name="case.scn"):
@@ -128,6 +130,46 @@ def test_m_grid_must_be_positive(tmp_path):
         )
 
 
+# each family kind's smallest [family] body; operator kinds at n = 8
+MINIMAL_BODIES = {
+    "linear": "A = -1 1 ; 1 -1\nV_diag = 1 -1",
+    "karlin": "P = 0.2 0.8 ; 0.6 0.4\nD_diag = 2 0.5",
+    "kingman": "c = 1 2 ; 0.5 1\ng = 0.3 -1 ; 1 0.2",
+    "laplacian": "[operator]\nn = 8",
+    "elliptic": "[operator]\nn = 8",
+    "nonlocal": "[operator]\nn = 8\nkernel = gaussian:0.2",
+}
+
+# each bounded grid: (start, stop) pairs just outside its domain, and the message that rejects them
+OUTSIDE_DOMAIN = {
+    "m": ([(0.0, 1.0)], "m grids must start above 0"),
+    "alpha": ([(-5e-324, 1.0), (0.0, 1.0000000000000002)], "alpha grids must stay inside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_every_family_kind_parses_from_its_table_rows(tmp_path, kind):
+    text = f"[family]\nkind = {kind}\n{MINIMAL_BODIES[kind]}\n"
+    sc = parse_scenario(write(tmp_path, text))
+    assert sc.family_kind == kind and sc.grid is None
+    for name, spec in FAMILY_KINDS[kind][1].items():
+        grid = sc.grid_for(name)
+        assert (grid[0], grid[-1], len(grid)) == spec.default
+        assert (math.isfinite(spec.lo) or math.isfinite(spec.hi)) == (name in OUTSIDE_DOMAIN)
+        outside, message = OUTSIDE_DOMAIN.get(name, ([], None))
+        for start, stop in outside:
+            path = write(tmp_path, text + f"[grid]\nname = {name}\nstart = {start!r}\nstop = {stop!r}\ncount = 5\n", "out.scn")
+            with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                parse_scenario(path)
+
+
+def test_operator_kinds_need_n_and_nonlocal_a_kernel(tmp_path):
+    with pytest.raises(ParseError, match=r"operator families need \[operator\] n$"):
+        parse_scenario(write(tmp_path, "[family]\nkind = laplacian\n"))
+    with pytest.raises(ParseError, match=r"missing \[operator\] kernel$"):
+        parse_scenario(write(tmp_path, "[family]\nkind = nonlocal\n[operator]\nn = 8\nb = constant:1\n"))
+
+
 def test_duplicate_key_rejected(tmp_path):
     with pytest.raises(ParseError, match="duplicate"):
         parse_scenario(write(tmp_path, "[family]\nkind = linear\nkind = karlin\n"))
@@ -201,11 +243,11 @@ def test_threshold_bracket(tmp_path):
 
 def test_builtin_coefficients():
     x = np.array([0.0, 0.5, 1.0])
-    np.testing.assert_array_equal(coefficient_values(parse_builtin("constant:2"), x, 1.0), [2.0, 2.0, 2.0])
-    np.testing.assert_array_equal(coefficient_values(parse_builtin("linear:2,1"), x, 1.0), [1.0, 2.0, 3.0])
-    bump = coefficient_values(parse_builtin("gaussian:0.2"), x, 1.0)
+    np.testing.assert_array_equal(profile(parse_builtin("constant:2"), x, 0.5), [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(profile(parse_builtin("linear:2,1"), x, 0.5), [1.0, 2.0, 3.0])
+    bump = profile(parse_builtin("gaussian:0.2"), x, 0.5)
     assert bump[1] == 1.0 and bump[0] < 1.0
-    K = kernel_values(parse_builtin("gaussian:0.5"), x)
+    K = profile(parse_builtin("gaussian:0.5"), np.abs(x[:, None] - x[None, :]), 0.0)
     assert K.shape == (3, 3) and np.array_equal(np.diagonal(K), np.ones(3))
     with pytest.raises(ParseError):
         parse_builtin("spline:1")
