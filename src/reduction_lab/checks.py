@@ -23,7 +23,7 @@ from .errors import (
     ZeroSpectralRadius,
 )
 from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagonal
-from .perron import SpectralData, is_essentially_nonnegative, is_irreducible
+from .perron import SpectralData, batched_starts, is_essentially_nonnegative, is_irreducible
 from .perron import perron_vectors, resolvent, spectral_bound, square_matrix
 from .semigroup import expm, growth_bound_estimate
 
@@ -37,6 +37,9 @@ THRESHOLD_WIDTH_TOL = 1e-12
 THRESHOLD_PRESWEEP = 9  # grid points of the monotonicity pre-sweep
 SEMIGROUP_POSITIVITY_TOL = 1e-10
 RESOLVENT_POSITIVITY_TOL = 1e-12
+# largest n whose grids take batched Noda starts: in BENCH_20.json they gain at least 10% up to
+# n = 20 on linear and Karlin grids, and linear grids gain nothing at n = 24 and lose at 32
+BATCH_MAX_N = 20
 GROWTH_TOL = 1e-9  # growth_bound checks pass when |omega - spb| <= GROWTH_TOL*max(1, |spb|)
 
 
@@ -104,23 +107,53 @@ class CheckLine:
         return f"{self.name},{status},{self.margin:.17g},{self.witness}"
 
 
+def _grid_starts(matrices) -> list[SpectralData | None]:
+    """perron.batched_starts of a grid's matrices where a batch pays, else None per point.
+
+    A grid batches when it has at least two points, all finite n x n with
+    2 <= n <= BATCH_MAX_N, and the union of their off-diagonal patterns is
+    strongly connected; the reducible grids keep their block-by-block chaining.
+    """
+    none = [None] * len(matrices)
+    if len(matrices) < 2 or len({np.shape(M) for M in matrices}) != 1:
+        return none  # points that do not stack are left to spectral_bound to reject
+    S = np.array(matrices, dtype=float)
+    if S.ndim != 3 or not 2 <= S.shape[1] == S.shape[2] <= BATCH_MAX_N or not np.isfinite(S).all():
+        return none
+    return batched_starts(S) if is_irreducible((S != 0.0).any(axis=0)) else none
+
+
 def solve_along(grid, evaluate, parameter_name: str) -> list[SpectralData]:
     """spectral_bound(evaluate(p)) at each grid point p, in grid order.
 
-    Every sweep of the library solves its grid here. Each solve starts from the
-    result at the previous point. A library error at a point is re-raised
-    with the point appended to its message; it keeps its type and attributes
-    (such as NoConvergence.residual).
+    Every sweep of the library solves its grid here. The grid is evaluated
+    first, up to its first failing point, and each point is then one certified
+    spectral_bound call, started from the batched Noda iterate of its point
+    (_grid_starts) or, where the batch gives none, from the result at the
+    previous point. A library error at a point, of its evaluation or of its
+    solve, is raised for the first failing point in grid order with the point
+    appended to its message; it keeps its type and attributes (such as
+    NoConvergence.residual).
     """
-    results = []
-    previous = None
+    matrices, failure = [], None
     for p in grid:
         try:
-            previous = spectral_bound(evaluate(p), start=previous)
-        except ReductionLabError as exc:
-            exc.args = (f"{exc} (at {parameter_name} = {p})",)
-            raise
-        results.append(previous)
+            matrices.append(evaluate(p))
+        except Exception as exc:  # raised below, once the points before it are solved
+            failure = exc
+            break
+    results = []
+    previous = None
+    try:
+        for p, M, start in zip(grid, matrices, _grid_starts(matrices)):
+            previous = spectral_bound(M, start=previous if start is None else start)
+            results.append(previous)
+        if failure is not None:
+            p = grid[len(matrices)]
+            raise failure
+    except ReductionLabError as exc:
+        exc.args = (f"{exc} (at {parameter_name} = {p})",)
+        raise
     return results
 
 
@@ -380,17 +413,12 @@ def is_resolvent_positive_at(M, xi: float) -> bool:
     return bool((R >= -RESOLVENT_POSITIVITY_TOL).all())
 
 
-def positivity_of_semigroup_check(M, t_grid) -> CheckOutcome:
-    """Check: e^{tM} >= 0 on the probed times iff M is essentially nonnegative.
-
-    For Metzler inputs the resolvent at spb + 1 is additionally required to be
-    entrywise nonnegative.
-    """
-    M = square_matrix(M)
+def semigroup_positivity_outcome(M, t_grid, metzler: bool, resolvent_ok: bool) -> CheckOutcome:
+    """The verdict of positivity_of_semigroup_check on M from its parts: whether M is
+    `metzler`, and for a Metzler M whether its resolvent at spb + 1 is positive."""
     t_grid = np.asarray(t_grid, dtype=float)
     if (t_grid <= 0.0).any():
         raise ValueError("probe times must be strictly positive")
-    metzler = is_essentially_nonnegative(M)
     min_entry = np.inf
     worst_t = float(t_grid[0])
     for t in t_grid:
@@ -399,22 +427,31 @@ def positivity_of_semigroup_check(M, t_grid) -> CheckOutcome:
             min_entry = entry
             worst_t = float(t)
     semigroup_positive = min_entry >= -SEMIGROUP_POSITIVITY_TOL
-    equivalence = semigroup_positive == metzler
-
-    resolvent_ok = True
-    detail = "non-Metzler instance"
     if metzler:
-        resolvent_ok = is_resolvent_positive_at(M, spectral_bound(M).spb + 1.0)
         detail = f"Metzler instance; resolvent at spb+1 positive: {resolvent_ok}"
         margin = min_entry + SEMIGROUP_POSITIVITY_TOL
     else:
+        resolvent_ok = True
+        detail = "non-Metzler instance"
         margin = -SEMIGROUP_POSITIVITY_TOL - min_entry
     return CheckOutcome(
-        passed=bool(equivalence and resolvent_ok),
+        passed=bool(semigroup_positive == metzler and resolvent_ok),
         margin=float(margin),
         witness={"t": worst_t, "min_entry": min_entry},
         detail=detail,
     )
+
+
+def positivity_of_semigroup_check(M, t_grid) -> CheckOutcome:
+    """Check: e^{tM} >= 0 on the probed times iff M is essentially nonnegative.
+
+    For Metzler inputs the resolvent at spb + 1 is additionally required to be
+    entrywise nonnegative.
+    """
+    M = square_matrix(M)
+    metzler = is_essentially_nonnegative(M)
+    resolvent_ok = metzler and is_resolvent_positive_at(M, spectral_bound(M).spb + 1.0)
+    return semigroup_positivity_outcome(M, t_grid, metzler, resolvent_ok)
 
 
 def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
@@ -560,14 +597,18 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     n = A.shape[0]
     off = A[~np.eye(n, dtype=bool)]
     # parse_scenario has already rejected a non-Metzler mixing part, so this line reports the margin
-    lines = [CheckLine("essential_nonnegativity", is_essentially_nonnegative(A), float(np.min(off)), f"n={n}")]
+    metzler = is_essentially_nonnegative(A)
+    lines = [CheckLine("essential_nonnegativity", metzler, float(np.min(off)), f"n={n}")]
     data = spectral_bound(A)
     if not A.sum(axis=1).any():
         lines.append(CheckLine.within("spb_zero", abs(data.spb), 1e-10, spb=data.spb))
     # the resolvent is entrywise nonnegative beyond the spectral bound
-    positive = all(is_resolvent_positive_at(A, data.spb + offset) for offset in (0.1, 1.0, 10.0))
+    positive_at = {offset: is_resolvent_positive_at(A, data.spb + offset) for offset in (0.1, 1.0, 10.0)}
+    positive = all(positive_at.values())
     lines.append(CheckLine("resolvent_positive", positive, 1.0 if positive else -1.0, f"spb={data.spb:.9g}"))
-    lines.append(CheckLine.from_outcome("semigroup_positivity", positivity_of_semigroup_check(A, [0.1, 1.0, 5.0])))
+    # the semigroup line's resolvent probe at spb + 1 is the one above
+    semigroup = semigroup_positivity_outcome(A, [0.1, 1.0, 5.0], metzler, metzler and positive_at[1.0])
+    lines.append(CheckLine.from_outcome("semigroup_positivity", semigroup))
     omega = growth_bound_estimate(A)
     gtol = GROWTH_TOL * max(1.0, abs(data.spb))
     lines.append(CheckLine.within("growth_bound", abs(omega - data.spb), gtol, omega=omega, spb=data.spb))

@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     ReductionLabError,
 )
+from .gallery import LinearFamily
 from .matrixio import format_value, load_matrix
 from .perron import spectral_bound
 from .scenario import parse_scenario
@@ -66,7 +67,7 @@ def run_check(args) -> int:
 
 def run_threshold(args) -> int:
     sc = parse_scenario(args.scenario)
-    if sc.family_kind != "linear":
+    if not isinstance(sc.family, LinearFamily):  # the linear and operator kinds
         raise ParseError(f"{sc.source}: threshold needs a linear family")
     if sc.bracket is None:
         raise ParseError(f"{sc.source}: threshold needs a [threshold] section with m_lo, m_hi")

@@ -21,6 +21,7 @@ EPS = np.finfo(float).eps
 # Solver contract: a Collatz-Wielandt bracket wider than WIDTH_TOL*||M||_inf
 # raises NoConvergence.
 WIDTH_TOL = 1e-11
+BATCH_STEPS = 8  # step cap of batched_starts; a start still wider is certified from where it stands
 # bound once: the solves below run on matrices of a few rows, where the lookups
 # and the Python wrappers behind ndarray.min/max cost more than the arithmetic
 _min = np.minimum.reduce
@@ -224,6 +225,51 @@ def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
         prev_hi = hi
         steps += 1
     return (*best[1:], steps)
+
+
+def batched_starts(S) -> list["SpectralData | None"]:
+    """Uncertified Noda starts for a stack S of k finite n x n matrices, n >= 2, one per matrix.
+
+    Every point starts from the constant vector and takes the steps of _noda
+    together: the quotients q = (S x)/x, a shift just above each point's max q
+    (by _noda's slack, so that the shift of a Metzler matrix is nonsingular) and
+    x replaced by |y|, y solving (shift*I - S) y = x in one stacked
+    np.linalg.solve, normalized to unit sum. A point at _noda's rounding floor
+    takes further steps with the others, which keep it there; the loop stops
+    when no point is above its floor or after BATCH_STEPS steps. A point's start
+    is SpectralData(hi, None, x, 0, lo, hi) at its last iterate, for
+    `spectral_bound(M, start=...)` to certify. Nothing raises: a point whose
+    last iterate is not positive and finite, or whose bracket is not finite,
+    gets None, and every point gets None when the stack is singular.
+    """
+    k, n, _ = S.shape
+    floor = 4.0 * n * EPS
+    eye = np.eye(n)
+    reach = 2.0 * np.maximum(0.0, -_min(np.diagonal(S, axis1=1, axis2=2), axis=1))
+    x = np.full((k, n, 1), 1.0 / n)
+    with np.errstate(all="ignore"):
+        for _ in range(BATCH_STEPS):
+            q = (S @ x)[..., 0] / x[..., 0]
+            lo, hi = _min(q, axis=1), _max(q, axis=1)
+            width = hi - lo
+            slack = 2.0 * floor * (np.abs(hi) + reach)
+            # as in _noda, |S|x/x only once the floor test can pass at every point
+            if not (width > slack).any():
+                if not (width > floor * _max((np.abs(S) @ x)[..., 0] / x[..., 0], axis=1)).any():
+                    break
+            shifted = (hi + slack)[:, None, None] * eye
+            shifted -= S
+            try:
+                x = np.linalg.solve(shifted, x)
+            except np.linalg.LinAlgError:
+                return [None] * k
+            np.abs(x, out=x)
+            x /= _sum(x, axis=1)[:, None]
+        else:
+            q = (S @ x)[..., 0] / x[..., 0]
+            lo, hi = _min(q, axis=1), _max(q, axis=1)
+    usable = (_min(x, axis=1)[:, 0] > 0.0) & np.isfinite(lo) & np.isfinite(hi)
+    return [SpectralData(hi[i], None, x[i, :, 0], 0, lo[i], hi[i]) if usable[i] else None for i in range(k)]
 
 
 def _too_wide(abs_M, lo, hi) -> bool:

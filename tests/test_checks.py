@@ -425,3 +425,28 @@ def test_reduction_dichotomy_uniform_across_random_sweeps():
         out = check_monotone_reduction(sweep, spectral_bound(fam.A).spb)
         assert out.passed
         assert out.detail in ("strict branch", "equality branch")
+
+
+def test_operator_lines_solve_spb_and_each_resolvent_once(monkeypatch):
+    # the semigroup_positivity line reuses the operator's spb and its resolvent at
+    # spb + 1, and reads the same as positivity_of_semigroup_check
+    from reduction_lab import checks
+    from reduction_lab.scenario import parse_scenario
+    from test_golden import GOLDEN
+
+    F = parse_scenario(str(GOLDEN / "laplacian.ini")).family
+    grid = np.linspace(0.5, 2.0, 4)
+    expected = checks.positivity_of_semigroup_check(F.matrix_at(1.0), [0.1, 1.0, 5.0])
+    counts = {"spectral_bound": 0, "resolvent": 0}
+    for name in counts:
+        original = getattr(checks, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, counted)
+    lines = {line.name: line for line in checks.operator_family_lines(F, grid)}
+    # spb(A + V), the sweep's points and spb(A); the resolvent at spb + 0.1, 1 and 10
+    assert counts == {"spectral_bound": 2 + len(grid), "resolvent": 3}
+    assert lines["semigroup_positivity"] == checks.CheckLine.from_outcome("semigroup_positivity", expected)

@@ -197,6 +197,51 @@ def test_threshold_no_sign_change_prints_error_name(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "NoSignChange"
 
 
+OPERATOR_THRESHOLD_SCENARIO = """
+[family]
+kind = elliptic
+
+[operator]
+n = 20
+length = 1
+boundary = neumann
+c = linear:1,-0.75
+
+[threshold]
+m_lo = 0.001
+m_hi = 1
+"""
+
+KINGMAN_SCENARIO = """
+[family]
+kind = kingman
+c = 1 1 ; 1 1
+g = 0 1 ; 1 0
+"""
+
+
+def test_threshold_on_an_operator_kind(tmp_path, capsys):
+    # A is the Neumann Laplacian (zero row sums, spb 0) and V = diag(x - 0.75) on [0, 1],
+    # so spb(m*A + V) falls from near max V > 0 at small m to near mean V < 0 at large m
+    scn = write(tmp_path, "t.scn", OPERATOR_THRESHOLD_SCENARIO)
+    assert main(["threshold", scn]) == 0
+    m_star = float(capsys.readouterr().out)
+    F = parse_scenario(scn).family
+
+    def spb(m):
+        return float(np.max(np.linalg.eigvals(F.matrix_at(m)).real))
+
+    assert 0.001 < m_star < 1 and abs(spb(m_star)) <= 1e-9
+    assert spb(0.99 * m_star) > 0.0 > spb(1.01 * m_star)
+
+
+@pytest.mark.parametrize("family", [KARLIN_SCENARIO, KINGMAN_SCENARIO], ids=["karlin", "kingman"])
+def test_threshold_needs_a_linear_split(tmp_path, capsys, family):
+    scn = write(tmp_path, "t.scn", family + "\n[threshold]\nm_lo = 0.1\nm_hi = 10\n")
+    assert main(["threshold", scn]) == 2
+    assert capsys.readouterr().err == f"ParseError: {scn}: threshold needs a linear family\n"
+
+
 def test_check_linear_scenario(tmp_path):
     scn = write(tmp_path, "l.scn", LINEAR_SCENARIO)
     out = tmp_path / "report.txt"

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reduction_lab import KingmanFamily, LinearFamily, perron, scc_decomposition, spectral_bound
+from reduction_lab import KingmanFamily, LinearFamily, checks, perron, scc_decomposition, spectral_bound
 from reduction_lab.checks import solve_along
+from reduction_lab.errors import NotEssentiallyNonnegative, OverflowRisk
 from reduction_lab.gallery import random_ess_nonneg, random_stochastic
 from reduction_lab.scenario import parse_scenario
 from test_golden import GOLDEN, SCENARIOS, _family_matrix
@@ -54,12 +55,68 @@ def test_warm_sweep_matches_cold_solves_on_random_families(F):
     _assert_warm_matches_cold([F.matrix_at(m) for m in grid], solve_along(grid, F.matrix_at, "m"))
 
 
-def test_warm_sweep_saves_solves():
-    sc = parse_scenario(str(GOLDEN / "linear.ini"))
-    matrices = [_family_matrix(sc, p) for p in sc.grid]
-    warm = sum(d.iterations for d in solve_along(sc.grid, lambda p: _family_matrix(sc, p), sc.grid_name))
-    cold = sum(spectral_bound(M).iterations for M in matrices)
-    assert warm < cold
+def test_warm_sweep_saves_solves(monkeypatch):
+    # batched starts: still one certified spectral_bound call per point, with fewer
+    # shifted solves than starting each point from the previous point's result
+    for name in ("linear", "karlin"):
+        sc = parse_scenario(str(GOLDEN / f"{name}.ini"))
+        matrices = [_family_matrix(sc, p) for p in sc.grid]
+        solved = []
+
+        def counted(M, start=None):
+            solved.append(M)
+            return spectral_bound(M, start=start)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "spectral_bound", counted)
+            warm = solve_along(sc.grid, lambda p: _family_matrix(sc, p), sc.grid_name)
+        assert len(solved) == len(sc.grid)
+        chained, previous = [], None
+        for M in matrices:
+            previous = spectral_bound(M, start=previous)
+            chained.append(previous)
+        cold = sum(spectral_bound(M).iterations for M in matrices)
+        batched = sum(d.iterations for d in warm)
+        assert batched < sum(d.iterations for d in chained) and batched < cold, name
+        _assert_warm_matches_cold(matrices, warm)
+
+
+def test_solve_along_raises_the_first_failing_point_in_grid_order():
+    # c_11*exp(1000*theta) overflows at theta = 1, which is evaluated before any solve
+    F = KingmanFamily(np.ones((2, 2)), np.array([[0.0, 0.0], [0.0, 1000.0]]))
+    grid = np.array([-1.0, 0.0, 1.0])
+    with pytest.raises(OverflowRisk, match=r"\(at theta = 1\.0\)$"):
+        solve_along(grid, F.matrix_at, "theta")
+    # a point before it whose solve fails is raised first, as point by point
+    not_metzler = np.array([[1.0, -1.0], [1.0, 1.0]])
+    with pytest.raises(NotEssentiallyNonnegative, match=r"\(at theta = 0\.0\)$"):
+        solve_along(grid, lambda theta: not_metzler if theta == 0.0 else F.matrix_at(theta), "theta")
+
+
+def test_batch_never_raises_on_a_diagonal_point_or_a_singular_shift(monkeypatch):
+    # Karlin alpha = 0 is the diagonal D: a reducible point inside a batched grid
+    sc = parse_scenario(str(GOLDEN / "karlin.ini"))
+    grid = np.linspace(0.0, 1.0, 11)
+    matrices = [sc.family.matrix_at(a) for a in grid]
+    _assert_warm_matches_cold(matrices, solve_along(grid, sc.family.matrix_at, "alpha"))
+    # at the last point the batch shifts by exactly M_00 = 1 + 16 eps (max q = 1 plus
+    # the slack 2*floor*1, floor = 8 eps), so shift*I - M has a zero first column
+    last = np.array([[1.0 + 16 * EPS, -1.0], [0.0, 1.0]])
+    stack = np.array([[[-1.0, 1.0], [1.0, -1.0]], [[-2.0, 1.0], [0.5, -1.0]], last])
+    assert perron.batched_starts(stack) == [None] * 3
+    solved = []
+
+    def recorded(M, start=None):
+        solved.append(spectral_bound(M, start=start))
+        return solved[-1]
+
+    monkeypatch.setattr(checks, "spectral_bound", recorded)
+    with pytest.raises(NotEssentiallyNonnegative, match=r"\(at p = 2\.0\)$"):
+        solve_along(np.array([0.0, 1.0, 2.0]), lambda p: stack[int(p)], "p")
+    # the points before it start as without a batch, each from the previous result
+    first = spectral_bound(stack[0])
+    _assert_identical(solved[0], first)
+    _assert_identical(solved[1], spectral_bound(stack[1], start=first))
 
 
 def _assert_identical(a, b):

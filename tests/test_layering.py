@@ -104,3 +104,11 @@ def test_scenario_compares_no_string_with_a_kind_or_grid_name():
 
 def test_scenario_writes_exactly_the_family_kinds():
     assert SCENARIO_KINDS.keys() == FAMILY_KINDS.keys()
+
+
+def test_cli_compares_no_string_with_a_kind_name():
+    # whether a kind has a threshold is read off its family, not its name
+    for node in ast.walk(parse("cli")):
+        if isinstance(node, ast.Compare):
+            constants = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+            assert constants.isdisjoint(FAMILY_KINDS), ast.unparse(node)

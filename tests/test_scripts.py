@@ -43,3 +43,11 @@ def test_regen_goldens_measures_the_largest_relative_change():
     assert regen.largest_relative_change(pairs) == (pytest.approx(1.0 / 11.0, rel=1e-12), "s001.spb: 1.0e-3 -> 1.1e-3")
     assert regen.largest_relative_change(pairs[1:]) == (pytest.approx(1e-9, rel=1e-6), "a: 4 -> 4.000000004")
     assert regen.largest_relative_change([("a,1,2", "a,1")]) == (float("inf"), "a: 2 -> 1 numbers")
+
+
+def test_battery_failures_prints_the_failing_lines():
+    run = _run(ROOT / "scripts" / "battery_failures.py", "--seeds", "1039-1040")
+    assert run.returncode == 0, run.stderr
+    assert [line.split(",")[:2] for line in run.stdout.splitlines()] == [["s1040.karlin_monotonicity", "fail"]]
+    assert run.stderr == "1 failing lines over seeds 1039-1040\n"
+    assert _run(ROOT / "scripts" / "battery_failures.py", "--seeds", "5-4").returncode == 2
