@@ -8,7 +8,8 @@ stdout `suite20.stdout`). These are the commands listed in the
 `tests/test_golden.py` docstring.
 
 The outputs are compared with the committed files first. Each line is reduced
-to its name (the first comma-separated field), its number of comma-separated
+to its name (the first comma-separated field, or `(number)` for a line that
+is one number, such as a `threshold` root), its number of comma-separated
 fields, its pass/fail word and its `verdict=` word; numbers after those may
 move. If any such key, the number of lines, or an exit code differs, the
 differences are printed, nothing is written and the script exits 1. Otherwise
@@ -40,11 +41,16 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 
 def line_key(line: str) -> tuple:
-    """(name, field count, pass/fail word, verdict word) of one output line; absent parts are None."""
+    """(name, field count, pass/fail word, verdict word) of one output line; absent parts are None.
+
+    A line that is one number, such as a `threshold` root, is named `(number)`,
+    so that its number may move like any other; an error name there may not.
+    """
     fields = line.split(",")
+    name = "(number)" if len(fields) == 1 and NUMBER.fullmatch(line) else fields[0]
     word = fields[1] if len(fields) > 1 and fields[1] in ("pass", "fail") else None
     verdict = VERDICT.search(line)
-    return fields[0], len(fields), word, verdict.group(1) if verdict else None
+    return name, len(fields), word, verdict.group(1) if verdict else None
 
 
 def largest_relative_change(pairs) -> tuple[float, str]:

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagonal
 from .perron import SpectralData, batched_starts, is_essentially_nonnegative, is_irreducible
-from .perron import perron_vectors, resolvent, spectral_bound, square_matrix
+from .perron import perron_vectors, resolvent, scc_decomposition, spectral_bound, square_matrix
 from .semigroup import expm, growth_bound_estimate
 
 CHECK_TOL = 1e-9
@@ -110,17 +110,42 @@ class CheckLine:
 def _grid_starts(matrices) -> list[SpectralData | None]:
     """perron.batched_starts of a grid's matrices where a batch pays, else None per point.
 
-    A grid batches when it has at least two points, all finite n x n with
-    2 <= n <= BATCH_MAX_N, and the union of their off-diagonal patterns is
-    strongly connected; the reducible grids keep their block-by-block chaining.
+    A grid batches when it has at least two points, all finite n x n with n >= 2.
+    When the union of their off-diagonal patterns is strongly connected, the
+    points batch as a whole if n <= BATCH_MAX_N. When it is reducible, they
+    batch only if every point has exactly the union's off-diagonal pattern, so
+    that each point's diagonal blocks are the strongly connected components of
+    the union: each block's stacked submatrices batch on their own (a 1x1 block
+    is its own entry), BATCH_MAX_N bounds each block's size, and each point's
+    start lists its block starts in `blocks`, in the order of the union's
+    component labels. A point with an unusable block start gets None; a
+    grid whose points differ in pattern or with a block above BATCH_MAX_N gets
+    None throughout, and spectral_bound then chains it block by block.
     """
     none = [None] * len(matrices)
     if len(matrices) < 2 or len({np.shape(M) for M in matrices}) != 1:
         return none  # points that do not stack are left to spectral_bound to reject
     S = np.array(matrices, dtype=float)
-    if S.ndim != 3 or not 2 <= S.shape[1] == S.shape[2] <= BATCH_MAX_N or not np.isfinite(S).all():
+    if S.ndim != 3 or not 2 <= S.shape[1] == S.shape[2] or not np.isfinite(S).all():
         return none
-    return batched_starts(S) if is_irreducible((S != 0.0).any(axis=0)) else none
+    pattern = S != 0.0
+    union = pattern.any(axis=0)
+    if is_irreducible(union):
+        return batched_starts(S) if S.shape[1] <= BATCH_MAX_N else none
+    same = pattern.all(axis=0) == union
+    np.fill_diagonal(same, True)
+    dec = scc_decomposition(union)
+    blocks = [np.flatnonzero(dec.component_id == c) for c in range(dec.component_count)]
+    if not same.all() or max(idx.size for idx in blocks) > BATCH_MAX_N:
+        return none
+    starts = []
+    for point in zip(*(batched_starts(S[:, idx[:, None], idx]) for idx in blocks)):
+        if any(b is None for b in point):
+            starts.append(None)
+        else:
+            hi = max(b.spb_hi for b in point)
+            starts.append(SpectralData(hi, None, None, 0, max(b.spb_lo for b in point), hi, list(point)))
+    return starts
 
 
 def solve_along(grid, evaluate, parameter_name: str) -> list[SpectralData]:
@@ -455,16 +480,27 @@ def positivity_of_semigroup_check(M, t_grid) -> CheckOutcome:
 
 
 def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
-    """Bisect spb(m*A + V) = 0 on [m_lo, m_hi].
+    """Root of spb(m*A + V) = 0 on [m_lo, m_hi], by Newton steps guarded by bisection.
 
-    A preliminary sweep certifies monotonicity on the bracket; endpoints must
-    straddle zero. Bisection stops at |spb| <= 1e-10 or bracket width
-    <= 1e-12; each bisection solve starts from the previous midpoint's result.
+    A THRESHOLD_PRESWEEP-point sweep certifies monotonicity on the bracket;
+    endpoints must straddle zero. The search starts on the cell of that sweep
+    where spb changes sign and stops at |spb| <= THRESHOLD_VALUE_TOL or a cell
+    width <= THRESHOLD_WIDTH_TOL. Each step starts from the end of the cell
+    where spb > 0 and goes to the root of the tangent there,
+    m - spb/(u^T A v), u^T A v being d spb/dm at that end's Perron pair. spb
+    is convex in m (the paper's lemma), so the tangent lies below the curve and
+    its root never passes the root of spb: the new point has spb >= 0 again
+    and the steps approach the root from one side. Where that end has no
+    Perron vectors (a reducible point) or the step does not land inside the
+    open cell, as rounding can make it next to the root, the step bisects
+    instead. Each solve starts from the previous one's result.
     """
     if not 0.0 < m_lo < m_hi:
         raise ValueError("need 0 < m_lo < m_hi")
 
-    vals = sweep_spb_in_m(F, np.linspace(m_lo, m_hi, THRESHOLD_PRESWEEP)).values
+    grid = np.linspace(m_lo, m_hi, THRESHOLD_PRESWEEP)
+    points = solve_along(grid, F.matrix_at, "m")
+    vals = SweepResult("m", grid, [d.spb for d in points]).values
     slack = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
     if not ((np.diff(vals) <= slack).all() or (np.diff(vals) >= -slack).all()):
         raise NotMonotoneOnBracket("preliminary sweep is not monotone on the bracket")
@@ -475,19 +511,28 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
         return m_hi
     if np.sign(f_lo) == np.sign(f_hi):
         raise NoSignChange("spb has the same sign at both bracket endpoints")
-    lo, hi = m_lo, m_hi
-    data = None
-    while hi - lo > THRESHOLD_WIDTH_TOL:
-        mid = 0.5 * (lo + hi)
-        data = spectral_bound(F.matrix_at(mid), start=data)
-        fm = data.spb
-        if abs(fm) <= THRESHOLD_VALUE_TOL:
-            return mid
-        if np.sign(fm) == np.sign(f_lo):
-            lo = mid
+    k = int(np.argmax(np.sign(vals) != np.sign(f_lo)))  # the cell [grid[k-1], grid[k]]
+    for end in (k - 1, k):
+        if abs(vals[end]) <= THRESHOLD_VALUE_TOL:
+            return float(grid[end])
+    pos, neg = (k, k - 1) if vals[k] > 0.0 else (k - 1, k)
+    data = latest = points[pos]
+    pos, neg = float(grid[pos]), float(grid[neg])
+    while abs(pos - neg) > THRESHOLD_WIDTH_TOL:
+        m = 0.5 * (pos + neg)
+        if data.u is not None:
+            slope = float(data.u @ (F.A @ data.v))
+            step = pos - data.spb / slope if slope != 0.0 else math.nan
+            if min(pos, neg) < step < max(pos, neg):
+                m = step
+        latest = spectral_bound(F.matrix_at(m), start=latest)
+        if abs(latest.spb) <= THRESHOLD_VALUE_TOL:
+            return m
+        if latest.spb > 0.0:
+            pos, data = m, latest
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            neg = m
+    return 0.5 * (pos + neg)
 
 
 def strict_convexity_probe(F: LinearFamily, beta_grid) -> CheckOutcome:

@@ -2,7 +2,7 @@
 
 Subcommands: `spb` prints the spectral bound of a matrix file, `curve` writes
 a parameter sweep as CSV, `check` runs every checker applicable to a scenario
-family, `threshold` bisects the zero crossing of spb(m*A + V), and `suite`
+family, `threshold` finds the zero crossing of spb(m*A + V), and `suite`
 runs the seeded randomized battery.
 
 Exit codes: 0 success, 1 check failure, 2 parse/IO error, 3 numerical failure.
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=run_check)
 
-    p = sub.add_parser("threshold", help="bisect spb(m*A + V) = 0 on the scenario bracket")
+    p = sub.add_parser("threshold", help="find the root of spb(m*A + V) = 0 on the scenario bracket")
     p.add_argument("scenario")
     p.set_defaults(func=run_threshold)
 

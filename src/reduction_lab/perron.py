@@ -228,7 +228,7 @@ def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
 
 
 def batched_starts(S) -> list["SpectralData | None"]:
-    """Uncertified Noda starts for a stack S of k finite n x n matrices, n >= 2, one per matrix.
+    """Uncertified Noda starts for a stack S of k finite n x n matrices, one per matrix.
 
     Every point starts from the constant vector and takes the steps of _noda
     together: the quotients q = (S x)/x, a shift just above each point's max q
@@ -236,7 +236,8 @@ def batched_starts(S) -> list["SpectralData | None"]:
     x replaced by |y|, y solving (shift*I - S) y = x in one stacked
     np.linalg.solve, normalized to unit sum. A point at _noda's rounding floor
     takes further steps with the others, which keep it there; the loop stops
-    when no point is above its floor or after BATCH_STEPS steps. A point's start
+    when no point is above its floor or after BATCH_STEPS steps, so a stack of
+    1x1 matrices takes no step and each start is its entry. A point's start
     is SpectralData(hi, None, x, 0, lo, hi) at its last iterate, for
     `spectral_bound(M, start=...)` to certify. Nothing raises: a point whose
     last iterate is not positive and finite, or whose bracket is not finite,

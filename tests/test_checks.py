@@ -386,6 +386,83 @@ def test_find_threshold_rejects_non_monotone_bracket():
         find_threshold(fam, 0.1, 5.0)
 
 
+def _counted_threshold(monkeypatch, fam, m_lo, m_hi):
+    """(find_threshold(fam, m_lo, m_hi), its spectral_bound calls, pre-sweep included)."""
+    from reduction_lab import checks
+
+    calls = []
+    original = checks.spectral_bound
+
+    def counted(M, start=None):
+        calls.append(M)
+        return original(M, start=start)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "spectral_bound", counted)
+        m_star = find_threshold(fam, m_lo, m_hi)
+    return m_star, len(calls)
+
+
+def _lapack_spb(M):
+    return float(np.max(np.linalg.eigvals(M).real))
+
+
+@pytest.mark.parametrize("direction", ["decreasing", "increasing"])
+@pytest.mark.parametrize("seed", range(4))
+def test_find_threshold_newton_meets_the_tolerance(monkeypatch, direction, seed):
+    from reduction_lab.checks import THRESHOLD_PRESWEEP, THRESHOLD_VALUE_TOL
+
+    n = 3 + 2 * seed
+    if direction == "decreasing":
+        # A = P - I: spb falls from max V at m = 0 to pi @ V < 0 as m grows
+        P = random_stochastic(n, seed)
+        d = np.diagonal(random_diagonal(n, -1.0, 1.0, seed + 10)).copy()
+        d[0] = 1.0
+        w, vecs = np.linalg.eig(P.T)
+        pi = np.abs(np.real(vecs[:, np.argmax(w.real)]))
+        fam = LinearFamily(P - np.eye(n), np.diag(d - float(pi @ d / pi.sum()) - 0.25))
+    else:
+        # a positive A makes d spb/dm = u^T A v > 0, and spb(V) < 0
+        fam = LinearFamily(np.abs(random_ess_nonneg(n, seed)) + 0.1, random_diagonal(n, -3.0, -1.0, seed + 20))
+    values = [_lapack_spb(fam.matrix_at(m)) for m in (0.01, 100.0)]
+    assert (values[0] > values[1]) == (direction == "decreasing") and values[0] * values[1] < 0.0
+    m_star, calls = _counted_threshold(monkeypatch, fam, 0.01, 100.0)
+    assert abs(_lapack_spb(fam.matrix_at(m_star))) <= THRESHOLD_VALUE_TOL
+    assert calls <= THRESHOLD_PRESWEEP + 7  # bisection from the pre-sweep's cell takes about 40
+
+
+def test_find_threshold_takes_at_most_16_solves_on_the_golden_and_sweeps_families(monkeypatch, tmp_path):
+    from reduction_lab.checks import THRESHOLD_VALUE_TOL
+    from reduction_lab.scenario import parse_scenario
+    from test_bench_contract import _load_bench
+    from test_golden import GOLDEN
+
+    _load_bench(monkeypatch, "inputs").write_inputs("sweeps", 1, str(tmp_path))
+    scenarios = [GOLDEN / "linear_threshold.ini", *sorted(tmp_path.glob("threshold*.ini"))]
+    assert len(scenarios) == 6
+    for path in scenarios:
+        sc = parse_scenario(str(path))
+        m_star, calls = _counted_threshold(monkeypatch, sc.family, *sc.bracket)
+        assert calls <= 16, path.name
+        assert abs(_lapack_spb(sc.family.matrix_at(m_star))) <= THRESHOLD_VALUE_TOL, path.name
+
+
+def test_find_threshold_bisects_where_the_cell_is_reducible(monkeypatch):
+    from reduction_lab import spectral_bound
+    from reduction_lab.checks import THRESHOLD_VALUE_TOL
+
+    # A = [[P1 - I, C], [0, P2 - I]] is reducible at every m > 0, so no point has
+    # Perron vectors for a Newton step; spb is the larger of the blocks' curves
+    P1, P2 = random_stochastic(3, 1), random_stochastic(4, 2)
+    A = np.zeros((7, 7))
+    A[:3, :3], A[3:, 3:], A[:3, 3:] = P1 - np.eye(3), P2 - np.eye(4), 0.5
+    fam = LinearFamily(A, np.diag([0.8, -1.0, -0.5, 0.6, -0.9, -0.7, -0.4]))
+    assert spectral_bound(fam.matrix_at(1.0)).u is None
+    m_star, calls = _counted_threshold(monkeypatch, fam, 0.01, 100.0)
+    assert abs(_lapack_spb(fam.matrix_at(m_star))) <= THRESHOLD_VALUE_TOL
+    assert calls > 16  # bisection
+
+
 def test_strict_convexity_probe_flat_for_scalar_growth():
     fam = LinearFamily(A_SYM, 2.0 * np.eye(2))
     report = strict_convexity_probe(fam, np.linspace(-2.0, 2.0, 9))

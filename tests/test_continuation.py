@@ -55,6 +55,15 @@ def test_warm_sweep_matches_cold_solves_on_random_families(F):
     _assert_warm_matches_cold([F.matrix_at(m) for m in grid], solve_along(grid, F.matrix_at, "m"))
 
 
+def _chained(matrices):
+    """spectral_bound along the matrices, each point started from the previous result."""
+    results, previous = [], None
+    for M in matrices:
+        previous = spectral_bound(M, start=previous)
+        results.append(previous)
+    return results
+
+
 def test_warm_sweep_saves_solves(monkeypatch):
     # batched starts: still one certified spectral_bound call per point, with fewer
     # shifted solves than starting each point from the previous point's result
@@ -71,13 +80,9 @@ def test_warm_sweep_saves_solves(monkeypatch):
             patch.setattr(checks, "spectral_bound", counted)
             warm = solve_along(sc.grid, lambda p: _family_matrix(sc, p), sc.grid_name)
         assert len(solved) == len(sc.grid)
-        chained, previous = [], None
-        for M in matrices:
-            previous = spectral_bound(M, start=previous)
-            chained.append(previous)
         cold = sum(spectral_bound(M).iterations for M in matrices)
         batched = sum(d.iterations for d in warm)
-        assert batched < sum(d.iterations for d in chained) and batched < cold, name
+        assert batched < sum(d.iterations for d in _chained(matrices)) and batched < cold, name
         _assert_warm_matches_cold(matrices, warm)
 
 
@@ -309,6 +314,79 @@ def test_start_with_another_block_count_gives_the_cold_result():
         assert len(warm.blocks) == len(cold.blocks)
         for a, b in zip(warm.blocks, cold.blocks):
             _assert_identical(a, b)
+
+
+def _assert_identical_with_blocks(a, b):
+    _assert_identical(a, b)
+    assert (a.blocks is None) == (b.blocks is None)
+    for x, y in zip(a.blocks or [], b.blocks or []):
+        _assert_identical(x, y)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reducible_grid_batches_per_block(monkeypatch, seed):
+    # blocks of 12, 9, 5 and 1 rows: two above 8, two below, n = 27 above BATCH_MAX_N
+    rng = np.random.default_rng(300 + seed)
+    sizes = [12, 5, 9, 1]
+    assert sum(sizes) > checks.BATCH_MAX_N >= max(sizes)
+    F = _block_triangular(rng, sizes)
+    grid = np.linspace(-1.0, 1.0, 21)
+    matrices = [F.matrix_at(theta) for theta in grid]
+    starts = checks._grid_starts(matrices)
+    assert all(start is not None and len(start.blocks) == len(sizes) for start in starts)
+    solved = []
+
+    def counted(M, start=None):
+        solved.append(M)
+        return spectral_bound(M, start=start)
+
+    monkeypatch.setattr(checks, "spectral_bound", counted)
+    warm = solve_along(grid, F.matrix_at, "theta")
+    assert len(solved) == len(grid)
+    assert sum(d.iterations for d in warm) < sum(d.iterations for d in _chained(matrices))
+    _assert_warm_matches_cold(matrices, warm)
+    for M, data in zip(matrices, warm):
+        dec = scc_decomposition(M)
+        for c, block in enumerate(data.blocks):
+            idx = np.flatnonzero(dec.component_id == c)
+            B = M[np.ix_(idx, idx)]
+            floor = 8 * idx.size * EPS * _norm(B)
+            assert block.spb_lo - floor <= _lapack_block_spb(B) <= block.spb_hi + floor
+
+
+def test_grid_whose_points_differ_in_pattern_chains_as_before():
+    # the coupling entry c[0, 6] * exp(-800 theta) underflows to 0 at theta = 1 only
+    F = _block_triangular(np.random.default_rng(7), [3, 4])
+    F.c[0, 6], F.g[0, 6] = 1.0, -800.0
+    grid = np.linspace(0.0, 1.0, 11)
+    matrices = [F.matrix_at(theta) for theta in grid]
+    assert matrices[-1][0, 6] == 0.0 and (np.array(matrices[:-1])[:, 0, 6] > 0.0).all()
+    assert checks._grid_starts(matrices) == [None] * len(grid)
+    for a, b in zip(solve_along(grid, F.matrix_at, "theta"), _chained(matrices)):
+        _assert_identical_with_blocks(a, b)
+
+
+def test_grid_with_a_block_above_the_cutoff_chains_as_before():
+    F = _block_triangular(np.random.default_rng(8), [checks.BATCH_MAX_N + 1, 3])
+    grid = np.linspace(-1.0, 1.0, 11)
+    matrices = [F.matrix_at(theta) for theta in grid]
+    assert checks._grid_starts(matrices) == [None] * len(grid)
+    for a, b in zip(solve_along(grid, F.matrix_at, "theta"), _chained(matrices)):
+        _assert_identical_with_blocks(a, b)
+
+
+def test_point_with_an_unusable_block_start_starts_from_the_previous_point(monkeypatch):
+    F = _block_triangular(np.random.default_rng(9), [3, 4])
+    matrices = [F.matrix_at(theta) for theta in np.linspace(-1.0, 1.0, 5)]
+    batched = perron.batched_starts
+
+    def second_point_unusable(S):
+        starts = batched(S)
+        return [None if i == 1 and S.shape[1] == 4 else start for i, start in enumerate(starts)]
+
+    monkeypatch.setattr(checks, "batched_starts", second_point_unusable)
+    starts = checks._grid_starts(matrices)
+    assert starts[1] is None and all(start is not None for i, start in enumerate(starts) if i != 1)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -35,14 +35,25 @@ def test_mixing_reduction_1d():
     assert "reduction check: pass" in run.stdout
 
 
-def test_regen_goldens_measures_the_largest_relative_change():
+@pytest.fixture
+def regen():
     spec = importlib.util.spec_from_file_location("regen_goldens", ROOT / "scripts" / "regen_goldens.py")
-    regen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(regen)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_regen_goldens_measures_the_largest_relative_change(regen):
     pairs = [("s001.spb,pass,margin=1.0e-3,x=2", "s001.spb,pass,margin=1.1e-3,x=2"), ("a,-0,4", "a,0,4.000000004")]
     assert regen.largest_relative_change(pairs) == (pytest.approx(1.0 / 11.0, rel=1e-12), "s001.spb: 1.0e-3 -> 1.1e-3")
     assert regen.largest_relative_change(pairs[1:]) == (pytest.approx(1e-9, rel=1e-6), "a: 4 -> 4.000000004")
     assert regen.largest_relative_change([("a,1,2", "a,1")]) == (float("inf"), "a: 2 -> 1 numbers")
+
+
+def test_regen_goldens_lets_a_threshold_root_move_but_not_its_error_name(regen):
+    assert regen.line_key("1.9719712637306657") == regen.line_key("1.9719712633846849")
+    assert regen.line_key("1.9719712637306657") != regen.line_key("NoSignChange")
+    assert regen.line_key("0.2,-0.5") != regen.line_key("0.3,-0.5")  # a curve row keeps its parameter
 
 
 def test_battery_failures_prints_the_failing_lines():
