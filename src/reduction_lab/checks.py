@@ -4,12 +4,13 @@ Each checker sweeps a family, tests the asserted inequality on the sampled
 grid, and reports a worst-case margin with the witnessing parameters. Margins
 are signed slacks: nonnegative (up to the stated tolerance) means the
 inequality held. FAMILY_KINDS maps each family kind to the `*_lines` builder
-of its `check` report and to the grids it sweeps, each with its default grid
-and its domain.
+of its `check` report and to the GridSpec of each grid it sweeps.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .errors import (
     ZeroSpectralRadius,
 )
 from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagonal
-from .perron import SpectralData, batched_starts, is_essentially_nonnegative, is_irreducible
-from .perron import perron_vectors, resolvent, scc_decomposition, spectral_bound, square_matrix
+from .perron import SpectralData, grid_starts, is_essentially_nonnegative, is_irreducible
+from .perron import perron_vectors, resolvent, spectral_bound, square_matrix
 from .semigroup import expm, growth_bound_estimate
 
 CHECK_TOL = 1e-9
@@ -37,9 +38,6 @@ THRESHOLD_WIDTH_TOL = 1e-12
 THRESHOLD_PRESWEEP = 9  # grid points of the monotonicity pre-sweep
 SEMIGROUP_POSITIVITY_TOL = 1e-10
 RESOLVENT_POSITIVITY_TOL = 1e-12
-# largest n whose grids take batched Noda starts: in BENCH_20.json they gain at least 10% up to
-# n = 20 on linear and Karlin grids, and linear grids gain nothing at n = 24 and lose at 32
-BATCH_MAX_N = 20
 GROWTH_TOL = 1e-9  # growth_bound checks pass when |omega - spb| <= GROWTH_TOL*max(1, |spb|)
 
 
@@ -107,58 +105,36 @@ class CheckLine:
         return f"{self.name},{status},{self.margin:.17g},{self.witness}"
 
 
-def _grid_starts(matrices) -> list[SpectralData | None]:
-    """perron.batched_starts of a grid's matrices where a batch pays, else None per point.
+@dataclass(frozen=True)
+class GridSpec:
+    """A grid a family kind sweeps: the (start, stop, count) of its default grid, the interval [lo, hi]
+    its points must lie in, which `domain` states in words, the member F -> (p -> M(p)) its sweeps
+    solve, and F -> dM/dp, or None where no analytic derivative is written."""
 
-    A grid batches when it has at least two points, all finite n x n with n >= 2.
-    When the union of their off-diagonal patterns is strongly connected, the
-    points batch as a whole if n <= BATCH_MAX_N. When it is reducible, they
-    batch only if every point has exactly the union's off-diagonal pattern, so
-    that each point's diagonal blocks are the strongly connected components of
-    the union: each block's stacked submatrices batch on their own (a 1x1 block
-    is its own entry), BATCH_MAX_N bounds each block's size, and each point's
-    start lists its block starts in `blocks`, in the order of the union's
-    component labels. A point with an unusable block start gets None; a
-    grid whose points differ in pattern or with a block above BATCH_MAX_N gets
-    None throughout, and spectral_bound then chains it block by block.
-    """
-    none = [None] * len(matrices)
-    if len(matrices) < 2 or len({np.shape(M) for M in matrices}) != 1:
-        return none  # points that do not stack are left to spectral_bound to reject
-    S = np.array(matrices, dtype=float)
-    if S.ndim != 3 or not 2 <= S.shape[1] == S.shape[2] or not np.isfinite(S).all():
-        return none
-    pattern = S != 0.0
-    union = pattern.any(axis=0)
-    if is_irreducible(union):
-        return batched_starts(S) if S.shape[1] <= BATCH_MAX_N else none
-    same = pattern.all(axis=0) == union
-    np.fill_diagonal(same, True)
-    dec = scc_decomposition(union)
-    blocks = [np.flatnonzero(dec.component_id == c) for c in range(dec.component_count)]
-    if not same.all() or max(idx.size for idx in blocks) > BATCH_MAX_N:
-        return none
-    starts = []
-    for point in zip(*(batched_starts(S[:, idx[:, None], idx]) for idx in blocks)):
-        if any(b is None for b in point):
-            starts.append(None)
-        else:
-            hi = max(b.spb_hi for b in point)
-            starts.append(SpectralData(hi, None, None, 0, max(b.spb_lo for b in point), hi, list(point)))
-    return starts
+    default: tuple[float, float, int]
+    lo: float = -math.inf
+    hi: float = math.inf
+    domain: str = ""
+    member: Callable = attrgetter("matrix_at")
+    dM: Callable | None = None
 
 
-def solve_along(grid, evaluate, parameter_name: str) -> list[SpectralData]:
+def _slope(u, v, dM) -> float:
+    """u^T dM v: d spb/dp at the Perron pair (u, v), u @ v = 1, of M(p) with dM = dM/dp (Kato 1966)."""
+    return float(u @ (dM @ v))
+
+
+def solve_along(grid, evaluate, parameter_name: str, previous: SpectralData | None = None) -> list[SpectralData]:
     """spectral_bound(evaluate(p)) at each grid point p, in grid order.
 
     Every sweep of the library solves its grid here. The grid is evaluated
     first, up to its first failing point, and each point is then one certified
     spectral_bound call, started from the batched Noda iterate of its point
-    (_grid_starts) or, where the batch gives none, from the result at the
-    previous point. A library error at a point, of its evaluation or of its
-    solve, is raised for the first failing point in grid order with the point
-    appended to its message; it keeps its type and attributes (such as
-    NoConvergence.residual).
+    (perron.grid_starts) or, where the batch gives none, from the result at the
+    previous point, or at the first point from `previous`. A library error at a
+    point, of its evaluation or of its solve, is raised for the first failing
+    point in grid order with the point appended to its message; it keeps its
+    type and attributes (such as NoConvergence.residual).
     """
     matrices, failure = [], None
     for p in grid:
@@ -168,9 +144,8 @@ def solve_along(grid, evaluate, parameter_name: str) -> list[SpectralData]:
             failure = exc
             break
     results = []
-    previous = None
     try:
-        for p, M, start in zip(grid, matrices, _grid_starts(matrices)):
+        for p, M, start in zip(grid, matrices, grid_starts(matrices)):
             previous = spectral_bound(M, start=previous if start is None else start)
             results.append(previous)
         if failure is not None:
@@ -201,22 +176,18 @@ def sweep_spb_in_beta(F: LinearFamily, beta_grid) -> SweepResult:
     return SweepResult("beta", grid, [d.spb for d in solve_along(grid, _at_beta(F), "beta")])
 
 
-def curve_table(F, name: str, grid) -> tuple[str, list[tuple[float, ...]]]:
+def curve_table(F, name: str, spec: GridSpec, grid) -> tuple[str, list[tuple[float, ...]]]:
     """(CSV header, rows) of the sweep of F along `grid`, a grid of the parameter `name`.
 
-    Every family sweeps through its `matrix_at`; an m or beta sweep of m*A + beta*V
-    (the linear and operator kinds) adds the analytic derivative u^T (dM/dp) v when
-    every swept point returned Perron vectors, that is, when every point is irreducible.
+    The sweep solves spec.member(F); a grid with a spec.dM adds the analytic
+    derivative u^T (dM/dp) v when every swept point returned Perron vectors, that
+    is, when every point is irreducible.
     """
-    if name == "beta":
-        evaluate, direction = _at_beta(F), F.V
-    else:
-        evaluate, direction = F.matrix_at, (F.A if name == "m" else None)
-    points = solve_along(grid, evaluate, name)
-    if direction is None or any(d.u is None for d in points):
+    points = solve_along(grid, spec.member(F), name)
+    if spec.dM is None or any(d.u is None for d in points):
         return "param,spb", [(p, d.spb) for p, d in zip(grid, points)]
-    rows = [(p, d.spb, float(d.u @ (direction @ d.v))) for p, d in zip(grid, points)]
-    return "param,spb,analytic_derivative", rows
+    dM = spec.dM(F)
+    return "param,spb,analytic_derivative", [(p, d.spb, _slope(d.u, d.v, dM)) for p, d in zip(grid, points)]
 
 
 def check_midpoint_convexity(S: SweepResult) -> CheckOutcome:
@@ -293,12 +264,8 @@ def derivative_bound_check(F: LinearFamily, m: float) -> CheckOutcome:
 
 
 def perron_derivative(F: LinearFamily, m: float) -> float:
-    """Analytic d spb(mA+V)/dm = u^T A v at the Perron pair of mA + V."""
-    M = F.matrix_at(m)
-    if not is_irreducible(M):
-        raise NotIrreducible("Perron derivative requires an irreducible family point")
-    u, v = perron_vectors(M)
-    return float(u @ (F.A @ v))
+    """Analytic d spb(mA+V)/dm = u^T A v at the Perron pair of mA + V (NotIrreducible if it has none)."""
+    return _slope(*perron_vectors(F.matrix_at(m)), F.A)
 
 
 def perron_derivative_agreement(F: LinearFamily, bound: CheckOutcome) -> CheckLine:
@@ -408,23 +375,16 @@ def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckOutcome:
 def homogeneity_check(F: LinearFamily, m: float, beta: float, alphas) -> CheckOutcome:
     """spb(alpha*(mA + beta V)) = alpha * spb(mA + beta V) for each alpha > 0."""
     alphas = np.asarray(alphas, dtype=float)
-    if (alphas <= 0.0).any():
-        raise ValueError("scaling factors must be strictly positive")
+    if not alphas.size or (alphas <= 0.0).any():
+        raise ValueError("need at least one scaling factor, each strictly positive")
     M = F.matrix_at(m, beta)
     base = spectral_bound(M).spb
-    margin = np.inf
-    witness = {"alpha": 0.0, "m": m, "beta": beta}
-    for alpha in alphas:
-        scaled = spectral_bound(alpha * M).spb
-        diff = abs(scaled - alpha * base)
-        slack = HOMOGENEITY_TOL * max(1.0, abs(alpha * base)) - diff
-        if slack < margin:
-            margin = float(slack)
-            witness = {"alpha": float(alpha), "m": m, "beta": beta}
+    slack = [HOMOGENEITY_TOL * max(1.0, abs(a * base)) - abs(spectral_bound(a * M).spb - a * base) for a in alphas]
+    k = int(np.argmin(slack))
     return CheckOutcome(
-        passed=bool(margin >= 0.0),
-        margin=margin,
-        witness=witness,
+        passed=bool(slack[k] >= 0.0),
+        margin=float(slack[k]),
+        witness={"alpha": float(alphas[k]), "m": m, "beta": beta},
         detail="scaling consistency of the spectral bound",
     )
 
@@ -493,7 +453,8 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
     and the steps approach the root from one side. Where that end has no
     Perron vectors (a reducible point) or the step does not land inside the
     open cell, as rounding can make it next to the root, the step bisects
-    instead. Each solve starts from the previous one's result.
+    instead. Each solve is a solve_along point started from the previous one's
+    result, so a solver error names its m.
     """
     if not 0.0 < m_lo < m_hi:
         raise ValueError("need 0 < m_lo < m_hi")
@@ -521,11 +482,11 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
     while abs(pos - neg) > THRESHOLD_WIDTH_TOL:
         m = 0.5 * (pos + neg)
         if data.u is not None:
-            slope = float(data.u @ (F.A @ data.v))
+            slope = _slope(data.u, data.v, F.A)
             step = pos - data.spb / slope if slope != 0.0 else math.nan
             if min(pos, neg) < step < max(pos, neg):
                 m = step
-        latest = spectral_bound(F.matrix_at(m), start=latest)
+        (latest,) = solve_along([m], F.matrix_at, "m", latest)
         if abs(latest.spb) <= THRESHOLD_VALUE_TOL:
             return m
         if latest.spb > 0.0:
@@ -663,24 +624,20 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     return lines
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """A grid a family kind sweeps: the (start, stop, count) of its default grid, and
-    the interval [lo, hi] its points must lie in, which `domain` states in words."""
-
-    default: tuple[float, float, int]
-    lo: float = -math.inf
-    hi: float = math.inf
-    domain: str = ""
-
-
-M_DOMAIN = {"lo": math.ulp(0.0), "domain": "start above 0"}  # ulp(0), the least positive double: m > 0
-OPERATOR_KIND = (operator_family_lines, {"m": GridSpec((0.5, 2.0, 7), **M_DOMAIN)})
+# m > 0 (ulp(0), the least positive double, is the least m) and dM/dm = A
+M_GRID = {"lo": math.ulp(0.0), "domain": "start above 0", "dM": attrgetter("A")}
+OPERATOR_KIND = (operator_family_lines, {"m": GridSpec((0.5, 2.0, 7), **M_GRID)})
 
 # family kind -> (builder of its `check` report, {grid name it sweeps: GridSpec});
 # a builder takes the family and one grid per name, in this order
 FAMILY_KINDS = {
-    "linear": (linear_check_lines, {"m": GridSpec((0.1, 5.0, 21), **M_DOMAIN), "beta": GridSpec((-3.0, 3.0, 21))}),
+    "linear": (
+        linear_check_lines,
+        {
+            "m": GridSpec((0.1, 5.0, 21), **M_GRID),
+            "beta": GridSpec((-3.0, 3.0, 21), member=_at_beta, dM=attrgetter("V")),
+        },
+    ),
     "karlin": (karlin_family_lines, {"alpha": GridSpec((0.0, 1.0, 11), 0.0, 1.0, "stay inside [0, 1]")}),
     "kingman": (kingman_family_lines, {"theta": GridSpec((-1.0, 1.0, 9))}),
     **dict.fromkeys(("laplacian", "elliptic", "nonlocal"), OPERATOR_KIND),

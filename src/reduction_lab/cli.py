@@ -54,7 +54,7 @@ def run_curve(args) -> int:
     sc = parse_scenario(args.scenario)
     if sc.grid is None:
         raise ParseError(f"{sc.source}: curve needs a [grid] section")
-    header, rows = curve_table(sc.family, sc.grid_name, sc.grid)
+    header, rows = curve_table(sc.family, sc.grid_name, FAMILY_KINDS[sc.family_kind][1][sc.grid_name], sc.grid)
     _write_lines(args.out, [header] + [",".join(format_value(x) for x in row) for row in rows])
     return 0
 

@@ -22,6 +22,9 @@ EPS = np.finfo(float).eps
 # raises NoConvergence.
 WIDTH_TOL = 1e-11
 BATCH_STEPS = 8  # step cap of batched_starts; a start still wider is certified from where it stands
+# largest block whose grids take batched Noda starts: in BENCH_20.json they gain at least 10% up to
+# n = 20 on linear and Karlin grids, and linear grids gain nothing at n = 24 and lose at 32
+BATCH_MAX_N = 20
 # bound once: the solves below run on matrices of a few rows, where the lookups
 # and the Python wrappers behind ndarray.min/max cost more than the arithmetic
 _min = np.minimum.reduce
@@ -124,6 +127,16 @@ def scc_decomposition(M) -> SccDecomposition:
     np.fill_diagonal(adjacency, False)
     count, labels = _scc_labels(M.shape[0], np.packbits(adjacency).tobytes())
     return SccDecomposition(labels.copy(), count)
+
+
+def _block_indices(M, dense: bool) -> list[np.ndarray]:
+    """Row indices of each strongly connected diagonal block of a square M, in the order of the
+    component labels of scc_decomposition; one block of all rows when M is `dense` off the diagonal."""
+    if not dense:
+        dec = scc_decomposition(M)
+        if dec.component_count > 1:
+            return [np.flatnonzero(dec.component_id == c) for c in range(dec.component_count)]
+    return [np.arange(M.shape[0])]
 
 
 def is_irreducible(M) -> bool:
@@ -273,6 +286,45 @@ def batched_starts(S) -> list["SpectralData | None"]:
     return [SpectralData(hi[i], None, x[i, :, 0], 0, lo[i], hi[i]) if usable[i] else None for i in range(k)]
 
 
+def _of_blocks(blocks: list[SpectralData], order=None) -> SpectralData:
+    """The result of a reducible matrix from its blocks' results in label order; the maxima run over
+    them in `order` (of solving, label order by default), so a tie of 0.0 and -0.0 keeps the first sign."""
+    solved = blocks if order is None else [blocks[c] for c in order]
+    hi, iterations = max(b.spb_hi for b in solved), sum(b.iterations for b in solved)
+    return SpectralData(max(b.spb for b in solved), None, None, iterations, max(b.spb_lo for b in solved), hi, blocks)
+
+
+def grid_starts(matrices) -> list[SpectralData | None]:
+    """batched_starts of a grid's matrices where a batch pays, else None per point.
+
+    A grid of at least two finite n x n points, n >= 2, batches per strongly
+    connected block of the union of their off-diagonal patterns when no block is
+    above BATCH_MAX_N. A single block is the whole stack. With more than one, every
+    point must have exactly the union's off-diagonal pattern, and so its blocks; a
+    point's start lists its block starts in `blocks`, in the union's label order,
+    or is None if one of them is. Any other grid gets None at every point, and
+    spectral_bound then chains it point by point.
+    """
+    none = [None] * len(matrices)
+    if len(matrices) < 2 or len({np.shape(M) for M in matrices}) != 1:
+        return none  # points that do not stack are left to spectral_bound to reject
+    S = np.array(matrices, dtype=float)
+    if S.ndim != 3 or not 2 <= S.shape[1] == S.shape[2] or not np.isfinite(S).all():
+        return none
+    pattern = S != 0.0
+    union = pattern.any(axis=0)
+    indices = _block_indices(union, _off_diagonal_signs(union)[1])
+    if max(idx.size for idx in indices) > BATCH_MAX_N:
+        return none
+    if len(indices) == 1:
+        return batched_starts(S)
+    off = ~np.eye(S.shape[1], dtype=bool)
+    if (pattern[:, off] != union[off]).any():
+        return none
+    per_block = [batched_starts(S[:, idx[:, None], idx]) for idx in indices]
+    return [None if any(b is None for b in point) else _of_blocks(list(point)) for point in zip(*per_block)]
+
+
 def _too_wide(abs_M, lo, hi) -> bool:
     """True iff the bracket [lo, hi] is wider than WIDTH_TOL*||M||_inf.
 
@@ -360,16 +412,11 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     nonnegative, dense = _off_diagonal_signs(M)
     if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    if dense:
-        return _solve_irreducible(M, start)
-    dec = scc_decomposition(M)
-    count = dec.component_count
+    indices = _block_indices(M, dense)
+    count = len(indices)
     if count == 1:
         return _solve_irreducible(M, start)
-    submatrices = []
-    for cid in range(count):
-        idx = np.flatnonzero(dec.component_id == cid)
-        submatrices.append(M[idx[:, None], idx])
+    submatrices = [M[idx[:, None], idx] for idx in indices]
     # the likely dominant block goes first, so that the others can stop early
     if start is not None and start.blocks is not None and len(start.blocks) == count:
         starts = start.blocks
@@ -383,16 +430,7 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     for c in order:
         blocks[c] = _solve_irreducible(submatrices[c], starts[c], below)
         below = max(below, blocks[c].spb_lo)
-    solved = [blocks[c] for c in order]  # maxima in solve order: a tie of 0.0 and -0.0 keeps its sign
-    return SpectralData(
-        max(b.spb for b in solved),
-        None,
-        None,
-        sum(b.iterations for b in solved),
-        max(b.spb_lo for b in solved),
-        max(b.spb_hi for b in solved),
-        blocks,
-    )
+    return _of_blocks(blocks, order)
 
 
 def perron_vectors(M):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,12 @@ def test_homogeneity_fixture():
     assert abs(scaled - 2.0 * (np.sqrt(2.0) - 1.0)) <= 1e-9
 
 
+def test_homogeneity_rejects_an_empty_factor_list():
+    # with no factor the check would pass with margin inf and witness alpha = 0
+    with pytest.raises(ValueError, match="at least one scaling factor"):
+        homogeneity_check(FAM, 1.0, 1.0, [])
+
+
 def test_homogeneity_randomized():
     for seed in range(20):
         n = 2 + seed % 4
@@ -461,6 +469,29 @@ def test_find_threshold_bisects_where_the_cell_is_reducible(monkeypatch):
     m_star, calls = _counted_threshold(monkeypatch, fam, 0.01, 100.0)
     assert abs(_lapack_spb(fam.matrix_at(m_star))) <= THRESHOLD_VALUE_TOL
     assert calls > 16  # bisection
+
+
+def test_find_threshold_names_the_point_of_a_failed_newton_solve(monkeypatch):
+    from reduction_lab import NoConvergence, checks
+    from reduction_lab.checks import THRESHOLD_PRESWEEP
+
+    fam = LinearFamily(A_SYM, np.diag([1.0, -2.0]))  # root at m = 2, in the pre-sweep cell [1.3375, 2.575]
+    original, calls = checks.spectral_bound, []
+
+    def failing(M, start=None):
+        calls.append(M)
+        if len(calls) > THRESHOLD_PRESWEEP:
+            raise NoConvergence("bracket did not close", residual=0.5, iterations=7)
+        return original(M, start=start)
+
+    monkeypatch.setattr(checks, "spectral_bound", failing)
+    with pytest.raises(NoConvergence, match=r"^bracket did not close \(at m = (\S+)\)$") as info:
+        find_threshold(fam, 0.1, 10.0)
+    assert (info.value.residual, info.value.iterations) == (0.5, 7)
+    m = float(re.search(r"at m = (\S+)\)$", str(info.value)).group(1))
+    # the tangent step from the positive end stops short of the root, not at the cell's midpoint
+    assert 1.3375 < m < 2.0 and m != 0.5 * (1.3375 + 2.575)
+    np.testing.assert_array_equal(calls[-1], fam.matrix_at(m))
 
 
 def test_strict_convexity_probe_flat_for_scalar_growth():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reduction_lab import KingmanFamily, perron, save_matrix
+from reduction_lab import KingmanFamily, perron, random_diagonal, random_ess_nonneg, save_matrix
 from reduction_lab.checks import kingman_family_lines
 from reduction_lab.cli import main
 from reduction_lab.scenario import parse_scenario
@@ -115,6 +115,30 @@ def test_curve_linear_family_has_derivative_column(tmp_path):
         m, spb, deriv = (float(x) for x in row.split(","))
         assert abs(spb - (-m + np.sqrt(m * m + 1.0))) <= 1e-10
         assert abs(deriv - (-1.0 + m / np.sqrt(m * m + 1.0))) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_curve_beta_derivative_column_is_u_v_v(tmp_path, seed):
+    # d spb(A + beta*V)/d beta = u^T V v/(u^T v) at the Perron pair of A + beta*V, from LAPACK
+    from scipy.linalg import eig
+
+    n = 3 + seed
+    A, V = random_ess_nonneg(n, 40 + seed), random_diagonal(n, -2.0, 2.0, 50 + seed)
+    save_matrix(tmp_path / "a.txt", A)
+    save_matrix(tmp_path / "v.txt", V)
+    grid = "[grid]\nname = beta\nstart = -2\nstop = 2\ncount = 9\n"
+    scn = write(tmp_path, "b.scn", f"[family]\nkind = linear\nA_file = a.txt\nV_file = v.txt\n{grid}")
+    out = tmp_path / "curve.csv"
+    assert main(["curve", scn, "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "param,spb,analytic_derivative"
+    for row in lines[1:]:
+        beta, _, deriv = (float(x) for x in row.split(","))
+        w, vl, vr = eig(A + beta * V, left=True, right=True)
+        k = int(np.argmax(w.real))
+        u, v = vl[:, k].real, vr[:, k].real
+        expected = float(u @ V @ v) / float(u @ v)
+        assert abs(deriv - expected) <= 1e-12 * max(1.0, abs(expected)), (beta, deriv, expected)
 
 
 def test_curve_operator_scenario(tmp_path):

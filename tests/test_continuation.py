@@ -328,11 +328,11 @@ def test_reducible_grid_batches_per_block(monkeypatch, seed):
     # blocks of 12, 9, 5 and 1 rows: two above 8, two below, n = 27 above BATCH_MAX_N
     rng = np.random.default_rng(300 + seed)
     sizes = [12, 5, 9, 1]
-    assert sum(sizes) > checks.BATCH_MAX_N >= max(sizes)
+    assert sum(sizes) > perron.BATCH_MAX_N >= max(sizes)
     F = _block_triangular(rng, sizes)
     grid = np.linspace(-1.0, 1.0, 21)
     matrices = [F.matrix_at(theta) for theta in grid]
-    starts = checks._grid_starts(matrices)
+    starts = perron.grid_starts(matrices)
     assert all(start is not None and len(start.blocks) == len(sizes) for start in starts)
     solved = []
 
@@ -361,16 +361,16 @@ def test_grid_whose_points_differ_in_pattern_chains_as_before():
     grid = np.linspace(0.0, 1.0, 11)
     matrices = [F.matrix_at(theta) for theta in grid]
     assert matrices[-1][0, 6] == 0.0 and (np.array(matrices[:-1])[:, 0, 6] > 0.0).all()
-    assert checks._grid_starts(matrices) == [None] * len(grid)
+    assert perron.grid_starts(matrices) == [None] * len(grid)
     for a, b in zip(solve_along(grid, F.matrix_at, "theta"), _chained(matrices)):
         _assert_identical_with_blocks(a, b)
 
 
 def test_grid_with_a_block_above_the_cutoff_chains_as_before():
-    F = _block_triangular(np.random.default_rng(8), [checks.BATCH_MAX_N + 1, 3])
+    F = _block_triangular(np.random.default_rng(8), [perron.BATCH_MAX_N + 1, 3])
     grid = np.linspace(-1.0, 1.0, 11)
     matrices = [F.matrix_at(theta) for theta in grid]
-    assert checks._grid_starts(matrices) == [None] * len(grid)
+    assert perron.grid_starts(matrices) == [None] * len(grid)
     for a, b in zip(solve_along(grid, F.matrix_at, "theta"), _chained(matrices)):
         _assert_identical_with_blocks(a, b)
 
@@ -384,8 +384,8 @@ def test_point_with_an_unusable_block_start_starts_from_the_previous_point(monke
         starts = batched(S)
         return [None if i == 1 and S.shape[1] == 4 else start for i, start in enumerate(starts)]
 
-    monkeypatch.setattr(checks, "batched_starts", second_point_unusable)
-    starts = checks._grid_starts(matrices)
+    monkeypatch.setattr(perron, "batched_starts", second_point_unusable)
+    starts = perron.grid_starts(matrices)
     assert starts[1] is None and all(start is not None for i, start in enumerate(starts) if i != 1)
 
 

@@ -112,3 +112,21 @@ def test_cli_compares_no_string_with_a_kind_name():
         if isinstance(node, ast.Compare):
             constants = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
             assert constants.isdisjoint(FAMILY_KINDS), ast.unparse(node)
+
+
+def test_curve_table_compares_no_string_with_a_grid_name():
+    # each grid's member and dM/dp are fields of its GridSpec in checks.FAMILY_KINDS
+    (curve_table,) = [n for n in parse("checks").body if isinstance(n, ast.FunctionDef) and n.name == "curve_table"]
+    for node in ast.walk(curve_table):
+        if isinstance(node, ast.Compare):
+            constants = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+            assert constants.isdisjoint(GRID_NAMES), ast.unparse(node)
+
+
+def test_checks_leaves_block_starts_to_perron():
+    # perron.grid_starts builds every batched start, reducible ones included
+    tree = parse("checks")
+    calls = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "SpectralData" not in calls
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"batched_starts", "scc_decomposition"})
