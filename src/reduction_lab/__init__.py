@@ -10,7 +10,6 @@ inequalities those families satisfy.
 
 from .checks import (
     CheckLine,
-    CheckOutcome,
     SweepResult,
     check_midpoint_convexity,
     check_monotone_reduction,

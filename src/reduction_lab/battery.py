@@ -54,26 +54,23 @@ def seed_battery(seed: int) -> list[CheckLine]:
     P = random_stochastic(n, 3000 + seed)
     D = random_diagonal(n, 0.2, 2.0, 4000 + seed)
     alpha_grid = np.linspace(0.0, 1.0, 11)
-    out.append(CheckLine.from_outcome("karlin_monotonicity", karlin_monotonicity_check(KarlinFamily(P, D), alpha_grid)))
+    out.append(karlin_monotonicity_check(KarlinFamily(P, D), alpha_grid))
     scalar_D = np.diag(np.full(n, 1.0 + seed % 3))
-    out.append(
-        CheckLine.from_outcome(
-            "karlin_scalar_invariance", karlin_monotonicity_check(KarlinFamily(P, scalar_D), alpha_grid)
-        )
-    )
+    scalar = karlin_monotonicity_check(KarlinFamily(P, scalar_D), alpha_grid)
+    out.append(replace(scalar, name="karlin_scalar_invariance"))
 
     rng = XorShift64Star(6000 + seed)
     c = np.array([[0.2 + rng.uniform() for _ in range(n)] for _ in range(n)])
     g = np.array([[-1.0 + 2.0 * rng.uniform() for _ in range(n)] for _ in range(n)])
     theta_grid = np.linspace(-1.0, 1.0, 9)
     kingman = kingman_superconvexity_check(KingmanFamily(c, g), theta_grid)
-    out.append(CheckLine.from_outcome("kingman_logconvexity", kingman))
+    out.append(replace(kingman, name="kingman_logconvexity"))
 
     t_grid = [0.01, 0.1, 1.0, 5.0]
-    out.append(CheckLine.from_outcome("semigroup_positivity", positivity_of_semigroup_check(A, t_grid)))
+    out.append(positivity_of_semigroup_check(A, t_grid))
     N = A.copy()
     N[0, 1] = -(1.5 + XorShift64Star(7000 + seed).uniform())
-    out.append(CheckLine.from_outcome("semigroup_counterexample", positivity_of_semigroup_check(N, t_grid)))
+    out.append(replace(positivity_of_semigroup_check(N, t_grid), name="semigroup_counterexample"))
 
     G = random_ess_nonneg(5, 8000 + seed)
     spb_G = spectral_bound(G).spb

@@ -9,7 +9,7 @@ of its `check` report and to the GridSpec of each grid it sweeps.
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 import numpy as np
@@ -19,11 +19,13 @@ from .errors import (
     NoSignChange,
     NotIrreducible,
     NotMonotoneOnBracket,
+    OverflowRisk,
     ReductionLabError,
     SingularResolvent,
     ZeroSpectralRadius,
 )
 from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagonal
+from .matrixio import format_value
 from .perron import SpectralData, grid_starts, is_essentially_nonnegative, is_irreducible
 from .perron import perron_vectors, resolvent, spectral_bound, square_matrix
 from .semigroup import expm, growth_bound_estimate
@@ -67,42 +69,30 @@ class SweepResult:
 
 
 @dataclass
-class CheckOutcome:
-    passed: bool
-    margin: float
-    witness: dict[str, float]
-    detail: str = ""
-
-    def witness_text(self) -> str:
-        return ";".join(f"{k}={v:.9g}" for k, v in self.witness.items())
-
-
-@dataclass
 class CheckLine:
-    """One report line of `check` and `suite`: `name,pass|fail,margin,witness`.
+    """The verdict of one certifier and its report line `name,pass|fail,margin,witness`.
 
-    Advisory lines carry evidence only; they always pass and `suite` does not
-    count them as mandatory.
+    The witness maps names to the numbers that locate the margin; only the
+    advisory `verdict` is a word. `format` is the one place a line becomes
+    text. Advisory lines carry evidence only; they always pass and `suite`
+    does not count them as mandatory.
     """
 
     name: str
     passed: bool
     margin: float
-    witness: str
+    witness: dict[str, float | str]
     advisory: bool = False
-
-    @classmethod
-    def from_outcome(cls, name: str, outcome: CheckOutcome) -> "CheckLine":
-        return cls(name, outcome.passed, outcome.margin, outcome.witness_text())
 
     @classmethod
     def within(cls, name: str, gap: float, tol: float, **witness: float) -> "CheckLine":
         """A line that passes iff gap <= tol, with margin tol - gap."""
-        return cls.from_outcome(name, CheckOutcome(bool(gap <= tol), tol - gap, witness))
+        return cls(name, bool(gap <= tol), tol - gap, witness)
 
     def format(self) -> str:
         status = "pass" if self.passed else "fail"
-        return f"{self.name},{status},{self.margin:.17g},{self.witness}"
+        witness = ";".join(f"{k}={v}" if isinstance(v, str) else f"{k}={v:.9g}" for k, v in self.witness.items())
+        return f"{self.name},{status},{format_value(self.margin)},{witness}"
 
 
 @dataclass(frozen=True)
@@ -190,8 +180,9 @@ def curve_table(F, name: str, spec: GridSpec, grid) -> tuple[str, list[tuple[flo
     return "param,spb,analytic_derivative", [(p, d.spb, _slope(d.u, d.v, dM)) for p, d in zip(grid, points)]
 
 
-def check_midpoint_convexity(S: SweepResult) -> CheckOutcome:
-    """Second-difference convexity test on a uniform sweep, to CHECK_TOL times its scale.
+def check_midpoint_convexity(S: SweepResult) -> CheckLine:
+    """`convexity_<parameter>`: second-difference convexity test on a uniform sweep,
+    to CHECK_TOL times its scale.
 
     The margin is the smallest second difference; the witness is the centre
     of that triple.
@@ -203,15 +194,19 @@ def check_midpoint_convexity(S: SweepResult) -> CheckOutcome:
     scale = max(1.0, float(np.max(np.abs(v))))
     k = int(np.argmin(d2))
     worst = float(d2[k])
-    return CheckOutcome(bool(worst >= -CHECK_TOL * scale), worst, {S.parameter_name: float(S.grid[k + 1])})
+    name = S.parameter_name
+    return CheckLine(f"convexity_{name}", bool(worst >= -CHECK_TOL * scale), worst, {name: float(S.grid[k + 1])})
 
 
-def check_monotone_reduction(S: SweepResult, spb_A: float) -> CheckOutcome:
-    """Certify spb((m+d)A + V) <= spb(mA + V) + d*spb(A) over all grid pairs.
+def check_monotone_reduction(S: SweepResult, spb_A: float) -> CheckLine:
+    """`monotone_reduction`: spb((m+d)A + V) <= spb(mA + V) + d*spb(A) over all grid pairs.
 
-    Also classifies the pairwise slacks: the family must be either strictly
-    below the comparison line for every pair, or exactly on it for every pair;
-    a mixture beyond tolerance fails.
+    Also classifies the pairwise slacks against t = CHECK_TOL times the scale of
+    the sweep: the family must be either strictly below the comparison line for
+    every pair (slack > t, the strict branch), or on it for every pair
+    (|slack| <= t, the equality branch); a violation or a mixture fails. So a
+    pass has margin > t on the strict branch and |margin| <= t on the equality
+    branch.
     """
     if S.parameter_name != "m":
         raise ValueError("monotone reduction expects an m sweep")
@@ -223,26 +218,12 @@ def check_monotone_reduction(S: SweepResult, spb_A: float) -> CheckOutcome:
     d = grid[j] - grid[i]
     slack = v[i] + d * spb_A - v[j]
     k = int(np.argmin(slack))
-    strict = int(np.count_nonzero(slack > t))
-    equal = int(np.count_nonzero((slack >= -t) & (slack <= t)))
-    violations = len(slack) - strict - equal
-    mixed = strict > 0 and equal > 0
-    if violations:
-        detail = "reduction inequality violated"
-    elif mixed:
-        detail = "mixed strict/equal pairs violate the dichotomy"
-    else:
-        detail = "strict branch" if strict else "equality branch"
-    return CheckOutcome(
-        passed=violations == 0 and not mixed,
-        margin=float(slack[k]),
-        witness={"m": float(grid[i[k]]), "d": float(d[k])},
-        detail=detail,
-    )
+    passed = bool((slack > t).all() or (np.abs(slack) <= t).all())
+    return CheckLine("monotone_reduction", passed, float(slack[k]), {"m": float(grid[i[k]]), "d": float(d[k])})
 
 
-def derivative_bound_check(F: LinearFamily, m: float) -> CheckOutcome:
-    """Central-difference d spb/dm at m must not exceed spb(A)."""
+def derivative_bound_check(F: LinearFamily, m: float) -> CheckLine:
+    """`derivative_bound`: the central-difference d spb/dm at m must not exceed spb(A)."""
     if m <= 0:
         raise ValueError("derivative probe needs m > 0")
     M = F.matrix_at(m)
@@ -255,12 +236,7 @@ def derivative_bound_check(F: LinearFamily, m: float) -> CheckOutcome:
     spb_A = spectral_bound(F.A).spb
     scale = max(1.0, abs(spb_A))
     margin = spb_A - fd
-    return CheckOutcome(
-        passed=bool(margin >= -DERIVATIVE_TOL * scale),
-        margin=margin,
-        witness={"m": m, "fd": fd},
-        detail=f"finite difference {fd:.9g} vs spb(A) {spb_A:.9g}",
-    )
+    return CheckLine("derivative_bound", bool(margin >= -DERIVATIVE_TOL * scale), margin, {"m": m, "fd": fd})
 
 
 def perron_derivative(F: LinearFamily, m: float) -> float:
@@ -268,10 +244,10 @@ def perron_derivative(F: LinearFamily, m: float) -> float:
     return _slope(*perron_vectors(F.matrix_at(m)), F.A)
 
 
-def perron_derivative_agreement(F: LinearFamily, bound: CheckOutcome) -> CheckLine:
+def perron_derivative_agreement(F: LinearFamily, bound: CheckLine) -> CheckLine:
     """The analytic derivative u^T A v must match the finite difference of `bound`.
 
-    `bound` is the derivative_bound_check outcome at the same family point.
+    `bound` is the derivative_bound_check line at the same family point.
     """
     m, fd = bound.witness["m"], bound.witness["fd"]
     analytic = perron_derivative(F, m)
@@ -279,8 +255,8 @@ def perron_derivative_agreement(F: LinearFamily, bound: CheckOutcome) -> CheckLi
     return CheckLine.within("perron_derivative_agreement", abs(analytic - fd), tol, m=m, analytic=analytic)
 
 
-def lindqvist_check(A, D) -> CheckOutcome:
-    """spb(A + D) - spb(A) >= u(A)^T D v(A) for diagonal D of the size of A."""
+def lindqvist_check(A, D) -> CheckLine:
+    """`lindqvist`: spb(A + D) - spb(A) >= u(A)^T D v(A) for diagonal D of the size of A."""
     A = square_matrix(A)
     D = square_matrix(D)
     if D.shape != A.shape:
@@ -293,16 +269,15 @@ def lindqvist_check(A, D) -> CheckOutcome:
     rhs = float(base.u @ (np.diagonal(D) * base.v))
     margin = (shifted - base.spb) - rhs
     scale = max(1.0, abs(shifted), abs(base.spb), abs(rhs))
-    return CheckOutcome(
-        passed=bool(margin >= -CHECK_TOL * scale),
-        margin=margin,
-        witness={"lhs": shifted - base.spb, "rhs": rhs},
-        detail="spb shift vs u^T D v",
-    )
+    return CheckLine("lindqvist", bool(margin >= -CHECK_TOL * scale), margin, {"lhs": shifted - base.spb, "rhs": rhs})
 
 
-def kirkland_check(A) -> CheckOutcome:
-    """e^T A (u o v) >= spb(A), with equality exactly when e^T A = spb(A) e^T."""
+def kirkland_check(A) -> CheckLine:
+    """`kirkland`: e^T A (u o v) >= spb(A), with equality exactly when e^T A = spb(A) e^T.
+
+    With t = CHECK_TOL * max(1, |lhs|, |spb|), equality is |margin| <= t, and
+    the line fails when that disagrees with the column-sum condition.
+    """
     A = square_matrix(A)
     if not is_irreducible(A):
         raise NotIrreducible("the inequality requires an irreducible matrix")
@@ -315,30 +290,22 @@ def kirkland_check(A) -> CheckOutcome:
     col_tol = CHECK_TOL * max(1.0, float(np.max(np.abs(A))), abs(data.spb))
     col_condition = bool(np.max(np.abs(A.sum(axis=0) - data.spb)) <= col_tol)
     passed = bool(margin >= -t) and (at_equality == col_condition)
-    detail = "equality branch" if at_equality else "strict branch"
-    if at_equality != col_condition:
-        detail = "equality flag disagrees with the column-sum condition"
-    return CheckOutcome(
-        passed=passed,
-        margin=margin,
-        witness={"lhs": lhs, "spb": data.spb},
-        detail=detail,
-    )
+    return CheckLine("kirkland", passed, margin, {"lhs": lhs, "spb": data.spb})
 
 
-def kingman_superconvexity_check(F: KingmanFamily, theta_grid) -> CheckOutcome:
-    """Midpoint log-convexity of theta -> rho(A(theta)) for a log-affine family."""
+def kingman_superconvexity_check(F: KingmanFamily, theta_grid) -> CheckLine:
+    """`kingman_superconvexity`: midpoint log-convexity of theta -> rho(A(theta)) for a log-affine family."""
     grid = np.asarray(theta_grid, dtype=float)
     rho = [d.spb for d in solve_along(grid, F.matrix_at, "theta")]
     for theta, r in zip(grid, rho):
         if r <= 0.0:
             raise ZeroSpectralRadius(f"spectral radius vanished at theta = {theta}")
     sweep = SweepResult("theta", grid, [np.log(r) for r in rho])
-    return check_midpoint_convexity(sweep)
+    return replace(check_midpoint_convexity(sweep), name="kingman_superconvexity")
 
 
-def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckOutcome:
-    """rho([(1-alpha)I + alpha P]D) must not increase along the alpha grid.
+def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckLine:
+    """`karlin_monotonicity`: rho([(1-alpha)I + alpha P]D) must not increase along the alpha grid.
 
     Strict decrease is demanded between consecutive points when D is not an
     exact scalar multiple of I; scalar D must give a constant curve.
@@ -355,38 +322,34 @@ def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckOutcome:
         dev = np.abs(values - values[0])
         k = int(np.argmax(dev))
         margin = -float(dev[k])
-        return CheckOutcome(
-            passed=bool(-margin <= t),
-            margin=margin,
-            witness={"alpha": float(grid[k])},
-            detail="scalar D: curve must be constant",
-        )
+        return CheckLine("karlin_monotonicity", bool(-margin <= t), margin, {"alpha": float(grid[k])})
     drops = values[:-1] - values[1:]
     k = int(np.argmin(drops))
     margin = float(drops[k])
-    return CheckOutcome(
-        passed=bool(margin > t),
-        margin=margin,
-        witness={"alpha_lo": float(grid[k]), "alpha_hi": float(grid[k + 1])},
-        detail="non-scalar D: strict decrease required",
-    )
+    witness = {"alpha_lo": float(grid[k]), "alpha_hi": float(grid[k + 1])}
+    return CheckLine("karlin_monotonicity", bool(margin > t), margin, witness)
 
 
-def homogeneity_check(F: LinearFamily, m: float, beta: float, alphas) -> CheckOutcome:
-    """spb(alpha*(mA + beta V)) = alpha * spb(mA + beta V) for each alpha > 0."""
+def homogeneity_check(F: LinearFamily, m: float, beta: float, alphas) -> CheckLine:
+    """`homogeneity`: spb(alpha*(mA + beta V)) = alpha * spb(mA + beta V) for each alpha > 0.
+
+    OverflowRisk when some alpha*(mA + beta V) is not finite.
+    """
     alphas = np.asarray(alphas, dtype=float)
     if not alphas.size or (alphas <= 0.0).any():
         raise ValueError("need at least one scaling factor, each strictly positive")
     M = F.matrix_at(m, beta)
     base = spectral_bound(M).spb
-    slack = [HOMOGENEITY_TOL * max(1.0, abs(a * base)) - abs(spectral_bound(a * M).spb - a * base) for a in alphas]
+    with np.errstate(over="ignore"):
+        scaled = [a * M for a in alphas]
+    for a, aM in zip(alphas, scaled):
+        if not np.isfinite(aM).all():
+            raise OverflowRisk(f"alpha*M overflows double precision at alpha = {a}, m = {m}, beta = {beta}")
+    gaps = [abs(spectral_bound(aM).spb - a * base) for a, aM in zip(alphas, scaled)]
+    slack = [HOMOGENEITY_TOL * max(1.0, abs(a * base)) - gap for a, gap in zip(alphas, gaps)]
     k = int(np.argmin(slack))
-    return CheckOutcome(
-        passed=bool(slack[k] >= 0.0),
-        margin=float(slack[k]),
-        witness={"alpha": float(alphas[k]), "m": m, "beta": beta},
-        detail="scaling consistency of the spectral bound",
-    )
+    witness = {"alpha": float(alphas[k]), "m": m, "beta": beta}
+    return CheckLine("homogeneity", bool(slack[k] >= 0.0), float(slack[k]), witness)
 
 
 def is_resolvent_positive_at(M, xi: float) -> bool:
@@ -398,9 +361,13 @@ def is_resolvent_positive_at(M, xi: float) -> bool:
     return bool((R >= -RESOLVENT_POSITIVITY_TOL).all())
 
 
-def semigroup_positivity_outcome(M, t_grid, metzler: bool, resolvent_ok: bool) -> CheckOutcome:
-    """The verdict of positivity_of_semigroup_check on M from its parts: whether M is
-    `metzler`, and for a Metzler M whether its resolvent at spb + 1 is positive."""
+def semigroup_positivity_outcome(M, t_grid, metzler: bool, resolvent_ok: bool) -> CheckLine:
+    """The `semigroup_positivity` line of positivity_of_semigroup_check on M from its parts:
+    whether M is `metzler`, and for a Metzler M whether its resolvent at spb + 1 is positive.
+
+    The margin is min_entry + SEMIGROUP_POSITIVITY_TOL for a Metzler M and
+    -SEMIGROUP_POSITIVITY_TOL - min_entry otherwise.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if (t_grid <= 0.0).any():
         raise ValueError("probe times must be strictly positive")
@@ -413,22 +380,16 @@ def semigroup_positivity_outcome(M, t_grid, metzler: bool, resolvent_ok: bool) -
             worst_t = float(t)
     semigroup_positive = min_entry >= -SEMIGROUP_POSITIVITY_TOL
     if metzler:
-        detail = f"Metzler instance; resolvent at spb+1 positive: {resolvent_ok}"
         margin = min_entry + SEMIGROUP_POSITIVITY_TOL
     else:
         resolvent_ok = True
-        detail = "non-Metzler instance"
         margin = -SEMIGROUP_POSITIVITY_TOL - min_entry
-    return CheckOutcome(
-        passed=bool(semigroup_positive == metzler and resolvent_ok),
-        margin=float(margin),
-        witness={"t": worst_t, "min_entry": min_entry},
-        detail=detail,
-    )
+    passed = bool(semigroup_positive == metzler and resolvent_ok)
+    return CheckLine("semigroup_positivity", passed, float(margin), {"t": worst_t, "min_entry": min_entry})
 
 
-def positivity_of_semigroup_check(M, t_grid) -> CheckOutcome:
-    """Check: e^{tM} >= 0 on the probed times iff M is essentially nonnegative.
+def positivity_of_semigroup_check(M, t_grid) -> CheckLine:
+    """`semigroup_positivity`: e^{tM} >= 0 on the probed times iff M is essentially nonnegative.
 
     For Metzler inputs the resolvent at spb + 1 is additionally required to be
     entrywise nonnegative.
@@ -496,7 +457,7 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
     return 0.5 * (pos + neg)
 
 
-def strict_convexity_probe(F: LinearFamily, beta_grid) -> CheckOutcome:
+def strict_convexity_probe(F: LinearFamily, beta_grid) -> CheckLine:
     """Probe whether spb(A + beta V) looks strictly convex on the grid.
 
     Evidence only: a margin above CHECK_TOL*scale suggests strict convexity for
@@ -508,41 +469,36 @@ def strict_convexity_probe(F: LinearFamily, beta_grid) -> CheckOutcome:
     return check_midpoint_convexity(sweep_spb_in_beta(F, beta_grid))
 
 
-def strict_convexity_line(probe: CheckOutcome, sweep: SweepResult) -> CheckLine:
-    """Advisory verdict on a beta-sweep's convexity outcome: `strict` or `flat`.
+def strict_convexity_line(probe: CheckLine, sweep: SweepResult) -> CheckLine:
+    """Advisory verdict on a beta-sweep's convexity line: `strict` or `flat`.
 
     The verdict is `strict` when the smallest second difference exceeds
     CHECK_TOL times the scale of the swept values.
     """
     scale = max(1.0, float(np.max(np.abs(sweep.values))))
     verdict = "strict" if probe.margin > CHECK_TOL * scale else "flat"
-    return CheckLine("strict_convexity_probe", True, probe.margin, f"verdict={verdict}", advisory=True)
+    return CheckLine("strict_convexity_probe", True, probe.margin, {"verdict": verdict}, advisory=True)
 
 
 def linear_family_lines(
     F: LinearFamily, spb_A: float, beta_grid, m_grid, m_probe: float
-) -> tuple[list[CheckLine], SweepResult, CheckOutcome]:
+) -> tuple[list[CheckLine], SweepResult, CheckLine]:
     """The linear-family lines from `convexity_beta` to `kirkland`, in report order.
 
     The derivative lines need an irreducible family point at m_probe, and
     `lindqvist`/`kirkland` an irreducible A; otherwise they are left out.
-    Also returns the beta sweep and its convexity outcome.
+    Also returns the beta sweep and its convexity line.
     """
     sweep_b = sweep_spb_in_beta(F, beta_grid)
     convex_b = check_midpoint_convexity(sweep_b)
     sweep_m = sweep_spb_in_m(F, m_grid)
-    lines = [
-        CheckLine.from_outcome("convexity_beta", convex_b),
-        CheckLine.from_outcome("convexity_m", check_midpoint_convexity(sweep_m)),
-        CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep_m, spb_A)),
-    ]
+    lines = [convex_b, check_midpoint_convexity(sweep_m), check_monotone_reduction(sweep_m, spb_A)]
     if is_irreducible(F.matrix_at(m_probe)):
         bound = derivative_bound_check(F, m_probe)
-        lines += [CheckLine.from_outcome("derivative_bound", bound), perron_derivative_agreement(F, bound)]
-    lines.append(CheckLine.from_outcome("homogeneity", homogeneity_check(F, m_probe, 1.0, [0.1, 2.0, 10.0])))
+        lines += [bound, perron_derivative_agreement(F, bound)]
+    lines.append(homogeneity_check(F, m_probe, 1.0, [0.1, 2.0, 10.0]))
     if is_irreducible(F.A):
-        lines.append(CheckLine.from_outcome("lindqvist", lindqvist_check(F.A, F.V)))
-        lines.append(CheckLine.from_outcome("kirkland", kirkland_check(F.A)))
+        lines += [lindqvist_check(F.A, F.V), kirkland_check(F.A)]
     return lines, sweep_b, convex_b
 
 
@@ -560,7 +516,7 @@ def linear_check_lines(F: LinearFamily, m_grid, beta_grid) -> list[CheckLine]:
 
 def karlin_family_lines(F: KarlinFamily, alpha_grid) -> list[CheckLine]:
     """The `check` report of a Karlin family [(1-alpha)I + alpha P]D."""
-    lines = [CheckLine.from_outcome("karlin_monotonicity", karlin_monotonicity_check(F, alpha_grid))]
+    lines = [karlin_monotonicity_check(F, alpha_grid)]
     derived = F.linear
     spb_mix = spectral_bound(derived.A).spb
     # reciprocal growth rates form a positive right null vector of (P - I)D
@@ -577,14 +533,14 @@ def karlin_family_lines(F: KarlinFamily, alpha_grid) -> list[CheckLine]:
     cons_tol = 1e-13 * max(1.0, float(np.max(np.abs(F.D))))
     lines.append(CheckLine.within("karlin_consistency", worst_gap, cons_tol, max_gap=worst_gap))
     sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
-    lines.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep, spb_mix)))
+    lines.append(check_monotone_reduction(sweep, spb_mix))
     return lines
 
 
 def kingman_family_lines(F: KingmanFamily, theta_grid) -> list[CheckLine]:
     """The `check` report of a Kingman family; `log_affine_entries` probes the grid's
     ends and its middle point, or the midpoint when that point is not halfway."""
-    lines = [CheckLine.from_outcome("kingman_superconvexity", kingman_superconvexity_check(F, theta_grid))]
+    lines = [kingman_superconvexity_check(F, theta_grid)]
     probes = [float(theta_grid[0]), float(theta_grid[len(theta_grid) // 2]), float(theta_grid[-1])]
     if not np.allclose(np.diff(probes), probes[1] - probes[0], atol=0.0):
         probes = [probes[0], 0.5 * (probes[0] + probes[2]), probes[2]]
@@ -604,23 +560,21 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     off = A[~np.eye(n, dtype=bool)]
     # parse_scenario has already rejected a non-Metzler mixing part, so this line reports the margin
     metzler = is_essentially_nonnegative(A)
-    lines = [CheckLine("essential_nonnegativity", metzler, float(np.min(off)), f"n={n}")]
+    lines = [CheckLine("essential_nonnegativity", metzler, float(np.min(off)), {"n": n})]
     data = spectral_bound(A)
     if not A.sum(axis=1).any():
         lines.append(CheckLine.within("spb_zero", abs(data.spb), 1e-10, spb=data.spb))
     # the resolvent is entrywise nonnegative beyond the spectral bound
     positive_at = {offset: is_resolvent_positive_at(A, data.spb + offset) for offset in (0.1, 1.0, 10.0)}
     positive = all(positive_at.values())
-    lines.append(CheckLine("resolvent_positive", positive, 1.0 if positive else -1.0, f"spb={data.spb:.9g}"))
+    lines.append(CheckLine("resolvent_positive", positive, 1.0 if positive else -1.0, {"spb": data.spb}))
     # the semigroup line's resolvent probe at spb + 1 is the one above
-    semigroup = semigroup_positivity_outcome(A, [0.1, 1.0, 5.0], metzler, metzler and positive_at[1.0])
-    lines.append(CheckLine.from_outcome("semigroup_positivity", semigroup))
+    lines.append(semigroup_positivity_outcome(A, [0.1, 1.0, 5.0], metzler, metzler and positive_at[1.0]))
     omega = growth_bound_estimate(A)
     gtol = GROWTH_TOL * max(1.0, abs(data.spb))
     lines.append(CheckLine.within("growth_bound", abs(omega - data.spb), gtol, omega=omega, spb=data.spb))
     sweep = sweep_spb_in_m(F, m_grid)
-    spb_mix = spectral_bound(F.A).spb
-    lines.append(CheckLine.from_outcome("monotone_reduction", check_monotone_reduction(sweep, spb_mix)))
+    lines.append(check_monotone_reduction(sweep, spectral_bound(F.A).spb))
     return lines
 
 

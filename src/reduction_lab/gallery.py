@@ -54,9 +54,14 @@ class LinearFamily:
         return self.A.shape[0]
 
     def matrix_at(self, m: float, beta: float = 1.0) -> np.ndarray:
+        """m*A + beta*V for m >= 0; a member that is not finite is OverflowRisk."""
         if m < 0:
             raise ValueError("mixing weight m must be nonnegative")
-        return m * self.A + beta * self.V
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = m * self.A + beta * self.V
+        if not np.isfinite(M).all():
+            raise OverflowRisk(f"m*A + beta*V overflows double precision at m = {m}, beta = {beta}")
+        return M
 
 
 @dataclass

@@ -259,9 +259,9 @@ def batched_starts(S) -> list["SpectralData | None"]:
     k, n, _ = S.shape
     floor = 4.0 * n * EPS
     eye = np.eye(n)
-    reach = 2.0 * np.maximum(0.0, -_min(np.diagonal(S, axis1=1, axis2=2), axis=1))
     x = np.full((k, n, 1), 1.0 / n)
     with np.errstate(all="ignore"):
+        reach = 2.0 * np.maximum(0.0, -_min(np.diagonal(S, axis1=1, axis2=2), axis=1))
         for _ in range(BATCH_STEPS):
             q = (S @ x)[..., 0] / x[..., 0]
             lo, hi = _min(q, axis=1), _max(q, axis=1)

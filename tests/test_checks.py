@@ -21,6 +21,7 @@ from reduction_lab import (
     karlin_monotonicity_check,
     lindqvist_check,
     perron_derivative,
+    positivity_of_semigroup_check,
     strict_convexity_probe,
     sweep_spb_in_beta,
     sweep_spb_in_m,
@@ -118,16 +119,52 @@ def test_midpoint_convexity_concave_spike():
     assert report.witness == {"m": 2.0}
 
 
+def test_each_certifier_returns_the_line_it_reports():
+    grid = np.linspace(0.5, 2.0, 5)
+    karlin = KarlinFamily(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([2.0, 0.5]))
+    lines = [
+        check_midpoint_convexity(sweep_spb_in_beta(FAM, grid)),
+        check_midpoint_convexity(sweep_spb_in_m(FAM, grid)),
+        check_monotone_reduction(sweep_spb_in_m(FAM, grid), 0.0),
+        derivative_bound_check(FAM, 1.0),
+        homogeneity_check(FAM, 1.0, 1.0, [2.0]),
+        lindqvist_check(A_SYM, V_PM),
+        kirkland_check(A_SYM),
+        karlin_monotonicity_check(karlin, np.linspace(0.0, 1.0, 3)),
+        kingman_superconvexity_check(KingmanFamily(np.ones((2, 2)), np.eye(2)), grid),
+        positivity_of_semigroup_check(A_SYM, [1.0]),
+    ]
+    assert [line.name for line in lines] == [
+        "convexity_beta",
+        "convexity_m",
+        "monotone_reduction",
+        "derivative_bound",
+        "homogeneity",
+        "lindqvist",
+        "kirkland",
+        "karlin_monotonicity",
+        "kingman_superconvexity",
+        "semigroup_positivity",
+    ]
+    assert lines[-2].witness.keys() == {"theta"}  # the log-convexity sweep keeps its parameter
+
+
 def test_midpoint_convexity_rejects_nonuniform_grid():
     sweep = sweep_spb_in_m(FAM, [0.5, 1.0, 2.0])
     with pytest.raises(NonUniformGrid):
         check_midpoint_convexity(sweep)
 
 
+def _reduction_tol(S, spb_A):
+    """The tolerance t of check_monotone_reduction: strict pairs have slack > t, equal ones |slack| <= t."""
+    return CHECK_TOL * max(1.0, float(np.max(np.abs(S.values))), abs(spb_A) * float(S.grid[-1] - S.grid[0]))
+
+
 def test_monotone_reduction_strict_branch():
     sweep = sweep_spb_in_m(FAM, np.linspace(0.5, 3.0, 9))
     out = check_monotone_reduction(sweep, 0.0)
-    assert out.passed and out.detail == "strict branch"
+    assert out.name == "monotone_reduction"
+    assert out.passed and out.margin > _reduction_tol(sweep, 0.0)
     assert out.margin > 0
 
 
@@ -135,7 +172,7 @@ def test_monotone_reduction_equality_branch_scalar_family():
     fam = LinearFamily(-np.eye(2), np.zeros((2, 2)))
     sweep = sweep_spb_in_m(fam, np.linspace(0.5, 2.5, 5))
     out = check_monotone_reduction(sweep, -1.0)
-    assert out.passed and out.detail == "equality branch"
+    assert out.passed and abs(out.margin) <= _reduction_tol(sweep, -1.0)
     assert abs(out.margin) <= 1e-12
 
 
@@ -143,7 +180,7 @@ def test_monotone_reduction_identity_pattern():
     lin = karlin_to_linear(KarlinFamily(np.eye(2), np.diag([2.0, 0.5])))
     sweep = sweep_spb_in_m(lin, np.linspace(0.5, 2.0, 4))
     out = check_monotone_reduction(sweep, 0.0)
-    assert out.passed and out.detail == "equality branch"
+    assert out.passed and abs(out.margin) <= _reduction_tol(sweep, 0.0)
 
 
 def test_monotone_reduction_flags_violation():
@@ -155,7 +192,7 @@ def test_monotone_reduction_flags_violation():
 def _monotone_reduction_by_pairs(S, spb_A):
     """Reference: the pair loop of check_monotone_reduction, first worst pair kept."""
     grid, v = S.grid, S.values
-    t = CHECK_TOL * max(1.0, float(np.max(np.abs(v))), abs(spb_A) * float(grid[-1] - grid[0]))
+    t = _reduction_tol(S, spb_A)
     worst, witness, strict, equal, violations = np.inf, None, 0, 0, 0
     for i in range(len(grid) - 1):
         for j in range(i + 1, len(grid)):
@@ -169,13 +206,7 @@ def _monotone_reduction_by_pairs(S, spb_A):
                 equal += 1
             else:
                 violations += 1
-    if violations:
-        detail = "reduction inequality violated"
-    elif strict and equal:
-        detail = "mixed strict/equal pairs violate the dichotomy"
-    else:
-        detail = "strict branch" if strict else "equality branch"
-    return violations == 0 and not (strict and equal), worst, witness, detail
+    return violations == 0 and not (strict and equal), worst, witness
 
 
 @pytest.mark.parametrize("shape", ["affine", "concave", "noise", "steps"])
@@ -195,7 +226,7 @@ def test_monotone_reduction_matches_pair_loop(shape):
             values = rng.normal(size=k)
         sweep = SweepResult("m", grid, values)
         out = check_monotone_reduction(sweep, spb_A)
-        assert (out.passed, out.margin, out.witness, out.detail) == _monotone_reduction_by_pairs(sweep, spb_A)
+        assert (out.passed, out.margin, out.witness) == _monotone_reduction_by_pairs(sweep, spb_A)
 
 
 def test_derivative_bound_fixture():
@@ -276,11 +307,16 @@ def test_lindqvist_randomized():
         assert out.margin >= -1e-9
 
 
+def _kirkland_tol(out):
+    """The tolerance t of kirkland_check: the equality branch is |margin| <= t, the strict one margin > t."""
+    return CHECK_TOL * max(1.0, abs(out.witness["lhs"]), abs(out.witness["spb"]))
+
+
 def test_kirkland_fixture():
     out = kirkland_check(np.array([[0.0, 1.0], [1.0, -2.0]]))
     assert out.passed
     assert abs(out.witness["lhs"] - 1.0 / np.sqrt(2.0)) <= 1e-9
-    assert out.detail == "strict branch"
+    assert out.margin > _kirkland_tol(out)
 
 
 def test_kirkland_equality_branch():
@@ -289,7 +325,7 @@ def test_kirkland_equality_branch():
     A = (C - np.eye(3)) * np.diagonal(random_diagonal(3, 0.5, 1.5, 2))[None, :]
     out = kirkland_check(A)
     assert out.passed
-    assert out.detail == "equality branch"
+    assert abs(out.margin) <= _kirkland_tol(out)
 
 
 def test_kirkland_randomized():
@@ -530,9 +566,11 @@ def test_reduction_dichotomy_uniform_across_random_sweeps():
         n = 2 + seed % 5
         fam = LinearFamily(random_ess_nonneg(n, seed), random_diagonal(n, -1.5, 1.5, seed + 100))
         sweep = sweep_spb_in_m(fam, np.linspace(0.1, 5.0, 11))
-        out = check_monotone_reduction(sweep, spectral_bound(fam.A).spb)
+        spb_A = spectral_bound(fam.A).spb
+        out = check_monotone_reduction(sweep, spb_A)
         assert out.passed
-        assert out.detail in ("strict branch", "equality branch")
+        t = _reduction_tol(sweep, spb_A)
+        assert out.margin > t or abs(out.margin) <= t
 
 
 def test_operator_lines_solve_spb_and_each_resolvent_once(monkeypatch):
@@ -557,4 +595,4 @@ def test_operator_lines_solve_spb_and_each_resolvent_once(monkeypatch):
     lines = {line.name: line for line in checks.operator_family_lines(F, grid)}
     # spb(A + V), the sweep's points and spb(A); the resolvent at spb + 0.1, 1 and 10
     assert counts == {"spectral_bound": 2 + len(grid), "resolvent": 3}
-    assert lines["semigroup_positivity"] == checks.CheckLine.from_outcome("semigroup_positivity", expected)
+    assert lines["semigroup_positivity"] == expected

@@ -345,6 +345,35 @@ def test_overflowing_kingman_entry_exits_3(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+# the first point where m*A overflows: 1.815*1e308 on the default m grid of check and on
+# the curve's grid, and 25.0075*1e307 on the 9-point pre-sweep of [0.01, 100]
+OVERFLOWING_LINEAR = {
+    "check": ("1e308", "[grid]\nname = m\nstart = 0.1\nstop = 5\ncount = 21\n", "1.8150000000000002"),
+    "curve": ("1e308", "[grid]\nname = m\nstart = 0.1\nstop = 5\ncount = 21\n", "1.8150000000000002"),
+    "threshold": ("1e307", "[threshold]\nm_lo = 0.01\nm_hi = 100\n", "25.0075"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "curve", "threshold"])
+def test_overflowing_linear_member_exits_3(tmp_path, capsys, command):
+    entry, section, point = OVERFLOWING_LINEAR[command]
+    family = f"[family]\nkind = linear\nA = -{entry} {entry} ; {entry} -{entry}\nV_diag = 1 -1\n"
+    scn = write(tmp_path, "l.scn", family + section)
+    assert main(_argv(command, scn, tmp_path / "out")) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("OverflowRisk: ") and captured.err.endswith(f"(at m = {point})\n")
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+def test_overflowing_homogeneity_scaling_exits_3(tmp_path, capsys):
+    # every member of the m grid is finite, but 10*M at the probe m = 2.55 is not
+    scn = write(tmp_path, "l.scn", "[family]\nkind = linear\nA = -1e307 1e307 ; 1e307 -1e307\nV_diag = 1 -1\n")
+    assert main(["check", scn, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("OverflowRisk: ") and "alpha = 10.0, m = 2.5500000000000003" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["check", "curve"])
 def test_kingman_zero_coefficient_with_overflowing_rate_exits_0(tmp_path, command):
     # c_02 = 0, so exp(1000*theta) is never taken and every grid point is solved
@@ -510,7 +539,7 @@ def test_kingman_log_affine_line_matches_entry_loop():
                         worst = max(worst, abs(logs[0] - 2.0 * logs[1] + logs[2]))
             (line,) = [l for l in kingman_family_lines(KingmanFamily(c, g), grid) if l.name == "log_affine_entries"]
             assert line.margin == 1e-12 - worst
-            assert line.witness == f"second_difference={worst:.9g}"
+            assert line.format().endswith(f",second_difference={worst:.9g}")
 
 
 def test_scenario_parse_error_exit_code(tmp_path):

@@ -1,6 +1,7 @@
 """Warm starts along sweeps (block by block on reducible inputs), certified early exit of blocks, the SCC memo."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,11 @@ def test_batch_never_raises_on_a_diagonal_point_or_a_singular_shift(monkeypatch)
     last = np.array([[1.0 + 16 * EPS, -1.0], [0.0, 1.0]])
     stack = np.array([[[-1.0, 1.0], [1.0, -1.0]], [[-2.0, 1.0], [0.5, -1.0]], last])
     assert perron.batched_starts(stack) == [None] * 3
+    # 2*|S_00| overflows in the reach of the shift: the point gets no start, and no warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        starts = perron.batched_starts(np.array([[[-1e308, 1.0], [1.0, -1.0]], [[-2.0, 1.0], [0.5, -1.0]]]))
+    assert starts[0] is None and starts[1] is not None
     solved = []
 
     def recorded(M, start=None):

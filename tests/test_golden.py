@@ -20,12 +20,17 @@ comma-separated fields, pass/fail word or `verdict=` word, or an exit code,
 would change.
 """
 
+import dataclasses
+import json
+import numbers
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from reduction_lab.battery import run_suite
+from reduction_lab.checks import FAMILY_KINDS
 from reduction_lab.cli import main
 from reduction_lab.scenario import parse_scenario
 
@@ -56,6 +61,26 @@ def test_suite_matches_golden(tmp_path, capsys):
     assert main(["suite", "--seed-count", "20", "--out", str(report)]) == 0
     assert report.read_bytes() == (GOLDEN / "suite20.txt").read_bytes()
     assert capsys.readouterr().out == (GOLDEN / "suite20.stdout").read_text(encoding="utf-8")
+
+
+def test_report_lines_are_data():
+    # every `check` line of the golden scenarios and every `suite` line: a witness of
+    # numbers (the advisory verdict is the one word), and a record that round-trips as JSON
+    lines = list(run_suite(2))
+    for name in SCENARIOS:
+        sc = parse_scenario(str(GOLDEN / f"{name}.ini"))
+        builder, grids = FAMILY_KINDS[sc.family_kind]
+        lines += builder(sc.family, *map(sc.grid_for, grids))
+    for line in lines:
+        assert isinstance(line.witness, dict) and line.witness, line
+        for key, value in line.witness.items():
+            assert isinstance(key, str)
+            if key == "verdict":
+                assert isinstance(value, str)
+            else:
+                assert isinstance(value, numbers.Real) and not isinstance(value, bool), line
+        record = dataclasses.asdict(line)
+        assert json.loads(json.dumps(record)) == record
 
 
 def _family_matrix(sc, p):

@@ -16,6 +16,7 @@ from reduction_lab import (
     semigroup,
     spectral_bound,
 )
+from reduction_lab.checks import SEMIGROUP_POSITIVITY_TOL
 from reduction_lab.gallery import random_diagonal, random_ess_nonneg
 from reduction_lab.rng import XorShift64Star
 from reduction_lab.scenario import parse_scenario
@@ -81,7 +82,7 @@ def test_positivity_check_metzler_fixture():
 def test_positivity_check_detects_sign_flip():
     out = positivity_of_semigroup_check([[0.0, -1.0], [-1.0, 0.0]], [0.01, 0.1, 1.0])
     assert out.passed  # the equivalence holds: non-Metzler and non-positive semigroup
-    assert "non-Metzler" in out.detail
+    assert out.margin == -SEMIGROUP_POSITIVITY_TOL - out.witness["min_entry"]  # the non-Metzler margin
 
 
 def test_positivity_check_zero_matrix():
