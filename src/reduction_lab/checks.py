@@ -9,7 +9,7 @@ of its `check` report and to the GridSpec of each grid it sweeps.
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
 import numpy as np
@@ -51,21 +51,26 @@ def is_uniform(grid: np.ndarray) -> bool:
 
 @dataclass
 class SweepResult:
-    """Sampled parameter-to-spb curve; grid must be strictly increasing, length >= 3."""
+    """Sampled curve: points[i] is the SpectralData solved at grid[i]; grid strictly increasing, length >= 3."""
 
     parameter_name: str
     grid: np.ndarray
-    values: np.ndarray
-    uniform: bool = field(init=False)
+    points: list[SpectralData]
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.grid.ndim != 1 or self.grid.shape != self.values.shape or len(self.grid) < 3:
-            raise ValueError("grid and values must be equal-length vectors with >= 3 points")
+        if self.grid.ndim != 1 or len(self.grid) != len(self.points) or len(self.grid) < 3:
+            raise ValueError("grid and points must have equal length, with >= 3 points")
         if (np.diff(self.grid) <= 0.0).any():
             raise ValueError("grid must be strictly increasing")
-        self.uniform = is_uniform(self.grid)
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.array([d.spb for d in self.points], dtype=float)
+
+    @property
+    def uniform(self) -> bool:
+        return is_uniform(self.grid)
 
 
 @dataclass
@@ -121,10 +126,10 @@ def solve_along(grid, evaluate, parameter_name: str, previous: SpectralData | No
     first, up to its first failing point, and each point is then one certified
     spectral_bound call, started from the batched Noda iterate of its point
     (perron.grid_starts) or, where the batch gives none, from the result at the
-    previous point, or at the first point from `previous`. A library error at a
-    point, of its evaluation or of its solve, is raised for the first failing
-    point in grid order with the point appended to its message; it keeps its
-    type and attributes (such as NoConvergence.residual).
+    previous point, or at the first point from `previous`. The first failing
+    point in grid order raises: its evaluation's error as raised (matrix_at
+    names its point), or its solve's library error with the point appended to
+    its message, keeping type and attributes (such as NoConvergence.residual).
     """
     matrices, failure = [], None
     for p in grid:
@@ -138,12 +143,11 @@ def solve_along(grid, evaluate, parameter_name: str, previous: SpectralData | No
         for p, M, start in zip(grid, matrices, grid_starts(matrices)):
             previous = spectral_bound(M, start=previous if start is None else start)
             results.append(previous)
-        if failure is not None:
-            p = grid[len(matrices)]
-            raise failure
     except ReductionLabError as exc:
         exc.args = (f"{exc} (at {parameter_name} = {p})",)
         raise
+    if failure is not None:
+        raise failure
     return results
 
 
@@ -152,7 +156,7 @@ def sweep_spb_in_m(F: LinearFamily, m_grid) -> SweepResult:
     grid = np.asarray(m_grid, dtype=float)
     if (grid <= 0.0).any():
         raise ValueError("m grid must be strictly positive")
-    return SweepResult("m", grid, [d.spb for d in solve_along(grid, F.matrix_at, "m")])
+    return SweepResult("m", grid, solve_along(grid, F.matrix_at, "m"))
 
 
 def _at_beta(F: LinearFamily):
@@ -163,7 +167,7 @@ def _at_beta(F: LinearFamily):
 def sweep_spb_in_beta(F: LinearFamily, beta_grid) -> SweepResult:
     """spb(A + beta*V) along a beta grid."""
     grid = np.asarray(beta_grid, dtype=float)
-    return SweepResult("beta", grid, [d.spb for d in solve_along(grid, _at_beta(F), "beta")])
+    return SweepResult("beta", grid, solve_along(grid, _at_beta(F), "beta"))
 
 
 def curve_table(F, name: str, spec: GridSpec, grid) -> tuple[str, list[tuple[float, ...]]]:
@@ -173,7 +177,7 @@ def curve_table(F, name: str, spec: GridSpec, grid) -> tuple[str, list[tuple[flo
     derivative u^T (dM/dp) v when every swept point returned Perron vectors, that
     is, when every point is irreducible.
     """
-    points = solve_along(grid, spec.member(F), name)
+    points = SweepResult(name, grid, solve_along(grid, spec.member(F), name)).points
     if spec.dM is None or any(d.u is None for d in points):
         return "param,spb", [(p, d.spb) for p, d in zip(grid, points)]
     dM = spec.dM(F)
@@ -296,12 +300,13 @@ def kirkland_check(A) -> CheckLine:
 def kingman_superconvexity_check(F: KingmanFamily, theta_grid) -> CheckLine:
     """`kingman_superconvexity`: midpoint log-convexity of theta -> rho(A(theta)) for a log-affine family."""
     grid = np.asarray(theta_grid, dtype=float)
-    rho = [d.spb for d in solve_along(grid, F.matrix_at, "theta")]
-    for theta, r in zip(grid, rho):
-        if r <= 0.0:
+    rho = solve_along(grid, F.matrix_at, "theta")
+    for theta, d in zip(grid, rho):
+        if d.spb <= 0.0:
             raise ZeroSpectralRadius(f"spectral radius vanished at theta = {theta}")
-    sweep = SweepResult("theta", grid, [np.log(r) for r in rho])
-    return replace(check_midpoint_convexity(sweep), name="kingman_superconvexity")
+    with np.errstate(divide="ignore"):  # the sweep of log rho; a lower end <= 0 goes to log 0 = -inf
+        logs = [replace(d, spb=np.log(d.spb), spb_lo=np.log(max(d.spb_lo, 0.0)), spb_hi=np.log(d.spb_hi)) for d in rho]
+    return replace(check_midpoint_convexity(SweepResult("theta", grid, logs)), name="kingman_superconvexity")
 
 
 def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckLine:
@@ -313,7 +318,7 @@ def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckLine:
     if not is_irreducible(F.P):
         raise NotIrreducible("the monotonicity statement requires irreducible P")
     grid = np.asarray(alpha_grid, dtype=float)
-    values = np.array([d.spb for d in solve_along(grid, F.matrix_at, "alpha")])
+    values = SweepResult("alpha", grid, solve_along(grid, F.matrix_at, "alpha")).values
     diag = np.diagonal(F.D)
     scalar = bool((diag == diag[0]).all())
     scale = max(1.0, float(np.max(np.abs(values))))
@@ -421,8 +426,8 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
         raise ValueError("need 0 < m_lo < m_hi")
 
     grid = np.linspace(m_lo, m_hi, THRESHOLD_PRESWEEP)
-    points = solve_along(grid, F.matrix_at, "m")
-    vals = SweepResult("m", grid, [d.spb for d in points]).values
+    sweep = SweepResult("m", grid, solve_along(grid, F.matrix_at, "m"))
+    vals = sweep.values
     slack = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
     if not ((np.diff(vals) <= slack).all() or (np.diff(vals) >= -slack).all()):
         raise NotMonotoneOnBracket("preliminary sweep is not monotone on the bracket")
@@ -438,7 +443,7 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
         if abs(vals[end]) <= THRESHOLD_VALUE_TOL:
             return float(grid[end])
     pos, neg = (k, k - 1) if vals[k] > 0.0 else (k - 1, k)
-    data = latest = points[pos]
+    data = latest = sweep.points[pos]
     pos, neg = float(grid[pos]), float(grid[neg])
     while abs(pos - neg) > THRESHOLD_WIDTH_TOL:
         m = 0.5 * (pos + neg)

@@ -292,10 +292,7 @@ def random_stochastic(n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = XorShift64Star(seed)
-    M = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = rng.uniform_open()
+    M = np.array([[rng.uniform_open() for _ in range(n)] for _ in range(n)])
     return M / M.sum(axis=1, keepdims=True)
 
 
@@ -304,14 +301,7 @@ def random_ess_nonneg(n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = XorShift64Star(seed)
-    M = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                M[i, j] = -2.0 + 2.0 * rng.uniform()
-            else:
-                M[i, j] = rng.uniform()
-    return M
+    return np.array([[-2.0 + 2.0 * rng.uniform() if i == j else rng.uniform() for j in range(n)] for i in range(n)])
 
 
 def random_diagonal(n: int, lo: float, hi: float, seed: int) -> np.ndarray:

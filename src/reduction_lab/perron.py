@@ -221,8 +221,8 @@ def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
         # bound, the floor test cannot pass and |M|x/x is not computed.
         slack = 2.0 * floor * (abs(hi) + reach)
         if hi - lo <= slack:
-            q = abs_M @ x
-            q /= x
+            with np.errstate(over="ignore"):  # an infinite quotient passes the floor test
+                q = abs_M @ x / x
             if hi - lo <= floor * float(_max(q)):
                 break
         z = _scaled_solve(neg_MT, x, hi, slack, ones)

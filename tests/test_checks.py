@@ -22,6 +22,7 @@ from reduction_lab import (
     lindqvist_check,
     perron_derivative,
     positivity_of_semigroup_check,
+    spectral_bound,
     strict_convexity_probe,
     sweep_spb_in_beta,
     sweep_spb_in_m,
@@ -32,6 +33,11 @@ from reduction_lab.gallery import karlin_to_linear, random_diagonal, random_ess_
 A_SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 V_PM = np.diag([1.0, -1.0])
 FAM = LinearFamily(A_SYM, V_PM)
+
+
+def _points(values):
+    """Solved 1x1 points, whose spb = spb_lo = spb_hi is exactly the entry: a sweep of given values."""
+    return [spectral_bound(np.array([[v]])) for v in values]
 
 
 def test_sweep_in_m_closed_form():
@@ -92,9 +98,9 @@ def test_sweep_annotates_solver_errors(monkeypatch):
 
 def test_sweep_result_validation():
     with pytest.raises(ValueError):
-        SweepResult("m", [1.0, 2.0], [0.0, 0.0])
+        SweepResult("m", [1.0, 2.0], _points([0.0, 0.0]))
     with pytest.raises(ValueError):
-        SweepResult("m", [1.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+        SweepResult("m", [1.0, 1.0, 2.0], _points([0.0, 0.0, 0.0]))
 
 
 def test_midpoint_convexity_on_closed_form_curve():
@@ -105,14 +111,14 @@ def test_midpoint_convexity_on_closed_form_curve():
 
 
 def test_midpoint_convexity_affine_curve():
-    sweep = SweepResult("m", [1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.5, 2.0])
+    sweep = SweepResult("m", [1.0, 2.0, 3.0, 4.0], _points([0.5, 1.0, 1.5, 2.0]))
     report = check_midpoint_convexity(sweep)
     assert report.passed
     assert abs(report.margin) <= 1e-12
 
 
 def test_midpoint_convexity_concave_spike():
-    sweep = SweepResult("m", [1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
+    sweep = SweepResult("m", [1.0, 2.0, 3.0], _points([0.0, 1.0, 0.0]))
     report = check_midpoint_convexity(sweep)
     assert not report.passed
     assert report.margin == -2.0
@@ -184,7 +190,7 @@ def test_monotone_reduction_identity_pattern():
 
 
 def test_monotone_reduction_flags_violation():
-    sweep = SweepResult("m", [1.0, 2.0, 3.0], [0.0, 0.5, 0.1])
+    sweep = SweepResult("m", [1.0, 2.0, 3.0], _points([0.0, 0.5, 0.1]))
     out = check_monotone_reduction(sweep, 0.0)
     assert not out.passed
 
@@ -224,7 +230,7 @@ def test_monotone_reduction_matches_pair_loop(shape):
             values = spb_A * np.round(grid)  # exact ties: equal and strict pairs mixed
         else:
             values = rng.normal(size=k)
-        sweep = SweepResult("m", grid, values)
+        sweep = SweepResult("m", grid, _points(values))
         out = check_monotone_reduction(sweep, spb_A)
         assert (out.passed, out.margin, out.witness) == _monotone_reduction_by_pairs(sweep, spb_A)
 
@@ -596,3 +602,69 @@ def test_operator_lines_solve_spb_and_each_resolvent_once(monkeypatch):
     # spb(A + V), the sweep's points and spb(A); the resolvent at spb + 0.1, 1 and 10
     assert counts == {"spectral_bound": 2 + len(grid), "resolvent": 3}
     assert lines["semigroup_positivity"] == expected
+
+
+def _recorded_sweeps(monkeypatch):
+    """(spectral_bound calls, SweepResult records) of the checks module from here on."""
+    from reduction_lab import checks
+
+    calls, records = [], []
+    original = checks.spectral_bound
+
+    def recorded(M, start=None):
+        calls.append(original(M, start=start))
+        return calls[-1]
+
+    class Recorded(checks.SweepResult):
+        def __post_init__(self):
+            super().__post_init__()
+            records.append(self)
+
+    monkeypatch.setattr(checks, "spectral_bound", recorded)
+    monkeypatch.setattr(checks, "SweepResult", Recorded)
+    return calls, records
+
+
+def test_every_sweep_carries_the_certified_result_of_each_of_its_points(monkeypatch):
+    from reduction_lab.checks import FAMILY_KINDS, THRESHOLD_PRESWEEP, curve_table
+    from reduction_lab.scenario import parse_scenario
+    from test_golden import GOLDEN
+
+    linear, karlin, kingman, threshold = (
+        parse_scenario(str(GOLDEN / f"{name}.ini")) for name in ("linear", "karlin", "kingman", "linear_threshold")
+    )
+
+    def curve(sc):
+        return lambda: curve_table(sc.family, sc.grid_name, FAMILY_KINDS[sc.family_kind][1][sc.grid_name], sc.grid)
+
+    # (sweep, its grid, whether it judges log spb); find_threshold's Newton steps follow its pre-sweep
+    sweeps = {
+        "m": (lambda: sweep_spb_in_m(linear.family, linear.grid_for("m")), linear.grid_for("m"), False),
+        "beta": (lambda: sweep_spb_in_beta(linear.family, linear.grid_for("beta")), linear.grid_for("beta"), False),
+        "alpha": (lambda: karlin_monotonicity_check(karlin.family, karlin.grid), karlin.grid, False),
+        "theta": (lambda: kingman_superconvexity_check(kingman.family, kingman.grid), kingman.grid, True),
+        **{f"curve {sc.grid_name}": (curve(sc), sc.grid, False) for sc in (linear, karlin, kingman)},
+        "threshold": (
+            lambda: find_threshold(threshold.family, *threshold.bracket),
+            np.linspace(*threshold.bracket, THRESHOLD_PRESWEEP),
+            False,
+        ),
+    }
+    calls, records = _recorded_sweeps(monkeypatch)
+    for name, (run, grid, log) in sweeps.items():
+        calls.clear()
+        records.clear()
+        run()
+        (S,) = records
+        np.testing.assert_array_equal(S.grid, grid)
+        assert len(S.points) == len(grid) and len(calls) >= len(grid), name
+        assert len(calls) == len(grid) or name == "threshold", name
+        solved = calls[: len(grid)]
+        if log:
+            for d, r in zip(S.points, solved):
+                assert (d.spb, d.spb_hi) == (np.log(r.spb), np.log(r.spb_hi))
+                assert d.spb_lo == (np.log(r.spb_lo) if r.spb_lo > 0.0 else -np.inf)
+        else:
+            assert all(d is r for d, r in zip(S.points, solved)), name
+        assert all(d.spb_lo <= d.spb <= d.spb_hi for d in S.points), name
+        np.testing.assert_array_equal(S.values, [d.spb for d in S.points])

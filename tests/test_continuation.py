@@ -91,8 +91,9 @@ def test_solve_along_raises_the_first_failing_point_in_grid_order():
     # c_11*exp(1000*theta) overflows at theta = 1, which is evaluated before any solve
     F = KingmanFamily(np.ones((2, 2)), np.array([[0.0, 0.0], [0.0, 1000.0]]))
     grid = np.array([-1.0, 0.0, 1.0])
-    with pytest.raises(OverflowRisk, match=r"\(at theta = 1\.0\)$"):
+    with pytest.raises(OverflowRisk, match=r" overflows double precision at theta = 1\.0$") as info:
         solve_along(grid, F.matrix_at, "theta")
+    assert str(info.value).count("theta = ") == 1  # the evaluator names its point, and nothing names it again
     # a point before it whose solve fails is raised first, as point by point
     not_metzler = np.array([[1.0, -1.0], [1.0, 1.0]])
     with pytest.raises(NotEssentiallyNonnegative, match=r"\(at theta = 0\.0\)$"):
