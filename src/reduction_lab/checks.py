@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagonal
 from .matrixio import format_value
-from .perron import SpectralData, grid_starts, is_essentially_nonnegative, is_irreducible
+from .perron import EPS, SpectralData, grid_starts, is_essentially_nonnegative, is_irreducible
 from .perron import perron_vectors, resolvent, spectral_bound, square_matrix
 from .semigroup import expm, growth_bound_estimate
 
@@ -35,8 +35,6 @@ HOMOGENEITY_TOL = 1e-10
 DERIVATIVE_TOL = 1e-6
 FD_STEP_SCALE = 1e-5
 
-THRESHOLD_VALUE_TOL = 1e-10
-THRESHOLD_WIDTH_TOL = 1e-12
 THRESHOLD_PRESWEEP = 9  # grid points of the monotonicity pre-sweep
 SEMIGROUP_POSITIVITY_TOL = 1e-10
 RESOLVENT_POSITIVITY_TOL = 1e-12
@@ -297,6 +295,12 @@ def kirkland_check(A) -> CheckLine:
     return CheckLine("kirkland", passed, margin, {"lhs": lhs, "spb": data.spb})
 
 
+def _log_rho(d: SpectralData) -> SpectralData:
+    """The record of log rho: d with spb, spb_hi and max(spb_lo, 0) mapped through log, and each block's too."""
+    blocks = None if d.blocks is None else [_log_rho(b) for b in d.blocks]
+    return replace(d, spb=np.log(d.spb), spb_lo=np.log(max(d.spb_lo, 0.0)), spb_hi=np.log(d.spb_hi), blocks=blocks)
+
+
 def kingman_superconvexity_check(F: KingmanFamily, theta_grid) -> CheckLine:
     """`kingman_superconvexity`: midpoint log-convexity of theta -> rho(A(theta)) for a log-affine family."""
     grid = np.asarray(theta_grid, dtype=float)
@@ -304,8 +308,8 @@ def kingman_superconvexity_check(F: KingmanFamily, theta_grid) -> CheckLine:
     for theta, d in zip(grid, rho):
         if d.spb <= 0.0:
             raise ZeroSpectralRadius(f"spectral radius vanished at theta = {theta}")
-    with np.errstate(divide="ignore"):  # the sweep of log rho; a lower end <= 0 goes to log 0 = -inf
-        logs = [replace(d, spb=np.log(d.spb), spb_lo=np.log(max(d.spb_lo, 0.0)), spb_hi=np.log(d.spb_hi)) for d in rho]
+    with np.errstate(divide="ignore"):  # a zero block's rho and any lower end <= 0 go to log 0 = -inf
+        logs = [_log_rho(d) for d in rho]
     return replace(check_midpoint_convexity(SweepResult("theta", grid, logs)), name="kingman_superconvexity")
 
 
@@ -408,44 +412,38 @@ def positivity_of_semigroup_check(M, t_grid) -> CheckLine:
 def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
     """Root of spb(m*A + V) = 0 on [m_lo, m_hi], by Newton steps guarded by bisection.
 
-    A THRESHOLD_PRESWEEP-point sweep certifies monotonicity on the bracket;
-    endpoints must straddle zero. The search starts on the cell of that sweep
-    where spb changes sign and stops at |spb| <= THRESHOLD_VALUE_TOL or a cell
-    width <= THRESHOLD_WIDTH_TOL. Each step starts from the end of the cell
-    where spb > 0 and goes to the root of the tangent there,
-    m - spb/(u^T A v), u^T A v being d spb/dm at that end's Perron pair. spb
-    is convex in m (the paper's lemma), so the tangent lies below the curve and
-    its root never passes the root of spb: the new point has spb >= 0 again
-    and the steps approach the root from one side. Where that end has no
-    Perron vectors (a reducible point) or the step does not land inside the
-    open cell, as rounding can make it next to the root, the step bisects
-    instead. Each solve is a solve_along point started from the previous one's
-    result, so a solver error names its m.
+    Every decision reads the certified brackets [spb_lo, spb_hi] of the solved
+    points, so no tolerance fixes a scale: a point is positive when spb_lo > 0,
+    negative when spb_hi < 0, and otherwise returned, its bracket holding 0.
+    The brackets of a THRESHOLD_PRESWEEP-point sweep must not prove both a rise
+    and a fall between neighbours, and its ends must not share a sign. The
+    search starts on the sweep's cell where the sign changes and returns the
+    midpoint of a cell at most 4*EPS times its larger end wide. Each step goes
+    from the positive end m to the tangent root m - spb/(u^T A v), u^T A v
+    being d spb/dm there; spb is convex in m (the paper's lemma), so that root
+    never passes the root of spb. Where that end has no Perron vectors (a
+    reducible point) or the step leaves the open cell, as rounding can make it
+    next to the root, the step bisects. Each solve is a solve_along point
+    started from the previous one's result, so a solver error names its m.
     """
     if not 0.0 < m_lo < m_hi:
         raise ValueError("need 0 < m_lo < m_hi")
 
     grid = np.linspace(m_lo, m_hi, THRESHOLD_PRESWEEP)
-    sweep = SweepResult("m", grid, solve_along(grid, F.matrix_at, "m"))
-    vals = sweep.values
-    slack = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    if not ((np.diff(vals) <= slack).all() or (np.diff(vals) >= -slack).all()):
+    points = SweepResult("m", grid, solve_along(grid, F.matrix_at, "m")).points
+    lo, hi = np.array([d.spb_lo for d in points]), np.array([d.spb_hi for d in points])
+    if (lo[1:] > hi[:-1]).any() and (hi[1:] < lo[:-1]).any():
         raise NotMonotoneOnBracket("preliminary sweep is not monotone on the bracket")
-    f_lo, f_hi = float(vals[0]), float(vals[-1])
-    if abs(f_lo) <= THRESHOLD_VALUE_TOL:
-        return m_lo
-    if abs(f_hi) <= THRESHOLD_VALUE_TOL:
-        return m_hi
-    if np.sign(f_lo) == np.sign(f_hi):
+    sign = (lo > 0.0).astype(int) - (hi < 0.0)
+    if sign[0] == sign[-1] != 0:
         raise NoSignChange("spb has the same sign at both bracket endpoints")
-    k = int(np.argmax(np.sign(vals) != np.sign(f_lo)))  # the cell [grid[k-1], grid[k]]
-    for end in (k - 1, k):
-        if abs(vals[end]) <= THRESHOLD_VALUE_TOL:
-            return float(grid[end])
-    pos, neg = (k, k - 1) if vals[k] > 0.0 else (k - 1, k)
-    data = latest = sweep.points[pos]
+    k = int(np.argmax((sign == 0) | (sign != sign[0])))  # the first point off the first one's nonzero sign
+    if sign[k] == 0:
+        return float(grid[k])
+    pos, neg = (k, k - 1) if sign[k] > 0 else (k - 1, k)
+    data = latest = points[pos]
     pos, neg = float(grid[pos]), float(grid[neg])
-    while abs(pos - neg) > THRESHOLD_WIDTH_TOL:
+    while abs(pos - neg) > 4.0 * EPS * max(abs(pos), abs(neg)):
         m = 0.5 * (pos + neg)
         if data.u is not None:
             slope = _slope(data.u, data.v, F.A)
@@ -453,12 +451,12 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
             if min(pos, neg) < step < max(pos, neg):
                 m = step
         (latest,) = solve_along([m], F.matrix_at, "m", latest)
-        if abs(latest.spb) <= THRESHOLD_VALUE_TOL:
-            return m
-        if latest.spb > 0.0:
+        if latest.spb_lo > 0.0:
             pos, data = m, latest
-        else:
+        elif latest.spb_hi < 0.0:
             neg = m
+        else:
+            return m
     return 0.5 * (pos + neg)
 
 

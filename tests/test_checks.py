@@ -10,6 +10,7 @@ from reduction_lab import (
     NonUniformGrid,
     NoSignChange,
     NotIrreducible,
+    NotMonotoneOnBracket,
     SweepResult,
     check_midpoint_convexity,
     check_monotone_reduction,
@@ -427,8 +428,6 @@ def test_find_threshold_scalar_family():
 
 
 def test_find_threshold_rejects_non_monotone_bracket():
-    from reduction_lab import NotMonotoneOnBracket
-
     # spb here is -m - 1 + sqrt(9 + 4 m^2) - 2: convex with an interior
     # minimum near m = 0.87, so the bracket certification must refuse it
     fam = LinearFamily([[-1.0, 2.0], [2.0, -1.0]], np.diag([0.0, -6.0]))
@@ -457,32 +456,41 @@ def _lapack_spb(M):
     return float(np.max(np.linalg.eigvals(M).real))
 
 
+def _lapack_root_residual(fam, m_star):
+    """|spb(m* A + V)| by LAPACK, relative to ||m* A + V||_inf."""
+    M = fam.matrix_at(m_star)
+    return abs(_lapack_spb(M)) / np.linalg.norm(M, np.inf)
+
+
+def falling_family(n, seed):
+    """A = P - I with a mixed-sign diagonal V: spb falls from max V at m = 0 to pi @ V < 0 as m grows."""
+    P = random_stochastic(n, seed)
+    d = np.diagonal(random_diagonal(n, -1.0, 1.0, seed + 10)).copy()
+    d[0] = 1.0
+    w, vecs = np.linalg.eig(P.T)
+    pi = np.abs(np.real(vecs[:, np.argmax(w.real)]))
+    return LinearFamily(P - np.eye(n), np.diag(d - float(pi @ d / pi.sum()) - 0.25))
+
+
 @pytest.mark.parametrize("direction", ["decreasing", "increasing"])
 @pytest.mark.parametrize("seed", range(4))
 def test_find_threshold_newton_meets_the_tolerance(monkeypatch, direction, seed):
-    from reduction_lab.checks import THRESHOLD_PRESWEEP, THRESHOLD_VALUE_TOL
+    from reduction_lab.checks import THRESHOLD_PRESWEEP
 
     n = 3 + 2 * seed
     if direction == "decreasing":
-        # A = P - I: spb falls from max V at m = 0 to pi @ V < 0 as m grows
-        P = random_stochastic(n, seed)
-        d = np.diagonal(random_diagonal(n, -1.0, 1.0, seed + 10)).copy()
-        d[0] = 1.0
-        w, vecs = np.linalg.eig(P.T)
-        pi = np.abs(np.real(vecs[:, np.argmax(w.real)]))
-        fam = LinearFamily(P - np.eye(n), np.diag(d - float(pi @ d / pi.sum()) - 0.25))
+        fam = falling_family(n, seed)
     else:
         # a positive A makes d spb/dm = u^T A v > 0, and spb(V) < 0
         fam = LinearFamily(np.abs(random_ess_nonneg(n, seed)) + 0.1, random_diagonal(n, -3.0, -1.0, seed + 20))
     values = [_lapack_spb(fam.matrix_at(m)) for m in (0.01, 100.0)]
     assert (values[0] > values[1]) == (direction == "decreasing") and values[0] * values[1] < 0.0
     m_star, calls = _counted_threshold(monkeypatch, fam, 0.01, 100.0)
-    assert abs(_lapack_spb(fam.matrix_at(m_star))) <= THRESHOLD_VALUE_TOL
-    assert calls <= THRESHOLD_PRESWEEP + 7  # bisection from the pre-sweep's cell takes about 40
+    assert _lapack_root_residual(fam, m_star) <= 1e-13
+    assert calls <= THRESHOLD_PRESWEEP + 7  # bisecting the pre-sweep's cell to 4*eps takes about 50
 
 
 def test_find_threshold_takes_at_most_16_solves_on_the_golden_and_sweeps_families(monkeypatch, tmp_path):
-    from reduction_lab.checks import THRESHOLD_VALUE_TOL
     from reduction_lab.scenario import parse_scenario
     from test_bench_contract import _load_bench
     from test_golden import GOLDEN
@@ -494,12 +502,34 @@ def test_find_threshold_takes_at_most_16_solves_on_the_golden_and_sweeps_familie
         sc = parse_scenario(str(path))
         m_star, calls = _counted_threshold(monkeypatch, sc.family, *sc.bracket)
         assert calls <= 16, path.name
-        assert abs(_lapack_spb(sc.family.matrix_at(m_star))) <= THRESHOLD_VALUE_TOL, path.name
+        assert _lapack_root_residual(sc.family, m_star) <= 1e-13, path.name
+
+
+def test_find_threshold_does_not_depend_on_the_scale_of_the_family(monkeypatch):
+    # scaling A and V together by s scales spb(mA + V) by s and leaves its root where it is
+    for seed, n in enumerate(range(4, 10)):
+        fam = falling_family(n, seed)
+        roots = {}
+        for k in (-8, -4, 0, 4, 8):
+            scaled = LinearFamily(10.0**k * fam.A, 10.0**k * fam.V)
+            roots[k], calls = _counted_threshold(monkeypatch, scaled, 0.05, 20.0)
+            assert calls <= 17, (n, k)
+        for k, root in roots.items():
+            assert abs(root - roots[0]) <= 1e-14 * roots[0], (n, k)
+
+
+@pytest.mark.parametrize("k", [-60, -600])
+def test_find_threshold_error_names_do_not_depend_on_scale(k):
+    s = 2.0**k
+    # the fixtures of the non-monotone and no-sign-change tests, scaled exactly
+    with pytest.raises(NotMonotoneOnBracket):
+        find_threshold(LinearFamily(s * np.array([[-1.0, 2.0], [2.0, -1.0]]), s * np.diag([0.0, -6.0])), 0.1, 5.0)
+    with pytest.raises(NoSignChange):
+        find_threshold(LinearFamily(s * A_SYM, s * V_PM), 0.1, 10.0)
 
 
 def test_find_threshold_bisects_where_the_cell_is_reducible(monkeypatch):
     from reduction_lab import spectral_bound
-    from reduction_lab.checks import THRESHOLD_VALUE_TOL
 
     # A = [[P1 - I, C], [0, P2 - I]] is reducible at every m > 0, so no point has
     # Perron vectors for a Newton step; spb is the larger of the blocks' curves
@@ -509,7 +539,7 @@ def test_find_threshold_bisects_where_the_cell_is_reducible(monkeypatch):
     fam = LinearFamily(A, np.diag([0.8, -1.0, -0.5, 0.6, -0.9, -0.7, -0.4]))
     assert spectral_bound(fam.matrix_at(1.0)).u is None
     m_star, calls = _counted_threshold(monkeypatch, fam, 0.01, 100.0)
-    assert abs(_lapack_spb(fam.matrix_at(m_star))) <= THRESHOLD_VALUE_TOL
+    assert _lapack_root_residual(fam, m_star) <= 1e-13
     assert calls > 16  # bisection
 
 
@@ -668,3 +698,19 @@ def test_every_sweep_carries_the_certified_result_of_each_of_its_points(monkeypa
             assert all(d is r for d, r in zip(S.points, solved)), name
         assert all(d.spb_lo <= d.spb <= d.spb_hi for d in S.points), name
         np.testing.assert_array_equal(S.values, [d.spb for d in S.points])
+
+
+def test_kingman_log_record_maps_every_block(monkeypatch):
+    # c's lower-left entries are 0, so every theta point is reducible, and its last diagonal block is 0
+    c = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
+    g = np.array([[0.5, -1.0, 2.0], [1.0, 0.3, 0.0], [0.0, 0.0, 0.0]])
+    calls, records = _recorded_sweeps(monkeypatch)
+    kingman_superconvexity_check(KingmanFamily(c, g), np.linspace(-1.0, 1.0, 5))
+    (S,) = records
+    with np.errstate(divide="ignore"):
+        for d, r in zip(S.points, calls, strict=True):
+            assert len(d.blocks) == len(r.blocks) == 2
+            for b, rb in zip(d.blocks, r.blocks):
+                assert (b.spb, b.spb_hi) == (np.log(rb.spb), np.log(rb.spb_hi))
+                assert b.spb_lo == (np.log(rb.spb_lo) if rb.spb_lo > 0.0 else -np.inf)
+    assert {b.spb for d in S.points for b in d.blocks} >= {-np.inf}  # the zero block's log 0

@@ -221,6 +221,21 @@ def test_threshold_no_sign_change_prints_error_name(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "NoSignChange"
 
 
+def test_threshold_prints_the_same_root_when_the_family_is_scaled_by_a_power_of_two(tmp_path, capsys):
+    from test_checks import falling_family
+
+    for seed, n in enumerate(range(4, 10)):
+        fam = falling_family(n, seed)
+        printed = set()
+        for k in (0, -600, -60, 60, 600):
+            A = " ; ".join(" ".join(repr(float(x)) for x in row) for row in 2.0**k * fam.A)
+            V = " ".join(repr(float(x)) for x in 2.0**k * np.diagonal(fam.V))
+            text = f"[family]\nkind = linear\nA = {A}\nV_diag = {V}\n\n[threshold]\nm_lo = 0.05\nm_hi = 20\n"
+            assert main(["threshold", write(tmp_path, "t.scn", text)]) == 0, (n, k)
+            printed.add(capsys.readouterr().out)
+        assert len(printed) == 1, (n, printed)
+
+
 OPERATOR_THRESHOLD_SCENARIO = """
 [family]
 kind = elliptic
