@@ -4,8 +4,8 @@ The spectral bound spb(M) is the largest real part over the spectrum. For a
 Metzler matrix it is attained by a real eigenvalue with nonnegative left and
 right eigenvectors, which the Noda inverse iteration below computes together
 with a Collatz-Wielandt bracket that certifies it.
-Reducible inputs are handled by recursing on the strongly connected components
-of the off-diagonal adjacency digraph.
+Reducible inputs are solved per strongly connected component of the off-diagonal
+adjacency digraph, for the right vector and bracket alone.
 """
 
 import functools
@@ -62,9 +62,10 @@ class SpectralData:
     is the Collatz-Wielandt bracket min_i (Mv)_i/v_i <= spb <= max_i (Mv)_i/v_i
     at the returned v; for reducible inputs it is [max spb_lo, max spb_hi] over
     the diagonal blocks, whose own results `blocks` lists in the order of the
-    component labels of scc_decomposition (None for irreducible inputs). A
-    result passed back as `spectral_bound(M, start=...)` starts the solve of a
-    nearby M from this v, or each diagonal block from its own.
+    component labels of scc_decomposition (None for irreducible inputs), each
+    with v, no u and spb its bracket's midpoint (see spectral_bound). A result
+    passed back as `spectral_bound(M, start=...)` starts the solve of a nearby M
+    from this v, or each diagonal block from its own.
     """
 
     spb: float
@@ -101,8 +102,9 @@ def is_essentially_nonnegative(M) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _scc_labels(n: int, packed: bytes) -> tuple[int, np.ndarray]:
-    """(count, read-only labels) of the SCCs of an n x n adjacency pattern packed by np.packbits."""
+def _scc_blocks(n: int, packed: bytes) -> tuple[np.ndarray, ...]:
+    """Vertex indices of each SCC of an n x n adjacency pattern packed by np.packbits, in label order:
+    read-only views of one array, in increasing order within each component."""
     from scipy.sparse import csgraph, csr_array
 
     adjacency = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n).reshape(n, n)
@@ -112,37 +114,34 @@ def _scc_labels(n: int, packed: bytes) -> tuple[int, np.ndarray]:
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     graph = csr_array((np.ones(cols.size), np.ascontiguousarray(cols), indptr), shape=(n, n))
     count, labels = csgraph.connected_components(graph, directed=True, connection="strong")
-    labels.flags.writeable = False
-    return count, labels
+    order = np.argsort(labels, kind="stable")
+    order.flags.writeable = False
+    return tuple(np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]))
+
+
+def _block_indices(M, dense: bool) -> tuple[np.ndarray, ...]:
+    """Row indices of each strongly connected diagonal block of a square M in label order: all rows when M
+    is `dense` off the diagonal, else read-only arrays memoised by off-diagonal pattern (the last 64)."""
+    if dense:
+        return (np.arange(M.shape[0]),)
+    adjacency = M != 0.0
+    np.fill_diagonal(adjacency, False)
+    return _scc_blocks(M.shape[0], np.packbits(adjacency).tobytes())
 
 
 def scc_decomposition(M) -> SccDecomposition:
-    """Strongly connected components of the digraph i -> j iff i != j and M[i][j] != 0.
-
-    The labels are memoised by off-diagonal pattern (the last 64 patterns); each
-    call returns its own copy.
-    """
-    M = square_matrix(M)
-    adjacency = M != 0.0
-    np.fill_diagonal(adjacency, False)
-    count, labels = _scc_labels(M.shape[0], np.packbits(adjacency).tobytes())
-    return SccDecomposition(labels.copy(), count)
-
-
-def _block_indices(M, dense: bool) -> list[np.ndarray]:
-    """Row indices of each strongly connected diagonal block of a square M, in the order of the
-    component labels of scc_decomposition; one block of all rows when M is `dense` off the diagonal."""
-    if not dense:
-        dec = scc_decomposition(M)
-        if dec.component_count > 1:
-            return [np.flatnonzero(dec.component_id == c) for c in range(dec.component_count)]
-    return [np.arange(M.shape[0])]
+    """Strongly connected components of the digraph i -> j iff i != j and M[i][j] != 0, in fresh labels."""
+    blocks = _block_indices(square_matrix(M), False)
+    labels = np.empty(sum(idx.size for idx in blocks), dtype=np.int32)
+    for c, idx in enumerate(blocks):
+        labels[idx] = c
+    return SccDecomposition(labels, len(blocks))
 
 
 def is_irreducible(M) -> bool:
     """True iff the off-diagonal adjacency digraph is strongly connected (n = 1 counts)."""
     M = square_matrix(M)
-    return _off_diagonal_signs(M)[1] or scc_decomposition(M).component_count == 1
+    return _off_diagonal_signs(M)[1] or len(_block_indices(M, False)) == 1
 
 
 def _usable_start(x, n: int) -> bool:
@@ -336,42 +335,50 @@ def _too_wide(abs_M, lo, hi) -> bool:
     return not width <= 0.5 * WIDTH_TOL * (abs(hi) - width) and width > WIDTH_TOL * float(_max(abs_M.sum(axis=1)))
 
 
-def _solve_irreducible(M, start: SpectralData | None = None, below: float = -math.inf) -> SpectralData:
-    """Certified Perron pair of an irreducible M, started from `start`'s v.
+def _operands(M) -> tuple:
+    """(-M, |M|, floor, reach): _noda's operands for v ((-M).T, |M|) and for u on M^T (-M, |M|.T)."""
+    return -M, np.abs(M), 4.0 * M.shape[0] * EPS, 2.0 * max(0.0, -float(_min(M.diagonal())))
 
-    A start whose v is not usable (see _usable_start) is ignored as a whole; a
-    started solve left wider than WIDTH_TOL*||M||_inf is solved again cold. A
-    solve whose upper end falls below `below` stops there and reports
-    spb = spb_hi = that upper end, no u, and its last iterate as v, which a
-    later solve can start from. u starts from one transposed scaled solve at
-    the certified shift hi and is certified by its own Noda run; iterations
-    counts every shifted solve, that one included.
+
+def _v_pass(M, start: SpectralData | None = None, below: float = -math.inf, operands=None) -> tuple:
+    """(spb, v, iterations, spb_lo, spb_hi) of the certified v pass of an irreducible M from `start`'s v.
+
+    A start whose v is not usable (see _usable_start) is ignored as a whole; a started solve left
+    wider than WIDTH_TOL*||M||_inf is solved again cold. spb is the bracket's midpoint, or the upper
+    end once it falls below `below`, where the solve stops and keeps its last iterate as v. operands
+    are _operands(M), derived here if not given.
     """
     n = M.shape[0]
     if n == 1:
-        one = np.array([1.0])
         spb = float(M[0, 0])
-        return SpectralData(spb, one, one.copy(), 0, spb, spb)
-    abs_M = np.abs(M)
-    neg = -M  # -M^T of the u iteration on M^T; its transpose serves the v iteration
-    floor = 4.0 * n * EPS  # times max(|M|x/x), the rounding floor of the quotients
-    reach = 2.0 * max(0.0, -float(_min(M.diagonal())))
+        return spb, np.array([1.0]), 0, spb, spb
+    neg, abs_M, floor, reach = operands = operands or _operands(M)
     if start is not None and not _usable_start(start.v, n):
         start = None
     v, lo, hi, steps = _noda(M, neg.T, abs_M, floor, reach, None if start is None else start.v, below)
     if hi < below:
-        return SpectralData(hi, None, v, steps, lo, hi)
+        return hi, v, steps, lo, hi
     if _too_wide(abs_M, lo, hi):
         if start is not None:
-            cold = _solve_irreducible(M, None, below)
-            cold.iterations += steps
-            return cold
+            spb, v, cold_steps, lo, hi = _v_pass(M, None, below, operands)
+            return spb, v, cold_steps + steps, lo, hi
         raise NoConvergence(
             f"Collatz-Wielandt bracket [{lo:.17g}, {hi:.17g}] did not close to "
             f"{WIDTH_TOL:g}*||M||_inf = {WIDTH_TOL * float(_max(abs_M.sum(axis=1))):.3e}",
             residual=hi - lo,
             iterations=steps,
         )
+    return lo + 0.5 * (hi - lo), v, steps, lo, hi  # 0.5*(lo + hi) can overflow
+
+
+def _solve_irreducible(M, start: SpectralData | None = None) -> SpectralData:
+    """Certified Perron pair of an irreducible M: the v pass from `start`, then the left-vector step.
+
+    u starts from one transposed scaled solve at the certified shift hi and is certified by its own Noda
+    run; spb is the clamped Rayleigh quotient. iterations counts every shifted solve, that one included.
+    """
+    operands = neg, abs_M, floor, reach = _operands(M)
+    _, v, steps, lo, hi = _v_pass(M, start, operands=operands)
     if (M == M.T).all():
         u = v
     else:
@@ -383,7 +390,7 @@ def _solve_irreducible(M, start: SpectralData | None = None, below: float = -mat
             steps += 1
             u_start = np.abs(w, out=w)
             u_start /= v
-            if not _usable_start(u_start, n):
+            if not _usable_start(u_start, M.shape[0]):
                 u_start = None
         u, _, _, steps_u = _noda(M.T, neg, abs_M.T, floor, reach, u_start)
         steps += steps_u
@@ -398,15 +405,17 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
 
     Irreducible inputs return Perron vectors as well; the v iteration starts
     from start.v, of the result at a nearby matrix, where it is strictly
-    positive, finite and of matching length. Reducible inputs are
-    solved per strongly connected diagonal block and report u = v = None and
-    the block results as `blocks`. Block c starts from start.blocks[c] when
-    `start` has as many blocks as M, under the same rules as an irreducible
-    start. The blocks are solved in descending order of start.blocks[c].spb_hi,
-    or for a cold start of their largest row sum, the upper end of the bracket
-    at the constant vector. A block stops as soon as its upper end falls below the
-    largest lower end already certified, which leaves the reported maxima
-    unchanged, and keeps its last iterate as v for the next start.
+    positive, finite and of matching length. Reducible inputs are solved per
+    strongly connected diagonal block by its v pass alone, with no left vector
+    and its bracket's midpoint as spb, and report u = v = None, the block
+    results as `blocks` and their v-pass solves as iterations. Block c starts
+    from start.blocks[c] when `start` has as many blocks as M, under the same
+    rules as an irreducible start. The blocks are solved in descending order of
+    start.blocks[c].spb_hi, or for a cold start of their largest row sum, the
+    upper end of the bracket at the constant vector. A block stops as soon as
+    its upper end falls below the largest lower end already certified, which
+    leaves the reported maxima unchanged, and keeps that upper end as spb and
+    its last iterate as v for the next start.
     """
     M = square_matrix(M)
     nonnegative, dense = _off_diagonal_signs(M)
@@ -428,8 +437,9 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     blocks = [None] * count
     below = -math.inf
     for c in order:
-        blocks[c] = _solve_irreducible(submatrices[c], starts[c], below)
-        below = max(below, blocks[c].spb_lo)
+        spb, v, steps, lo, hi = _v_pass(submatrices[c], starts[c], below)
+        blocks[c] = SpectralData(spb, None, v, steps, lo, hi)
+        below = max(below, lo)
     return _of_blocks(blocks, order)
 
 
@@ -439,7 +449,7 @@ def perron_vectors(M):
     nonnegative, dense = _off_diagonal_signs(M)
     if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    if not (dense or scc_decomposition(M).component_count == 1):
+    if len(_block_indices(M, dense)) > 1:
         raise NotIrreducible("Perron vectors require an irreducible matrix")
     data = _solve_irreducible(M)
     return data.u, data.v

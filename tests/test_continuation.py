@@ -190,14 +190,32 @@ def test_start_whose_solve_overflows_falls_back_to_the_cold_solve():
     np.testing.assert_array_equal(warm.u, cold.u)
 
 
+def _midpoint(d):
+    """The midpoint of d's bracket, which a solved diagonal block reports as its spb."""
+    return d.spb_lo + 0.5 * (d.spb_hi - d.spb_lo)
+
+
+def _assert_v_pass(data, B):
+    """data is the v pass of B from the constant vector: spectral_bound(B)'s bracket and v, its midpoint, no u."""
+    full = spectral_bound(B)
+    assert (data.spb_lo, data.spb_hi, data.iterations) == (full.spb_lo, full.spb_hi, _noda(B)[3])
+    assert data.spb == _midpoint(full)
+    assert data.u is None and np.array_equal(data.v, full.v)
+
+
 def _every_block_solved(M):
-    """(max spb, max spb_lo, max spb_hi, total solves) with every diagonal block solved in full."""
-    blocks = [spectral_bound(B) for B in _scc_blocks(M)]
+    """(max spb, max spb_lo, max spb_hi, total solves) with every diagonal block solved in full by its v pass.
+
+    A block's bracket is spectral_bound(B)'s, its spb that bracket's midpoint, and its
+    solves those of the v iteration from the constant vector.
+    """
+    blocks = _scc_blocks(M)
+    solved = [spectral_bound(B) for B in blocks]
     return (
-        max(b.spb for b in blocks),
-        max(b.spb_lo for b in blocks),
-        max(b.spb_hi for b in blocks),
-        sum(b.iterations for b in blocks),
+        max(_midpoint(b) for b in solved),
+        max(b.spb_lo for b in solved),
+        max(b.spb_hi for b in solved),
+        sum(_noda(B)[3] for B in blocks),
     )
 
 
@@ -242,9 +260,9 @@ def test_identical_blocks_are_both_solved_in_full(k):
         M = F.matrix_at(theta)
         data = spectral_bound(M)
         block = spectral_bound(M[:k, :k])
-        assert (data.spb, data.spb_lo, data.spb_hi) == (block.spb, block.spb_lo, block.spb_hi)
+        assert (data.spb, data.spb_lo, data.spb_hi) == (_midpoint(block), block.spb_lo, block.spb_hi)
         assert (data.spb, data.spb_lo, data.spb_hi) == _every_block_solved(M)[:3]
-        assert data.iterations == 2 * block.iterations
+        assert data.iterations == 2 * _noda(M[:k, :k])[3]
 
 
 def test_noda_stops_below_the_bound():
@@ -264,8 +282,44 @@ def test_dominant_block_is_solved_first():
     M = np.block([[large, np.ones((4, 4))], [np.zeros((4, 4)), small]])
     assert small.sum(axis=1).max() < spectral_bound(large).spb_lo
     data = spectral_bound(M)
-    full = spectral_bound(large)
-    assert (data.spb, data.spb_lo, data.spb_hi, data.iterations) == (full.spb, full.spb_lo, full.spb_hi, full.iterations)
+    solved = data.blocks[scc_decomposition(M).component_id[0]]
+    _assert_v_pass(solved, large)
+    assert (data.spb, data.spb_lo, data.spb_hi) == (solved.spb, solved.spb_lo, solved.spb_hi)
+    assert data.iterations == solved.iterations  # the other block stops at the constant vector
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blocks_of_a_reducible_input_compute_no_left_vector(seed):
+    rng = np.random.default_rng(400 + seed)
+    sizes = [int(k) for k in rng.integers(1, 9, size=int(rng.integers(2, 5)))]
+    F = _block_triangular(rng, sizes)
+    for theta in np.linspace(-1.0, 1.0, 9):
+        M = F.matrix_at(theta)
+        data = spectral_bound(M)
+        dec = scc_decomposition(M)
+        assert data.u is None and data.v is None and all(b.u is None for b in data.blocks)
+        for c, block in enumerate(data.blocks):
+            if block.spb_hi < data.spb_lo and block.spb == block.spb_hi:
+                continue  # certified below another block, where it may have stopped
+            idx = np.flatnonzero(dec.component_id == c)
+            _assert_v_pass(block, M[np.ix_(idx, idx)])
+
+
+def test_block_midpoint_stays_finite_near_the_top_of_the_range():
+    # spb_lo + spb_hi of the 2 x 2 block overflows; its midpoint lies inside its bracket
+    M = np.array([[9e307, 1.0, 1.0], [1.0, 9e307, 0.0], [0.0, 0.0, 0.0]])
+    data = spectral_bound(M)
+    assert len(data.blocks) == 2 and data.spb_lo <= data.spb <= data.spb_hi < np.inf
+
+
+def test_block_indices_are_memoised_read_only():
+    M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    blocks = perron._block_indices(M, False)
+    assert perron._block_indices(2.0 * M, False) is blocks  # same off-diagonal pattern
+    assert [idx.tolist() for idx in blocks] == [[1, 2], [0]]
+    for idx in blocks:
+        with pytest.raises(ValueError):
+            idx[0] = 7
 
 
 def test_scc_memo_returns_independent_labels():
@@ -295,14 +349,37 @@ def test_warm_block_sweep_matches_cold_solves(seed):
         assert sorted(b.v.size for b in data.blocks) == sorted(sizes)  # a stopped block keeps its iterate
 
 
-@pytest.mark.parametrize("n", [8, 16])
-def test_warm_sweep_of_a_reducible_kingman_family_matches_cold_solves(n):
-    # the lower-left quarter of c is zero: two diagonal blocks of n/2, both dense
+def _reducible_kingman(n):
+    """A kingman family whose c has a zero lower-left quarter: two dense diagonal blocks of n/2."""
     c = np.abs(random_ess_nonneg(n, n + 4))
     c[n // 2 :, : n // 2] = 0.0
-    matrices, warm = _kingman_sweep(KingmanFamily(c, random_ess_nonneg(n, n + 5)), np.linspace(-1.0, 1.0, 51))
+    return KingmanFamily(c, random_ess_nonneg(n, n + 5))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_warm_sweep_of_a_reducible_kingman_family_matches_cold_solves(n):
+    matrices, warm = _kingman_sweep(_reducible_kingman(n), np.linspace(-1.0, 1.0, 51))
     _assert_warm_matches_cold(matrices, warm)
     assert all(len(data.blocks) == 2 for data in warm)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_reducible_kingman_sweep_makes_no_left_vector_solve(monkeypatch, n):
+    transposed = []
+    scaled_solve = perron._scaled_solve
+
+    def recorded(*args, trans=False):
+        transposed.append(trans)
+        return scaled_solve(*args, trans=trans)
+
+    monkeypatch.setattr(perron, "_scaled_solve", recorded)
+    grid = np.linspace(-1.0, 1.0, 41)
+    matrices, warm = _kingman_sweep(_reducible_kingman(n), grid)
+    assert not any(transposed)
+    # a left vector of the dominant block would take at least its transposed solve at every point
+    assert sum(data.iterations for data in warm) < len(grid)
+    for M, data in zip(matrices, warm):
+        assert abs(data.spb - np.linalg.eigvals(M).real.max()) <= 1e-13 * _norm(M)
 
 
 def test_start_with_another_block_count_gives_the_cold_result():
@@ -416,13 +493,14 @@ def test_stopped_block_keeps_its_iterate():
     solved = data.blocks[dec.component_id[0]]
     assert stopped.iterations == 0 and stopped.u is None and np.array_equal(stopped.v, np.full(4, 0.25))
     assert stopped.spb == stopped.spb_hi < solved.spb_lo
-    _assert_identical(solved, spectral_bound(large))
+    _assert_v_pass(solved, large)
 
 
 def test_warm_start_solves_the_previously_dominant_block_first():
     # the first block has the larger row sum (9) but the smaller spb (-1 + sqrt(0.1));
-    # a cold solve takes it first by row sum and solves both blocks in full, a warm
-    # one takes the second block first by its spb_hi and stops the first at once
+    # a cold solve takes it first by row sum and solves both blocks in full by their
+    # v passes, a warm one takes the second block first by its spb_hi and stops the
+    # first at once
     M = np.zeros((4, 4))
     M[:2, :2] = [[-1.0, 10.0], [0.01, -1.0]]
     M[2:, 2:] = [[0.0, 1.0], [1.0, 0.0]]
@@ -430,7 +508,10 @@ def test_warm_start_solves_the_previously_dominant_block_first():
     dec = scc_decomposition(M)
     first, second = dec.component_id[0], dec.component_id[2]
     cold = spectral_bound(M)
-    assert cold.blocks[first].u is not None and cold.blocks[second].u is not None
+    _assert_v_pass(cold.blocks[first], M[:2, :2])
+    _assert_v_pass(cold.blocks[second], M[2:, 2:])
     warm = spectral_bound(M, start=cold)
-    assert warm.blocks[first].u is None and warm.blocks[first].iterations == 0
+    stopped = warm.blocks[first]
+    assert stopped.u is None and stopped.iterations == 0
+    assert stopped.spb == stopped.spb_hi < warm.blocks[second].spb_lo
     assert (warm.spb, warm.spb_lo, warm.spb_hi) == (cold.spb, cold.spb_lo, cold.spb_hi)

@@ -405,7 +405,7 @@ def test_rounding_floor_bound_holds(M, seed):
 
 
 def _noda(M, **kwargs):
-    """perron._noda on M with the arguments that _solve_irreducible derives from M."""
+    """perron._noda on M with the v-iteration arguments that perron._operands derives from M."""
     reach = 2.0 * max(0.0, -float(np.min(np.diagonal(M))))
     return perron._noda(M, -M.T, np.abs(M), 4.0 * M.shape[0] * np.finfo(float).eps, reach, **kwargs)
 
