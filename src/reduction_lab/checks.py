@@ -101,14 +101,14 @@ class CheckLine:
 @dataclass(frozen=True)
 class GridSpec:
     """A grid a family kind sweeps: the (start, stop, count) of its default grid, the interval [lo, hi]
-    its points must lie in, which `domain` states in words, the member F -> (p -> M(p)) its sweeps
-    solve, and F -> dM/dp, or None where no analytic derivative is written."""
+    its points must lie in, which `domain` states in words, the member F -> stacked evaluator that its
+    sweeps solve (matrices_at by default), and F -> dM/dp, or None where no analytic derivative is written."""
 
     default: tuple[float, float, int]
     lo: float = -math.inf
     hi: float = math.inf
     domain: str = ""
-    member: Callable = attrgetter("matrix_at")
+    member: Callable = attrgetter("matrices_at")
     dM: Callable | None = None
 
 
@@ -118,24 +118,18 @@ def _slope(u, v, dM) -> float:
 
 
 def solve_along(grid, evaluate, parameter_name: str, previous: SpectralData | None = None) -> list[SpectralData]:
-    """spectral_bound(evaluate(p)) at each grid point p, in grid order.
+    """The spectral_bound of each member along the grid, in grid order.
 
-    Every sweep of the library solves its grid here. The grid is evaluated
-    first, up to its first failing point, and each point is then one certified
-    spectral_bound call, started from the batched Noda iterate of its point
-    (perron.grid_starts) or, where the batch gives none, from the result at the
-    previous point, or at the first point from `previous`. The first failing
-    point in grid order raises: its evaluation's error as raised (matrix_at
-    names its point), or its solve's library error with the point appended to
-    its message, keeping type and attributes (such as NoConvergence.residual).
+    Every sweep of the library solves its grid here, evaluated by one call of the
+    stacked evaluator `evaluate` (a family's matrices_at). Each member before the
+    first failing point is one certified spectral_bound call, started from the
+    batched Noda iterate of its point (perron.grid_starts of the stack) or, where
+    the batch gives none, from the result at the previous point, or at the first
+    point from `previous`. The first failing point in grid order raises: its
+    evaluation's error, which names its point, or its solve's library error with
+    the point appended, keeping type and attributes (such as NoConvergence.residual).
     """
-    matrices, failure = [], None
-    for p in grid:
-        try:
-            matrices.append(evaluate(p))
-        except Exception as exc:  # raised below, once the points before it are solved
-            failure = exc
-            break
+    matrices, failure = evaluate(grid)
     results = []
     try:
         for p, M, start in zip(grid, matrices, grid_starts(matrices)):
@@ -154,12 +148,12 @@ def sweep_spb_in_m(F: LinearFamily, m_grid) -> SweepResult:
     grid = np.asarray(m_grid, dtype=float)
     if (grid <= 0.0).any():
         raise ValueError("m grid must be strictly positive")
-    return SweepResult("m", grid, solve_along(grid, F.matrix_at, "m"))
+    return SweepResult("m", grid, solve_along(grid, F.matrices_at, "m"))
 
 
 def _at_beta(F: LinearFamily):
-    """beta -> A + beta*V, the member of F that every beta sweep solves."""
-    return lambda beta: F.matrix_at(1.0, beta)
+    """The stacked evaluator of A + beta*V along a beta grid, the member of F that every beta sweep solves."""
+    return lambda beta: F.matrices_at(1.0, beta)
 
 
 def sweep_spb_in_beta(F: LinearFamily, beta_grid) -> SweepResult:
@@ -304,7 +298,7 @@ def _log_rho(d: SpectralData) -> SpectralData:
 def kingman_superconvexity_check(F: KingmanFamily, theta_grid) -> CheckLine:
     """`kingman_superconvexity`: midpoint log-convexity of theta -> rho(A(theta)) for a log-affine family."""
     grid = np.asarray(theta_grid, dtype=float)
-    rho = solve_along(grid, F.matrix_at, "theta")
+    rho = solve_along(grid, F.matrices_at, "theta")
     for theta, d in zip(grid, rho):
         if d.spb <= 0.0:
             raise ZeroSpectralRadius(f"spectral radius vanished at theta = {theta}")
@@ -322,7 +316,7 @@ def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckLine:
     if not is_irreducible(F.P):
         raise NotIrreducible("the monotonicity statement requires irreducible P")
     grid = np.asarray(alpha_grid, dtype=float)
-    values = SweepResult("alpha", grid, solve_along(grid, F.matrix_at, "alpha")).values
+    values = SweepResult("alpha", grid, solve_along(grid, F.matrices_at, "alpha")).values
     diag = np.diagonal(F.D)
     scalar = bool((diag == diag[0]).all())
     scale = max(1.0, float(np.max(np.abs(values))))
@@ -430,7 +424,7 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
         raise ValueError("need 0 < m_lo < m_hi")
 
     grid = np.linspace(m_lo, m_hi, THRESHOLD_PRESWEEP)
-    points = SweepResult("m", grid, solve_along(grid, F.matrix_at, "m")).points
+    points = SweepResult("m", grid, solve_along(grid, F.matrices_at, "m")).points
     lo, hi = np.array([d.spb_lo for d in points]), np.array([d.spb_hi for d in points])
     if (lo[1:] > hi[:-1]).any() and (hi[1:] < lo[:-1]).any():
         raise NotMonotoneOnBracket("preliminary sweep is not monotone on the bracket")
@@ -450,7 +444,7 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
             step = pos - data.spb / slope if slope != 0.0 else math.nan
             if min(pos, neg) < step < max(pos, neg):
                 m = step
-        (latest,) = solve_along([m], F.matrix_at, "m", latest)
+        (latest,) = solve_along([m], F.matrices_at, "m", latest)
         if latest.spb_lo > 0.0:
             pos, data = m, latest
         elif latest.spb_hi < 0.0:

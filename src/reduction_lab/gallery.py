@@ -4,10 +4,11 @@ Everything here constructs matrices for the sweep-and-certify layer: linear
 mixing-growth pairs m*A + beta*V, row-stochastic dispersal families
 [(1-alpha)I + alpha*P]D, entrywise log-affine families c_ij*exp(g_ij*theta),
 and finite-difference / quadrature surrogates of diffusion, drift-diffusion,
-and nonlocal dispersal operators. Each family class evaluates its member at a
-parameter with `matrix_at`, the one evaluator every sweep calls. Discretizers
-build only the mixing generator, essentially nonnegative by construction; a
-growth term is an operator of multiplication, the V of a LinearFamily.
+and nonlocal dispersal operators. Each family class evaluates its members
+along a 1-D parameter array with `matrices_at`, the one evaluator every sweep
+calls once per grid; `matrix_at` is its one-point case. Discretizers build
+only the mixing generator, essentially nonnegative by construction; a growth
+term is an operator of multiplication, the V of a LinearFamily.
 """
 
 import math
@@ -21,6 +22,22 @@ from .rng import XorShift64Star
 
 STOCHASTIC_ROW_TOL = 1e-12
 _TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+def _until_first(S, failed, error_at):
+    """(S[:k], error_at(k)) at the first point k where `failed` holds, or (S, None) where it holds nowhere."""
+    if not failed.any():
+        return S, None
+    k = int(np.argmax(failed))
+    return S[:k], error_at(k)
+
+
+def _one(members) -> np.ndarray:
+    """The member of a one-point `matrices_at`, or its error raised."""
+    S, error = members
+    if error is not None:
+        raise error
+    return S[0]
 
 
 def _require_diagonal(M, name):
@@ -53,15 +70,25 @@ class LinearFamily:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def matrix_at(self, m: float, beta: float = 1.0) -> np.ndarray:
-        """m*A + beta*V for m >= 0; a member that is not finite is OverflowRisk."""
-        if m < 0:
-            raise ValueError("mixing weight m must be nonnegative")
+    def matrices_at(self, m, beta=1.0) -> tuple[np.ndarray, Exception | None]:
+        """The members m*A + beta*V along 1-D arrays m and beta (a scalar is broadcast), stacked
+        (k, n, n) up to the first failing point, and that point's error or None: ValueError where
+        m < 0, OverflowRisk where the member is not finite."""
+        m, beta = np.broadcast_arrays(*(np.asarray(p, dtype=float).ravel() for p in (m, beta)))
         with np.errstate(over="ignore", invalid="ignore"):
-            M = m * self.A + beta * self.V
-        if not np.isfinite(M).all():
-            raise OverflowRisk(f"m*A + beta*V overflows double precision at m = {m}, beta = {beta}")
-        return M
+            S = m[:, None, None] * self.A
+            S += beta[:, None, None] * self.V
+
+        def error_at(k):
+            if m[k] < 0.0:
+                return ValueError("mixing weight m must be nonnegative")
+            return OverflowRisk(f"m*A + beta*V overflows double precision at m = {m.item(k)}, beta = {beta.item(k)}")
+
+        return _until_first(S, (m < 0.0) | ~np.isfinite(S).all(axis=(1, 2)), error_at)
+
+    def matrix_at(self, m: float, beta: float = 1.0) -> np.ndarray:
+        """m*A + beta*V for m >= 0, the one-point case of matrices_at."""
+        return _one(self.matrices_at(m, beta))
 
 
 @dataclass
@@ -95,11 +122,19 @@ class KarlinFamily:
     def n(self) -> int:
         return self.P.shape[0]
 
+    def matrices_at(self, alpha) -> tuple[np.ndarray, Exception | None]:
+        """The members [(1-alpha)I + alpha*P] @ D along a 1-D alpha array, evaluated as alpha*A + V on
+        `linear`, up to the first point outside [0, 1], which is InvalidAlpha (see LinearFamily.matrices_at)."""
+        alpha = np.asarray(alpha, dtype=float).ravel()
+        invalid = ~((0.0 <= alpha) & (alpha <= 1.0))
+        at = "alpha must lie in [0, 1], got {}"
+        inside, error = _until_first(alpha, invalid, lambda k: InvalidAlpha(at.format(alpha.item(k))))
+        S, linear_error = self.linear.matrices_at(inside)
+        return S, linear_error or error
+
     def matrix_at(self, alpha: float) -> np.ndarray:
-        """[(1-alpha)I + alpha*P] @ D for alpha in [0, 1], evaluated as alpha*A + V."""
-        if not 0.0 <= alpha <= 1.0:
-            raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
-        return self.linear.matrix_at(alpha)
+        """[(1-alpha)I + alpha*P] @ D for alpha in [0, 1], the one-point case of matrices_at."""
+        return _one(self.matrices_at(alpha))
 
 
 @dataclass
@@ -121,25 +156,28 @@ class KingmanFamily:
     def n(self) -> int:
         return self.c.shape[0]
 
-    def matrix_at(self, theta: float) -> np.ndarray:
-        """Evaluate the family at theta; zero coefficients stay exactly zero, an overflow is OverflowRisk.
-
-        exp(g*theta) is taken only where c != 0, so an entry that is 0 at every theta cannot
-        overflow; where it is not a normal finite number, the entry is exp(log(c) + g*theta).
-        """
-        A = np.zeros_like(self.c)
+    def matrices_at(self, theta) -> tuple[np.ndarray, Exception | None]:
+        """The members along a 1-D theta array, stacked (k, n, n) up to the first point where an entry
+        overflows, and that point's OverflowRisk or None. exp(g*theta) is taken only where c != 0, so
+        an entry that is 0 at every theta cannot overflow; where it is not a normal finite number, the
+        entry is exp(log(c) + g*theta)."""
+        theta = np.asarray(theta, dtype=float).ravel()
         nonzero = self.c != 0.0
-        c, exponent = self.c[nonzero], self.g[nonzero] * theta
+        c, exponent = self.c[nonzero], self.g[nonzero] * theta[:, None]
         with np.errstate(over="ignore"):
             growth = np.exp(exponent)
-            entries = c * growth
             outside = (growth < _TINY) | (growth == math.inf)
+            entries = np.multiply(growth, c, out=growth)  # c*growth in the buffer of growth
             if outside.any():
-                entries[outside] = np.exp(np.log(c[outside]) + exponent[outside])
-        if np.isinf(entries).any():
-            raise OverflowRisk(f"c*exp(g*theta) overflows double precision at theta = {theta}")
-        A[nonzero] = entries
-        return A
+                entries[outside] = np.exp(np.log(np.broadcast_to(c, entries.shape)[outside]) + exponent[outside])
+        S = np.zeros((theta.size, *self.c.shape))
+        S[:, nonzero] = entries
+        at = "c*exp(g*theta) overflows double precision at theta = {}"
+        return _until_first(S, np.isinf(entries).any(axis=1), lambda k: OverflowRisk(at.format(theta.item(k))))
+
+    def matrix_at(self, theta: float) -> np.ndarray:
+        """The member at theta, the one-point case of matrices_at."""
+        return _one(self.matrices_at(theta))
 
 
 def kingman_family_eval(F: KingmanFamily, theta: float) -> np.ndarray:

@@ -8,6 +8,7 @@ Reducible inputs are solved per strongly connected component of the off-diagonal
 adjacency digraph, for the right vector and bracket alone.
 """
 
+import contextlib
 import functools
 import math
 import warnings
@@ -25,6 +26,7 @@ BATCH_STEPS = 8  # step cap of batched_starts; a start still wider is certified 
 # largest block whose grids take batched Noda starts: in BENCH_20.json they gain at least 10% up to
 # n = 20 on linear and Karlin grids, and linear grids gain nothing at n = 24 and lose at 32
 BATCH_MAX_N = 20
+_QUOTIENT_SAFE = 2.0**1000  # _noda's |M|x/x is at most |hi| + reach (up to n*eps), finite below this
 # bound once: the solves below run on matrices of a few rows, where the lookups
 # and the Python wrappers behind ndarray.min/max cost more than the arithmetic
 _min = np.minimum.reduce
@@ -220,7 +222,8 @@ def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
         # bound, the floor test cannot pass and |M|x/x is not computed.
         slack = 2.0 * floor * (abs(hi) + reach)
         if hi - lo <= slack:
-            with np.errstate(over="ignore"):  # an infinite quotient passes the floor test
+            # near the top of the range an infinite quotient passes the floor test
+            with np.errstate(over="ignore") if abs(hi) + reach >= _QUOTIENT_SAFE else contextlib.nullcontext():
                 q = abs_M @ x / x
             if hi - lo <= floor * float(_max(q)):
                 break
@@ -285,30 +288,21 @@ def batched_starts(S) -> list["SpectralData | None"]:
     return [SpectralData(hi[i], None, x[i, :, 0], 0, lo[i], hi[i]) if usable[i] else None for i in range(k)]
 
 
-def _of_blocks(blocks: list[SpectralData], order=None) -> SpectralData:
-    """The result of a reducible matrix from its blocks' results in label order; the maxima run over
-    them in `order` (of solving, label order by default), so a tie of 0.0 and -0.0 keeps the first sign."""
-    solved = blocks if order is None else [blocks[c] for c in order]
-    hi, iterations = max(b.spb_hi for b in solved), sum(b.iterations for b in solved)
-    return SpectralData(max(b.spb for b in solved), None, None, iterations, max(b.spb_lo for b in solved), hi, blocks)
-
-
-def grid_starts(matrices) -> list[SpectralData | None]:
-    """batched_starts of a grid's matrices where a batch pays, else None per point.
+def grid_starts(stack) -> list[SpectralData | None]:
+    """batched_starts of a grid's (k, n, n) stack of members where a batch pays, else None per point.
 
     A grid of at least two finite n x n points, n >= 2, batches per strongly
     connected block of the union of their off-diagonal patterns when no block is
     above BATCH_MAX_N. A single block is the whole stack. With more than one, every
     point must have exactly the union's off-diagonal pattern, and so its blocks; a
-    point's start lists its block starts in `blocks`, in the union's label order,
-    or is None if one of them is. Any other grid gets None at every point, and
-    spectral_bound then chains it point by point.
+    point's start carries its block starts alone, as `blocks` in the union's label
+    order (all that spectral_bound reads of a reducible start), or is None if one
+    of them is. Any other grid gets None at every point, and spectral_bound then
+    chains it point by point.
     """
-    none = [None] * len(matrices)
-    if len(matrices) < 2 or len({np.shape(M) for M in matrices}) != 1:
-        return none  # points that do not stack are left to spectral_bound to reject
-    S = np.array(matrices, dtype=float)
-    if S.ndim != 3 or not 2 <= S.shape[1] == S.shape[2] or not np.isfinite(S).all():
+    S = np.asarray(stack, dtype=float)
+    none = [None] * len(S)
+    if len(S) < 2 or S.ndim != 3 or not 2 <= S.shape[1] == S.shape[2] or not np.isfinite(S).all():
         return none
     pattern = S != 0.0
     union = pattern.any(axis=0)
@@ -321,7 +315,8 @@ def grid_starts(matrices) -> list[SpectralData | None]:
     if (pattern[:, off] != union[off]).any():
         return none
     per_block = [batched_starts(S[:, idx[:, None], idx]) for idx in indices]
-    return [None if any(b is None for b in point) else _of_blocks(list(point)) for point in zip(*per_block)]
+    starts = [None if any(b is None for b in point) else list(point) for point in zip(*per_block)]
+    return [None if b is None else SpectralData(math.nan, None, None, 0, math.nan, math.nan, b) for b in starts]
 
 
 def _too_wide(abs_M, lo, hi) -> bool:
@@ -379,7 +374,7 @@ def _solve_irreducible(M, start: SpectralData | None = None) -> SpectralData:
     """
     operands = neg, abs_M, floor, reach = _operands(M)
     _, v, steps, lo, hi = _v_pass(M, start, operands=operands)
-    if (M == M.T).all():
+    if M.shape[0] == 1 or (M[0, 1] == M[1, 0] and (M == M.T).all()):
         u = v
     else:
         # S^T w = v with S = hi*I - D^-1 M D, D = diag(v), means (hi*I - M^T)(w/v) = 1:
@@ -440,7 +435,10 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
         spb, v, steps, lo, hi = _v_pass(submatrices[c], starts[c], below)
         blocks[c] = SpectralData(spb, None, v, steps, lo, hi)
         below = max(below, lo)
-    return _of_blocks(blocks, order)
+    # the maxima run in the order of solving, so a tie of 0.0 and -0.0 keeps the first sign
+    solved = [blocks[c] for c in order]
+    hi, iterations = max(b.spb_hi for b in solved), sum(b.iterations for b in solved)
+    return SpectralData(max(b.spb for b in solved), None, None, iterations, max(b.spb_lo for b in solved), hi, blocks)
 
 
 def perron_vectors(M):

@@ -700,6 +700,43 @@ def test_every_sweep_carries_the_certified_result_of_each_of_its_points(monkeypa
         np.testing.assert_array_equal(S.values, [d.spb for d in S.points])
 
 
+@pytest.mark.parametrize("name", ["linear", "karlin", "kingman"])
+@pytest.mark.parametrize("command", ["check", "curve"])
+def test_each_sweep_evaluates_its_grid_once(monkeypatch, tmp_path, name, command):
+    # solve_along calls its stacked evaluator once per grid and no family's matrix_at per point
+    from reduction_lab import checks
+    from reduction_lab.cli import main
+    from test_golden import GOLDEN
+
+    evaluations, per_point, inside = [], [], []
+    solve_along = checks.solve_along
+
+    def counted_solve_along(grid, evaluate, parameter_name, previous=None):
+        evaluations.append(0)
+
+        def once(points):
+            evaluations[-1] += 1
+            return evaluate(points)
+
+        inside.append(parameter_name)
+        try:
+            return solve_along(grid, once, parameter_name, previous)
+        finally:
+            inside.pop()
+
+    for cls in (LinearFamily, KarlinFamily, KingmanFamily):
+
+        def recorded(self, *args, _matrix_at=cls.matrix_at, **kwargs):
+            per_point.extend(inside[-1:])
+            return _matrix_at(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "matrix_at", recorded)
+    monkeypatch.setattr(checks, "solve_along", counted_solve_along)
+    assert main([command, str(GOLDEN / f"{name}.ini"), "--out", str(tmp_path / "out")]) == 0
+    assert evaluations and evaluations == [1] * len(evaluations)
+    assert per_point == []
+
+
 def test_kingman_log_record_maps_every_block(monkeypatch):
     # c's lower-left entries are 0, so every theta point is reducible, and its last diagonal block is 0
     c = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 0.5], [0.0, 0.0, 0.0]])

@@ -377,7 +377,7 @@ def test_overflowing_linear_member_exits_3(tmp_path, capsys, command):
     assert main(_argv(command, scn, tmp_path / "out")) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("OverflowRisk: ") and captured.err.endswith(f" at m = {point}, beta = 1.0\n")
-    assert captured.err.count(point) == 1  # named once, by LinearFamily.matrix_at
+    assert captured.err.count(point) == 1  # named once, by LinearFamily.matrices_at
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 

@@ -19,6 +19,11 @@ from test_perron import _lapack_block_spb, _lapack_left_perron, _noda, _norm, _s
 EPS = np.finfo(float).eps
 
 
+def _stacked(point):
+    """The stacked evaluator (grid -> members, no error) of a point evaluator that does not raise."""
+    return lambda grid: (np.array([point(p) for p in grid]), None)
+
+
 def _assert_warm_matches_cold(matrices, warm):
     for M, w in zip(matrices, warm):
         n, norm = M.shape[0], _norm(M)
@@ -33,7 +38,7 @@ def _assert_warm_matches_cold(matrices, warm):
 def test_warm_sweep_matches_cold_solves_on_golden_families(name):
     sc = parse_scenario(str(GOLDEN / f"{name}.ini"))
     matrices = [_family_matrix(sc, p) for p in sc.grid]
-    _assert_warm_matches_cold(matrices, solve_along(sc.grid, lambda p: _family_matrix(sc, p), sc.grid_name))
+    _assert_warm_matches_cold(matrices, solve_along(sc.grid, _stacked(lambda p: _family_matrix(sc, p)), sc.grid_name))
 
 
 @st.composite
@@ -53,7 +58,7 @@ def metzler_family(draw):
 @given(metzler_family())
 def test_warm_sweep_matches_cold_solves_on_random_families(F):
     grid = np.linspace(0.1, 5.0, 21)
-    _assert_warm_matches_cold([F.matrix_at(m) for m in grid], solve_along(grid, F.matrix_at, "m"))
+    _assert_warm_matches_cold([F.matrix_at(m) for m in grid], solve_along(grid, F.matrices_at, "m"))
 
 
 def _chained(matrices):
@@ -79,7 +84,7 @@ def test_warm_sweep_saves_solves(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(checks, "spectral_bound", counted)
-            warm = solve_along(sc.grid, lambda p: _family_matrix(sc, p), sc.grid_name)
+            warm = solve_along(sc.grid, _stacked(lambda p: _family_matrix(sc, p)), sc.grid_name)
         assert len(solved) == len(sc.grid)
         cold = sum(spectral_bound(M).iterations for M in matrices)
         batched = sum(d.iterations for d in warm)
@@ -87,17 +92,33 @@ def test_warm_sweep_saves_solves(monkeypatch):
         _assert_warm_matches_cold(matrices, warm)
 
 
-def test_solve_along_raises_the_first_failing_point_in_grid_order():
-    # c_11*exp(1000*theta) overflows at theta = 1, which is evaluated before any solve
+def test_solve_along_raises_the_first_failing_point_in_grid_order(monkeypatch):
+    # c_11*exp(1000*theta) overflows at theta = 1 and 2, which are evaluated before any solve
     F = KingmanFamily(np.ones((2, 2)), np.array([[0.0, 0.0], [0.0, 1000.0]]))
-    grid = np.array([-1.0, 0.0, 1.0])
-    with pytest.raises(OverflowRisk, match=r" overflows double precision at theta = 1\.0$") as info:
-        solve_along(grid, F.matrix_at, "theta")
+    grid = np.array([-1.0, 0.0, 1.0, 2.0])
+    solved = []
+
+    def recorded(M, start=None):
+        solved.append(M)
+        return spectral_bound(M, start=start)
+
+    monkeypatch.setattr(checks, "spectral_bound", recorded)
+    message = r"^c\*exp\(g\*theta\) overflows double precision at theta = 1\.0$"
+    with pytest.raises(OverflowRisk, match=message) as info:
+        solve_along(grid, F.matrices_at, "theta")
     assert str(info.value).count("theta = ") == 1  # the evaluator names its point, and nothing names it again
+    # the points before the interior overflowing one are solved first
+    assert [M.tobytes() for M in solved] == [F.matrix_at(theta).tobytes() for theta in grid[:2]]
     # a point before it whose solve fails is raised first, as point by point
     not_metzler = np.array([[1.0, -1.0], [1.0, 1.0]])
-    with pytest.raises(NotEssentiallyNonnegative, match=r"\(at theta = 0\.0\)$"):
-        solve_along(grid, lambda theta: not_metzler if theta == 0.0 else F.matrix_at(theta), "theta")
+
+    def with_a_failing_solve(thetas):
+        members, error = F.matrices_at(thetas)
+        members[1] = not_metzler  # theta = 0
+        return members, error
+
+    with pytest.raises(NotEssentiallyNonnegative, match=r"^matrix has a negative off-diagonal entry \(at theta = 0\.0\)$"):
+        solve_along(grid, with_a_failing_solve, "theta")
 
 
 def test_batch_never_raises_on_a_diagonal_point_or_a_singular_shift(monkeypatch):
@@ -105,7 +126,7 @@ def test_batch_never_raises_on_a_diagonal_point_or_a_singular_shift(monkeypatch)
     sc = parse_scenario(str(GOLDEN / "karlin.ini"))
     grid = np.linspace(0.0, 1.0, 11)
     matrices = [sc.family.matrix_at(a) for a in grid]
-    _assert_warm_matches_cold(matrices, solve_along(grid, sc.family.matrix_at, "alpha"))
+    _assert_warm_matches_cold(matrices, solve_along(grid, sc.family.matrices_at, "alpha"))
     # at the last point the batch shifts by exactly M_00 = 1 + 16 eps (max q = 1 plus
     # the slack 2*floor*1, floor = 8 eps), so shift*I - M has a zero first column
     last = np.array([[1.0 + 16 * EPS, -1.0], [0.0, 1.0]])
@@ -124,7 +145,7 @@ def test_batch_never_raises_on_a_diagonal_point_or_a_singular_shift(monkeypatch)
 
     monkeypatch.setattr(checks, "spectral_bound", recorded)
     with pytest.raises(NotEssentiallyNonnegative, match=r"\(at p = 2\.0\)$"):
-        solve_along(np.array([0.0, 1.0, 2.0]), lambda p: stack[int(p)], "p")
+        solve_along(np.array([0.0, 1.0, 2.0]), lambda grid: (stack[grid.astype(int)], None), "p")
     # the points before it start as without a batch, each from the previous result
     first = spectral_bound(stack[0])
     _assert_identical(solved[0], first)
@@ -335,7 +356,7 @@ def test_scc_memo_returns_independent_labels():
 
 def _kingman_sweep(F, grid):
     """(matrices, warm results) of a kingman family along a theta grid."""
-    return [F.matrix_at(theta) for theta in grid], solve_along(grid, F.matrix_at, "theta")
+    return [F.matrix_at(theta) for theta in grid], solve_along(grid, F.matrices_at, "theta")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -425,7 +446,7 @@ def test_reducible_grid_batches_per_block(monkeypatch, seed):
         return spectral_bound(M, start=start)
 
     monkeypatch.setattr(checks, "spectral_bound", counted)
-    warm = solve_along(grid, F.matrix_at, "theta")
+    warm = solve_along(grid, F.matrices_at, "theta")
     assert len(solved) == len(grid)
     assert sum(d.iterations for d in warm) < sum(d.iterations for d in _chained(matrices))
     _assert_warm_matches_cold(matrices, warm)
@@ -446,7 +467,7 @@ def test_grid_whose_points_differ_in_pattern_chains_as_before():
     matrices = [F.matrix_at(theta) for theta in grid]
     assert matrices[-1][0, 6] == 0.0 and (np.array(matrices[:-1])[:, 0, 6] > 0.0).all()
     assert perron.grid_starts(matrices) == [None] * len(grid)
-    for a, b in zip(solve_along(grid, F.matrix_at, "theta"), _chained(matrices)):
+    for a, b in zip(solve_along(grid, F.matrices_at, "theta"), _chained(matrices)):
         _assert_identical_with_blocks(a, b)
 
 
@@ -455,7 +476,7 @@ def test_grid_with_a_block_above_the_cutoff_chains_as_before():
     grid = np.linspace(-1.0, 1.0, 11)
     matrices = [F.matrix_at(theta) for theta in grid]
     assert perron.grid_starts(matrices) == [None] * len(grid)
-    for a, b in zip(solve_along(grid, F.matrix_at, "theta"), _chained(matrices)):
+    for a, b in zip(solve_along(grid, F.matrices_at, "theta"), _chained(matrices)):
         _assert_identical_with_blocks(a, b)
 
 

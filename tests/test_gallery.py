@@ -230,6 +230,87 @@ def test_wrappers_return_their_methods_result():
     np.testing.assert_array_equal(kingman_family_eval(kingman, 0.7), kingman.matrix_at(0.7))
 
 
+def _kingman_member(F, theta):
+    """c*exp(g*theta) at one theta, on its nonzero entries alone: exp only where c != 0, and
+    exp(log(c) + g*theta) where exp(g*theta) is not a normal finite number."""
+    A = np.zeros_like(F.c)
+    nonzero = F.c != 0.0
+    c, exponent = F.c[nonzero], F.g[nonzero] * theta
+    with np.errstate(over="ignore"):
+        growth = np.exp(exponent)
+        entries = c * growth
+        outside = (growth < np.finfo(float).tiny) | (growth == math.inf)
+        entries[outside] = np.exp(np.log(c[outside]) + exponent[outside])
+    A[nonzero] = entries
+    return A
+
+
+def _members(F):
+    """(family, {grid name: (stacked evaluator, grid, point -> member from its definition)})."""
+    if isinstance(F, KarlinFamily):
+        A, V = F.linear.A, F.linear.V
+        return {"alpha": (F.matrices_at, np.linspace(0.0, 1.0, 11), lambda a: a * A + 1.0 * V)}
+    if isinstance(F, KingmanFamily):
+        return {"theta": (F.matrices_at, np.linspace(0.0, 1.0, 41), lambda t: _kingman_member(F, t))}
+    return {
+        "m": (F.matrices_at, np.linspace(0.1, 5.0, 21), lambda m: m * F.A + 1.0 * F.V),
+        "beta": (lambda b: F.matrices_at(1.0, b), np.linspace(-3.0, 3.0, 21), lambda b: 1.0 * F.A + b * F.V),
+    }
+
+
+def _kingman_with_fallbacks():
+    # zero c entries, and entries whose exp(g*theta) underflows (g*theta < -745) or overflows
+    # (g*theta > 709.8) near theta = 1 while c*exp(g*theta) stays representable
+    c = np.abs(random_ess_nonneg(5, 3))
+    c[3:, :2] = 0.0
+    g = random_ess_nonneg(5, 4)
+    c[0, 1], g[0, 1] = 1e300, -800.0
+    c[1, 0], g[1, 0] = 1e-300, 750.0
+    return KingmanFamily(c, g)
+
+
+FAMILIES = {
+    "linear": LinearFamily(random_ess_nonneg(6, 1), random_diagonal(6, -1.5, 1.5, 2)),
+    "karlin": KarlinFamily(random_stochastic(5, 7), random_diagonal(5, 0.3, 2.0, 8)),
+    "kingman": _kingman_with_fallbacks(),
+}
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_stacked_members_equal_scalar_members_byte_for_byte(kind):
+    F = FAMILIES[kind]
+    for name, (stacked, grid, member) in _members(F).items():
+        S, error = stacked(grid)
+        assert error is None and S.shape == (len(grid), F.n, F.n), name
+        for p, M in zip(grid, S):
+            assert M.tobytes() == member(p).tobytes(), (name, p)
+            one = F.matrix_at(p) if name != "beta" else F.matrix_at(1.0, p)
+            assert one.tobytes() == M.tobytes(), (name, p)
+    if kind == "kingman":  # both fallbacks were taken, and a zero c stays a zero entry
+        assert F.g[0, 1] * grid[-1] < -745.0 and F.g[1, 0] * grid[-1] > 709.8
+        assert (S[:, 3:, :2] == 0.0).all() and (S[:, 0, 1] > 0.0).all() and np.isfinite(S).all()
+
+
+@pytest.mark.parametrize(
+    "F, grid, failing",
+    [
+        (FAMILIES["linear"], [0.5, 1.0, -1.0, 2.0, -2.0], 2),
+        (LinearFamily(1e308 * np.array([[-1.0, 1.0], [1.0, -1.0]]), np.diag([1.0, -1.0])), [0.5, 1.0, 1.9, 2.0], 2),
+        (FAMILIES["karlin"], [0.0, 0.5, 1.0, 1.5, -0.5], 3),
+        (FAMILIES["karlin"], [0.0, math.nan, 1.0], 1),
+        (KingmanFamily(np.ones((2, 2)), [[0.0, 0.0], [0.0, 1000.0]]), [-1.0, 0.0, 0.8, 0.5, 2.0], 2),
+    ],
+)
+def test_stacked_members_stop_at_the_first_failing_point_with_its_error(F, grid, failing):
+    S, error = F.matrices_at(np.array(grid))
+    assert len(S) == failing
+    for p, M in zip(grid, S):
+        assert M.tobytes() == F.matrix_at(p).tobytes()
+    with pytest.raises(type(error)) as info:
+        F.matrix_at(grid[failing])
+    assert str(info.value) == str(error) and type(info.value) is type(error)
+
+
 def test_random_stochastic_properties():
     for seed in (0, 1, 99):
         P = random_stochastic(5, seed)

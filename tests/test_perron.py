@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -471,3 +473,42 @@ def test_scc_matches_dense_csgraph():
         dec = scc_decomposition(M)
         assert dec.component_count == count
         assert np.array_equal(dec.component_id[:, None] == dec.component_id, labels[:, None] == labels)
+
+
+def test_quotient_just_under_the_errstate_bound_is_computed_plainly_and_finite():
+    # |hi| + reach is 2^1000 * (1 - 2^-20) here: below perron._QUOTIENT_SAFE, so _noda takes |M|x/x
+    # outside np.errstate, and a RuntimeWarning (an error in this suite) would fail the solve
+    d = 2.0**999 * (1.0 - 2.0**-20)
+    M = np.array([[-d, d], [d, -d]])
+    reach = 2.0 * d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = spectral_bound(M)
+        v, lo, hi, _ = _noda(M)
+        q = np.abs(M) @ v / v
+    assert abs(hi) + reach < perron._QUOTIENT_SAFE <= 2.0 * d * (1.0 + 2.0**-19)
+    assert np.isfinite(q).all() and float(np.max(q)) <= (abs(hi) + reach) * (1.0 + 16 * np.finfo(float).eps)
+    assert data.spb_lo <= 0.0 <= data.spb_hi and data.spb_hi - data.spb_lo <= perron.WIDTH_TOL * 2.0 * d
+    # a non-symmetric input near the bound also takes its left-vector pass silently
+    N = 2.0**998 * np.array([[-1.0, 1.0], [0.5, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = spectral_bound(N)
+    assert abs(data.spb_hi) + 2.0**999 < perron._QUOTIENT_SAFE
+    assert data.spb == pytest.approx(2.0**998 * (np.sqrt(0.5) - 1.0), rel=1e-14)
+    assert np.isfinite(np.abs(N) @ data.u / data.u).all()
+
+
+def test_symmetry_shortcut_reads_the_first_pair_before_the_whole_matrix():
+    # M[0, 1] == M[1, 0] but M is not symmetric: its left vector is solved, not copied from v
+    M = np.array([[-1.0, 2.0, 1.0], [2.0, -1.0, 3.0], [0.5, 1.0, -2.0]])
+    data = spectral_bound(M)
+    u = _lapack_left_perron(M)
+    np.testing.assert_allclose(data.u / data.u.max(), u, rtol=1e-12)
+    assert not np.allclose(data.u / data.u.sum(), data.v)
+    # n = 1 counts as symmetric: u = v = [1]
+    one = spectral_bound(np.array([[-3.0]]))
+    assert one.spb == -3.0 and np.array_equal(one.u, [1.0]) and np.array_equal(one.v, [1.0])
+    # a symmetric input takes u = v
+    sym = spectral_bound(SYM)
+    np.testing.assert_array_equal(sym.u, sym.v / (sym.v @ sym.v))
