@@ -11,6 +11,7 @@ import numpy as np
 from .checks import (
     GROWTH_TOL,
     CheckLine,
+    judge,
     kingman_superconvexity_check,
     karlin_monotonicity_check,
     linear_family_lines,
@@ -44,7 +45,7 @@ def seed_battery(seed: int) -> list[CheckLine]:
 
     ev = eigenvalues_oracle(A)
     diff = abs(data_A.spb - float(np.max(ev.real)))
-    out = [CheckLine.within("oracle_agreement", diff, ORACLE_TOL, n=n)]
+    out = [judge("oracle_agreement", ORACLE_TOL - diff, {"n": n}, 0.0, ("le",))]
 
     beta_grid = np.linspace(-3.0, 3.0, 11)
     m_grid = np.linspace(0.1, 5.0, 11)
@@ -76,7 +77,7 @@ def seed_battery(seed: int) -> list[CheckLine]:
     spb_G = spectral_bound(G).spb
     omega = growth_bound_estimate(G)
     gtol = GROWTH_TOL * max(1.0, abs(spb_G))
-    out.append(CheckLine.within("growth_bound", abs(omega - spb_G), gtol, omega=omega))
+    out.append(judge("growth_bound", gtol - abs(omega - spb_G), {"omega": omega}, 0.0, ("le",)))
 
     out.append(strict_convexity_line(strict_convexity_probe(fam, beta_grid), sweep_b))
     tag = f"s{seed:03d}"

@@ -1,10 +1,16 @@
 """Sweep drivers, numerical certifiers and the report lines built from them.
 
-Each checker sweeps a family, tests the asserted inequality on the sampled
-grid, and reports a worst-case margin with the witnessing parameters. Margins
-are signed slacks: nonnegative (up to the stated tolerance) means the
-inequality held. FAMILY_KINDS maps each family kind to the `*_lines` builder
-of its `check` report and to the GridSpec of each grid it sweeps.
+Each checker sweeps a family, states its claim as slack samples (nonnegative
+where the claim held) with a witness per sample and a tolerance, and hands
+them to `judge`, the one place a verdict is decided. A claim's kinds are
+`le` (slack >= -tol), `strict` (slack > tol) and `eq` (|slack| <= tol):
+every mandatory line is `le` except the `monotone_reduction` dichotomy
+(`strict` or `eq` for irreducible A), `kirkland` (`eq` or `strict`, chosen by
+the column-sum condition), Karlin (`eq` for scalar D, else `strict`) and the
+`strict` sign claim of `semigroup_positivity` on a non-Metzler matrix. The
+line's margin is the least slack, and its witness locates that sample.
+FAMILY_KINDS maps each family kind to the `*_lines` builder of its `check`
+report and to the GridSpec of each grid it sweeps.
 """
 
 import math
@@ -87,15 +93,27 @@ class CheckLine:
     witness: dict[str, float | str]
     advisory: bool = False
 
-    @classmethod
-    def within(cls, name: str, gap: float, tol: float, **witness: float) -> "CheckLine":
-        """A line that passes iff gap <= tol, with margin tol - gap."""
-        return cls(name, bool(gap <= tol), tol - gap, witness)
-
     def format(self) -> str:
         status = "pass" if self.passed else "fail"
         witness = ";".join(f"{k}={v}" if isinstance(v, str) else f"{k}={v:.9g}" for k, v in self.witness.items())
         return f"{self.name},{status},{format_value(self.margin)},{witness}"
+
+
+def judge(name: str, slack, witness, tol: float, kinds) -> CheckLine:
+    """The mandatory line `name` of a claim with slack samples `slack`, nonnegative where it held.
+
+    Each kind is a test a sample may meet: `le` (slack >= -tol), `strict`
+    (slack > tol) or `eq` (|slack| <= tol). The line passes when some kind is
+    met by every sample, so ("strict", "eq") is a dichotomy that fails on a
+    mixture, and no kind refutes the claim outright. NaN meets no kind. The
+    margin is the least slack (the first NaN, if any), and the witness is
+    `witness`, or `witness(k)` for that sample k.
+    """
+    slack = np.atleast_1d(np.asarray(slack, dtype=float))
+    k = int(np.argmin(slack))
+    meets = {"le": slack >= -tol, "strict": slack > tol, "eq": np.abs(slack) <= tol}
+    passed = any(meets[kind].all() for kind in kinds)
+    return CheckLine(name, passed, float(slack[k]), witness(k) if callable(witness) else witness)
 
 
 @dataclass(frozen=True)
@@ -188,10 +206,8 @@ def check_midpoint_convexity(S: SweepResult) -> CheckLine:
     v = S.values
     d2 = v[:-2] - 2.0 * v[1:-1] + v[2:]
     scale = max(1.0, float(np.max(np.abs(v))))
-    k = int(np.argmin(d2))
-    worst = float(d2[k])
     name = S.parameter_name
-    return CheckLine(f"convexity_{name}", bool(worst >= -CHECK_TOL * scale), worst, {name: float(S.grid[k + 1])})
+    return judge(f"convexity_{name}", d2, lambda k: {name: float(S.grid[k + 1])}, CHECK_TOL * scale, ("le",))
 
 
 def check_monotone_reduction(S: SweepResult, spb_A: float) -> CheckLine:
@@ -213,9 +229,8 @@ def check_monotone_reduction(S: SweepResult, spb_A: float) -> CheckLine:
     i, j = np.triu_indices(len(grid), 1)
     d = grid[j] - grid[i]
     slack = v[i] + d * spb_A - v[j]
-    k = int(np.argmin(slack))
-    passed = bool((slack > t).all() or (np.abs(slack) <= t).all())
-    return CheckLine("monotone_reduction", passed, float(slack[k]), {"m": float(grid[i[k]]), "d": float(d[k])})
+    witness = lambda k: {"m": float(grid[i[k]]), "d": float(d[k])}  # noqa: E731
+    return judge("monotone_reduction", slack, witness, t, ("strict", "eq"))
 
 
 def derivative_bound_check(F: LinearFamily, m: float) -> CheckLine:
@@ -230,9 +245,7 @@ def derivative_bound_check(F: LinearFamily, m: float) -> CheckLine:
     hi = spectral_bound(F.matrix_at(m + h)).spb
     fd = (hi - lo) / (2.0 * h)
     spb_A = spectral_bound(F.A).spb
-    scale = max(1.0, abs(spb_A))
-    margin = spb_A - fd
-    return CheckLine("derivative_bound", bool(margin >= -DERIVATIVE_TOL * scale), margin, {"m": m, "fd": fd})
+    return judge("derivative_bound", spb_A - fd, {"m": m, "fd": fd}, DERIVATIVE_TOL * max(1.0, abs(spb_A)), ("le",))
 
 
 def perron_derivative(F: LinearFamily, m: float) -> float:
@@ -248,7 +261,7 @@ def perron_derivative_agreement(F: LinearFamily, bound: CheckLine) -> CheckLine:
     m, fd = bound.witness["m"], bound.witness["fd"]
     analytic = perron_derivative(F, m)
     tol = DERIVATIVE_TOL * max(1.0, abs(analytic), abs(fd))
-    return CheckLine.within("perron_derivative_agreement", abs(analytic - fd), tol, m=m, analytic=analytic)
+    return judge("perron_derivative_agreement", tol - abs(analytic - fd), {"m": m, "analytic": analytic}, 0.0, ("le",))
 
 
 def lindqvist_check(A, D) -> CheckLine:
@@ -263,30 +276,27 @@ def lindqvist_check(A, D) -> CheckLine:
     base = spectral_bound(A)
     shifted = spectral_bound(A + D).spb
     rhs = float(base.u @ (np.diagonal(D) * base.v))
-    margin = (shifted - base.spb) - rhs
     scale = max(1.0, abs(shifted), abs(base.spb), abs(rhs))
-    return CheckLine("lindqvist", bool(margin >= -CHECK_TOL * scale), margin, {"lhs": shifted - base.spb, "rhs": rhs})
+    witness = {"lhs": shifted - base.spb, "rhs": rhs}
+    return judge("lindqvist", (shifted - base.spb) - rhs, witness, CHECK_TOL * scale, ("le",))
 
 
 def kirkland_check(A) -> CheckLine:
     """`kirkland`: e^T A (u o v) >= spb(A), with equality exactly when e^T A = spb(A) e^T.
 
-    With t = CHECK_TOL * max(1, |lhs|, |spb|), equality is |margin| <= t, and
-    the line fails when that disagrees with the column-sum condition.
+    With t = CHECK_TOL * max(1, |lhs|, |spb|), the claim is equality
+    (|margin| <= t) where the column-sum condition holds, and strict
+    inequality (margin > t) where it does not.
     """
     A = square_matrix(A)
     if not is_irreducible(A):
         raise NotIrreducible("the inequality requires an irreducible matrix")
     data = spectral_bound(A)
     lhs = float(np.sum(A @ (data.u * data.v)))
-    margin = lhs - data.spb
     scale = max(1.0, abs(lhs), abs(data.spb))
-    t = CHECK_TOL * scale
-    at_equality = abs(margin) <= t
     col_tol = CHECK_TOL * max(1.0, float(np.max(np.abs(A))), abs(data.spb))
-    col_condition = bool(np.max(np.abs(A.sum(axis=0) - data.spb)) <= col_tol)
-    passed = bool(margin >= -t) and (at_equality == col_condition)
-    return CheckLine("kirkland", passed, margin, {"lhs": lhs, "spb": data.spb})
+    kind = "eq" if np.max(np.abs(A.sum(axis=0) - data.spb)) <= col_tol else "strict"
+    return judge("kirkland", lhs - data.spb, {"lhs": lhs, "spb": data.spb}, CHECK_TOL * scale, (kind,))
 
 
 def _log_rho(d: SpectralData) -> SpectralData:
@@ -319,18 +329,12 @@ def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckLine:
     values = SweepResult("alpha", grid, solve_along(grid, F.matrices_at, "alpha")).values
     diag = np.diagonal(F.D)
     scalar = bool((diag == diag[0]).all())
-    scale = max(1.0, float(np.max(np.abs(values))))
-    t = CHECK_TOL * scale
+    t = CHECK_TOL * max(1.0, float(np.max(np.abs(values))))
     if scalar:
-        dev = np.abs(values - values[0])
-        k = int(np.argmax(dev))
-        margin = -float(dev[k])
-        return CheckLine("karlin_monotonicity", bool(-margin <= t), margin, {"alpha": float(grid[k])})
-    drops = values[:-1] - values[1:]
-    k = int(np.argmin(drops))
-    margin = float(drops[k])
-    witness = {"alpha_lo": float(grid[k]), "alpha_hi": float(grid[k + 1])}
-    return CheckLine("karlin_monotonicity", bool(margin > t), margin, witness)
+        deviation = -np.abs(values - values[0])
+        return judge("karlin_monotonicity", deviation, lambda k: {"alpha": float(grid[k])}, t, ("eq",))
+    witness = lambda k: {"alpha_lo": float(grid[k]), "alpha_hi": float(grid[k + 1])}  # noqa: E731
+    return judge("karlin_monotonicity", values[:-1] - values[1:], witness, t, ("strict",))
 
 
 def homogeneity_check(F: LinearFamily, m: float, beta: float, alphas) -> CheckLine:
@@ -350,9 +354,7 @@ def homogeneity_check(F: LinearFamily, m: float, beta: float, alphas) -> CheckLi
             raise OverflowRisk(f"alpha*M overflows double precision at alpha = {a}, m = {m}, beta = {beta}")
     gaps = [abs(spectral_bound(aM).spb - a * base) for a, aM in zip(alphas, scaled)]
     slack = [HOMOGENEITY_TOL * max(1.0, abs(a * base)) - gap for a, gap in zip(alphas, gaps)]
-    k = int(np.argmin(slack))
-    witness = {"alpha": float(alphas[k]), "m": m, "beta": beta}
-    return CheckLine("homogeneity", bool(slack[k] >= 0.0), float(slack[k]), witness)
+    return judge("homogeneity", slack, lambda k: {"alpha": float(alphas[k]), "m": m, "beta": beta}, 0.0, ("le",))
 
 
 def is_resolvent_positive_at(M, xi: float) -> bool:
@@ -368,27 +370,22 @@ def semigroup_positivity_outcome(M, t_grid, metzler: bool, resolvent_ok: bool) -
     """The `semigroup_positivity` line of positivity_of_semigroup_check on M from its parts:
     whether M is `metzler`, and for a Metzler M whether its resolvent at spb + 1 is positive.
 
-    The margin is min_entry + SEMIGROUP_POSITIVITY_TOL for a Metzler M and
-    -SEMIGROUP_POSITIVITY_TOL - min_entry otherwise.
+    For a Metzler M the claim is e^{tM} >= 0: `le` on min_entry +
+    SEMIGROUP_POSITIVITY_TOL, and refuted outright (no kind) when the resolvent
+    is not positive. For any other M it is a negative entry: `strict` on
+    -SEMIGROUP_POSITIVITY_TOL - min_entry.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if (t_grid <= 0.0).any():
         raise ValueError("probe times must be strictly positive")
-    min_entry = np.inf
-    worst_t = float(t_grid[0])
-    for t in t_grid:
-        entry = float(expm(M, t).min())
-        if entry < min_entry:
-            min_entry = entry
-            worst_t = float(t)
-    semigroup_positive = min_entry >= -SEMIGROUP_POSITIVITY_TOL
+    entries = [float(expm(M, t).min()) for t in t_grid]
+    k = int(np.argmin(entries))
+    min_entry = entries[k]
+    witness = {"t": float(t_grid[k]), "min_entry": min_entry}
     if metzler:
-        margin = min_entry + SEMIGROUP_POSITIVITY_TOL
-    else:
-        resolvent_ok = True
-        margin = -SEMIGROUP_POSITIVITY_TOL - min_entry
-    passed = bool(semigroup_positive == metzler and resolvent_ok)
-    return CheckLine("semigroup_positivity", passed, float(margin), {"t": worst_t, "min_entry": min_entry})
+        kinds = ("le",) if resolvent_ok else ()
+        return judge("semigroup_positivity", min_entry + SEMIGROUP_POSITIVITY_TOL, witness, 0.0, kinds)
+    return judge("semigroup_positivity", -SEMIGROUP_POSITIVITY_TOL - min_entry, witness, 0.0, ("strict",))
 
 
 def positivity_of_semigroup_check(M, t_grid) -> CheckLine:
@@ -517,18 +514,18 @@ def karlin_family_lines(F: KarlinFamily, alpha_grid) -> list[CheckLine]:
     derived = F.linear
     spb_mix = spectral_bound(derived.A).spb
     # reciprocal growth rates form a positive right null vector of (P - I)D
-    lines.append(CheckLine.within("mixing_spb_zero", abs(spb_mix), 1e-10, spb=spb_mix))
+    lines.append(judge("mixing_spb_zero", 1e-10 - abs(spb_mix), {"spb": spb_mix}, 0.0, ("le",)))
     if np.max(np.abs(F.P.sum(axis=0) - 1.0)) <= 1e-12:
         # the left-null identity is a theorem only when columns also sum to 1
         worst = float(np.max(np.abs(derived.A.sum(axis=0))))
         null_tol = 1e-13 * max(1.0, float(np.max(np.abs(derived.A))))
-        lines.append(CheckLine.within("left_null_identity", worst, null_tol, max_colsum=worst))
+        lines.append(judge("left_null_identity", null_tol - worst, {"max_colsum": worst}, 0.0, ("le",)))
     worst_gap = 0.0
     for a in alpha_grid:
         direct = ((1.0 - a) * np.eye(F.n) + a * F.P) @ F.D
         worst_gap = max(worst_gap, float(np.max(np.abs(direct - F.matrix_at(a)))))
     cons_tol = 1e-13 * max(1.0, float(np.max(np.abs(F.D))))
-    lines.append(CheckLine.within("karlin_consistency", worst_gap, cons_tol, max_gap=worst_gap))
+    lines.append(judge("karlin_consistency", cons_tol - worst_gap, {"max_gap": worst_gap}, 0.0, ("le",)))
     sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
     lines.append(check_monotone_reduction(sweep, spb_mix))
     return lines
@@ -545,7 +542,7 @@ def kingman_family_lines(F: KingmanFamily, theta_grid) -> list[CheckLine]:
     logs = [np.log(F.c[nonzero]) + F.g[nonzero] * t for t in probes]
     worst = float(np.max(np.abs(logs[0] - 2.0 * logs[1] + logs[2]), initial=0.0))
     # the log of every nonzero entry must be affine in theta
-    lines.append(CheckLine.within("log_affine_entries", worst, 1e-12, second_difference=worst))
+    lines.append(judge("log_affine_entries", 1e-12 - worst, {"second_difference": worst}, 0.0, ("le",)))
     return lines
 
 
@@ -557,19 +554,19 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     off = A[~np.eye(n, dtype=bool)]
     # parse_scenario has already rejected a non-Metzler mixing part, so this line reports the margin
     metzler = is_essentially_nonnegative(A)
-    lines = [CheckLine("essential_nonnegativity", metzler, float(np.min(off)), {"n": n})]
+    lines = [judge("essential_nonnegativity", np.min(off), {"n": n}, 0.0, ("le",))]
     data = spectral_bound(A)
     if not A.sum(axis=1).any():
-        lines.append(CheckLine.within("spb_zero", abs(data.spb), 1e-10, spb=data.spb))
+        lines.append(judge("spb_zero", 1e-10 - abs(data.spb), {"spb": data.spb}, 0.0, ("le",)))
     # the resolvent is entrywise nonnegative beyond the spectral bound
     positive_at = {offset: is_resolvent_positive_at(A, data.spb + offset) for offset in (0.1, 1.0, 10.0)}
     positive = all(positive_at.values())
-    lines.append(CheckLine("resolvent_positive", positive, 1.0 if positive else -1.0, {"spb": data.spb}))
+    lines.append(judge("resolvent_positive", 1.0 if positive else -1.0, {"spb": data.spb}, 0.0, ("le",)))
     # the semigroup line's resolvent probe at spb + 1 is the one above
     lines.append(semigroup_positivity_outcome(A, [0.1, 1.0, 5.0], metzler, metzler and positive_at[1.0]))
     omega = growth_bound_estimate(A)
     gtol = GROWTH_TOL * max(1.0, abs(data.spb))
-    lines.append(CheckLine.within("growth_bound", abs(omega - data.spb), gtol, omega=omega, spb=data.spb))
+    lines.append(judge("growth_bound", gtol - abs(omega - data.spb), {"omega": omega, "spb": data.spb}, 0.0, ("le",)))
     sweep = sweep_spb_in_m(F, m_grid)
     lines.append(check_monotone_reduction(sweep, spectral_bound(F.A).spb))
     return lines
