@@ -16,6 +16,7 @@ from reduction_lab import (
     LinearFamily,
     check_midpoint_convexity,
     check_monotone_reduction,
+    is_irreducible,
     perron_derivative,
     spectral_bound,
     sweep_spb_in_m,
@@ -39,7 +40,7 @@ def main():
             closed = -m + np.sqrt(m * m + 1.0)
             fh.write(f"{m:.17g},{s:.17g},{closed:.17g},{perron_derivative(fam, float(m)):.17g}\n")
     report = check_midpoint_convexity(sweep)
-    mono = check_monotone_reduction(sweep, spectral_bound(fam.A).spb)
+    mono = check_monotone_reduction(sweep, spectral_bound(fam.A).spb, is_irreducible(fam.A))
     print(f"wrote {path}")
     print(f"  convex: {report.passed} (min second difference {report.margin:.3e})")
     print(f"  reduction: {'pass' if mono.passed else 'fail'} (worst margin {mono.margin:.3e})")

@@ -16,6 +16,7 @@ from reduction_lab import (
     LinearFamily,
     check_monotone_reduction,
     growth_bound_estimate,
+    is_irreducible,
     laplacian_1d,
     spectral_bound,
     sweep_spb_in_m,
@@ -45,7 +46,7 @@ def main():
     for m, s in zip(sweep.grid, sweep.values):
         omega = growth_bound_estimate(fam.matrix_at(float(m)))
         print(f"{m:8.3f}  {s:14.8f}  {omega:14.8f}")
-    outcome = check_monotone_reduction(sweep, spb_A)
+    outcome = check_monotone_reduction(sweep, spb_A, is_irreducible(A))
     print(f"reduction check: {'pass' if outcome.passed else 'fail'} (worst margin {outcome.margin:.3e})")
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the golden CLI outputs under tests/golden, refusing verdict changes.
+"""Regenerate the golden CLI outputs under tests/golden, refusing verdict changes not named.
 
 For every `tests/golden/<name>.ini` it runs `check` (writing `<name>.check`) and
 `curve` (writing `<name>.csv`), and `threshold` (stdout to `<name>.threshold`)
@@ -12,7 +12,11 @@ to its name (the first comma-separated field, or `(number)` for a line that
 is one number, such as a `threshold` root), its number of comma-separated
 fields, its pass/fail word and its `verdict=` word; numbers after those may
 move. If any such key, the number of lines, or an exit code differs, the
-differences are printed, nothing is written and the script exits 1. Otherwise
+differences are printed, nothing is written and the script exits 1. The one
+exception is a flip named with `--flip <file>:<line name>` (repeatable, as
+`--flip linear.check:monotone_reduction` or `--flip suite20.txt:s001.kirkland`):
+that line's pass/fail word must change, and its report's exit code follows;
+a named flip that does not happen is refused like any other difference. Otherwise
 the files are overwritten, and per file the number of changed lines is printed
 with the names of the changed lines (a suite line without its `sNNN.` seed
 prefix), so that a reviewer sees which kinds of line moved, and the largest
@@ -21,9 +25,10 @@ line and both numbers, so that a reviewer sees whether the moves are at
 rounding level. A margin near zero moves by a large relative amount at a tiny
 absolute one, which the two numbers show.
 
-    PYTHONPATH=src python scripts/regen_goldens.py
+    PYTHONPATH=src python scripts/regen_goldens.py [--flip FILE:NAME ...]
 """
 
+import argparse
 import contextlib
 import io
 import math
@@ -38,6 +43,7 @@ GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 VERDICT = re.compile(r"verdict=(\w+)")
 SEED_PREFIX = re.compile(r"^s\d+\.")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+FLIPPED = {"pass": "fail", "fail": "pass"}
 
 
 def line_key(line: str) -> tuple:
@@ -51,6 +57,34 @@ def line_key(line: str) -> tuple:
     word = fields[1] if len(fields) > 1 and fields[1] in ("pass", "fail") else None
     verdict = VERDICT.search(line)
     return name, len(fields), word, verdict.group(1) if verdict else None
+
+
+def expected_key(name: str, line: str, flips) -> tuple:
+    """The key that committed line `line` of golden file `name` must keep: its line_key, with the
+    pass/fail word flipped when (name, line name) is among `flips`."""
+    key = line_key(line)
+    if (name, key[0]) in flips:
+        return key[0], key[1], FLIPPED.get(key[2], key[2]), key[3]
+    return key
+
+
+def key_differences(name: str, old_lines: list[str], new_lines: list[str], flips) -> list[str]:
+    """The differences of golden file `name`'s new lines from its committed ones beyond rounding and `flips`."""
+    problems = []
+    if len(old_lines) != len(new_lines):
+        problems.append(f"{name}: {len(old_lines)} lines committed, {len(new_lines)} now")
+    for number, (old, line) in enumerate(zip(old_lines, new_lines), 1):
+        if expected_key(name, old, flips) != line_key(line):
+            problems.append(f"{name}:{number}: {old!r} -> {line!r}")
+    return problems
+
+
+def flip_arg(text: str) -> tuple[str, str]:
+    """(file, line name) of a `--flip <file>:<line name>` argument."""
+    name, _, line = text.partition(":")
+    if not (GOLDEN / name).is_file() or not line:
+        raise argparse.ArgumentTypeError(f"expected <golden file>:<line name>, got {text!r}")
+    return name, line
 
 
 def largest_relative_change(pairs) -> tuple[float, str]:
@@ -85,8 +119,9 @@ def committed(name: str) -> list[str]:
     return (GOLDEN / name).read_text(encoding="utf-8").splitlines()
 
 
-def regenerate(scratch: Path) -> tuple[dict[str, str], list[str]]:
-    """New text per golden file, and the key or exit-code differences from the committed files."""
+def regenerate(scratch: Path, flips=frozenset()) -> tuple[dict[str, str], list[str]]:
+    """New text per golden file, and the key or exit-code differences from the committed files
+    other than the named `flips`, each a (file, line name)."""
     new, problems = {}, []
     for argv, out, stdout_name in commands():
         stdout = io.StringIO()
@@ -97,22 +132,30 @@ def regenerate(scratch: Path) -> tuple[dict[str, str], list[str]]:
         if out:
             new[out] = (scratch / out).read_text(encoding="utf-8")
         # a report exits 1 iff one of its lines fails; curves and thresholds exit 0
-        expected = int(out is not None and any(line_key(line)[2] == "fail" for line in committed(out)))
+        expected = int(out is not None and any(expected_key(out, line, flips)[2] == "fail" for line in committed(out)))
         if code != expected:
             problems.append(f"{' '.join(argv)}: exit code {code}, committed files imply {expected}")
     for name, text in new.items():
-        old_lines, new_lines = committed(name), text.splitlines()
-        if len(old_lines) != len(new_lines):
-            problems.append(f"{name}: {len(old_lines)} lines committed, {len(new_lines)} now")
-        for number, (old, line) in enumerate(zip(old_lines, new_lines), 1):
-            if line_key(old) != line_key(line):
-                problems.append(f"{name}:{number}: {old!r} -> {line!r}")
+        problems += key_differences(name, committed(name), text.splitlines(), flips)
+    for name, line in sorted(flips):
+        if name not in new or line not in {line_key(old)[0] for old in committed(name)}:
+            problems.append(f"--flip {name}:{line}: no such golden line")
     return new, problems
 
 
-def main_script() -> int:
+def main_script(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate tests/golden, refusing verdict changes not named.")
+    parser.add_argument(
+        "--flip",
+        action="append",
+        default=[],
+        type=flip_arg,
+        metavar="FILE:NAME",
+        help="let the pass/fail word of line NAME of golden FILE change (repeatable)",
+    )
+    flips = frozenset(parser.parse_args(argv).flip)
     with tempfile.TemporaryDirectory() as scratch:
-        new, problems = regenerate(Path(scratch))
+        new, problems = regenerate(Path(scratch), flips)
     if problems:
         print("\n".join(problems))
         print(f"{len(problems)} differences beyond rounding; no golden file written")
@@ -125,6 +168,9 @@ def main_script() -> int:
             kinds = sorted({SEED_PREFIX.sub("", line_key(line)[0]) for _, line in changed})
             largest, where = largest_relative_change(changed)
             print(f"{name}: {len(changed)} lines changed ({', '.join(kinds)})")
+            for old, line in changed:
+                if line_key(old)[2] != line_key(line)[2]:
+                    print(f"  flipped {line_key(line)[0]}: {line_key(old)[2]} -> {line_key(line)[2]}")
             print(f"  largest relative change {largest:.2g} ({where})")
             lines, files = lines + len(changed), files + 1
     print(f"{lines} lines changed in {files} files")

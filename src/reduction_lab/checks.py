@@ -210,27 +210,26 @@ def check_midpoint_convexity(S: SweepResult) -> CheckLine:
     return judge(f"convexity_{name}", d2, lambda k: {name: float(S.grid[k + 1])}, CHECK_TOL * scale, ("le",))
 
 
-def check_monotone_reduction(S: SweepResult, spb_A: float) -> CheckLine:
+def check_monotone_reduction(S: SweepResult, spb_A: float, irreducible: bool) -> CheckLine:
     """`monotone_reduction`: spb((m+d)A + V) <= spb(mA + V) + d*spb(A) over all grid pairs.
 
-    Also classifies the pairwise slacks against t = CHECK_TOL times the scale of
-    the sweep: the family must be either strictly below the comparison line for
-    every pair (slack > t, the strict branch), or on it for every pair
-    (|slack| <= t, the equality branch); a violation or a mixture fails. So a
-    pass has margin > t on the strict branch and |margin| <= t on the equality
-    branch.
+    The pairwise slacks are judged against t = CHECK_TOL times the scale of the
+    sweep. For an `irreducible` A the Perron root is simple (Kato 1966), so the
+    dichotomy is judged too: the family is strictly below the comparison line
+    for every pair (slack > t, the strict branch) or on it for every pair
+    (|slack| <= t, the equality branch), and a mixture fails. For a reducible A,
+    spb is a maximum of analytic branches and no dichotomy applies: the line
+    passes iff no pair violates the inequality.
     """
     if S.parameter_name != "m":
         raise ValueError("monotone reduction expects an m sweep")
     grid, v = S.grid, S.values
-    span = float(grid[-1] - grid[0])
-    scale = max(1.0, float(np.max(np.abs(v))), abs(spb_A) * span)
-    t = CHECK_TOL * scale
+    t = CHECK_TOL * max(1.0, float(np.max(np.abs(v))), abs(spb_A) * float(grid[-1] - grid[0]))
     i, j = np.triu_indices(len(grid), 1)
     d = grid[j] - grid[i]
     slack = v[i] + d * spb_A - v[j]
-    witness = lambda k: {"m": float(grid[i[k]]), "d": float(d[k])}  # noqa: E731
-    return judge("monotone_reduction", slack, witness, t, ("strict", "eq"))
+    kinds = ("strict", "eq") if irreducible else ("le",)
+    return judge("monotone_reduction", slack, lambda k: {"m": float(grid[i[k]]), "d": float(d[k])}, t, kinds)
 
 
 def derivative_bound_check(F: LinearFamily, m: float) -> CheckLine:
@@ -328,9 +327,8 @@ def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckLine:
     grid = np.asarray(alpha_grid, dtype=float)
     values = SweepResult("alpha", grid, solve_along(grid, F.matrices_at, "alpha")).values
     diag = np.diagonal(F.D)
-    scalar = bool((diag == diag[0]).all())
     t = CHECK_TOL * max(1.0, float(np.max(np.abs(values))))
-    if scalar:
+    if (diag == diag[0]).all():
         deviation = -np.abs(values - values[0])
         return judge("karlin_monotonicity", deviation, lambda k: {"alpha": float(grid[k])}, t, ("eq",))
     witness = lambda k: {"alpha_lo": float(grid[k]), "alpha_hi": float(grid[k + 1])}  # noqa: E731
@@ -486,12 +484,13 @@ def linear_family_lines(
     sweep_b = sweep_spb_in_beta(F, beta_grid)
     convex_b = check_midpoint_convexity(sweep_b)
     sweep_m = sweep_spb_in_m(F, m_grid)
-    lines = [convex_b, check_midpoint_convexity(sweep_m), check_monotone_reduction(sweep_m, spb_A)]
+    irreducible = is_irreducible(F.A)
+    lines = [convex_b, check_midpoint_convexity(sweep_m), check_monotone_reduction(sweep_m, spb_A, irreducible)]
     if is_irreducible(F.matrix_at(m_probe)):
         bound = derivative_bound_check(F, m_probe)
         lines += [bound, perron_derivative_agreement(F, bound)]
     lines.append(homogeneity_check(F, m_probe, 1.0, [0.1, 2.0, 10.0]))
-    if is_irreducible(F.A):
+    if irreducible:
         lines += [lindqvist_check(F.A, F.V), kirkland_check(F.A)]
     return lines, sweep_b, convex_b
 
@@ -527,7 +526,7 @@ def karlin_family_lines(F: KarlinFamily, alpha_grid) -> list[CheckLine]:
     cons_tol = 1e-13 * max(1.0, float(np.max(np.abs(F.D))))
     lines.append(judge("karlin_consistency", cons_tol - worst_gap, {"max_gap": worst_gap}, 0.0, ("le",)))
     sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
-    lines.append(check_monotone_reduction(sweep, spb_mix))
+    lines.append(check_monotone_reduction(sweep, spb_mix, is_irreducible(derived.A)))
     return lines
 
 
@@ -568,7 +567,7 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     gtol = GROWTH_TOL * max(1.0, abs(data.spb))
     lines.append(judge("growth_bound", gtol - abs(omega - data.spb), {"omega": omega, "spb": data.spb}, 0.0, ("le",)))
     sweep = sweep_spb_in_m(F, m_grid)
-    lines.append(check_monotone_reduction(sweep, spectral_bound(F.A).spb))
+    lines.append(check_monotone_reduction(sweep, spectral_bound(F.A).spb, is_irreducible(F.A)))
     return lines
 
 

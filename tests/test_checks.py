@@ -28,7 +28,7 @@ from reduction_lab import (
     sweep_spb_in_beta,
     sweep_spb_in_m,
 )
-from reduction_lab.checks import CHECK_TOL
+from reduction_lab.checks import CHECK_TOL, judge, semigroup_positivity_outcome
 from reduction_lab.gallery import karlin_to_linear, random_diagonal, random_ess_nonneg, random_stochastic
 
 A_SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -132,7 +132,7 @@ def test_each_certifier_returns_the_line_it_reports():
     lines = [
         check_midpoint_convexity(sweep_spb_in_beta(FAM, grid)),
         check_midpoint_convexity(sweep_spb_in_m(FAM, grid)),
-        check_monotone_reduction(sweep_spb_in_m(FAM, grid), 0.0),
+        check_monotone_reduction(sweep_spb_in_m(FAM, grid), 0.0, True),
         derivative_bound_check(FAM, 1.0),
         homogeneity_check(FAM, 1.0, 1.0, [2.0]),
         lindqvist_check(A_SYM, V_PM),
@@ -169,7 +169,7 @@ def _reduction_tol(S, spb_A):
 
 def test_monotone_reduction_strict_branch():
     sweep = sweep_spb_in_m(FAM, np.linspace(0.5, 3.0, 9))
-    out = check_monotone_reduction(sweep, 0.0)
+    out = check_monotone_reduction(sweep, 0.0, True)
     assert out.name == "monotone_reduction"
     assert out.passed and out.margin > _reduction_tol(sweep, 0.0)
     assert out.margin > 0
@@ -178,7 +178,7 @@ def test_monotone_reduction_strict_branch():
 def test_monotone_reduction_equality_branch_scalar_family():
     fam = LinearFamily(-np.eye(2), np.zeros((2, 2)))
     sweep = sweep_spb_in_m(fam, np.linspace(0.5, 2.5, 5))
-    out = check_monotone_reduction(sweep, -1.0)
+    out = check_monotone_reduction(sweep, -1.0, True)
     assert out.passed and abs(out.margin) <= _reduction_tol(sweep, -1.0)
     assert abs(out.margin) <= 1e-12
 
@@ -186,13 +186,13 @@ def test_monotone_reduction_equality_branch_scalar_family():
 def test_monotone_reduction_identity_pattern():
     lin = karlin_to_linear(KarlinFamily(np.eye(2), np.diag([2.0, 0.5])))
     sweep = sweep_spb_in_m(lin, np.linspace(0.5, 2.0, 4))
-    out = check_monotone_reduction(sweep, 0.0)
+    out = check_monotone_reduction(sweep, 0.0, True)
     assert out.passed and abs(out.margin) <= _reduction_tol(sweep, 0.0)
 
 
 def test_monotone_reduction_flags_violation():
     sweep = SweepResult("m", [1.0, 2.0, 3.0], _points([0.0, 0.5, 0.1]))
-    out = check_monotone_reduction(sweep, 0.0)
+    out = check_monotone_reduction(sweep, 0.0, True)
     assert not out.passed
 
 
@@ -232,8 +232,66 @@ def test_monotone_reduction_matches_pair_loop(shape):
         else:
             values = rng.normal(size=k)
         sweep = SweepResult("m", grid, _points(values))
-        out = check_monotone_reduction(sweep, spb_A)
+        out = check_monotone_reduction(sweep, spb_A, True)
         assert (out.passed, out.margin, out.witness) == _monotone_reduction_by_pairs(sweep, spb_A)
+
+
+def test_judge_boundaries():
+    tol = 1e-9
+    assert judge("x", [-tol, 1.0], {}, tol, ("le",)).passed  # -tol itself meets le
+    assert not judge("x", [-2.0 * tol], {}, tol, ("le",)).passed
+    assert not judge("x", [tol, 1.0], {}, tol, ("strict",)).passed  # tol itself is not strict
+    assert judge("x", [np.nextafter(tol, 1.0)], {}, tol, ("strict",)).passed
+    assert judge("x", [tol, -tol], {}, tol, ("eq",)).passed
+    assert not judge("x", [np.nextafter(tol, 1.0)], {}, tol, ("eq",)).passed
+    for kinds in [("le",), ("strict",), ("eq",), ("strict", "eq")]:
+        line = judge("x", [1.0, np.nan, 2.0], lambda k: {"k": k}, tol, kinds)
+        assert not line.passed and np.isnan(line.margin) and line.witness == {"k": 1}
+
+
+def test_judge_dichotomy_margin_and_witness():
+    strict, equal = [1.0, 0.5], [0.0, 1e-12]
+    assert judge("x", strict, {}, 1e-9, ("strict", "eq")).passed
+    assert judge("x", equal, {}, 1e-9, ("strict", "eq")).passed
+    assert not judge("x", strict + equal, {}, 1e-9, ("strict", "eq")).passed  # a mixture meets neither
+    assert judge("x", strict + equal, {}, 1e-9, ("le",)).passed
+    assert not judge("x", 1.0, {}, 0.0, ()).passed  # no kind: refuted outright
+    line = judge("name", [3.0, -1.0, 2.0, -1.0], lambda k: {"k": float(k)}, 0.0, ("le",))
+    assert (line.name, line.margin, line.witness, line.advisory) == ("name", -1.0, {"k": 1.0}, False)
+    assert type(line.margin) is float and line.passed is False  # plain values, as the JSON record needs
+    assert judge("name", 0.25, {"a": 1.0}, 0.0, ("le",)).witness == {"a": 1.0}
+
+
+def test_semigroup_positivity_fails_a_metzler_matrix_whose_resolvent_is_not_positive():
+    ok = semigroup_positivity_outcome(A_SYM, [0.5, 1.0], True, True)
+    refuted = semigroup_positivity_outcome(A_SYM, [0.5, 1.0], True, False)
+    assert ok.passed and not refuted.passed
+    assert (refuted.margin, refuted.witness) == (ok.margin, ok.witness)
+
+
+def _pair_slacks(S, spb_A):
+    i, j = np.triu_indices(len(S.grid), 1)
+    return S.values[i] + (S.grid[j] - S.grid[i]) * spb_A - S.values[j]
+
+
+def test_monotone_reduction_judges_no_dichotomy_for_reducible_a():
+    # spb(mA + V) = max(1 - m, 0.5 - 0.5m): pairs starting below m = 1 are strict, the rest equal
+    fam = LinearFamily(np.diag([-1.0, -0.5]), np.diag([1.0, 0.5]))
+    sweep = sweep_spb_in_m(fam, np.linspace(0.25, 3.0, 12))
+    t = _reduction_tol(sweep, -0.5)
+    slack = _pair_slacks(sweep, -0.5)
+    assert (slack > t).any() and (np.abs(slack) <= t).any() and (slack >= -t).all()
+    assert check_monotone_reduction(sweep, -0.5, False).passed
+    assert not check_monotone_reduction(sweep, -0.5, True).passed  # a mixture breaks the dichotomy
+
+    # raise m = 1.25 above the line through m = 1: that one pair is violated
+    values = sweep.values.copy()
+    values[4] += 1e-6
+    pushed = SweepResult("m", sweep.grid, _points(values))
+    assert (_pair_slacks(pushed, -0.5) < -t).sum() == 1
+    out = check_monotone_reduction(pushed, -0.5, False)
+    assert not out.passed and out.witness == {"m": 1.0, "d": 0.25}
+    assert abs(out.margin + 1e-6) <= 1e-12
 
 
 def test_derivative_bound_fixture():
@@ -603,7 +661,7 @@ def test_reduction_dichotomy_uniform_across_random_sweeps():
         fam = LinearFamily(random_ess_nonneg(n, seed), random_diagonal(n, -1.5, 1.5, seed + 100))
         sweep = sweep_spb_in_m(fam, np.linspace(0.1, 5.0, 11))
         spb_A = spectral_bound(fam.A).spb
-        out = check_monotone_reduction(sweep, spb_A)
+        out = check_monotone_reduction(sweep, spb_A, True)
         assert out.passed
         t = _reduction_tol(sweep, spb_A)
         assert out.margin > t or abs(out.margin) <= t

@@ -130,3 +130,17 @@ def test_checks_leaves_block_starts_to_perron():
     assert "SpectralData" not in calls
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported.isdisjoint({"batched_starts", "scc_decomposition"})
+
+
+def test_only_judge_and_the_advisory_line_build_a_check_line():
+    # every verdict is decided in checks.judge; strict_convexity_line builds the advisory line
+    def builds_line(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckLine"
+
+    builders = set()
+    for module in sorted(p.stem for p in PACKAGE.glob("*.py")):
+        assert not any(builds_line(node) for node in module_body_nodes(module)), module
+        for function in ast.walk(parse(module)):
+            if isinstance(function, ast.FunctionDef) and any(builds_line(node) for node in ast.walk(function)):
+                builders.add(f"{module}.{function.name}")
+    assert builders == {"checks.judge", "checks.strict_convexity_line"}

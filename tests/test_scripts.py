@@ -1,5 +1,6 @@
 """Smoke runs of the demo scripts, which exercise the public API end to end."""
 
+import argparse
 import importlib.util
 import os
 import subprocess
@@ -54,6 +55,31 @@ def test_regen_goldens_lets_a_threshold_root_move_but_not_its_error_name(regen):
     assert regen.line_key("1.9719712637306657") == regen.line_key("1.9719712633846849")
     assert regen.line_key("1.9719712637306657") != regen.line_key("NoSignChange")
     assert regen.line_key("0.2,-0.5") != regen.line_key("0.3,-0.5")  # a curve row keeps its parameter
+
+
+def test_regen_goldens_accepts_only_named_flips(regen):
+    old = ["convexity_m,pass,1e-3,m=1", "monotone_reduction,fail,0,m=1;d=2"]
+    new = ["convexity_m,pass,2e-3,m=1", "monotone_reduction,pass,0,m=1;d=2"]
+    named = {("x.check", "monotone_reduction")}
+    assert regen.key_differences("x.check", old, new, named) == []
+    refused = [f"x.check:2: {old[1]!r} -> {new[1]!r}"]
+    assert regen.key_differences("x.check", old, new, set()) == refused  # unnamed
+    assert regen.key_differences("x.check", old, new, {("y.check", "monotone_reduction")}) == refused
+    assert regen.key_differences("y.check", old, new, named) == [f"y.check:2: {old[1]!r} -> {new[1]!r}"]
+    # a named flip does not let another line flip, and a named flip that does not happen is refused
+    other = ["convexity_m,fail,2e-3,m=1", new[1]]
+    assert regen.key_differences("x.check", old, other, named) == [f"x.check:1: {old[0]!r} -> {other[0]!r}"]
+    assert regen.key_differences("x.check", old, old, named) == [f"x.check:2: {old[1]!r} -> {old[1]!r}"]
+    # the exit code a report must have follows its named flips alone
+    assert [regen.expected_key("x.check", line, named)[2] for line in old] == ["pass", "pass"]
+    assert [regen.expected_key("x.check", line, set())[2] for line in old] == ["pass", "fail"]
+
+
+def test_regen_goldens_refuses_a_flip_argument_naming_no_golden_file(regen):
+    assert regen.flip_arg("linear.check:kirkland") == ("linear.check", "kirkland")
+    for text in ["nosuch.check:monotone_reduction", "linear.check", "linear.check:"]:
+        with pytest.raises(argparse.ArgumentTypeError):
+            regen.flip_arg(text)
 
 
 def test_battery_failures_prints_the_failing_lines():
