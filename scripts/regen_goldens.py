@@ -168,9 +168,6 @@ def main_script(argv=None) -> int:
             kinds = sorted({SEED_PREFIX.sub("", line_key(line)[0]) for _, line in changed})
             largest, where = largest_relative_change(changed)
             print(f"{name}: {len(changed)} lines changed ({', '.join(kinds)})")
-            for old, line in changed:
-                if line_key(old)[2] != line_key(line)[2]:
-                    print(f"  flipped {line_key(line)[0]}: {line_key(old)[2]} -> {line_key(line)[2]}")
             print(f"  largest relative change {largest:.2g} ({where})")
             lines, files = lines + len(changed), files + 1
     print(f"{lines} lines changed in {files} files")

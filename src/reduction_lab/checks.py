@@ -519,10 +519,12 @@ def karlin_family_lines(F: KarlinFamily, alpha_grid) -> list[CheckLine]:
         worst = float(np.max(np.abs(derived.A.sum(axis=0))))
         null_tol = 1e-13 * max(1.0, float(np.max(np.abs(derived.A))))
         lines.append(judge("left_null_identity", null_tol - worst, {"max_colsum": worst}, 0.0, ("le",)))
-    worst_gap = 0.0
-    for a in alpha_grid:
-        direct = ((1.0 - a) * np.eye(F.n) + a * F.P) @ F.D
-        worst_gap = max(worst_gap, float(np.max(np.abs(direct - F.matrix_at(a)))))
+    members, failure = F.matrices_at(alpha_grid)
+    if failure is not None:
+        raise failure
+    alphas = np.asarray(alpha_grid, dtype=float)[:, None, None]
+    direct = ((1.0 - alphas) * np.eye(F.n) + alphas * F.P) @ F.D
+    worst_gap = float(np.max(np.abs(direct - members)))
     cons_tol = 1e-13 * max(1.0, float(np.max(np.abs(F.D))))
     lines.append(judge("karlin_consistency", cons_tol - worst_gap, {"max_gap": worst_gap}, 0.0, ("le",)))
     sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
