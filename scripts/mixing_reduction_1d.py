@@ -16,7 +16,6 @@ from reduction_lab import (
     LinearFamily,
     check_monotone_reduction,
     growth_bound_estimate,
-    is_irreducible,
     laplacian_1d,
     spectral_bound,
     sweep_spb_in_m,
@@ -39,14 +38,14 @@ def main():
     v = np.array([rng.uniform() for _ in range(args.n)])
     fam = LinearFamily(A, np.diag(v))
 
-    spb_A = spectral_bound(A).spb
-    print(f"n={args.n} reflecting diffusion, spb(A) = {spb_A:.3e}, growth in [0, 1)")
+    data_A = spectral_bound(A)
+    print(f"n={args.n} reflecting diffusion, spb(A) = {data_A.spb:.3e}, growth in [0, 1)")
     sweep = sweep_spb_in_m(fam, np.linspace(args.m_lo, args.m_hi, args.points))
     print(f"{'m':>8}  {'spb(mA+V)':>14}  {'omega estimate':>14}")
     for m, s in zip(sweep.grid, sweep.values):
         omega = growth_bound_estimate(fam.matrix_at(float(m)))
         print(f"{m:8.3f}  {s:14.8f}  {omega:14.8f}")
-    outcome = check_monotone_reduction(sweep, spb_A, is_irreducible(A))
+    outcome = check_monotone_reduction(sweep, data_A)
     print(f"reduction check: {'pass' if outcome.passed else 'fail'} (worst margin {outcome.margin:.3e})")
 
 

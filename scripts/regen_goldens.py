@@ -19,11 +19,12 @@ that line's pass/fail word must change, and its report's exit code follows;
 a named flip that does not happen is refused like any other difference. Otherwise
 the files are overwritten, and per file the number of changed lines is printed
 with the names of the changed lines (a suite line without its `sNNN.` seed
-prefix), so that a reviewer sees which kinds of line moved, and the largest
-relative change |new - old|/max(|new|, |old|) of any number on them, with its
-line and both numbers, so that a reviewer sees whether the moves are at
-rounding level. A margin near zero moves by a large relative amount at a tiny
-absolute one, which the two numbers show.
+prefix), so that a reviewer sees which kinds of line moved, then each named
+flip with its old and new word, and the largest relative change
+|new - old|/max(|new|, |old|) of any number on them, with its line and both
+numbers, so that a reviewer sees whether the moves are at rounding level (left
+out when only flips changed the file). A margin near zero moves by a large
+relative amount at a tiny absolute one, which the two numbers show.
 
     PYTHONPATH=src python scripts/regen_goldens.py [--flip FILE:NAME ...]
 """
@@ -39,7 +40,8 @@ from pathlib import Path
 
 from reduction_lab.cli import main
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 VERDICT = re.compile(r"verdict=(\w+)")
 SEED_PREFIX = re.compile(r"^s\d+\.")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -105,6 +107,21 @@ def largest_relative_change(pairs) -> tuple[float, str]:
     return largest, where
 
 
+def change_summary(changed) -> list[str]:
+    """What moved on the (old, new) changed lines of one golden file: each pass/fail flip as
+    `flipped <name>: <old word> -> <new word>`, then the largest relative change of a number,
+    left out when flips are the only change."""
+    summary = [
+        f"flipped {line_key(new)[0]}: {line_key(old)[2]} -> {line_key(new)[2]}"
+        for old, new in changed
+        if line_key(old)[2] != line_key(new)[2]
+    ]
+    largest, where = largest_relative_change(changed)
+    if where or not summary:
+        summary.append(f"largest relative change {largest:.2g} ({where})")
+    return summary
+
+
 def commands():
     """(argv, file its --out writes or None, file recording its stdout or None) per golden command."""
     for ini in sorted(GOLDEN.glob("*.ini")):
@@ -134,7 +151,8 @@ def regenerate(scratch: Path, flips=frozenset()) -> tuple[dict[str, str], list[s
         # a report exits 1 iff one of its lines fails; curves and thresholds exit 0
         expected = int(out is not None and any(expected_key(out, line, flips)[2] == "fail" for line in committed(out)))
         if code != expected:
-            problems.append(f"{' '.join(argv)}: exit code {code}, committed files imply {expected}")
+            shown = " ".join(argv).replace(str(GOLDEN), str(GOLDEN.relative_to(ROOT)))  # as the repository names it
+            problems.append(f"{shown}: exit code {code}, committed files imply {expected}")
     for name, text in new.items():
         problems += key_differences(name, committed(name), text.splitlines(), flips)
     for name, line in sorted(flips):
@@ -166,9 +184,9 @@ def main_script(argv=None) -> int:
         if changed:
             (GOLDEN / name).write_text(text, encoding="utf-8", newline="\n")
             kinds = sorted({SEED_PREFIX.sub("", line_key(line)[0]) for _, line in changed})
-            largest, where = largest_relative_change(changed)
             print(f"{name}: {len(changed)} lines changed ({', '.join(kinds)})")
-            print(f"  largest relative change {largest:.2g} ({where})")
+            for part in change_summary(changed):
+                print(f"  {part}")
             lines, files = lines + len(changed), files + 1
     print(f"{lines} lines changed in {files} files")
     return 0

@@ -49,7 +49,7 @@ def seed_battery(seed: int) -> list[CheckLine]:
 
     beta_grid = np.linspace(-3.0, 3.0, 11)
     m_grid = np.linspace(0.1, 5.0, 11)
-    family_lines, sweep_b, _ = linear_family_lines(fam, data_A.spb, beta_grid, m_grid, 1.0)
+    family_lines, sweep_b, _ = linear_family_lines(fam, data_A, beta_grid, m_grid, 1.0)
     out += family_lines
 
     P = random_stochastic(n, 3000 + seed)

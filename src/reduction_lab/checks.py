@@ -210,25 +210,24 @@ def check_midpoint_convexity(S: SweepResult) -> CheckLine:
     return judge(f"convexity_{name}", d2, lambda k: {name: float(S.grid[k + 1])}, CHECK_TOL * scale, ("le",))
 
 
-def check_monotone_reduction(S: SweepResult, spb_A: float, irreducible: bool) -> CheckLine:
+def check_monotone_reduction(S: SweepResult, data_A: SpectralData) -> CheckLine:
     """`monotone_reduction`: spb((m+d)A + V) <= spb(mA + V) + d*spb(A) over all grid pairs.
 
-    The pairwise slacks are judged against t = CHECK_TOL times the scale of the
-    sweep. For an `irreducible` A the Perron root is simple (Kato 1966), so the
-    dichotomy is judged too: the family is strictly below the comparison line
-    for every pair (slack > t, the strict branch) or on it for every pair
-    (|slack| <= t, the equality branch), and a mixture fails. For a reducible A,
-    spb is a maximum of analytic branches and no dichotomy applies: the line
-    passes iff no pair violates the inequality.
+    data_A is spectral_bound(A). The pairwise slacks are judged against t = CHECK_TOL times the
+    scale of the sweep. Where A is irreducible, that is, data_A has Perron vectors, the Perron root
+    is simple (Kato 1966), so the dichotomy is judged too: the family is strictly below the
+    comparison line for every pair (slack > t, the strict branch) or on it for every pair
+    (|slack| <= t, the equality branch), and a mixture fails. For a reducible A, spb is a maximum
+    of analytic branches and no dichotomy applies: the line passes iff no pair violates the inequality.
     """
     if S.parameter_name != "m":
         raise ValueError("monotone reduction expects an m sweep")
-    grid, v = S.grid, S.values
+    grid, v, spb_A = S.grid, S.values, data_A.spb
     t = CHECK_TOL * max(1.0, float(np.max(np.abs(v))), abs(spb_A) * float(grid[-1] - grid[0]))
     i, j = np.triu_indices(len(grid), 1)
     d = grid[j] - grid[i]
     slack = v[i] + d * spb_A - v[j]
-    kinds = ("strict", "eq") if irreducible else ("le",)
+    kinds = ("strict", "eq") if data_A.u is not None else ("le",)
     return judge("monotone_reduction", slack, lambda k: {"m": float(grid[i[k]]), "d": float(d[k])}, t, kinds)
 
 
@@ -270,9 +269,9 @@ def lindqvist_check(A, D) -> CheckLine:
     if D.shape != A.shape:
         raise ValueError(f"D is {D.shape[0]}x{D.shape[0]} but A is {A.shape[0]}x{A.shape[0]}")
     _require_diagonal(D, "D")
-    if not is_irreducible(A):
-        raise NotIrreducible("the inequality requires an irreducible matrix")
     base = spectral_bound(A)
+    if base.u is None:
+        raise NotIrreducible("the inequality requires an irreducible matrix")
     shifted = spectral_bound(A + D).spb
     rhs = float(base.u @ (np.diagonal(D) * base.v))
     scale = max(1.0, abs(shifted), abs(base.spb), abs(rhs))
@@ -288,9 +287,9 @@ def kirkland_check(A) -> CheckLine:
     inequality (margin > t) where it does not.
     """
     A = square_matrix(A)
-    if not is_irreducible(A):
-        raise NotIrreducible("the inequality requires an irreducible matrix")
     data = spectral_bound(A)
+    if data.u is None:
+        raise NotIrreducible("the inequality requires an irreducible matrix")
     lhs = float(np.sum(A @ (data.u * data.v)))
     scale = max(1.0, abs(lhs), abs(data.spb))
     col_tol = CHECK_TOL * max(1.0, float(np.max(np.abs(A))), abs(data.spb))
@@ -473,24 +472,23 @@ def strict_convexity_line(probe: CheckLine, sweep: SweepResult) -> CheckLine:
 
 
 def linear_family_lines(
-    F: LinearFamily, spb_A: float, beta_grid, m_grid, m_probe: float
+    F: LinearFamily, data_A: SpectralData, beta_grid, m_grid, m_probe: float
 ) -> tuple[list[CheckLine], SweepResult, CheckLine]:
     """The linear-family lines from `convexity_beta` to `kirkland`, in report order.
 
-    The derivative lines need an irreducible family point at m_probe, and
-    `lindqvist`/`kirkland` an irreducible A; otherwise they are left out.
-    Also returns the beta sweep and its convexity line.
+    data_A is spectral_bound(F.A). The derivative lines need an irreducible family point at
+    m_probe, and `lindqvist`/`kirkland` an irreducible A, one whose data_A has Perron vectors;
+    otherwise they are left out. Also returns the beta sweep and its convexity line.
     """
     sweep_b = sweep_spb_in_beta(F, beta_grid)
     convex_b = check_midpoint_convexity(sweep_b)
     sweep_m = sweep_spb_in_m(F, m_grid)
-    irreducible = is_irreducible(F.A)
-    lines = [convex_b, check_midpoint_convexity(sweep_m), check_monotone_reduction(sweep_m, spb_A, irreducible)]
+    lines = [convex_b, check_midpoint_convexity(sweep_m), check_monotone_reduction(sweep_m, data_A)]
     if is_irreducible(F.matrix_at(m_probe)):
         bound = derivative_bound_check(F, m_probe)
         lines += [bound, perron_derivative_agreement(F, bound)]
     lines.append(homogeneity_check(F, m_probe, 1.0, [0.1, 2.0, 10.0]))
-    if irreducible:
+    if data_A.u is not None:
         lines += [lindqvist_check(F.A, F.V), kirkland_check(F.A)]
     return lines, sweep_b, convex_b
 
@@ -498,10 +496,9 @@ def linear_family_lines(
 def linear_check_lines(F: LinearFamily, m_grid, beta_grid) -> list[CheckLine]:
     """The `check` report of a linear family: the family lines probed at the middle of
     the m grid, then the strict-convexity line when A is irreducible."""
-    lines, sweep_b, convex_b = linear_family_lines(
-        F, spectral_bound(F.A).spb, beta_grid, m_grid, float(m_grid[len(m_grid) // 2])
-    )
-    if is_irreducible(F.A):
+    data_A = spectral_bound(F.A)
+    lines, sweep_b, convex_b = linear_family_lines(F, data_A, beta_grid, m_grid, float(m_grid[len(m_grid) // 2]))
+    if data_A.u is not None:
         # the probe reads only the second differences, which the beta sweep already has
         lines.append(strict_convexity_line(convex_b, sweep_b))
     return lines
@@ -511,9 +508,9 @@ def karlin_family_lines(F: KarlinFamily, alpha_grid) -> list[CheckLine]:
     """The `check` report of a Karlin family [(1-alpha)I + alpha P]D."""
     lines = [karlin_monotonicity_check(F, alpha_grid)]
     derived = F.linear
-    spb_mix = spectral_bound(derived.A).spb
+    mix = spectral_bound(derived.A)
     # reciprocal growth rates form a positive right null vector of (P - I)D
-    lines.append(judge("mixing_spb_zero", 1e-10 - abs(spb_mix), {"spb": spb_mix}, 0.0, ("le",)))
+    lines.append(judge("mixing_spb_zero", 1e-10 - abs(mix.spb), {"spb": mix.spb}, 0.0, ("le",)))
     if np.max(np.abs(F.P.sum(axis=0) - 1.0)) <= 1e-12:
         # the left-null identity is a theorem only when columns also sum to 1
         worst = float(np.max(np.abs(derived.A.sum(axis=0))))
@@ -528,7 +525,7 @@ def karlin_family_lines(F: KarlinFamily, alpha_grid) -> list[CheckLine]:
     cons_tol = 1e-13 * max(1.0, float(np.max(np.abs(F.D))))
     lines.append(judge("karlin_consistency", cons_tol - worst_gap, {"max_gap": worst_gap}, 0.0, ("le",)))
     sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
-    lines.append(check_monotone_reduction(sweep, spb_mix, is_irreducible(derived.A)))
+    lines.append(check_monotone_reduction(sweep, mix))
     return lines
 
 
@@ -553,8 +550,7 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     A = F.matrix_at(1.0)
     n = A.shape[0]
     off = A[~np.eye(n, dtype=bool)]
-    # parse_scenario has already rejected a non-Metzler mixing part, so this line reports the margin
-    metzler = is_essentially_nonnegative(A)
+    # A + V is Metzler by construction (LinearFamily's A is, and V is diagonal): this line reports the margin
     lines = [judge("essential_nonnegativity", np.min(off), {"n": n}, 0.0, ("le",))]
     data = spectral_bound(A)
     if not A.sum(axis=1).any():
@@ -564,12 +560,12 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     positive = all(positive_at.values())
     lines.append(judge("resolvent_positive", 1.0 if positive else -1.0, {"spb": data.spb}, 0.0, ("le",)))
     # the semigroup line's resolvent probe at spb + 1 is the one above
-    lines.append(semigroup_positivity_outcome(A, [0.1, 1.0, 5.0], metzler, metzler and positive_at[1.0]))
+    lines.append(semigroup_positivity_outcome(A, [0.1, 1.0, 5.0], True, positive_at[1.0]))
     omega = growth_bound_estimate(A)
     gtol = GROWTH_TOL * max(1.0, abs(data.spb))
     lines.append(judge("growth_bound", gtol - abs(omega - data.spb), {"omega": omega, "spb": data.spb}, 0.0, ("le",)))
     sweep = sweep_spb_in_m(F, m_grid)
-    lines.append(check_monotone_reduction(sweep, spectral_bound(F.A).spb, is_irreducible(F.A)))
+    lines.append(check_monotone_reduction(sweep, spectral_bound(F.A)))
     return lines
 
 

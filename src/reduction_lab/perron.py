@@ -395,28 +395,34 @@ def _solve_irreducible(M, start: SpectralData | None = None) -> SpectralData:
     return SpectralData(spb, u / uv, v, steps, lo, hi)
 
 
-def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
-    """Spectral bound of an essentially nonnegative matrix.
-
-    Irreducible inputs return Perron vectors as well; the v iteration starts
-    from start.v, of the result at a nearby matrix, where it is strictly
-    positive, finite and of matching length. Reducible inputs are solved per
-    strongly connected diagonal block by its v pass alone, with no left vector
-    and its bracket's midpoint as spb, and report u = v = None, the block
-    results as `blocks` and their v-pass solves as iterations. Block c starts
-    from start.blocks[c] when `start` has as many blocks as M, under the same
-    rules as an irreducible start. The blocks are solved in descending order of
-    start.blocks[c].spb_hi, or for a cold start of their largest row sum, the
-    upper end of the bracket at the constant vector. A block stops as soon as
-    its upper end falls below the largest lower end already certified, which
-    leaves the reported maxima unchanged, and keeps that upper end as spb and
-    its last iterate as v for the next start.
-    """
+def _metzler_blocks(M) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(square_matrix(M), its _block_indices): the set-up of a solve, NotEssentiallyNonnegative if not Metzler."""
     M = square_matrix(M)
     nonnegative, dense = _off_diagonal_signs(M)
     if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    indices = _block_indices(M, dense)
+    return M, _block_indices(M, dense)
+
+
+def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
+    """Spectral bound of an essentially nonnegative matrix.
+
+    Irreducible inputs, n = 1 included, return Perron vectors as well, so u is
+    None exactly when M is reducible; the v iteration starts from start.v, of
+    the result at a nearby matrix, where it is strictly positive, finite and of
+    matching length. Reducible inputs are solved per strongly connected
+    diagonal block by its v pass alone, with no left vector and its bracket's
+    midpoint as spb, and report u = v = None, the block results as `blocks` and
+    their v-pass solves as iterations. Block c starts from start.blocks[c] when
+    `start` has as many blocks as M, under the same rules as an irreducible
+    start. The blocks are solved in descending order of start.blocks[c].spb_hi,
+    or for a cold start of their largest row sum, the upper end of the bracket
+    at the constant vector. A block stops as soon as its upper end falls below
+    the largest lower end already certified, which leaves the reported maxima
+    unchanged, and keeps that upper end as spb and its last iterate as v for
+    the next start.
+    """
+    M, indices = _metzler_blocks(M)
     count = len(indices)
     if count == 1:
         return _solve_irreducible(M, start)
@@ -443,11 +449,8 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
 
 def perron_vectors(M):
     """Left and right Perron vectors (u, v) with u @ v = 1 and sum(v) = 1."""
-    M = square_matrix(M)
-    nonnegative, dense = _off_diagonal_signs(M)
-    if not nonnegative:
-        raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    if len(_block_indices(M, dense)) > 1:
+    M, indices = _metzler_blocks(M)
+    if len(indices) > 1:
         raise NotIrreducible("Perron vectors require an irreducible matrix")
     data = _solve_irreducible(M)
     return data.u, data.v

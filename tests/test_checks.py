@@ -9,6 +9,7 @@ from reduction_lab import (
     LinearFamily,
     NonUniformGrid,
     NoSignChange,
+    NotEssentiallyNonnegative,
     NotIrreducible,
     NotMonotoneOnBracket,
     SweepResult,
@@ -39,6 +40,11 @@ FAM = LinearFamily(A_SYM, V_PM)
 def _points(values):
     """Solved 1x1 points, whose spb = spb_lo = spb_hi is exactly the entry: a sweep of given values."""
     return [spectral_bound(np.array([[v]])) for v in values]
+
+
+def _data_A(s, irreducible=True):
+    """The spectral_bound of an A with spb exactly s: [[s]], irreducible, or diag(s, s - 1), reducible."""
+    return spectral_bound(np.array([[s]]) if irreducible else np.diag([s, s - 1.0]))
 
 
 def test_sweep_in_m_closed_form():
@@ -132,7 +138,7 @@ def test_each_certifier_returns_the_line_it_reports():
     lines = [
         check_midpoint_convexity(sweep_spb_in_beta(FAM, grid)),
         check_midpoint_convexity(sweep_spb_in_m(FAM, grid)),
-        check_monotone_reduction(sweep_spb_in_m(FAM, grid), 0.0, True),
+        check_monotone_reduction(sweep_spb_in_m(FAM, grid), _data_A(0.0)),
         derivative_bound_check(FAM, 1.0),
         homogeneity_check(FAM, 1.0, 1.0, [2.0]),
         lindqvist_check(A_SYM, V_PM),
@@ -169,7 +175,7 @@ def _reduction_tol(S, spb_A):
 
 def test_monotone_reduction_strict_branch():
     sweep = sweep_spb_in_m(FAM, np.linspace(0.5, 3.0, 9))
-    out = check_monotone_reduction(sweep, 0.0, True)
+    out = check_monotone_reduction(sweep, _data_A(0.0))
     assert out.name == "monotone_reduction"
     assert out.passed and out.margin > _reduction_tol(sweep, 0.0)
     assert out.margin > 0
@@ -178,21 +184,24 @@ def test_monotone_reduction_strict_branch():
 def test_monotone_reduction_equality_branch_scalar_family():
     fam = LinearFamily(-np.eye(2), np.zeros((2, 2)))
     sweep = sweep_spb_in_m(fam, np.linspace(0.5, 2.5, 5))
-    out = check_monotone_reduction(sweep, -1.0, True)
+    out = check_monotone_reduction(sweep, _data_A(-1.0))
     assert out.passed and abs(out.margin) <= _reduction_tol(sweep, -1.0)
     assert abs(out.margin) <= 1e-12
 
 
 def test_monotone_reduction_identity_pattern():
+    # P = I makes A = (P - I)D zero, so A is reducible and the line judges the inequality alone
     lin = karlin_to_linear(KarlinFamily(np.eye(2), np.diag([2.0, 0.5])))
     sweep = sweep_spb_in_m(lin, np.linspace(0.5, 2.0, 4))
-    out = check_monotone_reduction(sweep, 0.0, True)
+    data_A = spectral_bound(lin.A)
+    assert data_A.u is None and data_A.spb == 0.0
+    out = check_monotone_reduction(sweep, data_A)
     assert out.passed and abs(out.margin) <= _reduction_tol(sweep, 0.0)
 
 
 def test_monotone_reduction_flags_violation():
     sweep = SweepResult("m", [1.0, 2.0, 3.0], _points([0.0, 0.5, 0.1]))
-    out = check_monotone_reduction(sweep, 0.0, True)
+    out = check_monotone_reduction(sweep, _data_A(0.0))
     assert not out.passed
 
 
@@ -232,7 +241,7 @@ def test_monotone_reduction_matches_pair_loop(shape):
         else:
             values = rng.normal(size=k)
         sweep = SweepResult("m", grid, _points(values))
-        out = check_monotone_reduction(sweep, spb_A, True)
+        out = check_monotone_reduction(sweep, _data_A(spb_A))
         assert (out.passed, out.margin, out.witness) == _monotone_reduction_by_pairs(sweep, spb_A)
 
 
@@ -281,15 +290,15 @@ def test_monotone_reduction_judges_no_dichotomy_for_reducible_a():
     t = _reduction_tol(sweep, -0.5)
     slack = _pair_slacks(sweep, -0.5)
     assert (slack > t).any() and (np.abs(slack) <= t).any() and (slack >= -t).all()
-    assert check_monotone_reduction(sweep, -0.5, False).passed
-    assert not check_monotone_reduction(sweep, -0.5, True).passed  # a mixture breaks the dichotomy
+    assert check_monotone_reduction(sweep, _data_A(-0.5, irreducible=False)).passed
+    assert not check_monotone_reduction(sweep, _data_A(-0.5)).passed  # a mixture breaks the dichotomy
 
     # raise m = 1.25 above the line through m = 1: that one pair is violated
     values = sweep.values.copy()
     values[4] += 1e-6
     pushed = SweepResult("m", sweep.grid, _points(values))
     assert (_pair_slacks(pushed, -0.5) < -t).sum() == 1
-    out = check_monotone_reduction(pushed, -0.5, False)
+    out = check_monotone_reduction(pushed, _data_A(-0.5, irreducible=False))
     assert not out.passed and out.witness == {"m": 1.0, "d": 0.25}
     assert abs(out.margin + 1e-6) <= 1e-12
 
@@ -370,6 +379,20 @@ def test_lindqvist_randomized():
         out = lindqvist_check(random_ess_nonneg(n, seed), random_diagonal(n, -2.0, 2.0, seed + 1))
         assert out.passed
         assert out.margin >= -1e-9
+
+
+def test_lindqvist_and_kirkland_reject_a_reducible_a_from_its_solve():
+    # both read A's irreducibility from their own spectral_bound(A), so a reducible
+    # Metzler A raises NotIrreducible and a non-Metzler one NotEssentiallyNonnegative first
+    reducible = np.array([[-1.0, 1.0], [0.0, -2.0]])
+    assert spectral_bound(reducible).u is None
+    for check in (lambda A: lindqvist_check(A, V_PM), kirkland_check):
+        with pytest.raises(NotIrreducible, match="requires an irreducible matrix"):
+            check(reducible)
+        with pytest.raises(NotIrreducible):
+            check(np.zeros((2, 2)))
+        with pytest.raises(NotEssentiallyNonnegative):
+            check(-reducible)
 
 
 def _kirkland_tol(out):
@@ -660,8 +683,10 @@ def test_reduction_dichotomy_uniform_across_random_sweeps():
         n = 2 + seed % 5
         fam = LinearFamily(random_ess_nonneg(n, seed), random_diagonal(n, -1.5, 1.5, seed + 100))
         sweep = sweep_spb_in_m(fam, np.linspace(0.1, 5.0, 11))
-        spb_A = spectral_bound(fam.A).spb
-        out = check_monotone_reduction(sweep, spb_A, True)
+        data_A = spectral_bound(fam.A)
+        assert data_A.u is not None  # a dense A: the dichotomy is judged
+        spb_A = data_A.spb
+        out = check_monotone_reduction(sweep, data_A)
         assert out.passed
         t = _reduction_tol(sweep, spb_A)
         assert out.margin > t or abs(out.margin) <= t

@@ -144,3 +144,21 @@ def test_only_judge_and_the_advisory_line_build_a_check_line():
             if isinstance(function, ast.FunctionDef) and any(builds_line(node) for node in ast.walk(function)):
                 builders.add(f"{module}.{function.name}")
     assert builders == {"checks.judge", "checks.strict_convexity_line"}
+
+
+def test_checks_decides_irreducibility_only_of_matrices_it_does_not_solve():
+    # a certifier that solves A reads its irreducibility as spectral_bound(A).u is not None;
+    # is_irreducible is left for Karlin's P, the derivative probe and strict_convexity_probe's A
+    callers = [
+        function.name
+        for function in ast.walk(parse("checks"))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "is_irreducible"
+    ]
+    assert sorted(callers) == [
+        "derivative_bound_check",
+        "karlin_monotonicity_check",
+        "linear_family_lines",
+        "strict_convexity_probe",
+    ]

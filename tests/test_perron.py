@@ -70,6 +70,34 @@ def test_irreducibility_examples():
     assert is_irreducible([[7.0]])
 
 
+def _metzler_draws(seed):
+    """Seeded Metzler matrices, n = 1..12: dense, 50% sparse, block upper-triangular, diagonal, zero and 1x1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        dense = rng.uniform(0.0, 1.0, (n, n))
+        np.fill_diagonal(dense, rng.uniform(-2.0, 0.0, n))
+        k = int(rng.integers(0, n + 1))
+        triangular = dense.copy()
+        triangular[k:, :k] = 0.0  # rows k.. never reach rows ..k
+        yield dense
+        yield np.where(rng.uniform(size=(n, n)) < 0.5, dense, 0.0)
+        yield triangular
+        yield np.diag(np.diagonal(dense))
+        yield np.zeros((n, n))
+        yield np.array([[rng.uniform(-2.0, 2.0)]])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_spectral_bound_has_perron_vectors_iff_irreducible(seed):
+    # certifiers that solve A anyway read its irreducibility as spectral_bound(A).u is not None
+    for M in _metzler_draws(seed):
+        data = spectral_bound(M)
+        irreducible = is_irreducible(M)
+        assert (data.u is not None) == (data.v is not None) == irreducible, M
+        assert (data.blocks is None) == irreducible, M
+
+
 def test_scc_partition():
     # 0 -> 1 -> 2 with a 1<->2 cycle: two components
     M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])

@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,15 @@ def test_mixing_reduction_1d():
     run = _run(ROOT / "scripts" / "mixing_reduction_1d.py", "--n", 8, "--points", 3)
     assert run.returncode == 0, run.stderr
     assert "reduction check: pass" in run.stdout
+
+
+def test_readme_quickstart_runs_as_printed(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:2] == ["True", "True"]
+    assert abs(float(printed[2]) - (-1.0 + 1.0 / 2.0**0.5)) <= 1e-9
 
 
 @pytest.fixture
@@ -80,6 +90,25 @@ def test_regen_goldens_refuses_a_flip_argument_naming_no_golden_file(regen):
     for text in ["nosuch.check:monotone_reduction", "linear.check", "linear.check:"]:
         with pytest.raises(argparse.ArgumentTypeError):
             regen.flip_arg(text)
+
+
+def test_regen_goldens_names_a_flip_instead_of_a_zero_change(regen):
+    flip = ("monotone_reduction,fail,0,m=1.08;d=0.245", "monotone_reduction,pass,0,m=1.08;d=0.245")
+    moved = ("convexity_m,pass,1e-3,m=1", "convexity_m,pass,2e-3,m=1")
+    named = "flipped monotone_reduction: fail -> pass"
+    assert regen.change_summary([flip]) == [named]  # not `largest relative change 0 ()`
+    largest = "largest relative change 0.5 (convexity_m: 1e-3 -> 2e-3)"
+    assert regen.change_summary([flip, moved]) == [named, largest]
+    assert regen.change_summary([moved]) == [largest]
+
+
+def test_regen_goldens_names_the_ini_relative_to_the_repository(regen, monkeypatch, tmp_path):
+    ini = regen.GOLDEN / "linear.ini"
+    monkeypatch.setattr(regen, "commands", lambda: iter([(["check", str(ini)], "linear.check", None)]))
+    # a named flip that does not happen: the committed lines, so flipped, imply exit code 1
+    _, problems = regen.regenerate(tmp_path, {("linear.check", "kirkland")})
+    assert problems[0] == "check tests/golden/linear.ini: exit code 0, committed files imply 1"
+    assert problems[1].startswith("linear.check:8: 'kirkland,pass,")
 
 
 def test_battery_failures_prints_the_failing_lines():
