@@ -232,7 +232,8 @@ def check_monotone_reduction(S: SweepResult, data_A: SpectralData) -> CheckLine:
 
 
 def derivative_bound_check(F: LinearFamily, m: float) -> CheckLine:
-    """`derivative_bound`: the central-difference d spb/dm at m must not exceed spb(A)."""
+    """`derivative_bound`: the central-difference d spb/dm at m must not exceed spb(A).
+    NotIrreducible, before any solve, if the family point at m is reducible."""
     if m <= 0:
         raise ValueError("derivative probe needs m > 0")
     M = F.matrix_at(m)
@@ -477,15 +478,19 @@ def linear_family_lines(
     """The linear-family lines from `convexity_beta` to `kirkland`, in report order.
 
     data_A is spectral_bound(F.A). The derivative lines need an irreducible family point at
-    m_probe, and `lindqvist`/`kirkland` an irreducible A, one whose data_A has Perron vectors;
-    otherwise they are left out. Also returns the beta sweep and its convexity line.
+    m_probe (derivative_bound_check decides it), and `lindqvist`/`kirkland` an irreducible A,
+    one whose data_A has Perron vectors; otherwise they are left out. Also returns the beta
+    sweep and its convexity line.
     """
     sweep_b = sweep_spb_in_beta(F, beta_grid)
     convex_b = check_midpoint_convexity(sweep_b)
     sweep_m = sweep_spb_in_m(F, m_grid)
     lines = [convex_b, check_midpoint_convexity(sweep_m), check_monotone_reduction(sweep_m, data_A)]
-    if is_irreducible(F.matrix_at(m_probe)):
+    try:
         bound = derivative_bound_check(F, m_probe)
+    except NotIrreducible:
+        pass
+    else:
         lines += [bound, perron_derivative_agreement(F, bound)]
     lines.append(homogeneity_check(F, m_probe, 1.0, [0.1, 2.0, 10.0]))
     if data_A.u is not None:

@@ -11,7 +11,6 @@ adjacency digraph, for the right vector and bracket alone.
 import contextlib
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,16 +105,12 @@ def is_essentially_nonnegative(M) -> bool:
 @functools.lru_cache(maxsize=64)
 def _scc_blocks(n: int, packed: bytes) -> tuple[np.ndarray, ...]:
     """Vertex indices of each SCC of an n x n adjacency pattern packed by np.packbits, in label order:
-    read-only views of one array, in increasing order within each component."""
-    from scipy.sparse import csgraph, csr_array
+    read-only views of one array, in increasing order within each component. The components are
+    one csgraph.connected_components call on the unpacked dense pattern."""
+    from scipy.sparse import csgraph
 
     adjacency = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n).reshape(n, n)
-    # CSR built here: csgraph validates a dense input at more cost than the search.
-    # np.nonzero returns strided views, and csgraph needs contiguous indices.
-    rows, cols = np.nonzero(adjacency)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    graph = csr_array((np.ones(cols.size), np.ascontiguousarray(cols), indptr), shape=(n, n))
-    count, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+    count, labels = csgraph.connected_components(adjacency, directed=True, connection="strong")
     order = np.argsort(labels, kind="stable")
     order.flags.writeable = False
     return tuple(np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]))
@@ -457,18 +452,15 @@ def perron_vectors(M):
 
 
 def resolvent(M, xi: float) -> np.ndarray:
-    """(xi*I - M)^-1 via LU with partial pivoting (n right-hand-side solves)."""
-    from scipy.linalg import lu_factor, lu_solve
-
+    """(xi*I - M)^-1 from one dgesv call (LU with partial pivoting, n right-hand sides); SingularResolvent
+    if a pivot is at most n*eps*max|xi*I - M|, an exact zero included, which dgesv reports as info > 0."""
     M = square_matrix(M)
     n = M.shape[0]
-    shifted = xi * np.eye(n) - M
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exactly-zero pivots
-        lu, piv = lu_factor(shifted, check_finite=False)
-    pivots = np.abs(np.diagonal(lu))
-    tiny = n * np.finfo(float).eps * max(float(np.max(np.abs(shifted))), np.finfo(float).tiny)
-    if float(np.min(pivots)) <= tiny:
+    eye = np.eye(n)
+    shifted = xi * eye - M
+    lu, _, R, _ = _lapack().dgesv(shifted, eye)
+    tiny = n * EPS * max(float(np.max(np.abs(shifted))), np.finfo(float).tiny)
+    if float(np.min(np.abs(np.diagonal(lu)))) <= tiny:
         raise SingularResolvent(f"xi = {xi} lies in the spectrum within pivot tolerance")
-    return lu_solve((lu, piv), np.eye(n), check_finite=False)
+    return R
 

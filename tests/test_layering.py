@@ -69,6 +69,13 @@ def test_no_module_imports_scipy_when_loaded(module):
     assert "scipy" not in module_body_imports(module)
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_warnings(module):
+    # the library filters no warning: a floating-point event is decided by the np.errstate
+    # of the step that owns it, and a LAPACK failure by the info the wrapper returns
+    assert "warnings" not in imported_modules(module)
+
+
 def test_cli_holds_no_matrix_arithmetic_and_no_per_kind_code():
     # cli.py parses, dispatches and writes: sweeps and products live in checks.py,
     # and each family kind's grids and builder only in checks.FAMILY_KINDS
@@ -148,7 +155,8 @@ def test_only_judge_and_the_advisory_line_build_a_check_line():
 
 def test_checks_decides_irreducibility_only_of_matrices_it_does_not_solve():
     # a certifier that solves A reads its irreducibility as spectral_bound(A).u is not None;
-    # is_irreducible is left for Karlin's P, the derivative probe and strict_convexity_probe's A
+    # is_irreducible is left for Karlin's P, the derivative probe (tested once, in
+    # derivative_bound_check) and strict_convexity_probe's A
     callers = [
         function.name
         for function in ast.walk(parse("checks"))
@@ -159,6 +167,5 @@ def test_checks_decides_irreducibility_only_of_matrices_it_does_not_solve():
     assert sorted(callers) == [
         "derivative_bound_check",
         "karlin_monotonicity_check",
-        "linear_family_lines",
         "strict_convexity_probe",
     ]

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -172,8 +173,26 @@ def test_resolvent_fixture():
 
 
 def test_resolvent_singular_at_eigenvalue():
-    with pytest.raises(SingularResolvent):
-        resolvent(SYM, 0.0)
+    # the zero matrix at 0 has exactly zero pivots, which dgesv reports as info > 0 without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in (SYM, np.zeros((3, 3))):
+            with pytest.raises(SingularResolvent):
+                resolvent(M, 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 8, 32, 160])
+def test_resolvent_is_lu_solve_of_lu_factor_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    eye = np.eye(n)
+    for sparse in (False, True):
+        M = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < (0.5 if sparse else 1.0))
+        np.fill_diagonal(M, rng.uniform(-2.0, 0.0, size=n))
+        spb = spectral_bound(M).spb
+        for offset in (0.1, 1.0, 10.0):
+            shifted = (spb + offset) * eye - M
+            expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(shifted), eye)
+            assert np.array_equal(resolvent(M, spb + offset), expected)
 
 
 def test_resolvent_positivity_examples():
@@ -490,17 +509,35 @@ def test_left_iteration_starts_near_its_answer():
     assert total <= 0.7 * 750
 
 
-def test_scc_matches_dense_csgraph():
+def _mutual_reach(adjacency):
+    """i ~ j iff each reaches the other: boolean transitive closure of I | adjacency by repeated squaring."""
+    n = adjacency.shape[0]
+    reach = adjacency | np.eye(n, dtype=bool)
+    for _ in range(math.ceil(math.log2(n))):  # paths of length up to 2^k >= n after k squarings
+        reach = reach.astype(float) @ reach > 0.0
+    return reach & reach.T
+
+
+def test_scc_matches_mutual_reachability():
+    # a referee independent of csgraph; the second matrix of each draw has the first's pattern and
+    # other values, so its labels come from the pattern memo
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        n = int(rng.integers(1, 33))
-        M = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < rng.uniform(0.02, 0.5))
-        adjacency = M != 0.0
+    counts = set()
+    for k in range(200):
+        n = 160 if k % 20 == 0 else int(rng.integers(1, 161))
+        pattern = rng.uniform(size=(n, n)) < 10.0 ** rng.uniform(-2.5, -0.3)
+        adjacency = pattern.copy()
         np.fill_diagonal(adjacency, False)
-        count, labels = scipy.sparse.csgraph.connected_components(adjacency, directed=True, connection="strong")
-        dec = scc_decomposition(M)
-        assert dec.component_count == count
-        assert np.array_equal(dec.component_id[:, None] == dec.component_id, labels[:, None] == labels)
+        expected = _mutual_reach(adjacency)
+        for M in (rng.uniform(0.5, 1.0, size=(n, n)) * pattern, rng.uniform(2.0, 3.0, size=(n, n)) * pattern):
+            hits = perron._scc_blocks.cache_info().hits
+            dec = scc_decomposition(M)
+            assert np.array_equal(dec.component_id[:, None] == dec.component_id, expected)
+            assert dec.component_count == len({tuple(row) for row in expected})
+        assert perron._scc_blocks.cache_info().hits == hits + 1
+        counts.add((n == 160, min(dec.component_count, 3)))
+    # the draws reach one, two and three or more components, at n = 160 as well
+    assert counts >= {(True, 1), (True, 3), (False, 1), (False, 2), (False, 3)}
 
 
 def test_quotient_just_under_the_errstate_bound_is_computed_plainly_and_finite():
