@@ -16,7 +16,6 @@ from .checks import (
     karlin_monotonicity_check,
     linear_family_lines,
     positivity_of_semigroup_check,
-    strict_convexity_line,
     strict_convexity_probe,
 )
 from .gallery import (
@@ -49,8 +48,7 @@ def seed_battery(seed: int) -> list[CheckLine]:
 
     beta_grid = np.linspace(-3.0, 3.0, 11)
     m_grid = np.linspace(0.1, 5.0, 11)
-    family_lines, sweep_b, _ = linear_family_lines(fam, data_A, beta_grid, m_grid, 1.0)
-    out += family_lines
+    out += linear_family_lines(fam, data_A, beta_grid, m_grid, 1.0)[0]
 
     P = random_stochastic(n, 3000 + seed)
     D = random_diagonal(n, 0.2, 2.0, 4000 + seed)
@@ -79,7 +77,7 @@ def seed_battery(seed: int) -> list[CheckLine]:
     gtol = GROWTH_TOL * max(1.0, abs(spb_G))
     out.append(judge("growth_bound", gtol - abs(omega - spb_G), {"omega": omega}, 0.0, ("le",)))
 
-    out.append(strict_convexity_line(strict_convexity_probe(fam, beta_grid), sweep_b))
+    out.append(strict_convexity_probe(fam, beta_grid))
     tag = f"s{seed:03d}"
     return [replace(line, name=f"{tag}.{line.name}") for line in out]
 

@@ -364,9 +364,9 @@ def is_resolvent_positive_at(M, xi: float) -> bool:
     return bool((R >= -RESOLVENT_POSITIVITY_TOL).all())
 
 
-def semigroup_positivity_outcome(M, t_grid, metzler: bool, resolvent_ok: bool) -> CheckLine:
-    """The `semigroup_positivity` line of positivity_of_semigroup_check on M from its parts:
-    whether M is `metzler`, and for a Metzler M whether its resolvent at spb + 1 is positive.
+def semigroup_positivity_outcome(M, t_grid, resolvent_ok: bool) -> CheckLine:
+    """The `semigroup_positivity` line of positivity_of_semigroup_check on M, given whether
+    its resolvent at spb + 1 is positive (read only when M is Metzler).
 
     For a Metzler M the claim is e^{tM} >= 0: `le` on min_entry +
     SEMIGROUP_POSITIVITY_TOL, and refuted outright (no kind) when the resolvent
@@ -380,7 +380,7 @@ def semigroup_positivity_outcome(M, t_grid, metzler: bool, resolvent_ok: bool) -
     k = int(np.argmin(entries))
     min_entry = entries[k]
     witness = {"t": float(t_grid[k]), "min_entry": min_entry}
-    if metzler:
+    if is_essentially_nonnegative(M):
         kinds = ("le",) if resolvent_ok else ()
         return judge("semigroup_positivity", min_entry + SEMIGROUP_POSITIVITY_TOL, witness, 0.0, kinds)
     return judge("semigroup_positivity", -SEMIGROUP_POSITIVITY_TOL - min_entry, witness, 0.0, ("strict",))
@@ -393,9 +393,8 @@ def positivity_of_semigroup_check(M, t_grid) -> CheckLine:
     entrywise nonnegative.
     """
     M = square_matrix(M)
-    metzler = is_essentially_nonnegative(M)
-    resolvent_ok = metzler and is_resolvent_positive_at(M, spectral_bound(M).spb + 1.0)
-    return semigroup_positivity_outcome(M, t_grid, metzler, resolvent_ok)
+    resolvent_ok = is_essentially_nonnegative(M) and is_resolvent_positive_at(M, spectral_bound(M).spb + 1.0)
+    return semigroup_positivity_outcome(M, t_grid, resolvent_ok)
 
 
 def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
@@ -449,43 +448,39 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
     return 0.5 * (pos + neg)
 
 
-def strict_convexity_probe(F: LinearFamily, beta_grid) -> CheckLine:
-    """Probe whether spb(A + beta V) looks strictly convex on the grid.
+def strict_convexity_line(S: SweepResult) -> CheckLine:
+    """`strict_convexity_probe`: the advisory verdict on the convexity of a beta sweep, `strict` or `flat`.
 
-    Evidence only: a margin above CHECK_TOL*scale suggests strict convexity for
-    the instance, a near-zero margin a flat (affine) stretch. Nothing is
-    asserted beyond the report.
+    The margin is the smallest second difference of S (check_midpoint_convexity),
+    and the verdict is `strict` when it exceeds CHECK_TOL times the scale of S's values.
+    Evidence only: `strict` suggests strict convexity for the instance, `flat` an
+    affine stretch. Nothing is asserted beyond the report.
     """
+    margin = check_midpoint_convexity(S).margin
+    verdict = "strict" if margin > CHECK_TOL * max(1.0, float(np.max(np.abs(S.values)))) else "flat"
+    return CheckLine("strict_convexity_probe", True, margin, {"verdict": verdict}, advisory=True)
+
+
+def strict_convexity_probe(F: LinearFamily, beta_grid) -> CheckLine:
+    """The strict_convexity_line of spb(A + beta V) swept along beta_grid; NotIrreducible unless A is irreducible."""
     if not is_irreducible(F.A):
         raise NotIrreducible("the probe targets irreducible mixing generators")
-    return check_midpoint_convexity(sweep_spb_in_beta(F, beta_grid))
-
-
-def strict_convexity_line(probe: CheckLine, sweep: SweepResult) -> CheckLine:
-    """Advisory verdict on a beta-sweep's convexity line: `strict` or `flat`.
-
-    The verdict is `strict` when the smallest second difference exceeds
-    CHECK_TOL times the scale of the swept values.
-    """
-    scale = max(1.0, float(np.max(np.abs(sweep.values))))
-    verdict = "strict" if probe.margin > CHECK_TOL * scale else "flat"
-    return CheckLine("strict_convexity_probe", True, probe.margin, {"verdict": verdict}, advisory=True)
+    return strict_convexity_line(sweep_spb_in_beta(F, beta_grid))
 
 
 def linear_family_lines(
     F: LinearFamily, data_A: SpectralData, beta_grid, m_grid, m_probe: float
-) -> tuple[list[CheckLine], SweepResult, CheckLine]:
-    """The linear-family lines from `convexity_beta` to `kirkland`, in report order.
+) -> tuple[list[CheckLine], SweepResult]:
+    """The linear-family lines from `convexity_beta` to `kirkland`, in report order, and the beta sweep.
 
     data_A is spectral_bound(F.A). The derivative lines need an irreducible family point at
     m_probe (derivative_bound_check decides it), and `lindqvist`/`kirkland` an irreducible A,
-    one whose data_A has Perron vectors; otherwise they are left out. Also returns the beta
-    sweep and its convexity line.
+    one whose data_A has Perron vectors; otherwise they are left out.
     """
     sweep_b = sweep_spb_in_beta(F, beta_grid)
-    convex_b = check_midpoint_convexity(sweep_b)
     sweep_m = sweep_spb_in_m(F, m_grid)
-    lines = [convex_b, check_midpoint_convexity(sweep_m), check_monotone_reduction(sweep_m, data_A)]
+    lines = [check_midpoint_convexity(sweep_b), check_midpoint_convexity(sweep_m)]
+    lines.append(check_monotone_reduction(sweep_m, data_A))
     try:
         bound = derivative_bound_check(F, m_probe)
     except NotIrreducible:
@@ -495,17 +490,16 @@ def linear_family_lines(
     lines.append(homogeneity_check(F, m_probe, 1.0, [0.1, 2.0, 10.0]))
     if data_A.u is not None:
         lines += [lindqvist_check(F.A, F.V), kirkland_check(F.A)]
-    return lines, sweep_b, convex_b
+    return lines, sweep_b
 
 
 def linear_check_lines(F: LinearFamily, m_grid, beta_grid) -> list[CheckLine]:
     """The `check` report of a linear family: the family lines probed at the middle of
-    the m grid, then the strict-convexity line when A is irreducible."""
+    the m grid, then the strict-convexity line of their beta sweep when A is irreducible."""
     data_A = spectral_bound(F.A)
-    lines, sweep_b, convex_b = linear_family_lines(F, data_A, beta_grid, m_grid, float(m_grid[len(m_grid) // 2]))
+    lines, sweep_b = linear_family_lines(F, data_A, beta_grid, m_grid, float(m_grid[len(m_grid) // 2]))
     if data_A.u is not None:
-        # the probe reads only the second differences, which the beta sweep already has
-        lines.append(strict_convexity_line(convex_b, sweep_b))
+        lines.append(strict_convexity_line(sweep_b))
     return lines
 
 
@@ -521,9 +515,8 @@ def karlin_family_lines(F: KarlinFamily, alpha_grid) -> list[CheckLine]:
         worst = float(np.max(np.abs(derived.A.sum(axis=0))))
         null_tol = 1e-13 * max(1.0, float(np.max(np.abs(derived.A))))
         lines.append(judge("left_null_identity", null_tol - worst, {"max_colsum": worst}, 0.0, ("le",)))
-    members, failure = F.matrices_at(alpha_grid)
-    if failure is not None:
-        raise failure
+    # karlin_monotonicity_check swept this grid through solve_along, which raises its evaluation failure
+    members, _ = F.matrices_at(alpha_grid)
     alphas = np.asarray(alpha_grid, dtype=float)[:, None, None]
     direct = ((1.0 - alphas) * np.eye(F.n) + alphas * F.P) @ F.D
     worst_gap = float(np.max(np.abs(direct - members)))
@@ -565,7 +558,7 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     positive = all(positive_at.values())
     lines.append(judge("resolvent_positive", 1.0 if positive else -1.0, {"spb": data.spb}, 0.0, ("le",)))
     # the semigroup line's resolvent probe at spb + 1 is the one above
-    lines.append(semigroup_positivity_outcome(A, [0.1, 1.0, 5.0], True, positive_at[1.0]))
+    lines.append(semigroup_positivity_outcome(A, [0.1, 1.0, 5.0], positive_at[1.0]))
     omega = growth_bound_estimate(A)
     gtol = GROWTH_TOL * max(1.0, abs(data.spb))
     lines.append(judge("growth_bound", gtol - abs(omega - data.spb), {"omega": omega, "spb": data.spb}, 0.0, ("le",)))

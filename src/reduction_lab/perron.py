@@ -259,9 +259,11 @@ def batched_starts(S) -> list["SpectralData | None"]:
     x = np.full((k, n, 1), 1.0 / n)
     with np.errstate(all="ignore"):
         reach = 2.0 * np.maximum(0.0, -_min(np.diagonal(S, axis1=1, axis2=2), axis=1))
-        for _ in range(BATCH_STEPS):
+        for step in range(BATCH_STEPS + 1):
             q = (S @ x)[..., 0] / x[..., 0]
             lo, hi = _min(q, axis=1), _max(q, axis=1)
+            if step == BATCH_STEPS:
+                break
             width = hi - lo
             slack = 2.0 * floor * (np.abs(hi) + reach)
             # as in _noda, |S|x/x only once the floor test can pass at every point
@@ -276,9 +278,6 @@ def batched_starts(S) -> list["SpectralData | None"]:
                 return [None] * k
             np.abs(x, out=x)
             x /= _sum(x, axis=1)[:, None]
-        else:
-            q = (S @ x)[..., 0] / x[..., 0]
-            lo, hi = _min(q, axis=1), _max(q, axis=1)
     usable = (_min(x, axis=1)[:, 0] > 0.0) & np.isfinite(lo) & np.isfinite(hi)
     return [SpectralData(hi[i], None, x[i, :, 0], 0, lo[i], hi[i]) if usable[i] else None for i in range(k)]
 
@@ -378,10 +377,12 @@ def _solve_irreducible(M, start: SpectralData | None = None) -> SpectralData:
         w = _scaled_solve(neg.T, v, hi, 2.0 * floor * (abs(hi) + reach), v, trans=True)
         if w is not None:
             steps += 1
-            u_start = np.abs(w, out=w)
-            u_start /= v
-            if not _usable_start(u_start, M.shape[0]):
-                u_start = None
+            # near the underflow range w/v can overflow: such a start is not usable and u starts cold
+            with np.errstate(over="ignore"):
+                u_start = np.abs(w, out=w)
+                u_start /= v
+                if not _usable_start(u_start, M.shape[0]):
+                    u_start = None
         u, _, _, steps_u = _noda(M.T, neg, abs_M.T, floor, reach, u_start)
         steps += steps_u
     # two-sided Rayleigh quotient: error is quadratic in the vector errors

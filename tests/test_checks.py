@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from reduction_lab import (
     KarlinFamily,
@@ -29,7 +30,7 @@ from reduction_lab import (
     sweep_spb_in_beta,
     sweep_spb_in_m,
 )
-from reduction_lab.checks import CHECK_TOL, judge, semigroup_positivity_outcome
+from reduction_lab.checks import CHECK_TOL, SEMIGROUP_POSITIVITY_TOL, judge, semigroup_positivity_outcome
 from reduction_lab.gallery import karlin_to_linear, random_diagonal, random_ess_nonneg, random_stochastic
 
 A_SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -137,6 +138,7 @@ def test_each_certifier_returns_the_line_it_reports():
     karlin = KarlinFamily(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([2.0, 0.5]))
     lines = [
         check_midpoint_convexity(sweep_spb_in_beta(FAM, grid)),
+        strict_convexity_probe(FAM, grid),
         check_midpoint_convexity(sweep_spb_in_m(FAM, grid)),
         check_monotone_reduction(sweep_spb_in_m(FAM, grid), _data_A(0.0)),
         derivative_bound_check(FAM, 1.0),
@@ -149,6 +151,7 @@ def test_each_certifier_returns_the_line_it_reports():
     ]
     assert [line.name for line in lines] == [
         "convexity_beta",
+        "strict_convexity_probe",
         "convexity_m",
         "monotone_reduction",
         "derivative_bound",
@@ -272,10 +275,21 @@ def test_judge_dichotomy_margin_and_witness():
 
 
 def test_semigroup_positivity_fails_a_metzler_matrix_whose_resolvent_is_not_positive():
-    ok = semigroup_positivity_outcome(A_SYM, [0.5, 1.0], True, True)
-    refuted = semigroup_positivity_outcome(A_SYM, [0.5, 1.0], True, False)
+    ok = semigroup_positivity_outcome(A_SYM, [0.5, 1.0], True)
+    refuted = semigroup_positivity_outcome(A_SYM, [0.5, 1.0], False)
     assert ok.passed and not refuted.passed
     assert (refuted.margin, refuted.witness) == (ok.margin, ok.witness)
+
+
+def test_semigroup_positivity_judges_a_non_metzler_matrix_strict():
+    # a negative off-diagonal entry makes the claim a negative entry of e^{tM}, whatever the resolvent
+    N = np.array([[-1.0, -1.0], [1.0, -1.0]])
+    min_entry = min(float(scipy.linalg.expm(t * N).min()) for t in (0.5, 1.0))
+    for resolvent_ok in (True, False):
+        line = semigroup_positivity_outcome(N, [0.5, 1.0], resolvent_ok)
+        assert line.passed and line.margin == pytest.approx(-SEMIGROUP_POSITIVITY_TOL - min_entry, abs=1e-15)
+    # e^{tN} = I + tN: a negative entry within the tolerance, which the Metzler claim would pass
+    assert not semigroup_positivity_outcome(np.array([[0.0, -1e-12], [0.0, 0.0]]), [1.0], True).passed
 
 
 def _pair_slacks(S, spb_A):
@@ -650,13 +664,13 @@ def test_find_threshold_names_the_point_of_a_failed_newton_solve(monkeypatch):
 def test_strict_convexity_probe_flat_for_scalar_growth():
     fam = LinearFamily(A_SYM, 2.0 * np.eye(2))
     report = strict_convexity_probe(fam, np.linspace(-2.0, 2.0, 9))
-    assert report.passed
+    assert report.advisory and report.witness == {"verdict": "flat"}
     assert abs(report.margin) <= 1e-10
 
 
 def test_strict_convexity_probe_strict_for_heterogeneous_growth():
     report = strict_convexity_probe(FAM, np.linspace(-2.0, 2.0, 9))
-    assert report.passed
+    assert report.advisory and report.witness == {"verdict": "strict"}
     assert report.margin > 1e-6
 
 

@@ -1,14 +1,20 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reduction_lab
 from reduction_lab import KingmanFamily, perron, random_diagonal, random_ess_nonneg, save_matrix
 from reduction_lab.checks import kingman_family_lines
 from reduction_lab.cli import main
 from reduction_lab.scenario import parse_scenario
 
+SRC = Path(reduction_lab.__file__).resolve().parents[1]
 MATRIX_SYM = "2\n-1 1\n1 -1\n"
 
 KARLIN_SCENARIO = """
@@ -80,6 +86,18 @@ def test_spb_non_metzler_is_numerical_error(tmp_path, capsys):
     path = write(tmp_path, "m.txt", "2\n0 -1\n1 0\n")
     assert main(["spb", path]) == 3
     assert "NotEssentiallyNonnegative" in capsys.readouterr().err
+
+
+def test_spb_near_the_underflow_range_exits_0_under_warnings_as_errors(tmp_path):
+    # a fresh interpreter, so that -W error::RuntimeWarning governs every step of the solve
+    path = tmp_path / "m.txt"
+    save_matrix(path, 1e-295 * random_ess_nonneg(3, 3))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "reduction_lab", "spb", str(path)]
+    run = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("spb ")
 
 
 def test_no_convergence_reports_residual_and_iterations(tmp_path, capsys, monkeypatch):

@@ -31,7 +31,7 @@ import pytest
 import scipy.linalg
 
 from reduction_lab.battery import run_suite
-from reduction_lab.checks import FAMILY_KINDS
+from reduction_lab.checks import FAMILY_KINDS, strict_convexity_probe
 from reduction_lab.cli import main
 from reduction_lab.scenario import parse_scenario
 
@@ -62,6 +62,13 @@ def test_suite_matches_golden(tmp_path, capsys):
     assert main(["suite", "--seed-count", "20", "--out", str(report)]) == 0
     assert report.read_bytes() == (GOLDEN / "suite20.txt").read_bytes()
     assert capsys.readouterr().out == (GOLDEN / "suite20.stdout").read_text(encoding="utf-8")
+
+
+def test_linear_check_ends_with_the_probe_of_its_beta_sweep():
+    # `check` builds the advisory line from its own beta sweep, as strict_convexity_probe does from a fresh one
+    family = parse_scenario(str(GOLDEN / "linear.ini")).family
+    last = (GOLDEN / "linear.check").read_text(encoding="utf-8").splitlines()[-1]
+    assert last == strict_convexity_probe(family, np.linspace(-3.0, 3.0, 21)).format()
 
 
 def test_report_lines_are_data():

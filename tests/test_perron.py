@@ -283,6 +283,15 @@ def test_tiny_scale_converges_to_lapack(M):
     assert data.spb_lo <= data.spb <= data.spb_hi
 
 
+@pytest.mark.parametrize("n, seed", [(3, 3), (6, 129)])
+def test_left_vector_start_near_the_underflow_range_is_silent(n, seed):
+    # |w|/v of the left-vector start overflows on these draws: u starts cold, with no RuntimeWarning
+    M = 1e-295 * random_ess_nonneg(n, seed)
+    data = spectral_bound(M)
+    assert abs(data.spb - float(np.max(np.linalg.eigvals(M).real))) <= 1e-13 * _norm(M)
+    assert data.u is not None and (data.u > 0.0).all()
+
+
 def test_neumann_160_error_below_1e10():
     n = 160
     M = laplacian_1d(Grid1D(n, 1.0, "neumann")) + np.diag(np.random.default_rng(0).uniform(0.0, 1.0, n))
