@@ -9,6 +9,10 @@ every mandatory line is `le` except the `monotone_reduction` dichotomy
 the column-sum condition), Karlin (`eq` for scalar D, else `strict`) and the
 `strict` sign claim of `semigroup_positivity` on a non-Metzler matrix. The
 line's margin is the least slack, and its witness locates that sample.
+A claim on entries takes its tolerance as a factor times `scale_of` the
+matrices it is about, so a change of units scales every tolerance, margin and
+resolvent offset alike and moves no verdict; claims on logs are dimensionless
+and keep absolute tolerances.
 FAMILY_KINDS maps each family kind to the `*_lines` builder of its `check`
 report and to the GridSpec of each grid it sweeps.
 """
@@ -34,7 +38,7 @@ from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagona
 from .matrixio import format_value
 from .perron import EPS, SpectralData, grid_starts, is_essentially_nonnegative, is_irreducible
 from .perron import perron_vectors, resolvent, spectral_bound, square_matrix
-from .semigroup import expm, growth_bound_estimate
+from .semigroup import expm, growth_bound_estimate, probe_times
 
 CHECK_TOL = 1e-9
 HOMOGENEITY_TOL = 1e-10
@@ -44,7 +48,16 @@ FD_STEP_SCALE = 1e-5
 THRESHOLD_PRESWEEP = 9  # grid points of the monotonicity pre-sweep
 SEMIGROUP_POSITIVITY_TOL = 1e-10
 RESOLVENT_POSITIVITY_TOL = 1e-12
-GROWTH_TOL = 1e-9  # growth_bound checks pass when |omega - spb| <= GROWTH_TOL*max(1, |spb|)
+GROWTH_TOL = 1e-9  # growth_bound checks pass when |omega - spb| <= GROWTH_TOL*scale_of(M)
+
+
+def scale_of(*matrices) -> float:
+    """The scale of a claim about `matrices`: their largest |entry|, or 1 where every entry is 0.
+
+    It is read from matrices already in hand, and a zero matrix, which no change of units
+    alters, may take any positive scale.
+    """
+    return max(float(np.max(np.abs(M))) for M in matrices) or 1.0
 
 
 def is_uniform(grid: np.ndarray) -> bool:
@@ -55,11 +68,15 @@ def is_uniform(grid: np.ndarray) -> bool:
 
 @dataclass
 class SweepResult:
-    """Sampled curve: points[i] is the SpectralData solved at grid[i]; grid strictly increasing, length >= 3."""
+    """Sampled curve: points[i] is the SpectralData solved at grid[i]; grid strictly increasing, length >= 3.
+
+    scale is the scale_of the swept members, the unit of every tolerance on the curve.
+    """
 
     parameter_name: str
     grid: np.ndarray
     points: list[SpectralData]
+    scale: float
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -161,12 +178,19 @@ def solve_along(grid, evaluate, parameter_name: str, previous: SpectralData | No
     return results
 
 
+def sweep_along(parameter_name: str, grid, evaluate) -> SweepResult:
+    """The SweepResult of the members evaluate(grid), solved by solve_along, with their scale."""
+    members = evaluate(grid)
+    points = solve_along(grid, lambda _: members, parameter_name)
+    return SweepResult(parameter_name, grid, points, scale_of(members[0]))
+
+
 def sweep_spb_in_m(F: LinearFamily, m_grid) -> SweepResult:
     """spb(m*A + V) along a positive m grid."""
     grid = np.asarray(m_grid, dtype=float)
     if (grid <= 0.0).any():
         raise ValueError("m grid must be strictly positive")
-    return SweepResult("m", grid, solve_along(grid, F.matrices_at, "m"))
+    return sweep_along("m", grid, F.matrices_at)
 
 
 def _at_beta(F: LinearFamily):
@@ -177,7 +201,7 @@ def _at_beta(F: LinearFamily):
 def sweep_spb_in_beta(F: LinearFamily, beta_grid) -> SweepResult:
     """spb(A + beta*V) along a beta grid."""
     grid = np.asarray(beta_grid, dtype=float)
-    return SweepResult("beta", grid, solve_along(grid, _at_beta(F), "beta"))
+    return sweep_along("beta", grid, _at_beta(F))
 
 
 def curve_table(F, name: str, spec: GridSpec, grid) -> tuple[str, list[tuple[float, ...]]]:
@@ -187,7 +211,7 @@ def curve_table(F, name: str, spec: GridSpec, grid) -> tuple[str, list[tuple[flo
     derivative u^T (dM/dp) v when every swept point returned Perron vectors, that
     is, when every point is irreducible.
     """
-    points = SweepResult(name, grid, solve_along(grid, spec.member(F), name)).points
+    points = sweep_along(name, grid, spec.member(F)).points
     if spec.dM is None or any(d.u is None for d in points):
         return "param,spb", [(p, d.spb) for p, d in zip(grid, points)]
     dM = spec.dM(F)
@@ -196,7 +220,7 @@ def curve_table(F, name: str, spec: GridSpec, grid) -> tuple[str, list[tuple[flo
 
 def check_midpoint_convexity(S: SweepResult) -> CheckLine:
     """`convexity_<parameter>`: second-difference convexity test on a uniform sweep,
-    to CHECK_TOL times its scale.
+    to CHECK_TOL times S.scale.
 
     The margin is the smallest second difference; the witness is the centre
     of that triple.
@@ -205,16 +229,15 @@ def check_midpoint_convexity(S: SweepResult) -> CheckLine:
         raise NonUniformGrid("midpoint convexity needs a uniformly spaced grid")
     v = S.values
     d2 = v[:-2] - 2.0 * v[1:-1] + v[2:]
-    scale = max(1.0, float(np.max(np.abs(v))))
     name = S.parameter_name
-    return judge(f"convexity_{name}", d2, lambda k: {name: float(S.grid[k + 1])}, CHECK_TOL * scale, ("le",))
+    return judge(f"convexity_{name}", d2, lambda k: {name: float(S.grid[k + 1])}, CHECK_TOL * S.scale, ("le",))
 
 
 def check_monotone_reduction(S: SweepResult, data_A: SpectralData) -> CheckLine:
     """`monotone_reduction`: spb((m+d)A + V) <= spb(mA + V) + d*spb(A) over all grid pairs.
 
-    data_A is spectral_bound(A). The pairwise slacks are judged against t = CHECK_TOL times the
-    scale of the sweep. Where A is irreducible, that is, data_A has Perron vectors, the Perron root
+    data_A is spectral_bound(A). The pairwise slacks are judged against t = CHECK_TOL times S.scale,
+    the scale of the swept members. Where A is irreducible, that is, data_A has Perron vectors, the Perron root
     is simple (Kato 1966), so the dichotomy is judged too: the family is strictly below the
     comparison line for every pair (slack > t, the strict branch) or on it for every pair
     (|slack| <= t, the equality branch), and a mixture fails. For a reducible A, spb is a maximum
@@ -223,7 +246,7 @@ def check_monotone_reduction(S: SweepResult, data_A: SpectralData) -> CheckLine:
     if S.parameter_name != "m":
         raise ValueError("monotone reduction expects an m sweep")
     grid, v, spb_A = S.grid, S.values, data_A.spb
-    t = CHECK_TOL * max(1.0, float(np.max(np.abs(v))), abs(spb_A) * float(grid[-1] - grid[0]))
+    t = CHECK_TOL * S.scale
     i, j = np.triu_indices(len(grid), 1)
     d = grid[j] - grid[i]
     slack = v[i] + d * spb_A - v[j]
@@ -232,8 +255,9 @@ def check_monotone_reduction(S: SweepResult, data_A: SpectralData) -> CheckLine:
 
 
 def derivative_bound_check(F: LinearFamily, m: float) -> CheckLine:
-    """`derivative_bound`: the central-difference d spb/dm at m must not exceed spb(A).
-    NotIrreducible, before any solve, if the family point at m is reducible."""
+    """`derivative_bound`: the central-difference d spb/dm at m must not exceed spb(A), to
+    DERIVATIVE_TOL times the scale of A. NotIrreducible, before any solve, if the family point
+    at m is reducible."""
     if m <= 0:
         raise ValueError("derivative probe needs m > 0")
     M = F.matrix_at(m)
@@ -244,7 +268,7 @@ def derivative_bound_check(F: LinearFamily, m: float) -> CheckLine:
     hi = spectral_bound(F.matrix_at(m + h)).spb
     fd = (hi - lo) / (2.0 * h)
     spb_A = spectral_bound(F.A).spb
-    return judge("derivative_bound", spb_A - fd, {"m": m, "fd": fd}, DERIVATIVE_TOL * max(1.0, abs(spb_A)), ("le",))
+    return judge("derivative_bound", spb_A - fd, {"m": m, "fd": fd}, DERIVATIVE_TOL * scale_of(F.A), ("le",))
 
 
 def perron_derivative(F: LinearFamily, m: float) -> float:
@@ -253,18 +277,20 @@ def perron_derivative(F: LinearFamily, m: float) -> float:
 
 
 def perron_derivative_agreement(F: LinearFamily, bound: CheckLine) -> CheckLine:
-    """The analytic derivative u^T A v must match the finite difference of `bound`.
+    """The analytic derivative u^T A v must match the finite difference of `bound`, to
+    DERIVATIVE_TOL times the scale of A.
 
     `bound` is the derivative_bound_check line at the same family point.
     """
     m, fd = bound.witness["m"], bound.witness["fd"]
     analytic = perron_derivative(F, m)
-    tol = DERIVATIVE_TOL * max(1.0, abs(analytic), abs(fd))
+    tol = DERIVATIVE_TOL * scale_of(F.A)
     return judge("perron_derivative_agreement", tol - abs(analytic - fd), {"m": m, "analytic": analytic}, 0.0, ("le",))
 
 
 def lindqvist_check(A, D) -> CheckLine:
-    """`lindqvist`: spb(A + D) - spb(A) >= u(A)^T D v(A) for diagonal D of the size of A."""
+    """`lindqvist`: spb(A + D) - spb(A) >= u(A)^T D v(A) for diagonal D of the size of A,
+    to CHECK_TOL times the scale of A and D."""
     A = square_matrix(A)
     D = square_matrix(D)
     if D.shape != A.shape:
@@ -275,27 +301,25 @@ def lindqvist_check(A, D) -> CheckLine:
         raise NotIrreducible("the inequality requires an irreducible matrix")
     shifted = spectral_bound(A + D).spb
     rhs = float(base.u @ (np.diagonal(D) * base.v))
-    scale = max(1.0, abs(shifted), abs(base.spb), abs(rhs))
     witness = {"lhs": shifted - base.spb, "rhs": rhs}
-    return judge("lindqvist", (shifted - base.spb) - rhs, witness, CHECK_TOL * scale, ("le",))
+    return judge("lindqvist", (shifted - base.spb) - rhs, witness, CHECK_TOL * scale_of(A, D), ("le",))
 
 
 def kirkland_check(A) -> CheckLine:
     """`kirkland`: e^T A (u o v) >= spb(A), with equality exactly when e^T A = spb(A) e^T.
 
-    With t = CHECK_TOL * max(1, |lhs|, |spb|), the claim is equality
-    (|margin| <= t) where the column-sum condition holds, and strict
-    inequality (margin > t) where it does not.
+    With t = CHECK_TOL times the scale of A, the claim is equality
+    (|margin| <= t) where the column sums are within t of spb(A), and strict
+    inequality (margin > t) where they are not.
     """
     A = square_matrix(A)
     data = spectral_bound(A)
     if data.u is None:
         raise NotIrreducible("the inequality requires an irreducible matrix")
     lhs = float(np.sum(A @ (data.u * data.v)))
-    scale = max(1.0, abs(lhs), abs(data.spb))
-    col_tol = CHECK_TOL * max(1.0, float(np.max(np.abs(A))), abs(data.spb))
-    kind = "eq" if np.max(np.abs(A.sum(axis=0) - data.spb)) <= col_tol else "strict"
-    return judge("kirkland", lhs - data.spb, {"lhs": lhs, "spb": data.spb}, CHECK_TOL * scale, (kind,))
+    t = CHECK_TOL * scale_of(A)
+    kind = "eq" if np.max(np.abs(A.sum(axis=0) - data.spb)) <= t else "strict"
+    return judge("kirkland", lhs - data.spb, {"lhs": lhs, "spb": data.spb}, t, (kind,))
 
 
 def _log_rho(d: SpectralData) -> SpectralData:
@@ -305,7 +329,10 @@ def _log_rho(d: SpectralData) -> SpectralData:
 
 
 def kingman_superconvexity_check(F: KingmanFamily, theta_grid) -> CheckLine:
-    """`kingman_superconvexity`: midpoint log-convexity of theta -> rho(A(theta)) for a log-affine family."""
+    """`kingman_superconvexity`: midpoint log-convexity of theta -> rho(A(theta)) for a log-affine family.
+
+    Logs are dimensionless, so the record of log rho has scale 1 and the tolerance is CHECK_TOL.
+    """
     grid = np.asarray(theta_grid, dtype=float)
     rho = solve_along(grid, F.matrices_at, "theta")
     for theta, d in zip(grid, rho):
@@ -313,21 +340,23 @@ def kingman_superconvexity_check(F: KingmanFamily, theta_grid) -> CheckLine:
             raise ZeroSpectralRadius(f"spectral radius vanished at theta = {theta}")
     with np.errstate(divide="ignore"):  # a zero block's rho and any lower end <= 0 go to log 0 = -inf
         logs = [_log_rho(d) for d in rho]
-    return replace(check_midpoint_convexity(SweepResult("theta", grid, logs)), name="kingman_superconvexity")
+    return replace(check_midpoint_convexity(SweepResult("theta", grid, logs, 1.0)), name="kingman_superconvexity")
 
 
 def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckLine:
     """`karlin_monotonicity`: rho([(1-alpha)I + alpha P]D) must not increase along the alpha grid.
 
     Strict decrease is demanded between consecutive points when D is not an
-    exact scalar multiple of I; scalar D must give a constant curve.
+    exact scalar multiple of I; scalar D must give a constant curve. The
+    tolerance is CHECK_TOL times the scale of the swept members.
     """
     if not is_irreducible(F.P):
         raise NotIrreducible("the monotonicity statement requires irreducible P")
     grid = np.asarray(alpha_grid, dtype=float)
-    values = SweepResult("alpha", grid, solve_along(grid, F.matrices_at, "alpha")).values
+    S = sweep_along("alpha", grid, F.matrices_at)
+    values = S.values
     diag = np.diagonal(F.D)
-    t = CHECK_TOL * max(1.0, float(np.max(np.abs(values))))
+    t = CHECK_TOL * S.scale
     if (diag == diag[0]).all():
         deviation = -np.abs(values - values[0])
         return judge("karlin_monotonicity", deviation, lambda k: {"alpha": float(grid[k])}, t, ("eq",))
@@ -336,7 +365,8 @@ def karlin_monotonicity_check(F: KarlinFamily, alpha_grid) -> CheckLine:
 
 
 def homogeneity_check(F: LinearFamily, m: float, beta: float, alphas) -> CheckLine:
-    """`homogeneity`: spb(alpha*(mA + beta V)) = alpha * spb(mA + beta V) for each alpha > 0.
+    """`homogeneity`: spb(alpha*(mA + beta V)) = alpha * spb(mA + beta V) for each alpha > 0,
+    to HOMOGENEITY_TOL times the scale of alpha*(mA + beta V).
 
     OverflowRisk when some alpha*(mA + beta V) is not finite.
     """
@@ -351,50 +381,56 @@ def homogeneity_check(F: LinearFamily, m: float, beta: float, alphas) -> CheckLi
         if not np.isfinite(aM).all():
             raise OverflowRisk(f"alpha*M overflows double precision at alpha = {a}, m = {m}, beta = {beta}")
     gaps = [abs(spectral_bound(aM).spb - a * base) for a, aM in zip(alphas, scaled)]
-    slack = [HOMOGENEITY_TOL * max(1.0, abs(a * base)) - gap for a, gap in zip(alphas, gaps)]
+    slack = [HOMOGENEITY_TOL * scale_of(aM) - gap for aM, gap in zip(scaled, gaps)]
     return judge("homogeneity", slack, lambda k: {"alpha": float(alphas[k]), "m": m, "beta": beta}, 0.0, ("le",))
 
 
 def is_resolvent_positive_at(M, xi: float) -> bool:
-    """True iff the resolvent at xi exists and is entrywise >= -RESOLVENT_POSITIVITY_TOL."""
+    """True iff the resolvent R at xi exists and is entrywise >= -RESOLVENT_POSITIVITY_TOL * scale_of(R)."""
     try:
         R = resolvent(M, xi)
     except SingularResolvent:
         return False
-    return bool((R >= -RESOLVENT_POSITIVITY_TOL).all())
+    return bool((R >= -RESOLVENT_POSITIVITY_TOL * scale_of(R)).all())
 
 
-def semigroup_positivity_outcome(M, t_grid, resolvent_ok: bool) -> CheckLine:
+def semigroup_positivity_outcome(M, resolvent_ok: bool) -> CheckLine:
     """The `semigroup_positivity` line of positivity_of_semigroup_check on M, given whether
-    its resolvent at spb + 1 is positive (read only when M is Metzler).
+    its resolvent at spb + scale_of(M) is positive (read only when M is Metzler).
 
-    For a Metzler M the claim is e^{tM} >= 0: `le` on min_entry +
-    SEMIGROUP_POSITIVITY_TOL, and refuted outright (no kind) when the resolvent
-    is not positive. For any other M it is a negative entry: `strict` on
-    -SEMIGROUP_POSITIVITY_TOL - min_entry.
+    E = e^{tM} is probed at the probe_times of M, where ||tM||_inf is 0.5, 1 and 4, and each
+    probe's slack is min(E) + SEMIGROUP_POSITIVITY_TOL * scale_of(E); the witness is the
+    probe of the least slack. For a Metzler M the claim is e^{tM} >= 0: `le` on that slack,
+    and refuted outright (no kind) when the resolvent is not positive. For any other M it is
+    a negative entry: `strict` on minus that slack.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid <= 0.0).any():
-        raise ValueError("probe times must be strictly positive")
-    entries = [float(expm(M, t).min()) for t in t_grid]
-    k = int(np.argmin(entries))
-    min_entry = entries[k]
-    witness = {"t": float(t_grid[k]), "min_entry": min_entry}
+    times = probe_times(M)
+    propagators = [expm(M, t) for t in times]
+    slack = [float(E.min()) + SEMIGROUP_POSITIVITY_TOL * scale_of(E) for E in propagators]
+    k = int(np.argmin(slack))
+    witness = {"t": times[k], "min_entry": float(propagators[k].min())}
     if is_essentially_nonnegative(M):
         kinds = ("le",) if resolvent_ok else ()
-        return judge("semigroup_positivity", min_entry + SEMIGROUP_POSITIVITY_TOL, witness, 0.0, kinds)
-    return judge("semigroup_positivity", -SEMIGROUP_POSITIVITY_TOL - min_entry, witness, 0.0, ("strict",))
+        return judge("semigroup_positivity", slack[k], witness, 0.0, kinds)
+    return judge("semigroup_positivity", -slack[k], witness, 0.0, ("strict",))
 
 
-def positivity_of_semigroup_check(M, t_grid) -> CheckLine:
-    """`semigroup_positivity`: e^{tM} >= 0 on the probed times iff M is essentially nonnegative.
+def positivity_of_semigroup_check(M) -> CheckLine:
+    """`semigroup_positivity`: e^{tM} >= 0 at the probe_times of M iff M is essentially nonnegative.
 
-    For Metzler inputs the resolvent at spb + 1 is additionally required to be
+    For Metzler inputs the resolvent at spb + scale_of(M) is additionally required to be
     entrywise nonnegative.
     """
     M = square_matrix(M)
-    resolvent_ok = is_essentially_nonnegative(M) and is_resolvent_positive_at(M, spectral_bound(M).spb + 1.0)
-    return semigroup_positivity_outcome(M, t_grid, resolvent_ok)
+    resolvent_ok = is_essentially_nonnegative(M) and is_resolvent_positive_at(M, spectral_bound(M).spb + scale_of(M))
+    return semigroup_positivity_outcome(M, resolvent_ok)
+
+
+def growth_bound_line(M, spb: float) -> CheckLine:
+    """`growth_bound`: growth_bound_estimate(M) must match spb = spectral_bound(M).spb to GROWTH_TOL * scale_of(M)."""
+    omega = growth_bound_estimate(M)
+    slack = GROWTH_TOL * scale_of(M) - abs(omega - spb)
+    return judge("growth_bound", slack, {"omega": omega, "spb": spb}, 0.0, ("le",))
 
 
 def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
@@ -418,7 +454,7 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
         raise ValueError("need 0 < m_lo < m_hi")
 
     grid = np.linspace(m_lo, m_hi, THRESHOLD_PRESWEEP)
-    points = SweepResult("m", grid, solve_along(grid, F.matrices_at, "m")).points
+    points = sweep_along("m", grid, F.matrices_at).points
     lo, hi = np.array([d.spb_lo for d in points]), np.array([d.spb_hi for d in points])
     if (lo[1:] > hi[:-1]).any() and (hi[1:] < lo[:-1]).any():
         raise NotMonotoneOnBracket("preliminary sweep is not monotone on the bracket")
@@ -452,12 +488,12 @@ def strict_convexity_line(S: SweepResult) -> CheckLine:
     """`strict_convexity_probe`: the advisory verdict on the convexity of a beta sweep, `strict` or `flat`.
 
     The margin is the smallest second difference of S (check_midpoint_convexity),
-    and the verdict is `strict` when it exceeds CHECK_TOL times the scale of S's values.
+    and the verdict is `strict` when it exceeds CHECK_TOL times S.scale.
     Evidence only: `strict` suggests strict convexity for the instance, `flat` an
     affine stretch. Nothing is asserted beyond the report.
     """
     margin = check_midpoint_convexity(S).margin
-    verdict = "strict" if margin > CHECK_TOL * max(1.0, float(np.max(np.abs(S.values)))) else "flat"
+    verdict = "strict" if margin > CHECK_TOL * S.scale else "flat"
     return CheckLine("strict_convexity_probe", True, margin, {"verdict": verdict}, advisory=True)
 
 
@@ -487,7 +523,8 @@ def linear_family_lines(
         pass
     else:
         lines += [bound, perron_derivative_agreement(F, bound)]
-    lines.append(homogeneity_check(F, m_probe, 1.0, [0.1, 2.0, 10.0]))
+    # no sample is a power of two, under which the solver is exactly homogeneous
+    lines.append(homogeneity_check(F, m_probe, 1.0, [0.1, 3.0, 10.0]))
     if data_A.u is not None:
         lines += [lindqvist_check(F.A, F.V), kirkland_check(F.A)]
     return lines, sweep_b
@@ -509,18 +546,18 @@ def karlin_family_lines(F: KarlinFamily, alpha_grid) -> list[CheckLine]:
     derived = F.linear
     mix = spectral_bound(derived.A)
     # reciprocal growth rates form a positive right null vector of (P - I)D
-    lines.append(judge("mixing_spb_zero", 1e-10 - abs(mix.spb), {"spb": mix.spb}, 0.0, ("le",)))
+    lines.append(judge("mixing_spb_zero", 1e-10 * scale_of(derived.A) - abs(mix.spb), {"spb": mix.spb}, 0.0, ("le",)))
     if np.max(np.abs(F.P.sum(axis=0) - 1.0)) <= 1e-12:
         # the left-null identity is a theorem only when columns also sum to 1
         worst = float(np.max(np.abs(derived.A.sum(axis=0))))
-        null_tol = 1e-13 * max(1.0, float(np.max(np.abs(derived.A))))
+        null_tol = 1e-13 * scale_of(derived.A)
         lines.append(judge("left_null_identity", null_tol - worst, {"max_colsum": worst}, 0.0, ("le",)))
     # karlin_monotonicity_check swept this grid through solve_along, which raises its evaluation failure
     members, _ = F.matrices_at(alpha_grid)
     alphas = np.asarray(alpha_grid, dtype=float)[:, None, None]
     direct = ((1.0 - alphas) * np.eye(F.n) + alphas * F.P) @ F.D
     worst_gap = float(np.max(np.abs(direct - members)))
-    cons_tol = 1e-13 * max(1.0, float(np.max(np.abs(F.D))))
+    cons_tol = 1e-13 * scale_of(F.D)
     lines.append(judge("karlin_consistency", cons_tol - worst_gap, {"max_gap": worst_gap}, 0.0, ("le",)))
     sweep = sweep_spb_in_m(derived, np.linspace(0.1, 3.0, 11))
     lines.append(check_monotone_reduction(sweep, mix))
@@ -528,15 +565,20 @@ def karlin_family_lines(F: KarlinFamily, alpha_grid) -> list[CheckLine]:
 
 
 def kingman_family_lines(F: KingmanFamily, theta_grid) -> list[CheckLine]:
-    """The `check` report of a Kingman family; `log_affine_entries` probes the grid's
-    ends and its middle point, or the midpoint when that point is not halfway."""
+    """The `check` report of a Kingman family; `log_affine_entries` probes the members at the
+    grid's ends and its middle point, or the midpoint when that point is not halfway. Its claim
+    is on logs, which a change of units shifts but does not scale, so its tolerance is absolute."""
     lines = [kingman_superconvexity_check(F, theta_grid)]
     probes = [float(theta_grid[0]), float(theta_grid[len(theta_grid) // 2]), float(theta_grid[-1])]
     if not np.allclose(np.diff(probes), probes[1] - probes[0], atol=0.0):
         probes = [probes[0], 0.5 * (probes[0] + probes[2]), probes[2]]
-    nonzero = F.c != 0.0
-    logs = [np.log(F.c[nonzero]) + F.g[nonzero] * t for t in probes]
-    worst = float(np.max(np.abs(logs[0] - 2.0 * logs[1] + logs[2]), initial=0.0))
+    members, failure = F.matrices_at(np.array(probes))
+    if failure is not None:
+        raise failure
+    # an entry that underflowed to 0 logs to -inf, and its second difference, NaN, fails the line
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(members[:, F.c != 0.0])
+        worst = float(np.max(np.abs(logs[0] - 2.0 * logs[1] + logs[2]), initial=0.0))
     # the log of every nonzero entry must be affine in theta
     lines.append(judge("log_affine_entries", 1e-12 - worst, {"second_difference": worst}, 0.0, ("le",)))
     return lines
@@ -544,24 +586,24 @@ def kingman_family_lines(F: KingmanFamily, theta_grid) -> list[CheckLine]:
 
 def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     """The `check` report of an operator A + V split as F; a Metzler operator whose
-    rows sum to exactly 0 has spb = 0, which the `spb_zero` line checks."""
+    rows sum to exactly 0 has spb = 0, which the `spb_zero` line checks. The resolvent
+    is probed at spb + {0.1, 1, 10} times the scale of the operator."""
     A = F.matrix_at(1.0)
     n = A.shape[0]
     off = A[~np.eye(n, dtype=bool)]
     # A + V is Metzler by construction (LinearFamily's A is, and V is diagonal): this line reports the margin
     lines = [judge("essential_nonnegativity", np.min(off), {"n": n}, 0.0, ("le",))]
     data = spectral_bound(A)
+    scale = scale_of(A)
     if not A.sum(axis=1).any():
-        lines.append(judge("spb_zero", 1e-10 - abs(data.spb), {"spb": data.spb}, 0.0, ("le",)))
+        lines.append(judge("spb_zero", 1e-10 * scale - abs(data.spb), {"spb": data.spb}, 0.0, ("le",)))
     # the resolvent is entrywise nonnegative beyond the spectral bound
-    positive_at = {offset: is_resolvent_positive_at(A, data.spb + offset) for offset in (0.1, 1.0, 10.0)}
+    positive_at = {offset: is_resolvent_positive_at(A, data.spb + offset * scale) for offset in (0.1, 1.0, 10.0)}
     positive = all(positive_at.values())
     lines.append(judge("resolvent_positive", 1.0 if positive else -1.0, {"spb": data.spb}, 0.0, ("le",)))
-    # the semigroup line's resolvent probe at spb + 1 is the one above
-    lines.append(semigroup_positivity_outcome(A, [0.1, 1.0, 5.0], positive_at[1.0]))
-    omega = growth_bound_estimate(A)
-    gtol = GROWTH_TOL * max(1.0, abs(data.spb))
-    lines.append(judge("growth_bound", gtol - abs(omega - data.spb), {"omega": omega, "spb": data.spb}, 0.0, ("le",)))
+    # the semigroup line's resolvent probe at spb + scale is the one above
+    lines.append(semigroup_positivity_outcome(A, positive_at[1.0]))
+    lines.append(growth_bound_line(A, data.spb))
     sweep = sweep_spb_in_m(F, m_grid)
     lines.append(check_monotone_reduction(sweep, spectral_bound(F.A)))
     return lines

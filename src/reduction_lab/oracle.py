@@ -60,11 +60,19 @@ def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues_oracle(M) -> np.ndarray:
-    """All eigenvalues of M (complex array), for n <= 8."""
+    """All eigenvalues of M (complex array), for n <= 8.
+
+    M is divided by 2^e, e the binary exponent of max|M|, before its polynomial is
+    formed, and the roots are multiplied back by 2^e. Both steps are exact, so the
+    coefficients neither overflow nor underflow and the oracle of 2^k*M is 2^k times
+    the oracle of M.
+    """
     M = square_matrix(M)
     n = M.shape[0]
     if n > MAX_ORACLE_DIM:
         raise DimensionTooLarge(f"oracle supports n <= {MAX_ORACLE_DIM}, got n = {n}")
     if n == 1:
         return np.array([complex(M[0, 0])])
-    return _durand_kerner(characteristic_polynomial(M))
+    _, e = np.frexp(np.max(np.abs(M)))
+    z = _durand_kerner(characteristic_polynomial(np.ldexp(M, -e)))
+    return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)

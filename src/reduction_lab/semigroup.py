@@ -35,6 +35,26 @@ def _renormalized(E):
     return E / c, math.log(c)
 
 
+def _norm_inf(M) -> float:
+    """||M||_inf of a validated square M; OverflowRisk, with no warning, where it is not finite."""
+    with np.errstate(over="ignore"):
+        norm = float(np.max(np.abs(M).sum(axis=1)))
+    if not math.isfinite(norm):
+        raise OverflowRisk("||M||_inf is not representable")
+    return norm
+
+
+def probe_times(M) -> list[float]:
+    """The times t0, 2*t0 and 8*t0 of growth_bound_estimate's ladder t0*2^k, t0 = SCALE_TARGET/||M||_inf,
+    where ||tM||_inf = 0.5, 1 and 4, so e^{tM} neither overflows nor depends on the units of M.
+
+    The zero matrix, whose e^{tM} is I at every t, is probed from t0 = SCALE_TARGET; OverflowRisk
+    where ||M||_inf is not finite.
+    """
+    t0 = SCALE_TARGET / (_norm_inf(square_matrix(M)) or 1.0)
+    return [t0, 2.0 * t0, 8.0 * t0]
+
+
 def growth_bound_estimate(M) -> float:
     """omega(M) = lim (1/t) log ||e^{tM}||_inf by renormalized repeated squaring.
 
@@ -49,11 +69,9 @@ def growth_bound_estimate(M) -> float:
     of the Perron solver.
     """
     M = square_matrix(M)
-    norm = float(np.max(np.abs(M).sum(axis=1)))
+    norm = _norm_inf(M)
     if norm == 0.0:
         return 0.0
-    if not math.isfinite(norm):
-        raise OverflowRisk("||M||_inf is not representable")
     tol = 4.0 * M.shape[0] * EPS * norm
     t = SCALE_TARGET / norm
     E, log_norm = _renormalized(expm(M, t))

@@ -32,7 +32,7 @@ from reduction_lab import (
     sweep_spb_in_beta,
     sweep_spb_in_m,
 )
-from reduction_lab.checks import CHECK_TOL
+from reduction_lab.checks import CHECK_TOL, scale_of
 from reduction_lab.gallery import random_diagonal, random_ess_nonneg, random_stochastic
 from reduction_lab.rng import XorShift64Star
 
@@ -72,8 +72,7 @@ def test_c02_convexity_in_beta():
         fam = _family(seed)
         sweep = sweep_spb_in_beta(fam, beta_grid)
         report = check_midpoint_convexity(sweep)
-        scale = max(1.0, float(np.max(np.abs(sweep.values))))
-        worst_scaled = min(worst_scaled, report.margin / scale)
+        worst_scaled = min(worst_scaled, report.margin / sweep.scale)
         if not report.passed:
             break
     ok = worst_scaled >= -1e-9
@@ -89,18 +88,14 @@ def test_c03_convexity_and_derivative_in_m():
         fam = _family(seed)
         sweep = sweep_spb_in_m(fam, m_grid)
         report = check_midpoint_convexity(sweep)
-        scale = max(1.0, float(np.max(np.abs(sweep.values))))
-        worst_conv = min(worst_conv, report.margin / scale)
-        spb_A = spectral_bound(fam.A).spb
-        bound_scale = max(1.0, abs(spb_A))
+        worst_conv = min(worst_conv, report.margin / sweep.scale)
+        scale_A = scale_of(fam.A)
         for m in m_grid[1:-1]:
             out = derivative_bound_check(fam, float(m))
-            worst_bound = min(worst_bound, out.margin / bound_scale)
+            worst_bound = min(worst_bound, out.margin / scale_A)
             fd = out.witness["fd"]
             analytic = perron_derivative(fam, float(m))
-            worst_match = max(
-                worst_match, abs(analytic - fd) / max(1.0, abs(analytic), abs(fd))
-            )
+            worst_match = max(worst_match, abs(analytic - fd) / scale_A)
     ok = worst_conv >= -1e-9 and worst_bound >= -1e-6 and worst_match <= 1e-6
     _report(
         3,
@@ -184,17 +179,15 @@ def test_c07_lindqvist_and_kirkland():
         D = random_diagonal(n, -2.0, 2.0, 20000 + seed)
         lout = lindqvist_check(A, D)
         kout = kirkland_check(A)
-        scale_l = max(1.0, abs(lout.witness["lhs"]), abs(lout.witness["rhs"]))
-        scale_k = max(1.0, abs(kout.witness["lhs"]), abs(kout.witness["spb"]))
-        worst_l = min(worst_l, lout.margin / scale_l)
-        worst_k = min(worst_k, kout.margin / scale_k)
+        worst_l = min(worst_l, lout.margin / scale_of(A, D))
+        worst_k = min(worst_k, kout.margin / scale_of(A))
     for seed in range(50):
         n = 2 + seed % 5
         # column-stochastic mixing gives e^T A = 0 = spb(A) e^T exactly
         C = random_stochastic(n, seed).T
         A_eq = (C - np.eye(n)) * np.diagonal(random_diagonal(n, 0.3, 2.0, seed + 500))[None, :]
         out = kirkland_check(A_eq)
-        t = CHECK_TOL * max(1.0, abs(out.witness["lhs"]), abs(out.witness["spb"]))
+        t = CHECK_TOL * scale_of(A_eq)
         equality_ok = equality_ok and out.passed and abs(out.margin) <= t
     ok = worst_l >= -1e-9 and worst_k >= -1e-9 and equality_ok
     _report(
@@ -234,15 +227,15 @@ def test_c09_semigroup():
     for seed in range(50):
         M = random_ess_nonneg(5, 8000 + seed)
         spb = spectral_bound(M).spb
-        worst = max(worst, abs(growth_bound_estimate(M) - spb) / max(1.0, abs(spb)))
+        worst = max(worst, abs(growth_bound_estimate(M) - spb) / scale_of(M))
     equivalence_ok = True
     for seed in range(50):
         n = 2 + seed % 5
         A = random_ess_nonneg(n, seed)
-        equivalence_ok = equivalence_ok and positivity_of_semigroup_check(A, [0.01, 0.1, 1.0, 5.0]).passed
+        equivalence_ok = equivalence_ok and positivity_of_semigroup_check(A).passed
         N = A.copy()
         N[0, 1] = -(1.5 + XorShift64Star(7000 + seed).uniform())
-        equivalence_ok = equivalence_ok and positivity_of_semigroup_check(N, [0.01, 0.1, 1.0, 5.0]).passed
+        equivalence_ok = equivalence_ok and positivity_of_semigroup_check(N).passed
     ok = worst <= 1e-14 and equivalence_ok
     _report(
         9,

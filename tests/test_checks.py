@@ -30,7 +30,7 @@ from reduction_lab import (
     sweep_spb_in_beta,
     sweep_spb_in_m,
 )
-from reduction_lab.checks import CHECK_TOL, SEMIGROUP_POSITIVITY_TOL, judge, semigroup_positivity_outcome
+from reduction_lab.checks import CHECK_TOL, SEMIGROUP_POSITIVITY_TOL, judge, scale_of, semigroup_positivity_outcome
 from reduction_lab.gallery import karlin_to_linear, random_diagonal, random_ess_nonneg, random_stochastic
 
 A_SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -41,6 +41,11 @@ FAM = LinearFamily(A_SYM, V_PM)
 def _points(values):
     """Solved 1x1 points, whose spb = spb_lo = spb_hi is exactly the entry: a sweep of given values."""
     return [spectral_bound(np.array([[v]])) for v in values]
+
+
+def _sweep(grid, values):
+    """The m sweep of the 1x1 members [[v]], v in values, whose spb are exactly the values."""
+    return SweepResult("m", grid, _points(values), scale_of(np.asarray(values, dtype=float)))
 
 
 def _data_A(s, irreducible=True):
@@ -106,9 +111,9 @@ def test_sweep_annotates_solver_errors(monkeypatch):
 
 def test_sweep_result_validation():
     with pytest.raises(ValueError):
-        SweepResult("m", [1.0, 2.0], _points([0.0, 0.0]))
+        _sweep([1.0, 2.0], [0.0, 0.0])
     with pytest.raises(ValueError):
-        SweepResult("m", [1.0, 1.0, 2.0], _points([0.0, 0.0, 0.0]))
+        _sweep([1.0, 1.0, 2.0], [0.0, 0.0, 0.0])
 
 
 def test_midpoint_convexity_on_closed_form_curve():
@@ -119,14 +124,14 @@ def test_midpoint_convexity_on_closed_form_curve():
 
 
 def test_midpoint_convexity_affine_curve():
-    sweep = SweepResult("m", [1.0, 2.0, 3.0, 4.0], _points([0.5, 1.0, 1.5, 2.0]))
+    sweep = _sweep([1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.5, 2.0])
     report = check_midpoint_convexity(sweep)
     assert report.passed
     assert abs(report.margin) <= 1e-12
 
 
 def test_midpoint_convexity_concave_spike():
-    sweep = SweepResult("m", [1.0, 2.0, 3.0], _points([0.0, 1.0, 0.0]))
+    sweep = _sweep([1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
     report = check_midpoint_convexity(sweep)
     assert not report.passed
     assert report.margin == -2.0
@@ -147,7 +152,7 @@ def test_each_certifier_returns_the_line_it_reports():
         kirkland_check(A_SYM),
         karlin_monotonicity_check(karlin, np.linspace(0.0, 1.0, 3)),
         kingman_superconvexity_check(KingmanFamily(np.ones((2, 2)), np.eye(2)), grid),
-        positivity_of_semigroup_check(A_SYM, [1.0]),
+        positivity_of_semigroup_check(A_SYM),
     ]
     assert [line.name for line in lines] == [
         "convexity_beta",
@@ -171,16 +176,16 @@ def test_midpoint_convexity_rejects_nonuniform_grid():
         check_midpoint_convexity(sweep)
 
 
-def _reduction_tol(S, spb_A):
+def _reduction_tol(S):
     """The tolerance t of check_monotone_reduction: strict pairs have slack > t, equal ones |slack| <= t."""
-    return CHECK_TOL * max(1.0, float(np.max(np.abs(S.values))), abs(spb_A) * float(S.grid[-1] - S.grid[0]))
+    return CHECK_TOL * S.scale
 
 
 def test_monotone_reduction_strict_branch():
     sweep = sweep_spb_in_m(FAM, np.linspace(0.5, 3.0, 9))
     out = check_monotone_reduction(sweep, _data_A(0.0))
     assert out.name == "monotone_reduction"
-    assert out.passed and out.margin > _reduction_tol(sweep, 0.0)
+    assert out.passed and out.margin > _reduction_tol(sweep)
     assert out.margin > 0
 
 
@@ -188,7 +193,7 @@ def test_monotone_reduction_equality_branch_scalar_family():
     fam = LinearFamily(-np.eye(2), np.zeros((2, 2)))
     sweep = sweep_spb_in_m(fam, np.linspace(0.5, 2.5, 5))
     out = check_monotone_reduction(sweep, _data_A(-1.0))
-    assert out.passed and abs(out.margin) <= _reduction_tol(sweep, -1.0)
+    assert out.passed and abs(out.margin) <= _reduction_tol(sweep)
     assert abs(out.margin) <= 1e-12
 
 
@@ -199,11 +204,11 @@ def test_monotone_reduction_identity_pattern():
     data_A = spectral_bound(lin.A)
     assert data_A.u is None and data_A.spb == 0.0
     out = check_monotone_reduction(sweep, data_A)
-    assert out.passed and abs(out.margin) <= _reduction_tol(sweep, 0.0)
+    assert out.passed and abs(out.margin) <= _reduction_tol(sweep)
 
 
 def test_monotone_reduction_flags_violation():
-    sweep = SweepResult("m", [1.0, 2.0, 3.0], _points([0.0, 0.5, 0.1]))
+    sweep = _sweep([1.0, 2.0, 3.0], [0.0, 0.5, 0.1])
     out = check_monotone_reduction(sweep, _data_A(0.0))
     assert not out.passed
 
@@ -211,7 +216,7 @@ def test_monotone_reduction_flags_violation():
 def _monotone_reduction_by_pairs(S, spb_A):
     """Reference: the pair loop of check_monotone_reduction, first worst pair kept."""
     grid, v = S.grid, S.values
-    t = _reduction_tol(S, spb_A)
+    t = _reduction_tol(S)
     worst, witness, strict, equal, violations = np.inf, None, 0, 0, 0
     for i in range(len(grid) - 1):
         for j in range(i + 1, len(grid)):
@@ -243,7 +248,7 @@ def test_monotone_reduction_matches_pair_loop(shape):
             values = spb_A * np.round(grid)  # exact ties: equal and strict pairs mixed
         else:
             values = rng.normal(size=k)
-        sweep = SweepResult("m", grid, _points(values))
+        sweep = _sweep(grid, values)
         out = check_monotone_reduction(sweep, _data_A(spb_A))
         assert (out.passed, out.margin, out.witness) == _monotone_reduction_by_pairs(sweep, spb_A)
 
@@ -275,21 +280,24 @@ def test_judge_dichotomy_margin_and_witness():
 
 
 def test_semigroup_positivity_fails_a_metzler_matrix_whose_resolvent_is_not_positive():
-    ok = semigroup_positivity_outcome(A_SYM, [0.5, 1.0], True)
-    refuted = semigroup_positivity_outcome(A_SYM, [0.5, 1.0], False)
+    ok = semigroup_positivity_outcome(A_SYM, True)
+    refuted = semigroup_positivity_outcome(A_SYM, False)
     assert ok.passed and not refuted.passed
     assert (refuted.margin, refuted.witness) == (ok.margin, ok.witness)
 
 
 def test_semigroup_positivity_judges_a_non_metzler_matrix_strict():
     # a negative off-diagonal entry makes the claim a negative entry of e^{tM}, whatever the resolvent
+    # ||N||_inf = 2, so the probes are where ||tN||_inf is 0.5, 1 and 4
     N = np.array([[-1.0, -1.0], [1.0, -1.0]])
-    min_entry = min(float(scipy.linalg.expm(t * N).min()) for t in (0.5, 1.0))
+    propagators = [scipy.linalg.expm(t * N) for t in (0.25, 0.5, 2.0)]
+    slack = min(float(E.min()) + SEMIGROUP_POSITIVITY_TOL * float(np.abs(E).max()) for E in propagators)
     for resolvent_ok in (True, False):
-        line = semigroup_positivity_outcome(N, [0.5, 1.0], resolvent_ok)
-        assert line.passed and line.margin == pytest.approx(-SEMIGROUP_POSITIVITY_TOL - min_entry, abs=1e-15)
-    # e^{tN} = I + tN: a negative entry within the tolerance, which the Metzler claim would pass
-    assert not semigroup_positivity_outcome(np.array([[0.0, -1e-12], [0.0, 0.0]]), [1.0], True).passed
+        line = semigroup_positivity_outcome(N, resolvent_ok)
+        assert line.passed and line.margin == pytest.approx(-slack, abs=1e-15)
+    # e^{tM} = [[1, -1e-12 (e^t - 1)], [0, e^t]]: a negative entry within the tolerance times
+    # the largest entry, which the Metzler claim would pass
+    assert not semigroup_positivity_outcome(np.array([[0.0, -1e-12], [0.0, 1.0]]), True).passed
 
 
 def _pair_slacks(S, spb_A):
@@ -301,7 +309,7 @@ def test_monotone_reduction_judges_no_dichotomy_for_reducible_a():
     # spb(mA + V) = max(1 - m, 0.5 - 0.5m): pairs starting below m = 1 are strict, the rest equal
     fam = LinearFamily(np.diag([-1.0, -0.5]), np.diag([1.0, 0.5]))
     sweep = sweep_spb_in_m(fam, np.linspace(0.25, 3.0, 12))
-    t = _reduction_tol(sweep, -0.5)
+    t = _reduction_tol(sweep)
     slack = _pair_slacks(sweep, -0.5)
     assert (slack > t).any() and (np.abs(slack) <= t).any() and (slack >= -t).all()
     assert check_monotone_reduction(sweep, _data_A(-0.5, irreducible=False)).passed
@@ -310,7 +318,7 @@ def test_monotone_reduction_judges_no_dichotomy_for_reducible_a():
     # raise m = 1.25 above the line through m = 1: that one pair is violated
     values = sweep.values.copy()
     values[4] += 1e-6
-    pushed = SweepResult("m", sweep.grid, _points(values))
+    pushed = SweepResult("m", sweep.grid, _points(values), sweep.scale)
     assert (_pair_slacks(pushed, -0.5) < -t).sum() == 1
     out = check_monotone_reduction(pushed, _data_A(-0.5, irreducible=False))
     assert not out.passed and out.witness == {"m": 1.0, "d": 0.25}
@@ -409,16 +417,17 @@ def test_lindqvist_and_kirkland_reject_a_reducible_a_from_its_solve():
             check(-reducible)
 
 
-def _kirkland_tol(out):
+def _kirkland_tol(A):
     """The tolerance t of kirkland_check: the equality branch is |margin| <= t, the strict one margin > t."""
-    return CHECK_TOL * max(1.0, abs(out.witness["lhs"]), abs(out.witness["spb"]))
+    return CHECK_TOL * scale_of(A)
 
 
 def test_kirkland_fixture():
-    out = kirkland_check(np.array([[0.0, 1.0], [1.0, -2.0]]))
+    A = np.array([[0.0, 1.0], [1.0, -2.0]])
+    out = kirkland_check(A)
     assert out.passed
     assert abs(out.witness["lhs"] - 1.0 / np.sqrt(2.0)) <= 1e-9
-    assert out.margin > _kirkland_tol(out)
+    assert out.margin > _kirkland_tol(A)
 
 
 def test_kirkland_equality_branch():
@@ -427,7 +436,7 @@ def test_kirkland_equality_branch():
     A = (C - np.eye(3)) * np.diagonal(random_diagonal(3, 0.5, 1.5, 2))[None, :]
     out = kirkland_check(A)
     assert out.passed
-    assert abs(out.margin) <= _kirkland_tol(out)
+    assert abs(out.margin) <= _kirkland_tol(A)
 
 
 def test_kirkland_randomized():
@@ -702,20 +711,20 @@ def test_reduction_dichotomy_uniform_across_random_sweeps():
         spb_A = data_A.spb
         out = check_monotone_reduction(sweep, data_A)
         assert out.passed
-        t = _reduction_tol(sweep, spb_A)
+        t = _reduction_tol(sweep)
         assert out.margin > t or abs(out.margin) <= t
 
 
 def test_operator_lines_solve_spb_and_each_resolvent_once(monkeypatch):
     # the semigroup_positivity line reuses the operator's spb and its resolvent at
-    # spb + 1, and reads the same as positivity_of_semigroup_check
+    # spb + scale, and reads the same as positivity_of_semigroup_check
     from reduction_lab import checks
     from reduction_lab.scenario import parse_scenario
     from test_golden import GOLDEN
 
     F = parse_scenario(str(GOLDEN / "laplacian.ini")).family
     grid = np.linspace(0.5, 2.0, 4)
-    expected = checks.positivity_of_semigroup_check(F.matrix_at(1.0), [0.1, 1.0, 5.0])
+    expected = checks.positivity_of_semigroup_check(F.matrix_at(1.0))
     counts = {"spectral_bound": 0, "resolvent": 0}
     for name in counts:
         original = getattr(checks, name)
@@ -726,7 +735,7 @@ def test_operator_lines_solve_spb_and_each_resolvent_once(monkeypatch):
 
         monkeypatch.setattr(checks, name, counted)
     lines = {line.name: line for line in checks.operator_family_lines(F, grid)}
-    # spb(A + V), the sweep's points and spb(A); the resolvent at spb + 0.1, 1 and 10
+    # spb(A + V), the sweep's points and spb(A); the resolvent at spb + 0.1, 1 and 10 times the scale
     assert counts == {"spectral_bound": 2 + len(grid), "resolvent": 3}
     assert lines["semigroup_positivity"] == expected
 
@@ -848,3 +857,19 @@ def test_kingman_log_record_maps_every_block(monkeypatch):
                 assert (b.spb, b.spb_hi) == (np.log(rb.spb), np.log(rb.spb_hi))
                 assert b.spb_lo == (np.log(rb.spb_lo) if rb.spb_lo > 0.0 else -np.inf)
     assert {b.spb for d in S.points for b in d.blocks} >= {-np.inf}  # the zero block's log 0
+
+
+def test_homogeneity_probes_no_power_of_two(monkeypatch):
+    # the solver is exactly homogeneous under 2^k, so the gap of such a sample is 0 and cannot fail
+    from reduction_lab import checks
+
+    alphas = []
+    original = checks.homogeneity_check
+
+    def recorded(F, m, beta, samples):
+        alphas.extend(samples)
+        return original(F, m, beta, samples)
+
+    monkeypatch.setattr(checks, "homogeneity_check", recorded)
+    checks.linear_family_lines(FAM, spectral_bound(FAM.A), np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 2.0, 5), 1.0)
+    assert alphas and all(np.frexp(a)[0] != 0.5 for a in alphas)

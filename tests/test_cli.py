@@ -565,15 +565,39 @@ def test_kingman_log_affine_line_matches_entry_loop():
         # uneven probes: the middle one is replaced, also when the grid is narrower than 1e-8
         for grid in (np.linspace(-1.0, 0.7, 6), np.linspace(0, 3e-9, 4)):
             probes = [grid[0], 0.5 * (grid[0] + grid[-1]), grid[-1]]
+            F = KingmanFamily(c, g)
+            members = [F.matrix_at(t) for t in probes]
             worst = 0.0
             for i in range(n):
                 for j in range(n):
                     if c[i, j] != 0.0:
-                        logs = [np.log(c[i, j]) + g[i, j] * t for t in probes]
+                        logs = [np.log(M[i, j]) for M in members]
                         worst = max(worst, abs(logs[0] - 2.0 * logs[1] + logs[2]))
-            (line,) = [l for l in kingman_family_lines(KingmanFamily(c, g), grid) if l.name == "log_affine_entries"]
+            (line,) = [l for l in kingman_family_lines(F, grid) if l.name == "log_affine_entries"]
             assert line.margin == 1e-12 - worst
             assert line.format().endswith(f",second_difference={worst:.9g}")
+
+
+def test_log_affine_entries_reads_the_members(monkeypatch):
+    # one member off the log-affine curve by a relative 1e-9 fails the line, whatever c and g say
+    F = KingmanFamily(np.array([[0.5, 1.2], [0.8, 0.2]]), np.array([[0.3, -0.5], [0.7, 0.1]]))
+    grid = np.linspace(-1.0, 1.0, 5)
+
+    def log_affine(F):
+        (line,) = [l for l in kingman_family_lines(F, grid) if l.name == "log_affine_entries"]
+        return line
+
+    assert log_affine(F).passed
+    evaluate = KingmanFamily.matrices_at
+
+    def perturbed(self, theta):
+        members, failure = evaluate(self, theta)
+        members[1, 0, 1] *= 1.0 + 1e-9  # the middle probe
+        return members, failure
+
+    monkeypatch.setattr(KingmanFamily, "matrices_at", perturbed)
+    line = log_affine(F)
+    assert not line.passed and line.witness["second_difference"] > 1e-9
 
 
 def test_scenario_parse_error_exit_code(tmp_path):

@@ -51,3 +51,17 @@ def test_oracle_agrees_with_power_solver():
         spb = spectral_bound(M).spb
         ev = eigenvalues_oracle(M)
         assert abs(spb - float(np.max(ev.real))) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10, 1e300, 2.0**-600])
+def test_oracle_is_scale_free(scale):
+    # M is normalised by an exact power of two, so the oracle of 2^k*M is 2^k times that of M
+    for seed in range(40):
+        A = random_ess_nonneg(2 + seed % 5, 1000 + seed)
+        ev = eigenvalues_oracle(scale * A)
+        gap = abs(spectral_bound(scale * A).spb - float(np.max(ev.real)))
+        assert gap <= 1e-14 * scale * np.max(np.abs(A)), (seed, gap)
+    ev = eigenvalues_oracle(A)
+    np.testing.assert_array_equal(eigenvalues_oracle(2.0**-600 * A), 2.0**-600 * ev)
+    np.testing.assert_array_equal(eigenvalues_oracle(2.0**600 * A), 2.0**600 * ev)

@@ -74,19 +74,21 @@ def test_semigroup_property(s, t, seed):
 
 
 def test_positivity_check_metzler_fixture():
-    out = positivity_of_semigroup_check(SYM, [0.1, 1.0, 5.0])
+    out = positivity_of_semigroup_check(SYM)
     assert out.passed
     assert out.margin >= 0.0
 
 
 def test_positivity_check_detects_sign_flip():
-    out = positivity_of_semigroup_check([[0.0, -1.0], [-1.0, 0.0]], [0.01, 0.1, 1.0])
+    out = positivity_of_semigroup_check([[0.0, -1.0], [-1.0, 0.0]])
     assert out.passed  # the equivalence holds: non-Metzler and non-positive semigroup
-    assert out.margin == -SEMIGROUP_POSITIVITY_TOL - out.witness["min_entry"]  # the non-Metzler margin
+    E = expm([[0.0, -1.0], [-1.0, 0.0]], out.witness["t"])
+    # the non-Metzler margin
+    assert out.margin == -SEMIGROUP_POSITIVITY_TOL * np.abs(E).max() - out.witness["min_entry"]
 
 
 def test_positivity_check_zero_matrix():
-    out = positivity_of_semigroup_check(np.zeros((3, 3)), [0.5, 1.0])
+    out = positivity_of_semigroup_check(np.zeros((3, 3)))
     assert out.passed
 
 
@@ -94,11 +96,11 @@ def test_positivity_equivalence_randomized_both_directions():
     for seed in range(30):
         n = 2 + seed % 5
         A = random_ess_nonneg(n, seed)
-        assert positivity_of_semigroup_check(A, [0.01, 0.1, 1.0, 5.0]).passed
+        assert positivity_of_semigroup_check(A).passed
         N = A.copy()
         N[0, 1] = -(1.5 + XorShift64Star(seed).uniform())
         assert not is_essentially_nonnegative(N)
-        assert positivity_of_semigroup_check(N, [0.01, 0.1, 1.0, 5.0]).passed
+        assert positivity_of_semigroup_check(N).passed
 
 
 def test_growth_bound_diagonal():
@@ -116,6 +118,16 @@ def test_growth_bound_zero_matrix():
 def test_growth_bound_overflowing_norm():
     with np.errstate(over="ignore"), pytest.raises(OverflowRisk):
         growth_bound_estimate(np.full((2, 2), 1e308))
+
+
+@pytest.mark.filterwarnings("error")
+def test_probe_times_lie_on_the_growth_ladder():
+    # ||tM||_inf = 0.5, 1 and 4 on the ladder t0*2^k, t0 = 0.5/||M||_inf, of growth_bound_estimate
+    assert semigroup.probe_times(SYM) == [0.25, 0.5, 2.0]
+    assert semigroup.probe_times(np.zeros((3, 3))) == [0.5, 1.0, 4.0]
+    for probe in (growth_bound_estimate, semigroup.probe_times):
+        with pytest.raises(OverflowRisk):
+            probe(np.full((2, 2), 1e308))
 
 
 def test_growth_bound_matches_spectral_bound_randomized():
