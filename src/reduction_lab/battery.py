@@ -30,6 +30,7 @@ from .gallery import (
 from .oracle import eigenvalues_oracle
 from .perron import spectral_bound
 from .rng import XorShift64Star
+from .semigroup import growth_bound_estimate
 
 ORACLE_TOL = 1e-8  # relative to the scale of A
 
@@ -71,7 +72,7 @@ def seed_battery(seed: int) -> list[CheckLine]:
     out.append(replace(positivity_of_semigroup_check(N), name="semigroup_counterexample"))
 
     G = random_ess_nonneg(5, 8000 + seed)
-    out.append(growth_bound_line(G, spectral_bound(G).spb))
+    out.append(growth_bound_line(G, growth_bound_estimate(G), spectral_bound(G).spb))
 
     out.append(strict_convexity_probe(fam, beta_grid))
     tag = f"s{seed:03d}"

@@ -17,6 +17,7 @@ FAMILY_KINDS maps each family kind to the `*_lines` builder of its `check`
 report and to the GridSpec of each grid it sweeps.
 """
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -38,7 +39,7 @@ from .gallery import KarlinFamily, KingmanFamily, LinearFamily, _require_diagona
 from .matrixio import format_value
 from .perron import EPS, SpectralData, grid_starts, is_essentially_nonnegative, is_irreducible
 from .perron import perron_vectors, resolvent, spectral_bound, square_matrix
-from .semigroup import expm, growth_bound_estimate, probe_times
+from .semigroup import PROBE_RUNGS, growth_slope, probes, propagators
 
 CHECK_TOL = 1e-9
 HOMOGENEITY_TOL = 1e-10
@@ -394,21 +395,21 @@ def is_resolvent_positive_at(M, xi: float) -> bool:
     return bool((R >= -RESOLVENT_POSITIVITY_TOL * scale_of(R)).all())
 
 
-def semigroup_positivity_outcome(M, resolvent_ok: bool) -> CheckLine:
-    """The `semigroup_positivity` line of positivity_of_semigroup_check on M, given whether
-    its resolvent at spb + scale_of(M) is positive (read only when M is Metzler).
+def semigroup_positivity_outcome(M, probes, resolvent_ok: bool) -> CheckLine:
+    """The `semigroup_positivity` line of positivity_of_semigroup_check on M, given its `probes`
+    (t, E = e^{tM}) and whether its resolvent at spb + scale_of(M) is positive (read only when M
+    is Metzler).
 
-    E = e^{tM} is probed at the probe_times of M, where ||tM||_inf is 0.5, 1 and 4, and each
-    probe's slack is min(E) + SEMIGROUP_POSITIVITY_TOL * scale_of(E); the witness is the
-    probe of the least slack. For a Metzler M the claim is e^{tM} >= 0: `le` on that slack,
-    and refuted outright (no kind) when the resolvent is not positive. For any other M it is
-    a negative entry: `strict` on minus that slack.
+    The probes are semigroup.probes of the propagator ladder of M, where ||tM||_inf is 0.5, 1
+    and 4, and each probe's slack is min(E) + SEMIGROUP_POSITIVITY_TOL * scale_of(E); the witness
+    is the probe of the least slack. For a Metzler M the claim is e^{tM} >= 0: `le` on that
+    slack, and refuted outright (no kind) when the resolvent is not positive. For any other M it
+    is a negative entry: `strict` on minus that slack.
     """
-    times = probe_times(M)
-    propagators = [expm(M, t) for t in times]
-    slack = [float(E.min()) + SEMIGROUP_POSITIVITY_TOL * scale_of(E) for E in propagators]
+    slack = [float(E.min()) + SEMIGROUP_POSITIVITY_TOL * scale_of(E) for _, E in probes]
     k = int(np.argmin(slack))
-    witness = {"t": times[k], "min_entry": float(propagators[k].min())}
+    t, E = probes[k]
+    witness = {"t": t, "min_entry": float(E.min())}
     if is_essentially_nonnegative(M):
         kinds = ("le",) if resolvent_ok else ()
         return judge("semigroup_positivity", slack[k], witness, 0.0, kinds)
@@ -416,19 +417,20 @@ def semigroup_positivity_outcome(M, resolvent_ok: bool) -> CheckLine:
 
 
 def positivity_of_semigroup_check(M) -> CheckLine:
-    """`semigroup_positivity`: e^{tM} >= 0 at the probe_times of M iff M is essentially nonnegative.
+    """`semigroup_positivity`: e^{tM} >= 0 at the probes of M's propagator ladder iff M is essentially
+    nonnegative; one expm and three squarings reach the probes.
 
     For Metzler inputs the resolvent at spb + scale_of(M) is additionally required to be
     entrywise nonnegative.
     """
     M = square_matrix(M)
     resolvent_ok = is_essentially_nonnegative(M) and is_resolvent_positive_at(M, spectral_bound(M).spb + scale_of(M))
-    return semigroup_positivity_outcome(M, resolvent_ok)
+    return semigroup_positivity_outcome(M, probes(propagators(M)), resolvent_ok)
 
 
-def growth_bound_line(M, spb: float) -> CheckLine:
-    """`growth_bound`: growth_bound_estimate(M) must match spb = spectral_bound(M).spb to GROWTH_TOL * scale_of(M)."""
-    omega = growth_bound_estimate(M)
+def growth_bound_line(M, omega: float, spb: float) -> CheckLine:
+    """`growth_bound`: the growth rate omega of M (growth_bound_estimate) must match spb = spectral_bound(M).spb
+    to GROWTH_TOL * scale_of(M)."""
     slack = GROWTH_TOL * scale_of(M) - abs(omega - spb)
     return judge("growth_bound", slack, {"omega": omega, "spb": spb}, 0.0, ("le",))
 
@@ -591,8 +593,9 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     A = F.matrix_at(1.0)
     n = A.shape[0]
     off = A[~np.eye(n, dtype=bool)]
-    # A + V is Metzler by construction (LinearFamily's A is, and V is diagonal): this line reports the margin
-    lines = [judge("essential_nonnegativity", np.min(off), {"n": n}, 0.0, ("le",))]
+    # A + V is Metzler by construction (LinearFamily's A is, and V is diagonal), so this line cannot
+    # fail: it is advisory and reports the least off-diagonal entry
+    lines = [replace(judge("essential_nonnegativity", np.min(off), {"n": n}, 0.0, ("le",)), advisory=True)]
     data = spectral_bound(A)
     scale = scale_of(A)
     if not A.sum(axis=1).any():
@@ -601,9 +604,13 @@ def operator_family_lines(F: LinearFamily, m_grid) -> list[CheckLine]:
     positive_at = {offset: is_resolvent_positive_at(A, data.spb + offset * scale) for offset in (0.1, 1.0, 10.0)}
     positive = all(positive_at.values())
     lines.append(judge("resolvent_positive", 1.0 if positive else -1.0, {"spb": data.spb}, 0.0, ("le",)))
+    # one propagator ladder serves both semigroup lines: its first rungs hold the probes, and the
+    # growth slope reads on from the first rung until it settles
+    ladder = propagators(A)
+    rungs = list(itertools.islice(ladder, PROBE_RUNGS[-1] + 1))
     # the semigroup line's resolvent probe at spb + scale is the one above
-    lines.append(semigroup_positivity_outcome(A, positive_at[1.0]))
-    lines.append(growth_bound_line(A, data.spb))
+    lines.append(semigroup_positivity_outcome(A, probes(rungs), positive_at[1.0]))
+    lines.append(growth_bound_line(A, growth_slope(A, itertools.chain(rungs, ladder)), data.spb))
     sweep = sweep_spb_in_m(F, m_grid)
     lines.append(check_monotone_reduction(sweep, spectral_bound(F.A)))
     return lines

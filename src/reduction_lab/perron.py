@@ -25,7 +25,10 @@ BATCH_STEPS = 8  # step cap of batched_starts; a start still wider is certified 
 # largest block whose grids take batched Noda starts: in BENCH_20.json they gain at least 10% up to
 # n = 20 on linear and Karlin grids, and linear grids gain nothing at n = 24 and lose at 32
 BATCH_MAX_N = 20
-_QUOTIENT_SAFE = 2.0**1000  # _noda's |M|x/x is at most |hi| + reach (up to n*eps), finite below this
+# _noda's |M|x/x is at most |hi| + reach (up to n*eps), finite below this; and a Noda iterate x of unit
+# sum whose least entry is at least n*max(1, max|M|) over this keeps every |Mx/x|, every ratio of its
+# entries and every entry of D^-1 M D, D = diag(x), below it, so that its step cannot overflow
+_QUOTIENT_SAFE = 2.0**1000
 # bound once: the solves below run on matrices of a few rows, where the lookups
 # and the Python wrappers behind ndarray.min/max cost more than the arithmetic
 _min = np.minimum.reduce
@@ -45,14 +48,24 @@ def _lapack():
     return lapack
 
 
-def square_matrix(entries) -> np.ndarray:
-    """Validate and return a dense square float64 matrix with finite entries."""
+def _scaled_matrix(entries) -> tuple[np.ndarray, float]:
+    """(M, max|M|) of a dense square float64 matrix M with finite entries; ValueError otherwise.
+
+    The largest |entry| is NaN or inf exactly when some entry is, so it tests finiteness at the cost
+    of np.isfinite, and _noda's `spread` reads it.
+    """
     M = np.asarray(entries, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    scale = float(_max(np.abs(M), axis=None))
+    if not scale < math.inf:
         raise ValueError("matrix entries must be finite")
-    return M
+    return M, scale
+
+
+def square_matrix(entries) -> np.ndarray:
+    """Validate and return a dense square float64 matrix with finite entries."""
+    return _scaled_matrix(entries)[0]
 
 
 @dataclass
@@ -141,9 +154,18 @@ def is_irreducible(M) -> bool:
     return _off_diagonal_signs(M)[1] or len(_block_indices(M, False)) == 1
 
 
-def _usable_start(x, n: int) -> bool:
-    """True iff x is a strictly positive, finite vector of length n."""
-    return x is not None and x.shape == (n,) and _min(x) > 0.0 and math.isfinite(float(_sum(x)))
+def _unit_vector(x, n: int):
+    """x/sum(x) where x is a vector of length n with a finite sum and x/sum(x) is strictly positive, else None.
+
+    The test follows the division, so an entry that underflows to 0 there fails it.
+    """
+    if x is None or x.shape != (n,):
+        return None
+    total = float(_sum(x))
+    if not (total > 0.0 and math.isfinite(total)):
+        return None
+    x = x / total
+    return x if _min(x) > 0.0 else None
 
 
 @functools.lru_cache(maxsize=64)
@@ -177,11 +199,11 @@ def _scaled_solve(neg_MT, x, shift, slack, rhs, trans=False):
     return None
 
 
-def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
+def _noda(M, neg_MT, abs_M, floor, reach, spread, start=None, below=-math.inf):
     """Noda inverse iteration for the Perron root of an irreducible Metzler M.
 
-    Starting from `start`, a strictly positive, finite vector of length n, or
-    from the constant vector if it is None, each step takes the
+    Starting from `start`, a strictly positive vector of length n and unit sum
+    (_unit_vector), or from the constant vector if it is None, each step takes the
     Collatz-Wielandt quotients q = (Mx)/x, whose extremes bracket spb(M) for
     any positive x, and replaces x by |solve(max(q)*I - M, x)| normalized to
     unit sum (_scaled_solve). In exact arithmetic the upper end decreases
@@ -192,19 +214,29 @@ def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
     floor*max(|M|x/x), at a shift still singular after _scaled_solve's move,
     or when a step narrows neither the upper end nor the bracket; the
     narrowest bracket seen is returned as (x, lo, hi, steps), steps counting
-    the solves made. As soon as the upper end falls below `below`, the current
-    bracket is returned instead. neg_MT is -M^T and abs_M is |M|; reach is
-    2*max(0, -min_i M_ii), the same for M and M^T.
+    the solves made; a step whose normalized iterate is not strictly positive
+    (an entry underflowed) ends the loop too. As soon as the upper end falls
+    below `below`, the current bracket is returned instead. neg_MT is -M^T and
+    abs_M is |M|; reach is 2*max(0, -min_i M_ii), the same for M and M^T.
+    An iterate whose least entry is below `spread` is wide (see _QUOTIENT_SAFE):
+    it computes q and its solve with overflow ignored, an infinite quotient
+    ends the loop through the bracket tests, and a solve that is not finite
+    fails the test of the next iterate.
     """
     n = M.shape[0]
     ones = _ones(n)
-    x = np.full(n, 1.0 / n) if start is None else start / _sum(start)
+    x = np.full(n, 1.0 / n) if start is None else start
+    wide = (1.0 / n if start is None else float(_min(start))) < spread
     best = None  # (width, x, lo, hi) of the narrowest bracket so far
     prev_hi = np.inf
     steps = 0
     while True:
         q = M @ x
-        q /= x
+        if wide:
+            with np.errstate(over="ignore"):
+                q /= x
+        else:
+            q /= x
         lo, hi = float(_min(q)), float(_max(q))
         if hi < below:
             return x, lo, hi, steps
@@ -222,16 +254,24 @@ def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
                 q = abs_M @ x / x
             if hi - lo <= floor * float(_max(q)):
                 break
-        z = _scaled_solve(neg_MT, x, hi, slack, ones)
+        if wide:
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = _scaled_solve(neg_MT, x, hi, slack, ones)
+        else:
+            z = _scaled_solve(neg_MT, x, hi, slack, ones)
         if z is None:
             break
         np.abs(z, out=z)
         z *= x  # y = x*z
         total = float(_sum(z))
-        if not (_min(z) > 0.0 and math.isfinite(total)):
-            break  # no positive iterate to continue from
+        if not (total > 0.0 and math.isfinite(total)):
+            break
         z /= total
+        least = float(_min(z))
+        if not least > 0.0:
+            break  # no positive iterate to continue from: an entry underflowed
         x = z
+        wide = least < spread
         prev_hi = hi
         steps += 1
     return (*best[1:], steps)
@@ -324,31 +364,33 @@ def _too_wide(abs_M, lo, hi) -> bool:
     return not width <= 0.5 * WIDTH_TOL * (abs(hi) - width) and width > WIDTH_TOL * float(_max(abs_M.sum(axis=1)))
 
 
-def _operands(M) -> tuple:
-    """(-M, |M|, floor, reach): _noda's operands for v ((-M).T, |M|) and for u on M^T (-M, |M|.T)."""
-    return -M, np.abs(M), 4.0 * M.shape[0] * EPS, 2.0 * max(0.0, -float(_min(M.diagonal())))
+def _operands(M, scale) -> tuple:
+    """(-M, |M|, floor, reach, spread): _noda's operands for v ((-M).T, |M|) and for u on M^T (-M, |M|.T),
+    where scale is at least max|M| (that of the whole matrix, for a diagonal block)."""
+    n = M.shape[0]
+    spread = n * max(1.0, scale) / _QUOTIENT_SAFE
+    return -M, np.abs(M), 4.0 * n * EPS, 2.0 * max(0.0, -float(_min(M.diagonal()))), spread
 
 
-def _v_pass(M, start: SpectralData | None = None, below: float = -math.inf, operands=None) -> tuple:
+def _v_pass(M, start: SpectralData | None, below: float, operands) -> tuple:
     """(spb, v, iterations, spb_lo, spb_hi) of the certified v pass of an irreducible M from `start`'s v.
 
-    A start whose v is not usable (see _usable_start) is ignored as a whole; a started solve left
+    A start whose v is not usable (see _unit_vector) is ignored as a whole; a started solve left
     wider than WIDTH_TOL*||M||_inf is solved again cold. spb is the bracket's midpoint, or the upper
     end once it falls below `below`, where the solve stops and keeps its last iterate as v. operands
-    are _operands(M), derived here if not given.
+    are _operands of M.
     """
     n = M.shape[0]
     if n == 1:
         spb = float(M[0, 0])
         return spb, np.array([1.0]), 0, spb, spb
-    neg, abs_M, floor, reach = operands = operands or _operands(M)
-    if start is not None and not _usable_start(start.v, n):
-        start = None
-    v, lo, hi, steps = _noda(M, neg.T, abs_M, floor, reach, None if start is None else start.v, below)
+    neg, abs_M, floor, reach, spread = operands
+    x0 = None if start is None else _unit_vector(start.v, n)
+    v, lo, hi, steps = _noda(M, neg.T, abs_M, floor, reach, spread, x0, below)
     if hi < below:
         return hi, v, steps, lo, hi
     if _too_wide(abs_M, lo, hi):
-        if start is not None:
+        if x0 is not None:
             spb, v, cold_steps, lo, hi = _v_pass(M, None, below, operands)
             return spb, v, cold_steps + steps, lo, hi
         raise NoConvergence(
@@ -360,30 +402,31 @@ def _v_pass(M, start: SpectralData | None = None, below: float = -math.inf, oper
     return lo + 0.5 * (hi - lo), v, steps, lo, hi  # 0.5*(lo + hi) can overflow
 
 
-def _solve_irreducible(M, start: SpectralData | None = None) -> SpectralData:
-    """Certified Perron pair of an irreducible M: the v pass from `start`, then the left-vector step.
+def _solve_irreducible(M, scale: float, start: SpectralData | None = None) -> SpectralData:
+    """Certified Perron pair of an irreducible M, max|M| = scale: the v pass from `start`, then the
+    left-vector step.
 
     u starts from one transposed scaled solve at the certified shift hi and is certified by its own Noda
     run; spb is the clamped Rayleigh quotient. iterations counts every shifted solve, that one included.
     """
-    operands = neg, abs_M, floor, reach = _operands(M)
-    _, v, steps, lo, hi = _v_pass(M, start, operands=operands)
+    operands = neg, abs_M, floor, reach, spread = _operands(M, scale)
+    _, v, steps, lo, hi = _v_pass(M, start, -math.inf, operands)
     if M.shape[0] == 1 or (M[0, 1] == M[1, 0] and (M == M.T).all()):
         u = v
     else:
         # S^T w = v with S = hi*I - D^-1 M D, D = diag(v), means (hi*I - M^T)(w/v) = 1:
         # one inverse-iteration step for u at the certified shift
         u_start = None
-        w = _scaled_solve(neg.T, v, hi, 2.0 * floor * (abs(hi) + reach), v, trans=True)
-        if w is not None:
-            steps += 1
-            # near the underflow range w/v can overflow: such a start is not usable and u starts cold
-            with np.errstate(over="ignore"):
+        # near the underflow range the scaled system or w/v can overflow: such a start is not
+        # usable, and u starts cold
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _scaled_solve(neg.T, v, hi, 2.0 * floor * (abs(hi) + reach), v, trans=True)
+            if w is not None:
+                steps += 1
                 u_start = np.abs(w, out=w)
                 u_start /= v
-                if not _usable_start(u_start, M.shape[0]):
-                    u_start = None
-        u, _, _, steps_u = _noda(M.T, neg, abs_M.T, floor, reach, u_start)
+                u_start = _unit_vector(u_start, M.shape[0])
+        u, _, _, steps_u = _noda(M.T, neg, abs_M.T, floor, reach, spread, u_start)
         steps += steps_u
     # two-sided Rayleigh quotient: error is quadratic in the vector errors
     uv = float(u @ v)
@@ -391,13 +434,14 @@ def _solve_irreducible(M, start: SpectralData | None = None) -> SpectralData:
     return SpectralData(spb, u / uv, v, steps, lo, hi)
 
 
-def _metzler_blocks(M) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(square_matrix(M), its _block_indices): the set-up of a solve, NotEssentiallyNonnegative if not Metzler."""
-    M = square_matrix(M)
+def _metzler_blocks(M) -> tuple[np.ndarray, tuple[np.ndarray, ...], float]:
+    """(square_matrix(M), its _block_indices, max|M|): the set-up of a solve, NotEssentiallyNonnegative
+    if not Metzler."""
+    M, scale = _scaled_matrix(M)
     nonnegative, dense = _off_diagonal_signs(M)
     if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    return M, _block_indices(M, dense)
+    return M, _block_indices(M, dense), scale
 
 
 def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
@@ -418,10 +462,10 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     unchanged, and keeps that upper end as spb and its last iterate as v for
     the next start.
     """
-    M, indices = _metzler_blocks(M)
+    M, indices, scale = _metzler_blocks(M)
     count = len(indices)
     if count == 1:
-        return _solve_irreducible(M, start)
+        return _solve_irreducible(M, scale, start)
     submatrices = [M[idx[:, None], idx] for idx in indices]
     # the likely dominant block goes first, so that the others can stop early
     if start is not None and start.blocks is not None and len(start.blocks) == count:
@@ -434,7 +478,7 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     blocks = [None] * count
     below = -math.inf
     for c in order:
-        spb, v, steps, lo, hi = _v_pass(submatrices[c], starts[c], below)
+        spb, v, steps, lo, hi = _v_pass(submatrices[c], starts[c], below, _operands(submatrices[c], scale))
         blocks[c] = SpectralData(spb, None, v, steps, lo, hi)
         below = max(below, lo)
     # the maxima run in the order of solving, so a tie of 0.0 and -0.0 keeps the first sign
@@ -445,10 +489,10 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
 
 def perron_vectors(M):
     """Left and right Perron vectors (u, v) with u @ v = 1 and sum(v) = 1."""
-    M, indices = _metzler_blocks(M)
+    M, indices, scale = _metzler_blocks(M)
     if len(indices) > 1:
         raise NotIrreducible("Perron vectors require an irreducible matrix")
-    data = _solve_irreducible(M)
+    data = _solve_irreducible(M, scale)
     return data.u, data.v
 
 

@@ -25,6 +25,7 @@ from reduction_lab import (
     lindqvist_check,
     perron_derivative,
     positivity_of_semigroup_check,
+    semigroup,
     spectral_bound,
     strict_convexity_probe,
     sweep_spb_in_beta,
@@ -279,9 +280,13 @@ def test_judge_dichotomy_margin_and_witness():
     assert judge("name", 0.25, {"a": 1.0}, 0.0, ("le",)).witness == {"a": 1.0}
 
 
+def _ladder_probes(M):
+    return semigroup.probes(semigroup.propagators(M))
+
+
 def test_semigroup_positivity_fails_a_metzler_matrix_whose_resolvent_is_not_positive():
-    ok = semigroup_positivity_outcome(A_SYM, True)
-    refuted = semigroup_positivity_outcome(A_SYM, False)
+    ok = semigroup_positivity_outcome(A_SYM, _ladder_probes(A_SYM), True)
+    refuted = semigroup_positivity_outcome(A_SYM, _ladder_probes(A_SYM), False)
     assert ok.passed and not refuted.passed
     assert (refuted.margin, refuted.witness) == (ok.margin, ok.witness)
 
@@ -293,11 +298,12 @@ def test_semigroup_positivity_judges_a_non_metzler_matrix_strict():
     propagators = [scipy.linalg.expm(t * N) for t in (0.25, 0.5, 2.0)]
     slack = min(float(E.min()) + SEMIGROUP_POSITIVITY_TOL * float(np.abs(E).max()) for E in propagators)
     for resolvent_ok in (True, False):
-        line = semigroup_positivity_outcome(N, resolvent_ok)
+        line = semigroup_positivity_outcome(N, _ladder_probes(N), resolvent_ok)
         assert line.passed and line.margin == pytest.approx(-slack, abs=1e-15)
     # e^{tM} = [[1, -1e-12 (e^t - 1)], [0, e^t]]: a negative entry within the tolerance times
     # the largest entry, which the Metzler claim would pass
-    assert not semigroup_positivity_outcome(np.array([[0.0, -1e-12], [0.0, 1.0]]), True).passed
+    M = np.array([[0.0, -1e-12], [0.0, 1.0]])
+    assert not semigroup_positivity_outcome(M, _ladder_probes(M), True).passed
 
 
 def _pair_slacks(S, spb_A):
@@ -738,6 +744,18 @@ def test_operator_lines_solve_spb_and_each_resolvent_once(monkeypatch):
     # spb(A + V), the sweep's points and spb(A); the resolvent at spb + 0.1, 1 and 10 times the scale
     assert counts == {"spectral_bound": 2 + len(grid), "resolvent": 3}
     assert lines["semigroup_positivity"] == expected
+
+
+def test_operator_essential_nonnegativity_is_advisory():
+    # a LinearFamily refuses a non-Metzler A + V, so the line cannot fail: it reports the least
+    # off-diagonal entry as evidence, and the line's text carries no advisory flag
+    from reduction_lab import checks
+
+    A = np.array([[-2.0, 0.5, 0.0], [1.0, -1.0, 0.25], [0.0, 3.0, -4.0]])
+    lines = checks.operator_family_lines(LinearFamily(A, np.diag([1.0, 0.0, -1.0])), np.linspace(0.5, 2.0, 4))
+    (line,) = [line for line in lines if line.name == "essential_nonnegativity"]
+    assert line.advisory and line.passed
+    assert line.format() == "essential_nonnegativity,pass,0,n=3"
 
 
 def _recorded_sweeps(monkeypatch):

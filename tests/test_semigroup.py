@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +17,17 @@ from reduction_lab import (
     semigroup,
     spectral_bound,
 )
-from reduction_lab.checks import SEMIGROUP_POSITIVITY_TOL
+from reduction_lab.checks import FAMILY_KINDS, SEMIGROUP_POSITIVITY_TOL
 from reduction_lab.gallery import random_diagonal, random_ess_nonneg
 from reduction_lab.rng import XorShift64Star
 from reduction_lab.scenario import parse_scenario
+from test_golden import GOLDEN
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+
+def _ladder_probes(M):
+    return semigroup.probes(semigroup.propagators(M))
 
 
 def test_expm_nilpotent():
@@ -123,9 +129,9 @@ def test_growth_bound_overflowing_norm():
 @pytest.mark.filterwarnings("error")
 def test_probe_times_lie_on_the_growth_ladder():
     # ||tM||_inf = 0.5, 1 and 4 on the ladder t0*2^k, t0 = 0.5/||M||_inf, of growth_bound_estimate
-    assert semigroup.probe_times(SYM) == [0.25, 0.5, 2.0]
-    assert semigroup.probe_times(np.zeros((3, 3))) == [0.5, 1.0, 4.0]
-    for probe in (growth_bound_estimate, semigroup.probe_times):
+    assert [t for t, _ in _ladder_probes(SYM)] == [0.25, 0.5, 2.0]
+    assert [t for t, _ in _ladder_probes(np.zeros((3, 3)))] == [0.5, 1.0, 4.0]
+    for probe in (growth_bound_estimate, _ladder_probes):
         with pytest.raises(OverflowRisk):
             probe(np.full((2, 2), 1e308))
 
@@ -180,3 +186,56 @@ def test_reduction_transfers_to_growth_bound():
     fam = LinearFamily(A, V)
     omegas = [growth_bound_estimate(fam.matrix_at(float(m))) for m in np.linspace(0.5, 3.0, 6)]
     assert (np.diff(omegas) < 0.0).all()
+
+
+GOLDEN_OPERATORS = ["laplacian", "elliptic_drift", "nonlocal"]
+
+
+def _counted_expm(monkeypatch):
+    times = []
+    direct = semigroup.expm
+
+    def counted(M, t):
+        times.append(t)
+        return direct(M, t)
+
+    monkeypatch.setattr(semigroup, "expm", counted)
+    return times
+
+
+@pytest.mark.parametrize("name", GOLDEN_OPERATORS)
+def test_operator_check_reads_both_semigroup_lines_off_one_expm(monkeypatch, name):
+    sc = parse_scenario(str(GOLDEN / f"{name}.ini"))
+    builder, grids = FAMILY_KINDS[sc.family_kind]
+    times = _counted_expm(monkeypatch)
+    lines = {line.name: line for line in builder(sc.family, *map(sc.grid_for, grids))}
+    assert len(times) == 1
+    # the growth slope read on from the probes' rungs is the estimate's, bit for bit
+    assert lines["growth_bound"].witness["omega"] == growth_bound_estimate(sc.family.matrix_at(1.0))
+
+
+def test_positivity_check_makes_one_expm(monkeypatch):
+    times = _counted_expm(monkeypatch)
+    for M in (SYM, [[0.0, -1.0], [-1.0, 0.0]], np.zeros((3, 3)), random_ess_nonneg(6, 1)):
+        times.clear()
+        positivity_of_semigroup_check(M)
+        assert len(times) == 1
+
+
+def _probed_matrices():
+    for name in GOLDEN_OPERATORS:
+        yield parse_scenario(str(GOLDEN / f"{name}.ini")).family.matrix_at(1.0)
+    for n in range(2, 33):
+        A = random_ess_nonneg(n, 900 + n)
+        N = A.copy()
+        N[0, 1] = -(1.5 + XorShift64Star(n).uniform()) * np.max(np.abs(A))
+        yield A
+        yield N
+
+
+def test_ladder_probes_match_direct_expm():
+    # the squared rungs differ from scipy's expm at the same time by rounding alone
+    for M in _probed_matrices():
+        for t, E in _ladder_probes(M):
+            direct = scipy.linalg.expm(t * M)
+            assert np.max(np.abs(E - direct)) <= 1e-12 * np.max(np.abs(direct)), (M.shape, t)
