@@ -22,9 +22,9 @@ EPS = np.finfo(float).eps
 # raises NoConvergence.
 WIDTH_TOL = 1e-11
 BATCH_STEPS = 8  # step cap of batched_starts; a start still wider is certified from where it stands
-# largest block whose grids take batched Noda starts: in BENCH_20.json they gain at least 10% up to
-# n = 20 on linear and Karlin grids, and linear grids gain nothing at n = 24 and lose at 32
-BATCH_MAX_N = 20
+# largest block whose grids take batched Noda starts: in BENCH_38.json the benchmark's linear and
+# Karlin grids gain at least 10% up to n = 24, and its linear grid loses at n = 32
+BATCH_MAX_N = 24
 # _noda's |M|x/x is at most |hi| + reach (up to n*eps), finite below this; and a Noda iterate x of unit
 # sum whose least entry is at least n*max(1, max|M|) over this keeps every |Mx/x|, every ratio of its
 # entries and every entry of D^-1 M D, D = diag(x), below it, so that its step cannot overflow
@@ -48,8 +48,8 @@ def _lapack():
     return lapack
 
 
-def _scaled_matrix(entries) -> tuple[np.ndarray, float]:
-    """(M, max|M|) of a dense square float64 matrix M with finite entries; ValueError otherwise.
+def _scaled_matrix(entries) -> tuple[np.ndarray, np.ndarray, float]:
+    """(M, |M|, max|M|) of a dense square float64 matrix M with finite entries; ValueError otherwise.
 
     The largest |entry| is NaN or inf exactly when some entry is, so it tests finiteness at the cost
     of np.isfinite, and _noda's `spread` reads it.
@@ -57,10 +57,11 @@ def _scaled_matrix(entries) -> tuple[np.ndarray, float]:
     M = np.asarray(entries, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale = float(_max(np.abs(M), axis=None))
+    abs_M = np.abs(M)
+    scale = float(_max(abs_M, axis=None))
     if not scale < math.inf:
         raise ValueError("matrix entries must be finite")
-    return M, scale
+    return M, abs_M, scale
 
 
 def square_matrix(entries) -> np.ndarray:
@@ -188,12 +189,17 @@ def _scaled_solve(neg_MT, x, shift, slack, rhs, trans=False):
     n = x.shape[0]
     dgesv = _lapack().dgesv
     for s in (shift, shift + slack):
-        # St is S^T in C order, so St.T is S in the Fortran order that dgesv
-        # factors without a copy; S^T costs dgesv one copy to Fortran order
-        St = x[:, None] / x
-        St *= neg_MT
-        St.reshape(-1)[:: n + 1] += s
-        z, info = dgesv(St if trans else St.T, rhs, overwrite_a=True)[2:]
+        # A is the transpose of the system in C order, so A.T is the system in the Fortran order
+        # that dgesv factors without a copy: A = S^T for S, and A = S for S^T; either way the
+        # entry S_ij is the product (x_j/x_i)*(-M_ij)
+        if trans:
+            A = x / x[:, None]
+            A *= neg_MT.T
+        else:
+            A = x[:, None] / x
+            A *= neg_MT
+        A.reshape(-1)[:: n + 1] += s
+        z, info = dgesv(A.T, rhs, overwrite_a=True)[2:]
         if info == 0:
             return z
     return None
@@ -222,6 +228,14 @@ def _noda(M, neg_MT, abs_M, floor, reach, spread, start=None, below=-math.inf):
     it computes q and its solve with overflow ignored, an infinite quotient
     ends the loop through the bracket tests, and a solve that is not finite
     fails the test of the next iterate.
+
+    The floor test first tries max|q| = max(-lo, hi) in place of max(|M|x/x), and
+    computes |M|x/x only when that fails. (|M|x)_i >= |(Mx)_i| holds for the
+    computed products too: both take the same products in the same summation
+    order (M and abs_M share their layout), |fl(a + b)| = fl(|a + b|) <=
+    fl(|a| + |b|) since rounding is monotone and odd, and so is the division
+    by x_i > 0. So the computed max(|M|x/x) is at least max(-lo, hi), a pass of
+    the first test is a pass of the second, and no decision or iterate changes.
     """
     n = M.shape[0]
     ones = _ones(n)
@@ -249,6 +263,9 @@ def _noda(M, neg_MT, abs_M, floor, reach, spread, start=None, below=-math.inf):
         # bound, the floor test cannot pass and |M|x/x is not computed.
         slack = 2.0 * floor * (abs(hi) + reach)
         if hi - lo <= slack:
+            # max(-lo, hi) = max|q| is at most max(|M|x/x) as computed (see the docstring)
+            if hi - lo <= floor * max(-lo, hi):
+                break
             # near the top of the range an infinite quotient passes the floor test
             with np.errstate(over="ignore") if abs(hi) + reach >= _QUOTIENT_SAFE else contextlib.nullcontext():
                 q = abs_M @ x / x
@@ -297,6 +314,7 @@ def batched_starts(S) -> list["SpectralData | None"]:
     floor = 4.0 * n * EPS
     eye = np.eye(n)
     x = np.full((k, n, 1), 1.0 / n)
+    abs_S = np.abs(S)
     with np.errstate(all="ignore"):
         reach = 2.0 * np.maximum(0.0, -_min(np.diagonal(S, axis1=1, axis2=2), axis=1))
         for step in range(BATCH_STEPS + 1):
@@ -306,9 +324,12 @@ def batched_starts(S) -> list["SpectralData | None"]:
                 break
             width = hi - lo
             slack = 2.0 * floor * (np.abs(hi) + reach)
-            # as in _noda, |S|x/x only once the floor test can pass at every point
+            # as in _noda, |S|x/x only once the floor test can pass at every point, and only
+            # where max|q| = max(-lo, hi), which is at most it, does not pass the test already
             if not (width > slack).any():
-                if not (width > floor * _max((np.abs(S) @ x)[..., 0] / x[..., 0], axis=1)).any():
+                if not (width > floor * np.maximum(-lo, hi)).any():
+                    break
+                if not (width > floor * _max((abs_S @ x)[..., 0] / x[..., 0], axis=1)).any():
                     break
             shifted = (hi + slack)[:, None, None] * eye
             shifted -= S
@@ -364,12 +385,12 @@ def _too_wide(abs_M, lo, hi) -> bool:
     return not width <= 0.5 * WIDTH_TOL * (abs(hi) - width) and width > WIDTH_TOL * float(_max(abs_M.sum(axis=1)))
 
 
-def _operands(M, scale) -> tuple:
+def _operands(M, abs_M, scale) -> tuple:
     """(-M, |M|, floor, reach, spread): _noda's operands for v ((-M).T, |M|) and for u on M^T (-M, |M|.T),
-    where scale is at least max|M| (that of the whole matrix, for a diagonal block)."""
+    given abs_M = |M|, where scale is at least max|M| (that of the whole matrix, for a diagonal block)."""
     n = M.shape[0]
     spread = n * max(1.0, scale) / _QUOTIENT_SAFE
-    return -M, np.abs(M), 4.0 * n * EPS, 2.0 * max(0.0, -float(_min(M.diagonal()))), spread
+    return -M, abs_M, 4.0 * n * EPS, 2.0 * max(0.0, -float(_min(M.diagonal()))), spread
 
 
 def _v_pass(M, start: SpectralData | None, below: float, operands) -> tuple:
@@ -402,14 +423,14 @@ def _v_pass(M, start: SpectralData | None, below: float, operands) -> tuple:
     return lo + 0.5 * (hi - lo), v, steps, lo, hi  # 0.5*(lo + hi) can overflow
 
 
-def _solve_irreducible(M, scale: float, start: SpectralData | None = None) -> SpectralData:
-    """Certified Perron pair of an irreducible M, max|M| = scale: the v pass from `start`, then the
-    left-vector step.
+def _solve_irreducible(M, abs_M, scale: float, start: SpectralData | None = None) -> SpectralData:
+    """Certified Perron pair of an irreducible M, abs_M = |M| and max|M| = scale: the v pass from
+    `start`, then the left-vector step.
 
     u starts from one transposed scaled solve at the certified shift hi and is certified by its own Noda
     run; spb is the clamped Rayleigh quotient. iterations counts every shifted solve, that one included.
     """
-    operands = neg, abs_M, floor, reach, spread = _operands(M, scale)
+    operands = neg, abs_M, floor, reach, spread = _operands(M, abs_M, scale)
     _, v, steps, lo, hi = _v_pass(M, start, -math.inf, operands)
     if M.shape[0] == 1 or (M[0, 1] == M[1, 0] and (M == M.T).all()):
         u = v
@@ -434,14 +455,14 @@ def _solve_irreducible(M, scale: float, start: SpectralData | None = None) -> Sp
     return SpectralData(spb, u / uv, v, steps, lo, hi)
 
 
-def _metzler_blocks(M) -> tuple[np.ndarray, tuple[np.ndarray, ...], float]:
-    """(square_matrix(M), its _block_indices, max|M|): the set-up of a solve, NotEssentiallyNonnegative
-    if not Metzler."""
-    M, scale = _scaled_matrix(M)
+def _metzler_blocks(M) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray, float]:
+    """(square_matrix(M), its _block_indices, |M|, max|M|): the set-up of a solve,
+    NotEssentiallyNonnegative if not Metzler."""
+    M, abs_M, scale = _scaled_matrix(M)
     nonnegative, dense = _off_diagonal_signs(M)
     if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    return M, _block_indices(M, dense), scale
+    return M, _block_indices(M, dense), abs_M, scale
 
 
 def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
@@ -462,10 +483,10 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     unchanged, and keeps that upper end as spb and its last iterate as v for
     the next start.
     """
-    M, indices, scale = _metzler_blocks(M)
+    M, indices, abs_M, scale = _metzler_blocks(M)
     count = len(indices)
     if count == 1:
-        return _solve_irreducible(M, scale, start)
+        return _solve_irreducible(M, abs_M, scale, start)
     submatrices = [M[idx[:, None], idx] for idx in indices]
     # the likely dominant block goes first, so that the others can stop early
     if start is not None and start.blocks is not None and len(start.blocks) == count:
@@ -478,7 +499,8 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     blocks = [None] * count
     below = -math.inf
     for c in order:
-        spb, v, steps, lo, hi = _v_pass(submatrices[c], starts[c], below, _operands(submatrices[c], scale))
+        B = submatrices[c]
+        spb, v, steps, lo, hi = _v_pass(B, starts[c], below, _operands(B, np.abs(B), scale))
         blocks[c] = SpectralData(spb, None, v, steps, lo, hi)
         below = max(below, lo)
     # the maxima run in the order of solving, so a tie of 0.0 and -0.0 keeps the first sign
@@ -489,10 +511,10 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
 
 def perron_vectors(M):
     """Left and right Perron vectors (u, v) with u @ v = 1 and sum(v) = 1."""
-    M, indices, scale = _metzler_blocks(M)
+    M, indices, abs_M, scale = _metzler_blocks(M)
     if len(indices) > 1:
         raise NotIrreducible("Perron vectors require an irreducible matrix")
-    data = _solve_irreducible(M, scale)
+    data = _solve_irreducible(M, abs_M, scale)
     return data.u, data.v
 
 

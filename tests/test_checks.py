@@ -563,7 +563,12 @@ def _counted_threshold(monkeypatch, fam, m_lo, m_hi):
 
 
 def _lapack_spb(M):
-    return float(np.max(np.linalg.eigvals(M).real))
+    """LAPACK's spb of M: numpy.linalg.eigvals of M/2^e, scaled back by 2^e, e the frexp exponent of max|M|.
+
+    The scaling is exact, and keeps geev clear of both ends of the double range.
+    """
+    e = int(np.frexp(np.max(np.abs(M)))[1])
+    return float(np.ldexp(np.max(np.linalg.eigvals(np.ldexp(M, -e)).real), e))
 
 
 def _lapack_root_residual(fam, m_star):

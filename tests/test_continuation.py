@@ -430,9 +430,11 @@ def _assert_identical_with_blocks(a, b):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_reducible_grid_batches_per_block(monkeypatch, seed):
-    # blocks of 12, 9, 5 and 1 rows: two above 8, two below, n = 27 above BATCH_MAX_N
+    # blocks of cap/2 + 2, 5, cap/2 - 1 and 1 rows at cap = BATCH_MAX_N (12, 5, 9 and 1 at 20):
+    # each at most the cap, n = cap + 7 above it
     rng = np.random.default_rng(300 + seed)
-    sizes = [12, 5, 9, 1]
+    cap = perron.BATCH_MAX_N
+    sizes = [cap // 2 + 2, 5, cap // 2 - 1, 1]
     assert sum(sizes) > perron.BATCH_MAX_N >= max(sizes)
     F = _block_triangular(rng, sizes)
     grid = np.linspace(-1.0, 1.0, 21)

@@ -246,7 +246,13 @@ def test_no_convergence_reports_residual():
 
 
 def _lapack_spb(M):
-    return float(np.max(scipy.linalg.eigvals(M).real))
+    """LAPACK's spb of M: numpy.linalg.eigvals of M/2^e, scaled back by 2^e, e the frexp exponent of max|M|.
+
+    The scaling is exact. Unscaled, scipy.linalg.eigvals gives 6.7e-139 for diag(0, t) at any t below
+    about 1e-139, and geev does not converge on some wide-range members that it solves once scaled.
+    """
+    e = int(np.frexp(np.max(np.abs(M)))[1])
+    return float(np.ldexp(np.max(np.linalg.eigvals(np.ldexp(M, -e)).real), e))
 
 
 def _scc_blocks(M):
@@ -297,6 +303,37 @@ def test_left_vector_start_near_the_underflow_range_is_silent(n, seed):
 
 
 @pytest.mark.filterwarnings("error")
+def test_left_vector_start_overflows_where_neither_v_nor_the_scale_is_extreme():
+    # |w|/v of the transposed solve overflows on this 2x2 although max|M| = 1.1e-117 lies far above
+    # the underflow range and min(v) = 1.1e-103 far above _noda's `spread`: w grows as the inverse
+    # of the smallest pivot of a nearly singular system, which neither bounds, so the left-vector
+    # step keeps its np.errstate on every call
+    M = np.array([[-2.5575423411936634e-255, 1.0708686465895889e-117], [8.5414068853034703e-320, -7.6664355109349182e-217]])
+    data = spectral_bound(M)
+    neg, abs_M, floor, reach, spread = perron._operands(M, np.abs(M), float(np.max(np.abs(M))))
+    assert data.v.min() > 1e100 * spread and abs_M.max() > 2.0**-400
+    w = perron._scaled_solve(neg.T, data.v, data.spb_hi, 2.0 * floor * (abs(data.spb_hi) + reach), data.v, trans=True)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        np.abs(w) / data.v
+    assert abs(data.spb - _lapack_spb(M)) <= 1e-13 * _norm(M)
+    assert data.u is not None and np.isfinite(data.u).all() and (data.u > 0.0).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-1000, -902, -898, -800])
+@pytest.mark.parametrize("seed", range(3))
+def test_draws_scaled_near_the_underflow_range_solve_or_raise_without_warning(k, seed):
+    # 2^k times a draw, on both sides of 2^-900, below which max|M| is near the underflow range
+    M = 2.0**k * random_ess_nonneg(5, seed)
+    try:
+        data = spectral_bound(M)
+    except ReductionLabError:
+        return
+    assert abs(data.spb - _lapack_spb(M)) <= 1e-13 * _norm(M)
+    assert data.u is not None and (data.u > 0.0).all()
+
+
+@pytest.mark.filterwarnings("error")
 def test_wide_range_kingman_members_solve_or_raise_without_warning():
     # entries c*e^{g*theta} with |g| up to 600 span some 500 decades: a ratio of iterate entries
     # overflows, and a normalised iterate underflows, unless each such step is tested; these
@@ -315,10 +352,7 @@ def test_wide_range_kingman_members_solve_or_raise_without_warning():
             except ReductionLabError:
                 continue
             returned += 1
-            # LAPACK's geev may not converge on M itself, and does on M/2^e, whose spectrum is exact
-            e = np.frexp(np.max(np.abs(M)))[1]
-            reference = float(np.max(np.linalg.eigvals(np.ldexp(M, -e)).real)) * 2.0**e
-            assert abs(spb - reference) <= 1e-8 * _norm(M)
+            assert abs(spb - _lapack_spb(M)) <= 1e-8 * _norm(M)
         with contextlib.suppress(ReductionLabError):
             kingman_family_lines(F, theta)
     assert returned >= 341  # as many solves as returned before the steps were tested
@@ -494,9 +528,44 @@ def test_rounding_floor_bound_holds(M, seed):
         assert float(np.max(np.abs(P) @ x / x)) <= bound * (1.0 + 8 * M.shape[0] * np.finfo(float).eps)
 
 
+def test_floor_pretest_premise_holds_bit_for_bit():
+    # _noda breaks on hi - lo <= floor*max(-lo, hi) before it computes |M|x/x, and batched_starts
+    # likewise: that changes no decision only if the computed max(|M|x/x) is at least
+    # max(-lo, hi) = max|q|, computed as they compute them, for M and for the transposed views
+    # (M.T, |M|.T) of the u run, at a positive x over many decades
+    rng = np.random.default_rng(38)
+    for draw in range(400):
+        n = int(rng.integers(2, 41))
+        kind = draw % 4  # dense, half sparse, generator rows summing to 0, block upper-triangular
+        M = rng.uniform(0.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, n))
+        if kind == 1:
+            M *= rng.uniform(size=(n, n)) < 0.5
+        elif kind == 3:
+            cut = int(rng.integers(1, n))
+            M[cut:, :cut] = 0.0
+        np.fill_diagonal(M, 0.0)
+        if kind == 2:
+            np.fill_diagonal(M, -M.sum(axis=1))
+            assert 2.0 * max(0.0, -float(np.min(np.diagonal(M)))) > 0.0
+        else:
+            np.fill_diagonal(M, rng.uniform(-3.0, 1.0, n) * 10.0 ** rng.uniform(-6.0, 6.0, n))
+        abs_M = np.abs(M)
+        x = 10.0 ** rng.uniform(-100.0, 100.0, n)
+        x /= x.sum()
+        for P, abs_P in ((M, abs_M), (M.T, abs_M.T)):
+            q = P @ x
+            q /= x
+            assert float(np.max(abs_P @ x / x)) >= max(-float(np.min(q)), float(np.max(q)))
+        S = np.stack([M, M.T, 2.0 * M])
+        xs = np.stack([x, x[::-1], x])[..., None]
+        q = (S @ xs)[..., 0] / xs[..., 0]
+        bound = np.max((np.abs(S) @ xs)[..., 0] / xs[..., 0], axis=1)
+        assert (bound >= np.maximum(-np.min(q, axis=1), np.max(q, axis=1))).all()
+
+
 def _noda(M, **kwargs):
     """perron._noda on M with the v-iteration arguments that perron._operands derives from M."""
-    neg, abs_M, floor, reach, spread = perron._operands(M, float(np.max(np.abs(M))))
+    neg, abs_M, floor, reach, spread = perron._operands(M, np.abs(M), float(np.max(np.abs(M))))
     return perron._noda(M, neg.T, abs_M, floor, reach, spread, **kwargs)
 
 
