@@ -8,7 +8,6 @@ Reducible inputs are solved per strongly connected component of the off-diagonal
 adjacency digraph, for the right vector and bracket alone.
 """
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -25,10 +24,10 @@ BATCH_STEPS = 8  # step cap of batched_starts; a start still wider is certified 
 # largest block whose grids take batched Noda starts: in BENCH_38.json the benchmark's linear and
 # Karlin grids gain at least 10% up to n = 24, and its linear grid loses at n = 32
 BATCH_MAX_N = 24
-# _noda's |M|x/x is at most |hi| + reach (up to n*eps), finite below this; and a Noda iterate x of unit
-# sum whose least entry is at least n*max(1, max|M|) over this keeps every |Mx/x|, every ratio of its
-# entries and every entry of D^-1 M D, D = diag(x), below it, so that its step cannot overflow
-_QUOTIENT_SAFE = 2.0**1000
+# the one floating-point scope of every solve, entered by spectral_bound, perron_vectors and
+# batched_starts: an overflow, a division by zero or a NaN there is decided by the values it leaves
+# (the bracket tests, _unit_vector, a solve's None), never by a warning
+_FLOAT_SCOPE = np.errstate(all="ignore")
 # bound once: the solves below run on matrices of a few rows, where the lookups
 # and the Python wrappers behind ndarray.min/max cost more than the arithmetic
 _min = np.minimum.reduce
@@ -48,25 +47,24 @@ def _lapack():
     return lapack
 
 
-def _scaled_matrix(entries) -> tuple[np.ndarray, np.ndarray, float]:
-    """(M, |M|, max|M|) of a dense square float64 matrix M with finite entries; ValueError otherwise.
+def _matrix_and_abs(entries) -> tuple[np.ndarray, np.ndarray]:
+    """(M, |M|) of a dense square float64 matrix M with finite entries; ValueError otherwise.
 
     The largest |entry| is NaN or inf exactly when some entry is, so it tests finiteness at the cost
-    of np.isfinite, and _noda's `spread` reads it.
+    of np.isfinite.
     """
     M = np.asarray(entries, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     abs_M = np.abs(M)
-    scale = float(_max(abs_M, axis=None))
-    if not scale < math.inf:
+    if not _max(abs_M, axis=None) < math.inf:
         raise ValueError("matrix entries must be finite")
-    return M, abs_M, scale
+    return M, abs_M
 
 
 def square_matrix(entries) -> np.ndarray:
     """Validate and return a dense square float64 matrix with finite entries."""
-    return _scaled_matrix(entries)[0]
+    return _matrix_and_abs(entries)[0]
 
 
 @dataclass
@@ -205,7 +203,7 @@ def _scaled_solve(neg_MT, x, shift, slack, rhs, trans=False):
     return None
 
 
-def _noda(M, neg_MT, abs_M, floor, reach, spread, start=None, below=-math.inf):
+def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
     """Noda inverse iteration for the Perron root of an irreducible Metzler M.
 
     Starting from `start`, a strictly positive vector of length n and unit sum
@@ -224,9 +222,9 @@ def _noda(M, neg_MT, abs_M, floor, reach, spread, start=None, below=-math.inf):
     (an entry underflowed) ends the loop too. As soon as the upper end falls
     below `below`, the current bracket is returned instead. neg_MT is -M^T and
     abs_M is |M|; reach is 2*max(0, -min_i M_ii), the same for M and M^T.
-    An iterate whose least entry is below `spread` is wide (see _QUOTIENT_SAFE):
-    it computes q and its solve with overflow ignored, an infinite quotient
-    ends the loop through the bracket tests, and a solve that is not finite
+    It runs in its caller's _FLOAT_SCOPE, and values decide every overflow: an
+    infinite quotient ends the loop through the bracket tests (and _too_wide
+    refuses a bracket with an infinite end), and a solve that is not finite
     fails the test of the next iterate.
 
     The floor test first tries max|q| = max(-lo, hi) in place of max(|M|x/x), and
@@ -240,17 +238,12 @@ def _noda(M, neg_MT, abs_M, floor, reach, spread, start=None, below=-math.inf):
     n = M.shape[0]
     ones = _ones(n)
     x = np.full(n, 1.0 / n) if start is None else start
-    wide = (1.0 / n if start is None else float(_min(start))) < spread
     best = None  # (width, x, lo, hi) of the narrowest bracket so far
     prev_hi = np.inf
     steps = 0
     while True:
         q = M @ x
-        if wide:
-            with np.errstate(over="ignore"):
-                q /= x
-        else:
-            q /= x
+        q /= x
         lo, hi = float(_min(q)), float(_max(q))
         if hi < below:
             return x, lo, hi, steps
@@ -266,16 +259,9 @@ def _noda(M, neg_MT, abs_M, floor, reach, spread, start=None, below=-math.inf):
             # max(-lo, hi) = max|q| is at most max(|M|x/x) as computed (see the docstring)
             if hi - lo <= floor * max(-lo, hi):
                 break
-            # near the top of the range an infinite quotient passes the floor test
-            with np.errstate(over="ignore") if abs(hi) + reach >= _QUOTIENT_SAFE else contextlib.nullcontext():
-                q = abs_M @ x / x
-            if hi - lo <= floor * float(_max(q)):
+            if hi - lo <= floor * float(_max(abs_M @ x / x)):
                 break
-        if wide:
-            with np.errstate(over="ignore", invalid="ignore"):
-                z = _scaled_solve(neg_MT, x, hi, slack, ones)
-        else:
-            z = _scaled_solve(neg_MT, x, hi, slack, ones)
+        z = _scaled_solve(neg_MT, x, hi, slack, ones)
         if z is None:
             break
         np.abs(z, out=z)
@@ -288,12 +274,12 @@ def _noda(M, neg_MT, abs_M, floor, reach, spread, start=None, below=-math.inf):
         if not least > 0.0:
             break  # no positive iterate to continue from: an entry underflowed
         x = z
-        wide = least < spread
         prev_hi = hi
         steps += 1
     return (*best[1:], steps)
 
 
+@_FLOAT_SCOPE
 def batched_starts(S) -> list["SpectralData | None"]:
     """Uncertified Noda starts for a stack S of k finite n x n matrices, one per matrix.
 
@@ -315,30 +301,29 @@ def batched_starts(S) -> list["SpectralData | None"]:
     eye = np.eye(n)
     x = np.full((k, n, 1), 1.0 / n)
     abs_S = np.abs(S)
-    with np.errstate(all="ignore"):
-        reach = 2.0 * np.maximum(0.0, -_min(np.diagonal(S, axis1=1, axis2=2), axis=1))
-        for step in range(BATCH_STEPS + 1):
-            q = (S @ x)[..., 0] / x[..., 0]
-            lo, hi = _min(q, axis=1), _max(q, axis=1)
-            if step == BATCH_STEPS:
+    reach = 2.0 * np.maximum(0.0, -_min(np.diagonal(S, axis1=1, axis2=2), axis=1))
+    for step in range(BATCH_STEPS + 1):
+        q = (S @ x)[..., 0] / x[..., 0]
+        lo, hi = _min(q, axis=1), _max(q, axis=1)
+        if step == BATCH_STEPS:
+            break
+        width = hi - lo
+        slack = 2.0 * floor * (np.abs(hi) + reach)
+        # as in _noda, |S|x/x only once the floor test can pass at every point, and only
+        # where max|q| = max(-lo, hi), which is at most it, does not pass the test already
+        if not (width > slack).any():
+            if not (width > floor * np.maximum(-lo, hi)).any():
                 break
-            width = hi - lo
-            slack = 2.0 * floor * (np.abs(hi) + reach)
-            # as in _noda, |S|x/x only once the floor test can pass at every point, and only
-            # where max|q| = max(-lo, hi), which is at most it, does not pass the test already
-            if not (width > slack).any():
-                if not (width > floor * np.maximum(-lo, hi)).any():
-                    break
-                if not (width > floor * _max((abs_S @ x)[..., 0] / x[..., 0], axis=1)).any():
-                    break
-            shifted = (hi + slack)[:, None, None] * eye
-            shifted -= S
-            try:
-                x = np.linalg.solve(shifted, x)
-            except np.linalg.LinAlgError:
-                return [None] * k
-            np.abs(x, out=x)
-            x /= _sum(x, axis=1)[:, None]
+            if not (width > floor * _max((abs_S @ x)[..., 0] / x[..., 0], axis=1)).any():
+                break
+        shifted = (hi + slack)[:, None, None] * eye
+        shifted -= S
+        try:
+            x = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:
+            return [None] * k
+        np.abs(x, out=x)
+        x /= _sum(x, axis=1)[:, None]
     usable = (_min(x, axis=1)[:, 0] > 0.0) & np.isfinite(lo) & np.isfinite(hi)
     return [SpectralData(hi[i], None, x[i, :, 0], 0, lo[i], hi[i]) if usable[i] else None for i in range(k)]
 
@@ -379,18 +364,20 @@ def _too_wide(abs_M, lo, hi) -> bool:
 
     lo <= spb <= hi and |spb| <= ||M||_inf give ||M||_inf >= |hi| - (hi - lo),
     which settles most brackets without the norm; the factor 0.5 covers the
-    rounding of the quotients. NaN and infinite ends fall through to the norm.
+    rounding of the quotients. A NaN or infinite end, or a width that overflows,
+    is too wide at once: WIDTH_TOL*||M||_inf lies far below the largest double,
+    and the row sums of a matrix near it can overflow.
     """
     width = hi - lo
+    if not width < math.inf:
+        return True
     return not width <= 0.5 * WIDTH_TOL * (abs(hi) - width) and width > WIDTH_TOL * float(_max(abs_M.sum(axis=1)))
 
 
-def _operands(M, abs_M, scale) -> tuple:
-    """(-M, |M|, floor, reach, spread): _noda's operands for v ((-M).T, |M|) and for u on M^T (-M, |M|.T),
-    given abs_M = |M|, where scale is at least max|M| (that of the whole matrix, for a diagonal block)."""
-    n = M.shape[0]
-    spread = n * max(1.0, scale) / _QUOTIENT_SAFE
-    return -M, abs_M, 4.0 * n * EPS, 2.0 * max(0.0, -float(_min(M.diagonal()))), spread
+def _operands(M, abs_M) -> tuple:
+    """(-M, |M|, floor, reach): _noda's operands for v ((-M).T, |M|) and for u on M^T (-M, |M|.T),
+    given abs_M = |M|."""
+    return -M, abs_M, 4.0 * M.shape[0] * EPS, 2.0 * max(0.0, -float(_min(M.diagonal())))
 
 
 def _v_pass(M, start: SpectralData | None, below: float, operands) -> tuple:
@@ -405,9 +392,9 @@ def _v_pass(M, start: SpectralData | None, below: float, operands) -> tuple:
     if n == 1:
         spb = float(M[0, 0])
         return spb, np.array([1.0]), 0, spb, spb
-    neg, abs_M, floor, reach, spread = operands
+    neg, abs_M, floor, reach = operands
     x0 = None if start is None else _unit_vector(start.v, n)
-    v, lo, hi, steps = _noda(M, neg.T, abs_M, floor, reach, spread, x0, below)
+    v, lo, hi, steps = _noda(M, neg.T, abs_M, floor, reach, x0, below)
     if hi < below:
         return hi, v, steps, lo, hi
     if _too_wide(abs_M, lo, hi):
@@ -423,14 +410,14 @@ def _v_pass(M, start: SpectralData | None, below: float, operands) -> tuple:
     return lo + 0.5 * (hi - lo), v, steps, lo, hi  # 0.5*(lo + hi) can overflow
 
 
-def _solve_irreducible(M, abs_M, scale: float, start: SpectralData | None = None) -> SpectralData:
-    """Certified Perron pair of an irreducible M, abs_M = |M| and max|M| = scale: the v pass from
-    `start`, then the left-vector step.
+def _solve_irreducible(M, abs_M, start: SpectralData | None = None) -> SpectralData:
+    """Certified Perron pair of an irreducible M with abs_M = |M|: the v pass from `start`, then the
+    left-vector step.
 
     u starts from one transposed scaled solve at the certified shift hi and is certified by its own Noda
     run; spb is the clamped Rayleigh quotient. iterations counts every shifted solve, that one included.
     """
-    operands = neg, abs_M, floor, reach, spread = _operands(M, abs_M, scale)
+    operands = neg, abs_M, floor, reach = _operands(M, abs_M)
     _, v, steps, lo, hi = _v_pass(M, start, -math.inf, operands)
     if M.shape[0] == 1 or (M[0, 1] == M[1, 0] and (M == M.T).all()):
         u = v
@@ -440,14 +427,13 @@ def _solve_irreducible(M, abs_M, scale: float, start: SpectralData | None = None
         u_start = None
         # near the underflow range the scaled system or w/v can overflow: such a start is not
         # usable, and u starts cold
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = _scaled_solve(neg.T, v, hi, 2.0 * floor * (abs(hi) + reach), v, trans=True)
-            if w is not None:
-                steps += 1
-                u_start = np.abs(w, out=w)
-                u_start /= v
-                u_start = _unit_vector(u_start, M.shape[0])
-        u, _, _, steps_u = _noda(M.T, neg, abs_M.T, floor, reach, spread, u_start)
+        w = _scaled_solve(neg.T, v, hi, 2.0 * floor * (abs(hi) + reach), v, trans=True)
+        if w is not None:
+            steps += 1
+            u_start = np.abs(w, out=w)
+            u_start /= v
+            u_start = _unit_vector(u_start, M.shape[0])
+        u, _, _, steps_u = _noda(M.T, neg, abs_M.T, floor, reach, u_start)
         steps += steps_u
     # two-sided Rayleigh quotient: error is quadratic in the vector errors
     uv = float(u @ v)
@@ -455,16 +441,17 @@ def _solve_irreducible(M, abs_M, scale: float, start: SpectralData | None = None
     return SpectralData(spb, u / uv, v, steps, lo, hi)
 
 
-def _metzler_blocks(M) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray, float]:
-    """(square_matrix(M), its _block_indices, |M|, max|M|): the set-up of a solve,
-    NotEssentiallyNonnegative if not Metzler."""
-    M, abs_M, scale = _scaled_matrix(M)
+def _metzler_blocks(M) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """(square_matrix(M), its _block_indices, |M|): the set-up of a solve, NotEssentiallyNonnegative
+    if not Metzler."""
+    M, abs_M = _matrix_and_abs(M)
     nonnegative, dense = _off_diagonal_signs(M)
     if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    return M, _block_indices(M, dense), abs_M, scale
+    return M, _block_indices(M, dense), abs_M
 
 
+@_FLOAT_SCOPE
 def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     """Spectral bound of an essentially nonnegative matrix.
 
@@ -483,10 +470,10 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     unchanged, and keeps that upper end as spb and its last iterate as v for
     the next start.
     """
-    M, indices, abs_M, scale = _metzler_blocks(M)
+    M, indices, abs_M = _metzler_blocks(M)
     count = len(indices)
     if count == 1:
-        return _solve_irreducible(M, abs_M, scale, start)
+        return _solve_irreducible(M, abs_M, start)
     submatrices = [M[idx[:, None], idx] for idx in indices]
     # the likely dominant block goes first, so that the others can stop early
     if start is not None and start.blocks is not None and len(start.blocks) == count:
@@ -500,7 +487,7 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     below = -math.inf
     for c in order:
         B = submatrices[c]
-        spb, v, steps, lo, hi = _v_pass(B, starts[c], below, _operands(B, np.abs(B), scale))
+        spb, v, steps, lo, hi = _v_pass(B, starts[c], below, _operands(B, np.abs(B)))
         blocks[c] = SpectralData(spb, None, v, steps, lo, hi)
         below = max(below, lo)
     # the maxima run in the order of solving, so a tie of 0.0 and -0.0 keeps the first sign
@@ -509,12 +496,13 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     return SpectralData(max(b.spb for b in solved), None, None, iterations, max(b.spb_lo for b in solved), hi, blocks)
 
 
+@_FLOAT_SCOPE
 def perron_vectors(M):
     """Left and right Perron vectors (u, v) with u @ v = 1 and sum(v) = 1."""
-    M, indices, abs_M, scale = _metzler_blocks(M)
+    M, indices, abs_M = _metzler_blocks(M)
     if len(indices) > 1:
         raise NotIrreducible("Perron vectors require an irreducible matrix")
-    data = _solve_irreducible(M, abs_M, scale)
+    data = _solve_irreducible(M, abs_M)
     return data.u, data.v
 
 

@@ -25,7 +25,6 @@ from reduction_lab import (
     lindqvist_check,
     perron_derivative,
     positivity_of_semigroup_check,
-    semigroup,
     spectral_bound,
     strict_convexity_probe,
     sweep_spb_in_beta,
@@ -33,6 +32,7 @@ from reduction_lab import (
 )
 from reduction_lab.checks import CHECK_TOL, SEMIGROUP_POSITIVITY_TOL, judge, scale_of, semigroup_positivity_outcome
 from reduction_lab.gallery import karlin_to_linear, random_diagonal, random_ess_nonneg, random_stochastic
+from helpers import ladder_probes, lapack_spb
 
 A_SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 V_PM = np.diag([1.0, -1.0])
@@ -280,13 +280,9 @@ def test_judge_dichotomy_margin_and_witness():
     assert judge("name", 0.25, {"a": 1.0}, 0.0, ("le",)).witness == {"a": 1.0}
 
 
-def _ladder_probes(M):
-    return semigroup.probes(semigroup.propagators(M))
-
-
 def test_semigroup_positivity_fails_a_metzler_matrix_whose_resolvent_is_not_positive():
-    ok = semigroup_positivity_outcome(A_SYM, _ladder_probes(A_SYM), True)
-    refuted = semigroup_positivity_outcome(A_SYM, _ladder_probes(A_SYM), False)
+    ok = semigroup_positivity_outcome(A_SYM, ladder_probes(A_SYM), True)
+    refuted = semigroup_positivity_outcome(A_SYM, ladder_probes(A_SYM), False)
     assert ok.passed and not refuted.passed
     assert (refuted.margin, refuted.witness) == (ok.margin, ok.witness)
 
@@ -298,12 +294,12 @@ def test_semigroup_positivity_judges_a_non_metzler_matrix_strict():
     propagators = [scipy.linalg.expm(t * N) for t in (0.25, 0.5, 2.0)]
     slack = min(float(E.min()) + SEMIGROUP_POSITIVITY_TOL * float(np.abs(E).max()) for E in propagators)
     for resolvent_ok in (True, False):
-        line = semigroup_positivity_outcome(N, _ladder_probes(N), resolvent_ok)
+        line = semigroup_positivity_outcome(N, ladder_probes(N), resolvent_ok)
         assert line.passed and line.margin == pytest.approx(-slack, abs=1e-15)
     # e^{tM} = [[1, -1e-12 (e^t - 1)], [0, e^t]]: a negative entry within the tolerance times
     # the largest entry, which the Metzler claim would pass
     M = np.array([[0.0, -1e-12], [0.0, 1.0]])
-    assert not semigroup_positivity_outcome(M, _ladder_probes(M), True).passed
+    assert not semigroup_positivity_outcome(M, ladder_probes(M), True).passed
 
 
 def _pair_slacks(S, spb_A):
@@ -562,19 +558,10 @@ def _counted_threshold(monkeypatch, fam, m_lo, m_hi):
     return m_star, len(calls)
 
 
-def _lapack_spb(M):
-    """LAPACK's spb of M: numpy.linalg.eigvals of M/2^e, scaled back by 2^e, e the frexp exponent of max|M|.
-
-    The scaling is exact, and keeps geev clear of both ends of the double range.
-    """
-    e = int(np.frexp(np.max(np.abs(M)))[1])
-    return float(np.ldexp(np.max(np.linalg.eigvals(np.ldexp(M, -e)).real), e))
-
-
 def _lapack_root_residual(fam, m_star):
     """|spb(m* A + V)| by LAPACK, relative to ||m* A + V||_inf."""
     M = fam.matrix_at(m_star)
-    return abs(_lapack_spb(M)) / np.linalg.norm(M, np.inf)
+    return abs(lapack_spb(M)) / np.linalg.norm(M, np.inf)
 
 
 def falling_family(n, seed):
@@ -598,7 +585,7 @@ def test_find_threshold_newton_meets_the_tolerance(monkeypatch, direction, seed)
     else:
         # a positive A makes d spb/dm = u^T A v > 0, and spb(V) < 0
         fam = LinearFamily(np.abs(random_ess_nonneg(n, seed)) + 0.1, random_diagonal(n, -3.0, -1.0, seed + 20))
-    values = [_lapack_spb(fam.matrix_at(m)) for m in (0.01, 100.0)]
+    values = [lapack_spb(fam.matrix_at(m)) for m in (0.01, 100.0)]
     assert (values[0] > values[1]) == (direction == "decreasing") and values[0] * values[1] < 0.0
     m_star, calls = _counted_threshold(monkeypatch, fam, 0.01, 100.0)
     assert _lapack_root_residual(fam, m_star) <= 1e-13

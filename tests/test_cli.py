@@ -9,10 +9,19 @@ import numpy as np
 import pytest
 
 import reduction_lab
-from reduction_lab import KingmanFamily, perron, random_diagonal, random_ess_nonneg, save_matrix
+from reduction_lab import (
+    KingmanFamily,
+    ReductionLabError,
+    perron,
+    random_diagonal,
+    random_ess_nonneg,
+    save_matrix,
+    spectral_bound,
+)
 from reduction_lab.checks import kingman_family_lines
 from reduction_lab.cli import main
 from reduction_lab.scenario import parse_scenario
+from helpers import lapack_spb
 
 SRC = Path(reduction_lab.__file__).resolve().parents[1]
 MATRIX_SYM = "2\n-1 1\n1 -1\n"
@@ -98,6 +107,25 @@ def test_spb_near_the_underflow_range_exits_0_under_warnings_as_errors(tmp_path)
     run = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("spb ")
+
+
+@pytest.mark.parametrize(
+    "M",
+    [1e308 * np.ones((2, 2)), [[1e308, 1e308], [1e307, 1e308]], 0.6e308 * np.ones((3, 3))],
+    ids=["ones2", "lower_1e307", "ones3"],
+)
+def test_bracket_with_an_infinite_end_raises_and_spb_exits_3(tmp_path, capsys, M):
+    # the quotients of these Metzler matrices overflow at the top of the range, so their brackets have
+    # an infinite end and certify nothing (the second one's spb is about 1.3162e308, not 1.55e308)
+    M = np.array(M)
+    path = tmp_path / "m.txt"
+    save_matrix(path, M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReductionLabError):
+            spectral_bound(M)
+        assert main(["spb", str(path)]) == 3
+    assert "NoConvergence" in capsys.readouterr().err
 
 
 def test_no_convergence_reports_residual_and_iterations(tmp_path, capsys, monkeypatch):
@@ -286,7 +314,7 @@ def test_threshold_on_an_operator_kind(tmp_path, capsys):
     F = parse_scenario(scn).family
 
     def spb(m):
-        return float(np.max(np.linalg.eigvals(F.matrix_at(m)).real))
+        return lapack_spb(F.matrix_at(m))
 
     assert 0.001 < m_star < 1 and abs(spb(m_star)) <= 1e-9
     assert spb(0.99 * m_star) > 0.0 > spb(1.01 * m_star)

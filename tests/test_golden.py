@@ -34,6 +34,7 @@ from reduction_lab.battery import run_suite
 from reduction_lab.checks import FAMILY_KINDS, strict_convexity_probe
 from reduction_lab.cli import main
 from reduction_lab.scenario import parse_scenario
+from helpers import lapack_spb
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p.stem for p in GOLDEN.glob("*.ini"))
@@ -134,7 +135,7 @@ def test_golden_curve_agrees_with_lapack(name):
     rows = np.loadtxt(GOLDEN / f"{name}.csv", delimiter=",", skiprows=1, ndmin=2)
     for p, spb in rows[:, :2]:
         M = _family_matrix(sc, p)
-        reference = float(np.max(scipy.linalg.eigvals(M).real))
+        reference = lapack_spb(M)
         assert abs(spb - reference) <= 1e-13 * np.max(np.abs(M).sum(axis=1)), (p, spb, reference)
 
 

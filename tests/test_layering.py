@@ -72,8 +72,30 @@ def test_no_module_imports_scipy_when_loaded(module):
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
 def test_no_module_imports_warnings(module):
     # the library filters no warning: a floating-point event is decided by the np.errstate
-    # of the step that owns it, and a LAPACK failure by the info the wrapper returns
+    # of the solve or step that owns it, and a LAPACK failure by the info the wrapper returns
     assert "warnings" not in imported_modules(module)
+
+
+def test_perron_enters_one_floating_point_scope_per_solve():
+    # one np.errstate, built once when perron.py loads and entered only as the decorator of its
+    # solver entry points: inside, the values a step leaves decide every overflow
+    def is_errstate(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "np.errstate"
+
+    def names(node):
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+    tree = parse("perron")
+    assert sum(map(is_errstate, ast.walk(tree))) == sum(map(is_errstate, module_body_nodes("perron"))) == 1
+    (scope,) = [node.targets[0].id for node in tree.body if isinstance(node, ast.Assign) and is_errstate(node.value)]
+    entered = [item.context_expr for node in ast.walk(tree) if isinstance(node, ast.With) for item in node.items]
+    assert not [ast.unparse(e) for e in entered if names(e) & {"errstate", "nullcontext", scope}]
+    decorated = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and any(scope in names(d) for d in node.decorator_list)
+    }
+    assert decorated == {"spectral_bound", "perron_vectors", "batched_starts"}
 
 
 def test_cli_holds_no_matrix_arithmetic_and_no_per_kind_code():

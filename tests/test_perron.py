@@ -35,6 +35,7 @@ from reduction_lab.gallery import (
     random_ess_nonneg,
     random_stochastic,
 )
+from helpers import lapack_spb
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 ASYM = np.array([[0.0, 1.0], [1.0, -2.0]])
@@ -245,16 +246,6 @@ def test_no_convergence_reports_residual():
     assert err.residual == 0.5 and err.iterations == 7
 
 
-def _lapack_spb(M):
-    """LAPACK's spb of M: numpy.linalg.eigvals of M/2^e, scaled back by 2^e, e the frexp exponent of max|M|.
-
-    The scaling is exact. Unscaled, scipy.linalg.eigvals gives 6.7e-139 for diag(0, t) at any t below
-    about 1e-139, and geev does not converge on some wide-range members that it solves once scaled.
-    """
-    e = int(np.frexp(np.max(np.abs(M)))[1])
-    return float(np.ldexp(np.max(np.linalg.eigvals(np.ldexp(M, -e)).real), e))
-
-
 def _scc_blocks(M):
     """The diagonal blocks of M's strongly connected components, found with csgraph."""
     adjacency = M != 0.0
@@ -271,7 +262,7 @@ def _lapack_block_spb(M):
     when eigenvalues of different blocks lie close together; the spectrum is
     the union of the blocks' spectra, and each block alone is accurate.
     """
-    return max(_lapack_spb(B) for B in _scc_blocks(M))
+    return max(lapack_spb(B) for B in _scc_blocks(M))
 
 
 def _norm(M):
@@ -289,7 +280,7 @@ def test_tiny_scale_converges_to_lapack(M):
     # entries far below 1: every shift and tolerance must scale with ||M||
     M = np.array(M)
     data = spectral_bound(M)
-    assert abs(data.spb - _lapack_spb(M)) <= 1e-13 * _norm(M)
+    assert abs(data.spb - lapack_spb(M)) <= 1e-13 * _norm(M)
     assert data.spb_lo <= data.spb <= data.spb_hi
 
 
@@ -298,24 +289,24 @@ def test_left_vector_start_near_the_underflow_range_is_silent(n, seed):
     # |w|/v of the left-vector start overflows on these draws: u starts cold, with no RuntimeWarning
     M = 1e-295 * random_ess_nonneg(n, seed)
     data = spectral_bound(M)
-    assert abs(data.spb - float(np.max(np.linalg.eigvals(M).real))) <= 1e-13 * _norm(M)
+    assert abs(data.spb - lapack_spb(M)) <= 1e-13 * _norm(M)
     assert data.u is not None and (data.u > 0.0).all()
 
 
 @pytest.mark.filterwarnings("error")
 def test_left_vector_start_overflows_where_neither_v_nor_the_scale_is_extreme():
     # |w|/v of the transposed solve overflows on this 2x2 although max|M| = 1.1e-117 lies far above
-    # the underflow range and min(v) = 1.1e-103 far above _noda's `spread`: w grows as the inverse
-    # of the smallest pivot of a nearly singular system, which neither bounds, so the left-vector
-    # step keeps its np.errstate on every call
+    # the underflow range and min(v) = 1.1e-103 is far from extreme: w grows as the inverse of the
+    # smallest pivot of a nearly singular system, which neither bounds, so the left-vector start is
+    # judged by its values (perron._unit_vector), not by its operands
     M = np.array([[-2.5575423411936634e-255, 1.0708686465895889e-117], [8.5414068853034703e-320, -7.6664355109349182e-217]])
     data = spectral_bound(M)
-    neg, abs_M, floor, reach, spread = perron._operands(M, np.abs(M), float(np.max(np.abs(M))))
-    assert data.v.min() > 1e100 * spread and abs_M.max() > 2.0**-400
+    neg, abs_M, floor, reach = perron._operands(M, np.abs(M))
+    assert abs_M.max() > 2.0**-400
     w = perron._scaled_solve(neg.T, data.v, data.spb_hi, 2.0 * floor * (abs(data.spb_hi) + reach), data.v, trans=True)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         np.abs(w) / data.v
-    assert abs(data.spb - _lapack_spb(M)) <= 1e-13 * _norm(M)
+    assert abs(data.spb - lapack_spb(M)) <= 1e-13 * _norm(M)
     assert data.u is not None and np.isfinite(data.u).all() and (data.u > 0.0).all()
 
 
@@ -329,7 +320,7 @@ def test_draws_scaled_near_the_underflow_range_solve_or_raise_without_warning(k,
         data = spectral_bound(M)
     except ReductionLabError:
         return
-    assert abs(data.spb - _lapack_spb(M)) <= 1e-13 * _norm(M)
+    assert abs(data.spb - lapack_spb(M)) <= 1e-13 * _norm(M)
     assert data.u is not None and (data.u > 0.0).all()
 
 
@@ -352,7 +343,7 @@ def test_wide_range_kingman_members_solve_or_raise_without_warning():
             except ReductionLabError:
                 continue
             returned += 1
-            assert abs(spb - _lapack_spb(M)) <= 1e-8 * _norm(M)
+            assert abs(spb - lapack_spb(M)) <= 1e-8 * _norm(M)
         with contextlib.suppress(ReductionLabError):
             kingman_family_lines(F, theta)
     assert returned >= 341  # as many solves as returned before the steps were tested
@@ -362,7 +353,7 @@ def test_neumann_160_error_below_1e10():
     n = 160
     M = laplacian_1d(Grid1D(n, 1.0, "neumann")) + np.diag(np.random.default_rng(0).uniform(0.0, 1.0, n))
     data = spectral_bound(M)
-    assert abs(data.spb - _lapack_spb(M)) <= 1e-10
+    assert abs(data.spb - lapack_spb(M)) <= 1e-10
     assert data.spb_hi - data.spb_lo <= 1e-11 * _norm(M)
 
 
@@ -426,7 +417,7 @@ def test_near_decoupled_points_converge(n):
         ]
         for M in points:
             data = spectral_bound(M)
-            assert abs(data.spb - _lapack_spb(M)) <= 1e-13 * _norm(M)
+            assert abs(data.spb - lapack_spb(M)) <= 1e-13 * _norm(M)
             assert data.spb_hi - data.spb_lo <= 1e-11 * _norm(M)
 
 
@@ -450,7 +441,7 @@ def test_widely_spread_perron_vectors_converge():
         if not is_irreducible(M):
             continue
         data = spectral_bound(M)
-        assert abs(data.spb - _lapack_spb(M)) <= 1e-13 * _norm(M)
+        assert abs(data.spb - lapack_spb(M)) <= 1e-13 * _norm(M)
         solved += 1
     assert solved >= 80
 
@@ -564,9 +555,10 @@ def test_floor_pretest_premise_holds_bit_for_bit():
 
 
 def _noda(M, **kwargs):
-    """perron._noda on M with the v-iteration arguments that perron._operands derives from M."""
-    neg, abs_M, floor, reach, spread = perron._operands(M, np.abs(M), float(np.max(np.abs(M))))
-    return perron._noda(M, neg.T, abs_M, floor, reach, spread, **kwargs)
+    """perron._noda on M with the v-iteration arguments that perron._operands derives from M, run in
+    the floating-point scope of a solve."""
+    neg, abs_M, floor, reach = perron._operands(M, np.abs(M))
+    return perron._FLOAT_SCOPE(perron._noda)(M, neg.T, abs_M, floor, reach, **kwargs)
 
 
 @pytest.mark.parametrize("n", [3, 8, 12, 32])
@@ -650,9 +642,9 @@ def test_scc_matches_mutual_reachability():
     assert counts >= {(True, 1), (True, 3), (False, 1), (False, 2), (False, 3)}
 
 
-def test_quotient_just_under_the_errstate_bound_is_computed_plainly_and_finite():
-    # |hi| + reach is 2^1000 * (1 - 2^-20) here: below perron._QUOTIENT_SAFE, so _noda takes |M|x/x
-    # outside np.errstate, and a RuntimeWarning (an error in this suite) would fail the solve
+def test_quotient_near_the_top_of_the_range_is_finite_and_the_solve_silent():
+    # |hi| + reach is 2^1000 * (1 - 2^-20) here: |M|x/x at the solved v stays finite, and the solve
+    # closes its bracket without a RuntimeWarning (an error in this suite)
     d = 2.0**999 * (1.0 - 2.0**-20)
     M = np.array([[-d, d], [d, -d]])
     reach = 2.0 * d
@@ -661,15 +653,13 @@ def test_quotient_just_under_the_errstate_bound_is_computed_plainly_and_finite()
         data = spectral_bound(M)
         v, lo, hi, _ = _noda(M)
         q = np.abs(M) @ v / v
-    assert abs(hi) + reach < perron._QUOTIENT_SAFE <= 2.0 * d * (1.0 + 2.0**-19)
     assert np.isfinite(q).all() and float(np.max(q)) <= (abs(hi) + reach) * (1.0 + 16 * np.finfo(float).eps)
     assert data.spb_lo <= 0.0 <= data.spb_hi and data.spb_hi - data.spb_lo <= perron.WIDTH_TOL * 2.0 * d
-    # a non-symmetric input near the bound also takes its left-vector pass silently
+    # a non-symmetric input near the top also takes its left-vector pass silently
     N = 2.0**998 * np.array([[-1.0, 1.0], [0.5, -1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         data = spectral_bound(N)
-    assert abs(data.spb_hi) + 2.0**999 < perron._QUOTIENT_SAFE
     assert data.spb == pytest.approx(2.0**998 * (np.sqrt(0.5) - 1.0), rel=1e-14)
     assert np.isfinite(np.abs(N) @ data.u / data.u).all()
 

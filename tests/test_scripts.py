@@ -37,6 +37,17 @@ def test_mixing_reduction_1d():
     assert "reduction check: pass" in run.stdout
 
 
+def test_output_digest_repeats():
+    # the same tree gives the same digests; a traced pass writes the bytes of an untraced one
+    args = [ROOT / "scripts" / "output_digest.py", "--workloads", "operators", "--seeds", "0", "--suite", "0"]
+    runs = [_run(*args) for _ in range(2)]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    untraced, traced = [line.split() for line in runs[0].stdout.splitlines()]
+    assert untraced[:3] == ["operators", "0", "untraced"] and traced[:3] == ["operators", "0", "traced"]
+    assert re.fullmatch("[0-9a-f]{64}", untraced[3]) and untraced[3] == traced[3]
+
+
 def test_readme_quickstart_runs_as_printed(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)

@@ -21,13 +21,10 @@ from reduction_lab.checks import FAMILY_KINDS, SEMIGROUP_POSITIVITY_TOL
 from reduction_lab.gallery import random_diagonal, random_ess_nonneg
 from reduction_lab.rng import XorShift64Star
 from reduction_lab.scenario import parse_scenario
+from helpers import ladder_probes
 from test_golden import GOLDEN
 
 SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
-
-
-def _ladder_probes(M):
-    return semigroup.probes(semigroup.propagators(M))
 
 
 def test_expm_nilpotent():
@@ -129,9 +126,9 @@ def test_growth_bound_overflowing_norm():
 @pytest.mark.filterwarnings("error")
 def test_probe_times_lie_on_the_growth_ladder():
     # ||tM||_inf = 0.5, 1 and 4 on the ladder t0*2^k, t0 = 0.5/||M||_inf, of growth_bound_estimate
-    assert [t for t, _ in _ladder_probes(SYM)] == [0.25, 0.5, 2.0]
-    assert [t for t, _ in _ladder_probes(np.zeros((3, 3)))] == [0.5, 1.0, 4.0]
-    for probe in (growth_bound_estimate, _ladder_probes):
+    assert [t for t, _ in ladder_probes(SYM)] == [0.25, 0.5, 2.0]
+    assert [t for t, _ in ladder_probes(np.zeros((3, 3)))] == [0.5, 1.0, 4.0]
+    for probe in (growth_bound_estimate, ladder_probes):
         with pytest.raises(OverflowRisk):
             probe(np.full((2, 2), 1e308))
 
@@ -236,6 +233,6 @@ def _probed_matrices():
 def test_ladder_probes_match_direct_expm():
     # the squared rungs differ from scipy's expm at the same time by rounding alone
     for M in _probed_matrices():
-        for t, E in _ladder_probes(M):
+        for t, E in ladder_probes(M):
             direct = scipy.linalg.expm(t * M)
             assert np.max(np.abs(E - direct)) <= 1e-12 * np.max(np.abs(direct)), (M.shape, t)
