@@ -115,27 +115,39 @@ def is_essentially_nonnegative(M) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _scc_blocks(n: int, packed: bytes) -> tuple[np.ndarray, ...]:
-    """Vertex indices of each SCC of an n x n adjacency pattern packed by np.packbits, in label order:
-    read-only views of one array, in increasing order within each component. The components are
-    one csgraph.connected_components call on the unpacked dense pattern."""
+def _scc_blocks(n: int, packed: bytes) -> tuple[tuple[np.ndarray, ...], bool]:
+    """(blocks, tridiagonal) of an n x n adjacency pattern packed by np.packbits.
+
+    blocks are the vertex indices of each SCC in label order: read-only views of one array, in
+    increasing order within each component, from one csgraph.connected_components call on the
+    unpacked dense pattern. tridiagonal is whether n >= 3 and every edge joins neighbours i, i +- 1;
+    each SCC of such a pattern is then an interval of neighbours, so its diagonal block is tridiagonal
+    too. A pattern of n <= 2 is banded and triangular alike, and gains nothing from a band solver.
+    """
     from scipy.sparse import csgraph
 
     adjacency = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n).reshape(n, n)
     count, labels = csgraph.connected_components(adjacency, directed=True, connection="strong")
     order = np.argsort(labels, kind="stable")
     order.flags.writeable = False
-    return tuple(np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]))
+    blocks = tuple(np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]))
+    return blocks, n >= 3 and not (np.triu(adjacency, 2).any() or np.tril(adjacency, -2).any())
+
+
+def _block_pattern(M, dense: bool) -> tuple[tuple[np.ndarray, ...], bool]:
+    """(_block_indices, whether M is tridiagonal) of a square M: all rows and False when M is `dense` off
+    the diagonal, else _scc_blocks of its off-diagonal pattern (memoised for the last 64 patterns)."""
+    if dense:
+        return (np.arange(M.shape[0]),), False
+    adjacency = M != 0.0
+    np.fill_diagonal(adjacency, False)
+    return _scc_blocks(M.shape[0], np.packbits(adjacency).tobytes())
 
 
 def _block_indices(M, dense: bool) -> tuple[np.ndarray, ...]:
     """Row indices of each strongly connected diagonal block of a square M in label order: all rows when M
-    is `dense` off the diagonal, else read-only arrays memoised by off-diagonal pattern (the last 64)."""
-    if dense:
-        return (np.arange(M.shape[0]),)
-    adjacency = M != 0.0
-    np.fill_diagonal(adjacency, False)
-    return _scc_blocks(M.shape[0], np.packbits(adjacency).tobytes())
+    is `dense` off the diagonal, else read-only arrays memoised by off-diagonal pattern (_block_pattern)."""
+    return _block_pattern(M, dense)[0]
 
 
 def scc_decomposition(M) -> SccDecomposition:
@@ -175,35 +187,49 @@ def _ones(n: int) -> np.ndarray:
     return ones
 
 
-def _scaled_solve(neg_MT, x, shift, slack, rhs, trans=False):
+def _scaled_solve(neg_MT, x, shift, slack, rhs, trans=False, tridiagonal=False):
     """z with S z = rhs, or S^T z = rhs if trans, for S = shift*I - D^-1 M D, D = diag(x), -M^T = neg_MT.
 
     Solving (shift*I - M) y = x as y = x*z with rhs = 1 keeps every entry of y
     accurate relative to itself, however widely the entries of x spread. At
     info > 0 the shift is an eigenvalue to working precision, so the system is
     rebuilt at shift + slack, just past it, and solved once more (Wilkinson's
-    remedy at an exact eigenvalue); None if that is singular too.
+    remedy at an exact eigenvalue); None if that is singular too. A tridiagonal
+    M (see _scc_blocks) is solved from the three diagonals of the system by
+    dgtsv, Gaussian elimination with partial pivoting in O(n), and any other M
+    by the dense dgesv; both factor the same entries S_ij = (x_j/x_i)*(-M_ij).
     """
-    n = x.shape[0]
-    dgesv = _lapack().dgesv
-    for s in (shift, shift + slack):
-        # A is the transpose of the system in C order, so A.T is the system in the Fortran order
-        # that dgesv factors without a copy: A = S^T for S, and A = S for S^T; either way the
-        # entry S_ij is the product (x_j/x_i)*(-M_ij)
+    if tridiagonal:
+        # S_{i,i+1} = (x_{i+1}/x_i)*(-M_{i,i+1}) and S_{i+1,i} = (x_i/x_{i+1})*(-M_{i+1,i}); S^T swaps the two
+        upper = x[1:] / x[:-1]
+        upper *= np.diagonal(neg_MT, -1)
+        lower = x[:-1] / x[1:]
+        lower *= np.diagonal(neg_MT, 1)
         if trans:
-            A = x / x[:, None]
-            A *= neg_MT.T
+            upper, lower = lower, upper
+    lapack = _lapack()
+    n = x.shape[0]
+    for s in (shift, shift + slack):
+        if tridiagonal:
+            z, info = lapack.dgtsv(lower, np.diagonal(neg_MT) + s, upper, rhs)[3:]
         else:
-            A = x[:, None] / x
-            A *= neg_MT
-        A.reshape(-1)[:: n + 1] += s
-        z, info = dgesv(A.T, rhs, overwrite_a=True)[2:]
+            # A is the transpose of the system in C order, so A.T is the system in the Fortran order
+            # that dgesv factors without a copy: A = S^T for S, and A = S for S^T; either way the
+            # entry S_ij is the product (x_j/x_i)*(-M_ij)
+            if trans:
+                A = x / x[:, None]
+                A *= neg_MT.T
+            else:
+                A = x[:, None] / x
+                A *= neg_MT
+            A.reshape(-1)[:: n + 1] += s
+            z, info = lapack.dgesv(A.T, rhs, overwrite_a=True)[2:]
         if info == 0:
             return z
     return None
 
 
-def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
+def _noda(M, neg_MT, abs_M, floor, reach, tridiagonal, start=None, below=-math.inf):
     """Noda inverse iteration for the Perron root of an irreducible Metzler M.
 
     Starting from `start`, a strictly positive vector of length n and unit sum
@@ -221,7 +247,8 @@ def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
     the solves made; a step whose normalized iterate is not strictly positive
     (an entry underflowed) ends the loop too. As soon as the upper end falls
     below `below`, the current bracket is returned instead. neg_MT is -M^T and
-    abs_M is |M|; reach is 2*max(0, -min_i M_ii), the same for M and M^T.
+    abs_M is |M|; reach is 2*max(0, -min_i M_ii), the same for M and M^T, and
+    tridiagonal whether M is (_scaled_solve).
     It runs in its caller's _FLOAT_SCOPE, and values decide every overflow: an
     infinite quotient ends the loop through the bracket tests (and _too_wide
     refuses a bracket with an infinite end), and a solve that is not finite
@@ -261,7 +288,7 @@ def _noda(M, neg_MT, abs_M, floor, reach, start=None, below=-math.inf):
                 break
             if hi - lo <= floor * float(_max(abs_M @ x / x)):
                 break
-        z = _scaled_solve(neg_MT, x, hi, slack, ones)
+        z = _scaled_solve(neg_MT, x, hi, slack, ones, tridiagonal=tridiagonal)
         if z is None:
             break
         np.abs(z, out=z)
@@ -374,10 +401,10 @@ def _too_wide(abs_M, lo, hi) -> bool:
     return not width <= 0.5 * WIDTH_TOL * (abs(hi) - width) and width > WIDTH_TOL * float(_max(abs_M.sum(axis=1)))
 
 
-def _operands(M, abs_M) -> tuple:
-    """(-M, |M|, floor, reach): _noda's operands for v ((-M).T, |M|) and for u on M^T (-M, |M|.T),
-    given abs_M = |M|."""
-    return -M, abs_M, 4.0 * M.shape[0] * EPS, 2.0 * max(0.0, -float(_min(M.diagonal())))
+def _operands(M, abs_M, tridiagonal: bool) -> tuple:
+    """(-M, |M|, floor, reach, tridiagonal): _noda's operands for v ((-M).T, |M|) and for u on M^T
+    (-M, |M|.T), given abs_M = |M| and whether M is tridiagonal (_block_pattern)."""
+    return -M, abs_M, 4.0 * M.shape[0] * EPS, 2.0 * max(0.0, -float(_min(M.diagonal()))), tridiagonal
 
 
 def _v_pass(M, start: SpectralData | None, below: float, operands) -> tuple:
@@ -392,9 +419,9 @@ def _v_pass(M, start: SpectralData | None, below: float, operands) -> tuple:
     if n == 1:
         spb = float(M[0, 0])
         return spb, np.array([1.0]), 0, spb, spb
-    neg, abs_M, floor, reach = operands
+    neg, abs_M, floor, reach, tridiagonal = operands
     x0 = None if start is None else _unit_vector(start.v, n)
-    v, lo, hi, steps = _noda(M, neg.T, abs_M, floor, reach, x0, below)
+    v, lo, hi, steps = _noda(M, neg.T, abs_M, floor, reach, tridiagonal, x0, below)
     if hi < below:
         return hi, v, steps, lo, hi
     if _too_wide(abs_M, lo, hi):
@@ -410,14 +437,14 @@ def _v_pass(M, start: SpectralData | None, below: float, operands) -> tuple:
     return lo + 0.5 * (hi - lo), v, steps, lo, hi  # 0.5*(lo + hi) can overflow
 
 
-def _solve_irreducible(M, abs_M, start: SpectralData | None = None) -> SpectralData:
-    """Certified Perron pair of an irreducible M with abs_M = |M|: the v pass from `start`, then the
-    left-vector step.
+def _solve_irreducible(M, abs_M, tridiagonal: bool, start: SpectralData | None = None) -> SpectralData:
+    """Certified Perron pair of an irreducible M with abs_M = |M|, tridiagonal or not: the v pass from
+    `start`, then the left-vector step.
 
     u starts from one transposed scaled solve at the certified shift hi and is certified by its own Noda
     run; spb is the clamped Rayleigh quotient. iterations counts every shifted solve, that one included.
     """
-    operands = neg, abs_M, floor, reach = _operands(M, abs_M)
+    operands = neg, abs_M, floor, reach, tridiagonal = _operands(M, abs_M, tridiagonal)
     _, v, steps, lo, hi = _v_pass(M, start, -math.inf, operands)
     if M.shape[0] == 1 or (M[0, 1] == M[1, 0] and (M == M.T).all()):
         u = v
@@ -427,13 +454,13 @@ def _solve_irreducible(M, abs_M, start: SpectralData | None = None) -> SpectralD
         u_start = None
         # near the underflow range the scaled system or w/v can overflow: such a start is not
         # usable, and u starts cold
-        w = _scaled_solve(neg.T, v, hi, 2.0 * floor * (abs(hi) + reach), v, trans=True)
+        w = _scaled_solve(neg.T, v, hi, 2.0 * floor * (abs(hi) + reach), v, trans=True, tridiagonal=tridiagonal)
         if w is not None:
             steps += 1
             u_start = np.abs(w, out=w)
             u_start /= v
             u_start = _unit_vector(u_start, M.shape[0])
-        u, _, _, steps_u = _noda(M.T, neg, abs_M.T, floor, reach, u_start)
+        u, _, _, steps_u = _noda(M.T, neg, abs_M.T, floor, reach, tridiagonal, u_start)
         steps += steps_u
     # two-sided Rayleigh quotient: error is quadratic in the vector errors
     uv = float(u @ v)
@@ -441,14 +468,14 @@ def _solve_irreducible(M, abs_M, start: SpectralData | None = None) -> SpectralD
     return SpectralData(spb, u / uv, v, steps, lo, hi)
 
 
-def _metzler_blocks(M) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-    """(square_matrix(M), its _block_indices, |M|): the set-up of a solve, NotEssentiallyNonnegative
-    if not Metzler."""
+def _metzler_blocks(M) -> tuple[np.ndarray, tuple[np.ndarray, ...], bool, np.ndarray]:
+    """(square_matrix(M), its block indices, whether it is tridiagonal, |M|): the set-up of a solve
+    (_block_pattern), NotEssentiallyNonnegative if not Metzler."""
     M, abs_M = _matrix_and_abs(M)
     nonnegative, dense = _off_diagonal_signs(M)
     if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    return M, _block_indices(M, dense), abs_M
+    return M, *_block_pattern(M, dense), abs_M
 
 
 @_FLOAT_SCOPE
@@ -470,10 +497,10 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     unchanged, and keeps that upper end as spb and its last iterate as v for
     the next start.
     """
-    M, indices, abs_M = _metzler_blocks(M)
+    M, indices, tridiagonal, abs_M = _metzler_blocks(M)
     count = len(indices)
     if count == 1:
-        return _solve_irreducible(M, abs_M, start)
+        return _solve_irreducible(M, abs_M, tridiagonal, start)
     submatrices = [M[idx[:, None], idx] for idx in indices]
     # the likely dominant block goes first, so that the others can stop early
     if start is not None and start.blocks is not None and len(start.blocks) == count:
@@ -487,7 +514,7 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     below = -math.inf
     for c in order:
         B = submatrices[c]
-        spb, v, steps, lo, hi = _v_pass(B, starts[c], below, _operands(B, np.abs(B)))
+        spb, v, steps, lo, hi = _v_pass(B, starts[c], below, _operands(B, np.abs(B), tridiagonal))
         blocks[c] = SpectralData(spb, None, v, steps, lo, hi)
         below = max(below, lo)
     # the maxima run in the order of solving, so a tie of 0.0 and -0.0 keeps the first sign
@@ -499,23 +526,31 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
 @_FLOAT_SCOPE
 def perron_vectors(M):
     """Left and right Perron vectors (u, v) with u @ v = 1 and sum(v) = 1."""
-    M, indices, abs_M = _metzler_blocks(M)
+    M, indices, tridiagonal, abs_M = _metzler_blocks(M)
     if len(indices) > 1:
         raise NotIrreducible("Perron vectors require an irreducible matrix")
-    data = _solve_irreducible(M, abs_M)
+    data = _solve_irreducible(M, abs_M, tridiagonal)
     return data.u, data.v
 
 
 def resolvent(M, xi: float) -> np.ndarray:
-    """(xi*I - M)^-1 from one dgesv call (LU with partial pivoting, n right-hand sides); SingularResolvent
-    if a pivot is at most n*eps*max|xi*I - M|, an exact zero included, which dgesv reports as info > 0."""
+    """(xi*I - M)^-1 from one LAPACK solve with n right-hand sides: dgtsv on the three diagonals of
+    xi*I - M when M is tridiagonal (_block_pattern), else dgesv, both LU with partial pivoting.
+    SingularResolvent if a pivot, a diagonal entry of U, is at most n*eps*max|xi*I - M|, an exact zero
+    included, which either routine reports as info > 0."""
     M = square_matrix(M)
     n = M.shape[0]
     eye = np.eye(n)
-    shifted = xi * eye - M
-    lu, _, R, _ = _lapack().dgesv(shifted, eye)
-    tiny = n * EPS * max(float(np.max(np.abs(shifted))), np.finfo(float).tiny)
-    if float(np.min(np.abs(np.diagonal(lu)))) <= tiny:
+    if _block_pattern(M, _off_diagonal_signs(M)[1])[1]:
+        bands = (-np.diagonal(M, -1), xi - np.diagonal(M), -np.diagonal(M, 1))
+        _, pivots, _, R, _ = _lapack().dgtsv(*bands, eye)
+        largest = max(float(_max(np.abs(band))) for band in bands)
+    else:
+        shifted = xi * eye - M
+        lu, _, R, _ = _lapack().dgesv(shifted, eye)
+        pivots = np.diagonal(lu)
+        largest = float(np.max(np.abs(shifted)))
+    tiny = n * EPS * max(largest, np.finfo(float).tiny)
+    if float(np.min(np.abs(pivots))) <= tiny:
         raise SingularResolvent(f"xi = {xi} lies in the spectrum within pivot tolerance")
     return R
-

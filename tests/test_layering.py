@@ -98,6 +98,30 @@ def test_perron_enters_one_floating_point_scope_per_solve():
     assert decorated == {"spectral_bound", "perron_vectors", "batched_starts"}
 
 
+def test_perron_steps_read_the_tridiagonal_fact_and_compute_no_pattern():
+    # whether a matrix is tridiagonal is recorded once per off-diagonal pattern by the memo behind
+    # _block_indices and carried with the operands: a Noda step compares no entry with zero and
+    # builds no pattern, O(n^2) work that every step of a dense solve would pay again
+    functions = {node.name: node for node in parse("perron").body if isinstance(node, ast.FunctionDef)}
+    for name in ("_noda", "_scaled_solve"):
+        for node in ast.walk(functions[name]):
+            assert not (isinstance(node, ast.Compare) and any(isinstance(op, ast.NotEq) for op in node.ops)), name
+            assert getattr(node, "attr", getattr(node, "id", None)) not in {"packbits", "triu", "tril"}, name
+
+
+def test_perron_binds_no_module_level_state():
+    # the constants, the one floating-point scope and the bound reductions; the memos are caches
+    # of functions, and no flag or table lives beside them
+    bound = {
+        target.id
+        for node in parse("perron").body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    }
+    assert bound == {"EPS", "WIDTH_TOL", "BATCH_STEPS", "BATCH_MAX_N", "_FLOAT_SCOPE", "_min", "_max", "_sum"}
+    assert not [node for node in ast.walk(parse("perron")) if isinstance(node, (ast.Global, ast.Nonlocal))]
+
+
 def test_cli_holds_no_matrix_arithmetic_and_no_per_kind_code():
     # cli.py parses, dispatches and writes: sweeps and products live in checks.py,
     # and each family kind's grids and builder only in checks.FAMILY_KINDS

@@ -301,7 +301,7 @@ def test_left_vector_start_overflows_where_neither_v_nor_the_scale_is_extreme():
     # judged by its values (perron._unit_vector), not by its operands
     M = np.array([[-2.5575423411936634e-255, 1.0708686465895889e-117], [8.5414068853034703e-320, -7.6664355109349182e-217]])
     data = spectral_bound(M)
-    neg, abs_M, floor, reach = perron._operands(M, np.abs(M))
+    neg, abs_M, floor, reach, tridiagonal = perron._operands(M, np.abs(M), False)
     assert abs_M.max() > 2.0**-400
     w = perron._scaled_solve(neg.T, data.v, data.spb_hi, 2.0 * floor * (abs(data.spb_hi) + reach), data.v, trans=True)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
@@ -555,10 +555,11 @@ def test_floor_pretest_premise_holds_bit_for_bit():
 
 
 def _noda(M, **kwargs):
-    """perron._noda on M with the v-iteration arguments that perron._operands derives from M, run in
-    the floating-point scope of a solve."""
-    neg, abs_M, floor, reach = perron._operands(M, np.abs(M))
-    return perron._FLOAT_SCOPE(perron._noda)(M, neg.T, abs_M, floor, reach, **kwargs)
+    """perron._noda on M with the v-iteration arguments that perron._operands derives from M and its
+    pattern, run in the floating-point scope of a solve."""
+    M, _, tridiagonal, abs_M = perron._metzler_blocks(M)
+    neg, abs_M, floor, reach, tridiagonal = perron._operands(M, abs_M, tridiagonal)
+    return perron._FLOAT_SCOPE(perron._noda)(M, neg.T, abs_M, floor, reach, tridiagonal, **kwargs)
 
 
 @pytest.mark.parametrize("n", [3, 8, 12, 32])
@@ -677,3 +678,142 @@ def test_symmetry_shortcut_reads_the_first_pair_before_the_whole_matrix():
     # a symmetric input takes u = v
     sym = spectral_bound(SYM)
     np.testing.assert_array_equal(sym.u, sym.v / (sym.v @ sym.v))
+
+
+def _tridiagonal_metzler(rng, n, decades, kind, cuts=0):
+    """A seeded tridiagonal Metzler draw whose entries span `decades` decades: `symmetric`
+    (M_{i,i+1} = M_{i+1,i}) or `drift` (the two sides of each pair drawn apart, as an upwind
+    discretization makes them). Each of `cuts` random pairs loses one or both of its entries."""
+    off = 10.0 ** rng.uniform(-decades / 2, decades / 2, (2, n - 1))
+    if kind == "symmetric":
+        off[1] = off[0]
+    for i in rng.integers(0, n - 1, cuts):
+        off[slice(None) if rng.uniform() < 0.5 else rng.integers(0, 2), i] = 0.0
+    M = np.diag(off[0], 1) + np.diag(off[1], -1)
+    np.fill_diagonal(M, rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-decades / 2, decades / 2, n))
+    return M
+
+
+def _tridiagonal(M):
+    """The tridiagonal fact that the pattern memo records for M, as every solve of M reads it."""
+    return perron._metzler_blocks(M)[2]
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "drift"])
+def test_tridiagonal_scaled_solve_matches_the_explicit_system(kind):
+    # the three diagonals of S = shift*I - D^-1 M D, in both orientations, against numpy's dense solve of
+    # S built entry by entry; a shift past max (Mx)/x makes S an M-matrix with S 1 > 0
+    rng = np.random.default_rng(40)
+    for _ in range(60):
+        n = int(rng.integers(3, 201))
+        M = _tridiagonal_metzler(rng, n, 100, kind)
+        assert _tridiagonal(M)
+        x = 10.0 ** rng.uniform(-50.0, 50.0, n)
+        q = M @ x / x
+        shift = q.max() + np.abs(q).max()
+        S = shift * np.eye(n) - (x[None, :] / x[:, None]) * M
+        rhs = rng.uniform(0.5, 2.0, n)
+        for trans, system in ((False, S), (True, S.T)):
+            z = perron._scaled_solve(-M.T, x, shift, 0.0, rhs, trans, True)
+            expected = np.linalg.solve(system, rhs)
+            assert (np.abs(z - expected) <= 1e-14 * np.abs(expected)).all()
+
+
+def test_tridiagonal_scaled_solve_steps_past_an_exact_root():
+    # the Neumann stencil at shift 0 and the constant x is exactly singular: dgtsv's last pivot is 0
+    M = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
+    x = np.full(3, 1.0 / 3.0)
+    assert perron._scaled_solve(-M.T, x, 0.0, 0.0, np.ones(3), False, True) is None
+    z = perron._scaled_solve(-M.T, x, 0.0, 0.5, np.ones(3), False, True)
+    np.testing.assert_allclose(z, np.linalg.solve(0.5 * np.eye(3) - M, np.ones(3)), rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "drift"])
+@pytest.mark.parametrize(("decades", "max_n"), [(2, 60), (12, 7)])
+def test_tridiagonal_spectral_bound_and_perron_vectors_match_lapack(kind, decades, max_n):
+    # irreducible and reducible draws: a cut pair splits the pattern into intervals of neighbours,
+    # each a tridiagonal diagonal block. Longer chains of wider entries spread the Perron vector over
+    # 50 decades and more, where a shift rounded below the root can stall the bracket with the dense
+    # solve as with the tridiagonal one (CHANGES.md, FOUND)
+    rng = np.random.default_rng(41)
+    reducible = 0
+    for k in range(80):
+        n = int(rng.integers(3, max_n + 1))
+        M = _tridiagonal_metzler(rng, n, decades, kind, cuts=k % 3)
+        assert _tridiagonal(M)
+        data = spectral_bound(M)
+        norm = _norm(M)
+        assert abs(data.spb - _lapack_block_spb(M)) <= 1e-13 * norm
+        assert data.spb_lo <= data.spb <= data.spb_hi and data.spb_hi - data.spb_lo <= perron.WIDTH_TOL * norm
+        if data.blocks is not None:
+            reducible += 1
+            for idx in perron._block_indices(M, False):
+                assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
+            continue
+        u, v = perron_vectors(M)
+        np.testing.assert_array_equal(v, data.v)
+        # on the wider draws the vectors agree with LAPACK's to 2e-12 of their largest entry, with the
+        # dense solve as with the tridiagonal one
+        if decades == 2:
+            assert np.abs(u / u.max() - _lapack_left_perron(M)).max() <= 1e-13
+            assert np.abs(v / v.max() - _lapack_left_perron(M.T)).max() <= 1e-13
+    assert 20 <= reducible <= 60
+
+
+def test_tridiagonal_resolvent_matches_the_inverse():
+    # xi above ||M||_inf >= spb makes xi*I - M an M-matrix, whatever the spread of the entries
+    rng = np.random.default_rng(42)
+    for k in range(40):
+        n = int(rng.integers(3, 161))
+        M = _tridiagonal_metzler(rng, n, 12, ("symmetric", "drift")[k % 2], cuts=k % 3)
+        for xi in _norm(M) * np.array([1.1, 2.0, 11.0]):
+            expected = np.linalg.inv(xi * np.eye(n) - M)
+            assert np.abs(resolvent(M, xi) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_tridiagonal_resolvent_at_the_neumann_spectral_bound_is_singular():
+    # the Neumann rows sum to exactly 0, so spb = 0 and -L is singular: dgtsv returns an exact zero pivot
+    L = laplacian_1d(Grid1D(40, 1.0, "neumann"))
+    assert _tridiagonal(L) and spectral_bound(L).spb == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularResolvent):
+            resolvent(L, 0.0)
+    assert resolvent(L, 1.0).min() > 0.0
+
+
+def _count_lapack_solvers(monkeypatch):
+    """Counts of the dgesv and dgtsv calls made through perron's LAPACK module from here on."""
+    lapack = perron._lapack()
+    counts = {"dgesv": 0, "dgtsv": 0}
+
+    def counting(name):
+        routine = getattr(lapack, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return routine(*args, **kwargs)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(lapack, name, counting(name))
+    return counts
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
+def test_only_a_tridiagonal_pattern_calls_dgtsv(monkeypatch, boundary):
+    L = laplacian_1d(Grid1D(12, 1.0, boundary)) + np.diag(np.linspace(0.0, 1.0, 12))
+    L[0, 1] *= 2.0  # not symmetric, so the left vector takes solves of its own
+    dense = random_ess_nonneg(12, 3)
+    tridiagonal = boundary != "periodic"  # the corner couplings of a periodic grid make it dense
+    assert _tridiagonal(L) == tridiagonal and not _tridiagonal(dense)
+    counts = _count_lapack_solvers(monkeypatch)
+    spectral_bound(L)
+    perron_vectors(L)
+    resolvent(L, spectral_bound(L).spb + 1.0)
+    assert counts[("dgesv", "dgtsv")[tridiagonal]] > 0 and counts[("dgtsv", "dgesv")[tridiagonal]] == 0
+    counts.update(dgesv=0, dgtsv=0)
+    spectral_bound(dense)
+    resolvent(dense, spectral_bound(dense).spb + 1.0)
+    assert counts["dgesv"] > 0 and counts["dgtsv"] == 0
