@@ -135,8 +135,9 @@ def _scc_blocks(n: int, packed: bytes) -> tuple[tuple[np.ndarray, ...], bool]:
 
 
 def _block_pattern(M, dense: bool) -> tuple[tuple[np.ndarray, ...], bool]:
-    """(_block_indices, whether M is tridiagonal) of a square M: all rows and False when M is `dense` off
-    the diagonal, else _scc_blocks of its off-diagonal pattern (memoised for the last 64 patterns)."""
+    """(row indices of each strongly connected diagonal block in label order, whether M is tridiagonal) of
+    a square M: all rows and False when M is `dense` off the diagonal, else _scc_blocks of its off-diagonal
+    pattern, read-only and memoised for the last 64 patterns."""
     if dense:
         return (np.arange(M.shape[0]),), False
     adjacency = M != 0.0
@@ -144,15 +145,9 @@ def _block_pattern(M, dense: bool) -> tuple[tuple[np.ndarray, ...], bool]:
     return _scc_blocks(M.shape[0], np.packbits(adjacency).tobytes())
 
 
-def _block_indices(M, dense: bool) -> tuple[np.ndarray, ...]:
-    """Row indices of each strongly connected diagonal block of a square M in label order: all rows when M
-    is `dense` off the diagonal, else read-only arrays memoised by off-diagonal pattern (_block_pattern)."""
-    return _block_pattern(M, dense)[0]
-
-
 def scc_decomposition(M) -> SccDecomposition:
     """Strongly connected components of the digraph i -> j iff i != j and M[i][j] != 0, in fresh labels."""
-    blocks = _block_indices(square_matrix(M), False)
+    blocks = _block_pattern(square_matrix(M), False)[0]
     labels = np.empty(sum(idx.size for idx in blocks), dtype=np.int32)
     for c, idx in enumerate(blocks):
         labels[idx] = c
@@ -162,7 +157,7 @@ def scc_decomposition(M) -> SccDecomposition:
 def is_irreducible(M) -> bool:
     """True iff the off-diagonal adjacency digraph is strongly connected (n = 1 counts)."""
     M = square_matrix(M)
-    return _off_diagonal_signs(M)[1] or len(_block_indices(M, False)) == 1
+    return _off_diagonal_signs(M)[1] or len(_block_pattern(M, False)[0]) == 1
 
 
 def _unit_vector(x, n: int):
@@ -187,19 +182,36 @@ def _ones(n: int) -> np.ndarray:
     return ones
 
 
-def _scaled_solve(neg_MT, x, shift, slack, rhs, trans=False, tridiagonal=False):
-    """z with S z = rhs, or S^T z = rhs if trans, for S = shift*I - D^-1 M D, D = diag(x), -M^T = neg_MT.
+@dataclass(slots=True)
+class _Frame:
+    """The operands of the Noda solves of one irreducible diagonal block M, as _frames builds them.
+
+    reach is the same for M and M^T, and so is tridiagonal, the pattern memo's fact (_scc_blocks) by
+    which _scaled_solve picks dgtsv over dgesv; the frame of M^T is made of transposed views.
+    """
+
+    M: np.ndarray
+    neg_MT: np.ndarray  # -M^T
+    abs_M: np.ndarray  # |M|
+    floor: float  # 4*n*eps: relative rounding floor of the Collatz-Wielandt quotients
+    reach: float  # 2*max(0, -min_i M_ii), so that max(|M|x/x) <= max|(Mx)/x| + reach
+    tridiagonal: bool
+
+
+def _scaled_solve(F, x, shift, slack, rhs, trans=False):
+    """z with S z = rhs, or S^T z = rhs if trans, for S = shift*I - D^-1 M D, D = diag(x), M = F.M.
 
     Solving (shift*I - M) y = x as y = x*z with rhs = 1 keeps every entry of y
     accurate relative to itself, however widely the entries of x spread. At
     info > 0 the shift is an eigenvalue to working precision, so the system is
     rebuilt at shift + slack, just past it, and solved once more (Wilkinson's
     remedy at an exact eigenvalue); None if that is singular too. A tridiagonal
-    M (see _scc_blocks) is solved from the three diagonals of the system by
-    dgtsv, Gaussian elimination with partial pivoting in O(n), and any other M
-    by the dense dgesv; both factor the same entries S_ij = (x_j/x_i)*(-M_ij).
+    frame is solved from the three diagonals of the system by dgtsv, Gaussian
+    elimination with partial pivoting in O(n), and any other by the dense
+    dgesv; both factor the same entries S_ij = (x_j/x_i)*(-M_ij).
     """
-    if tridiagonal:
+    neg_MT = F.neg_MT
+    if F.tridiagonal:
         # S_{i,i+1} = (x_{i+1}/x_i)*(-M_{i,i+1}) and S_{i+1,i} = (x_i/x_{i+1})*(-M_{i+1,i}); S^T swaps the two
         upper = x[1:] / x[:-1]
         upper *= np.diagonal(neg_MT, -1)
@@ -210,7 +222,7 @@ def _scaled_solve(neg_MT, x, shift, slack, rhs, trans=False, tridiagonal=False):
     lapack = _lapack()
     n = x.shape[0]
     for s in (shift, shift + slack):
-        if tridiagonal:
+        if F.tridiagonal:
             z, info = lapack.dgtsv(lower, np.diagonal(neg_MT) + s, upper, rhs)[3:]
         else:
             # A is the transpose of the system in C order, so A.T is the system in the Fortran order
@@ -229,8 +241,8 @@ def _scaled_solve(neg_MT, x, shift, slack, rhs, trans=False, tridiagonal=False):
     return None
 
 
-def _noda(M, neg_MT, abs_M, floor, reach, tridiagonal, start=None, below=-math.inf):
-    """Noda inverse iteration for the Perron root of an irreducible Metzler M.
+def _noda(F, start=None, below=-math.inf):
+    """Noda inverse iteration for the Perron root of the irreducible Metzler M of the frame F.
 
     Starting from `start`, a strictly positive vector of length n and unit sum
     (_unit_vector), or from the constant vector if it is None, each step takes the
@@ -240,15 +252,16 @@ def _noda(M, neg_MT, abs_M, floor, reach, tridiagonal, start=None, below=-math.i
     strictly and the bracket closes superlinearly. Near convergence the
     shifted system is almost singular and its rounded solution may carry
     entries of the wrong sign; taking |.| keeps x positive, which is all the
-    bracket needs. The loop stops at the rounding floor of the quotients,
-    floor*max(|M|x/x), at a shift still singular after _scaled_solve's move,
-    or when a step narrows neither the upper end nor the bracket; the
-    narrowest bracket seen is returned as (x, lo, hi, steps), steps counting
-    the solves made; a step whose normalized iterate is not strictly positive
-    (an entry underflowed) ends the loop too. As soon as the upper end falls
-    below `below`, the current bracket is returned instead. neg_MT is -M^T and
-    abs_M is |M|; reach is 2*max(0, -min_i M_ii), the same for M and M^T, and
-    tridiagonal whether M is (_scaled_solve).
+    bracket needs. A step that narrows neither the upper end nor the bracket
+    may have shifted by a max(q) rounded below the root, where the solution
+    changes sign across the small entries of x: the loop then steps once more
+    from the narrowest bracket at its hi + slack (at least the rounding floor),
+    and stops at a second such step. It stops as well at the rounding floor of
+    the quotients, floor*max(|M|x/x), at a shift still singular after
+    _scaled_solve's move, or at an iterate that is not strictly positive (an
+    entry underflowed), and returns the narrowest bracket seen as (x, lo, hi,
+    steps), steps counting the solves made. As soon as the upper end falls
+    below `below`, the current bracket is returned instead.
     It runs in its caller's _FLOAT_SCOPE, and values decide every overflow: an
     infinite quotient ends the loop through the bracket tests (and _too_wide
     refuses a bracket with an infinite end), and a solve that is not finite
@@ -262,22 +275,28 @@ def _noda(M, neg_MT, abs_M, floor, reach, tridiagonal, start=None, below=-math.i
     by x_i > 0. So the computed max(|M|x/x) is at least max(-lo, hi), a pass of
     the first test is a pass of the second, and no decision or iterate changes.
     """
+    M, abs_M, floor, reach = F.M, F.abs_M, F.floor, F.reach
     n = M.shape[0]
     ones = _ones(n)
     x = np.full(n, 1.0 / n) if start is None else start
     best = None  # (width, x, lo, hi) of the narrowest bracket so far
     prev_hi = np.inf
     steps = 0
+    retried = False  # whether a step has stepped again from `best` past a stall
     while True:
         q = M @ x
         q /= x
         lo, hi = float(_min(q)), float(_max(q))
         if hi < below:
             return x, lo, hi, steps
+        retry = False
         if best is None or hi - lo < best[0]:
             best = (hi - lo, x, lo, hi)
         elif hi >= prev_hi:
-            break
+            if retried:
+                break
+            retried = retry = True
+            _, x, lo, hi = best
         # Off the diagonal |M| = M, so (|M|x)_i/x_i = q_i + 2*max(0, -M_ii) and
         # max(|M|x/x) <= |hi| + reach: while hi - lo exceeds twice floor times that
         # bound, the floor test cannot pass and |M|x/x is not computed.
@@ -288,7 +307,7 @@ def _noda(M, neg_MT, abs_M, floor, reach, tridiagonal, start=None, below=-math.i
                 break
             if hi - lo <= floor * float(_max(abs_M @ x / x)):
                 break
-        z = _scaled_solve(neg_MT, x, hi, slack, ones, tridiagonal=tridiagonal)
+        z = _scaled_solve(F, x, hi + slack if retry else hi, slack, ones)
         if z is None:
             break
         np.abs(z, out=z)
@@ -373,7 +392,7 @@ def grid_starts(stack) -> list[SpectralData | None]:
         return none
     pattern = S != 0.0
     union = pattern.any(axis=0)
-    indices = _block_indices(union, _off_diagonal_signs(union)[1])
+    indices = _block_pattern(union, _off_diagonal_signs(union)[1])[0]
     if max(idx.size for idx in indices) > BATCH_MAX_N:
         return none
     if len(indices) == 1:
@@ -401,51 +420,42 @@ def _too_wide(abs_M, lo, hi) -> bool:
     return not width <= 0.5 * WIDTH_TOL * (abs(hi) - width) and width > WIDTH_TOL * float(_max(abs_M.sum(axis=1)))
 
 
-def _operands(M, abs_M, tridiagonal: bool) -> tuple:
-    """(-M, |M|, floor, reach, tridiagonal): _noda's operands for v ((-M).T, |M|) and for u on M^T
-    (-M, |M|.T), given abs_M = |M| and whether M is tridiagonal (_block_pattern)."""
-    return -M, abs_M, 4.0 * M.shape[0] * EPS, 2.0 * max(0.0, -float(_min(M.diagonal()))), tridiagonal
-
-
-def _v_pass(M, start: SpectralData | None, below: float, operands) -> tuple:
-    """(spb, v, iterations, spb_lo, spb_hi) of the certified v pass of an irreducible M from `start`'s v.
+def _v_pass(F, start: SpectralData | None, below: float) -> tuple:
+    """(spb, v, iterations, spb_lo, spb_hi) of the certified v pass of the frame F from `start`'s v.
 
     A start whose v is not usable (see _unit_vector) is ignored as a whole; a started solve left
     wider than WIDTH_TOL*||M||_inf is solved again cold. spb is the bracket's midpoint, or the upper
-    end once it falls below `below`, where the solve stops and keeps its last iterate as v. operands
-    are _operands of M.
+    end once it falls below `below`, where the solve stops and keeps its last iterate as v.
     """
-    n = M.shape[0]
+    n = F.M.shape[0]
     if n == 1:
-        spb = float(M[0, 0])
+        spb = float(F.M[0, 0])
         return spb, np.array([1.0]), 0, spb, spb
-    neg, abs_M, floor, reach, tridiagonal = operands
     x0 = None if start is None else _unit_vector(start.v, n)
-    v, lo, hi, steps = _noda(M, neg.T, abs_M, floor, reach, tridiagonal, x0, below)
+    v, lo, hi, steps = _noda(F, x0, below)
     if hi < below:
         return hi, v, steps, lo, hi
-    if _too_wide(abs_M, lo, hi):
+    if _too_wide(F.abs_M, lo, hi):
         if x0 is not None:
-            spb, v, cold_steps, lo, hi = _v_pass(M, None, below, operands)
+            spb, v, cold_steps, lo, hi = _v_pass(F, None, below)
             return spb, v, cold_steps + steps, lo, hi
         raise NoConvergence(
             f"Collatz-Wielandt bracket [{lo:.17g}, {hi:.17g}] did not close to "
-            f"{WIDTH_TOL:g}*||M||_inf = {WIDTH_TOL * float(_max(abs_M.sum(axis=1))):.3e}",
+            f"{WIDTH_TOL:g}*||M||_inf = {WIDTH_TOL * float(_max(F.abs_M.sum(axis=1))):.3e}",
             residual=hi - lo,
             iterations=steps,
         )
     return lo + 0.5 * (hi - lo), v, steps, lo, hi  # 0.5*(lo + hi) can overflow
 
 
-def _solve_irreducible(M, abs_M, tridiagonal: bool, start: SpectralData | None = None) -> SpectralData:
-    """Certified Perron pair of an irreducible M with abs_M = |M|, tridiagonal or not: the v pass from
-    `start`, then the left-vector step.
+def _solve_irreducible(F, start: SpectralData | None = None) -> SpectralData:
+    """Certified Perron pair of the frame F: the v pass from `start`, then the left-vector step.
 
     u starts from one transposed scaled solve at the certified shift hi and is certified by its own Noda
-    run; spb is the clamped Rayleigh quotient. iterations counts every shifted solve, that one included.
+    run on M^T; spb is the clamped Rayleigh quotient. iterations counts every shifted solve, that one included.
     """
-    operands = neg, abs_M, floor, reach, tridiagonal = _operands(M, abs_M, tridiagonal)
-    _, v, steps, lo, hi = _v_pass(M, start, -math.inf, operands)
+    M = F.M
+    _, v, steps, lo, hi = _v_pass(F, start, -math.inf)
     if M.shape[0] == 1 or (M[0, 1] == M[1, 0] and (M == M.T).all()):
         u = v
     else:
@@ -454,13 +464,13 @@ def _solve_irreducible(M, abs_M, tridiagonal: bool, start: SpectralData | None =
         u_start = None
         # near the underflow range the scaled system or w/v can overflow: such a start is not
         # usable, and u starts cold
-        w = _scaled_solve(neg.T, v, hi, 2.0 * floor * (abs(hi) + reach), v, trans=True, tridiagonal=tridiagonal)
+        w = _scaled_solve(F, v, hi, 2.0 * F.floor * (abs(hi) + F.reach), v, trans=True)
         if w is not None:
             steps += 1
             u_start = np.abs(w, out=w)
             u_start /= v
             u_start = _unit_vector(u_start, M.shape[0])
-        u, _, _, steps_u = _noda(M.T, neg, abs_M.T, floor, reach, tridiagonal, u_start)
+        u, _, _, steps_u = _noda(_Frame(M.T, F.neg_MT.T, F.abs_M.T, F.floor, F.reach, F.tridiagonal), u_start)
         steps += steps_u
     # two-sided Rayleigh quotient: error is quadratic in the vector errors
     uv = float(u @ v)
@@ -468,14 +478,22 @@ def _solve_irreducible(M, abs_M, tridiagonal: bool, start: SpectralData | None =
     return SpectralData(spb, u / uv, v, steps, lo, hi)
 
 
-def _metzler_blocks(M) -> tuple[np.ndarray, tuple[np.ndarray, ...], bool, np.ndarray]:
-    """(square_matrix(M), its block indices, whether it is tridiagonal, |M|): the set-up of a solve
-    (_block_pattern), NotEssentiallyNonnegative if not Metzler."""
+def _frames(M) -> list[_Frame]:
+    """The _Frame of each strongly connected diagonal block of M in label order (_block_pattern), or of M
+    itself when it is irreducible: the set-up of a solve. NotEssentiallyNonnegative if M is not Metzler."""
     M, abs_M = _matrix_and_abs(M)
     nonnegative, dense = _off_diagonal_signs(M)
     if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    return M, *_block_pattern(M, dense), abs_M
+    indices, tridiagonal = _block_pattern(M, dense)
+    if len(indices) == 1:
+        blocks = [(M, abs_M)]
+    else:
+        blocks = [(B, np.abs(B)) for B in (M[idx[:, None], idx] for idx in indices)]
+    return [
+        _Frame(B, -B.T, abs_B, 4.0 * B.shape[0] * EPS, 2.0 * max(0.0, -float(_min(B.diagonal()))), tridiagonal)
+        for B, abs_B in blocks
+    ]
 
 
 @_FLOAT_SCOPE
@@ -497,24 +515,22 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
     unchanged, and keeps that upper end as spb and its last iterate as v for
     the next start.
     """
-    M, indices, tridiagonal, abs_M = _metzler_blocks(M)
-    count = len(indices)
+    frames = _frames(M)
+    count = len(frames)
     if count == 1:
-        return _solve_irreducible(M, abs_M, tridiagonal, start)
-    submatrices = [M[idx[:, None], idx] for idx in indices]
+        return _solve_irreducible(frames[0], start)
     # the likely dominant block goes first, so that the others can stop early
     if start is not None and start.blocks is not None and len(start.blocks) == count:
         starts = start.blocks
         upper = [b.spb_hi for b in starts]
     else:
         starts = [None] * count
-        upper = [float(_max(B.sum(axis=1))) for B in submatrices]
+        upper = [float(_max(F.M.sum(axis=1))) for F in frames]
     order = sorted(range(count), key=upper.__getitem__, reverse=True)
     blocks = [None] * count
     below = -math.inf
     for c in order:
-        B = submatrices[c]
-        spb, v, steps, lo, hi = _v_pass(B, starts[c], below, _operands(B, np.abs(B), tridiagonal))
+        spb, v, steps, lo, hi = _v_pass(frames[c], starts[c], below)
         blocks[c] = SpectralData(spb, None, v, steps, lo, hi)
         below = max(below, lo)
     # the maxima run in the order of solving, so a tie of 0.0 and -0.0 keeps the first sign
@@ -526,10 +542,10 @@ def spectral_bound(M, start: SpectralData | None = None) -> SpectralData:
 @_FLOAT_SCOPE
 def perron_vectors(M):
     """Left and right Perron vectors (u, v) with u @ v = 1 and sum(v) = 1."""
-    M, indices, tridiagonal, abs_M = _metzler_blocks(M)
-    if len(indices) > 1:
+    frames = _frames(M)
+    if len(frames) > 1:
         raise NotIrreducible("Perron vectors require an irreducible matrix")
-    data = _solve_irreducible(M, abs_M, tridiagonal)
+    data = _solve_irreducible(frames[0])
     return data.u, data.v
 
 

@@ -100,13 +100,26 @@ def test_perron_enters_one_floating_point_scope_per_solve():
 
 def test_perron_steps_read_the_tridiagonal_fact_and_compute_no_pattern():
     # whether a matrix is tridiagonal is recorded once per off-diagonal pattern by the memo behind
-    # _block_indices and carried with the operands: a Noda step compares no entry with zero and
-    # builds no pattern, O(n^2) work that every step of a dense solve would pay again
-    functions = {node.name: node for node in parse("perron").body if isinstance(node, ast.FunctionDef)}
+    # _block_pattern and carried in the frame of each solved block: a Noda step compares no entry with
+    # zero and builds no pattern, O(n^2) work that every step of a dense solve would pay again
+    tree = parse("perron")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in ("_noda", "_scaled_solve"):
         for node in ast.walk(functions[name]):
             assert not (isinstance(node, ast.Compare) and any(isinstance(op, ast.NotEq) for op in node.ops)), name
             assert getattr(node, "attr", getattr(node, "id", None)) not in {"packbits", "triu", "tril"}, name
+    # the fact travels in the frame alone, never as an argument of its own
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            assert "tridiagonal" not in {arg.arg for arg in arguments}, node.name
+    declaring = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(field, ast.AnnAssign) and ast.unparse(field.target) == "tridiagonal" for field in node.body)
+    }
+    assert declaring == {"_Frame"}
 
 
 def test_perron_binds_no_module_level_state():

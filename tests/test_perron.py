@@ -301,9 +301,9 @@ def test_left_vector_start_overflows_where_neither_v_nor_the_scale_is_extreme():
     # judged by its values (perron._unit_vector), not by its operands
     M = np.array([[-2.5575423411936634e-255, 1.0708686465895889e-117], [8.5414068853034703e-320, -7.6664355109349182e-217]])
     data = spectral_bound(M)
-    neg, abs_M, floor, reach, tridiagonal = perron._operands(M, np.abs(M), False)
-    assert abs_M.max() > 2.0**-400
-    w = perron._scaled_solve(neg.T, data.v, data.spb_hi, 2.0 * floor * (abs(data.spb_hi) + reach), data.v, trans=True)
+    F = _frame(M)
+    assert F.abs_M.max() > 2.0**-400
+    w = perron._scaled_solve(F, data.v, data.spb_hi, 2.0 * F.floor * (abs(data.spb_hi) + F.reach), data.v, trans=True)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         np.abs(w) / data.v
     assert abs(data.spb - lapack_spb(M)) <= 1e-13 * _norm(M)
@@ -554,12 +554,15 @@ def test_floor_pretest_premise_holds_bit_for_bit():
         assert (bound >= np.maximum(-np.min(q, axis=1), np.max(q, axis=1))).all()
 
 
+def _frame(M):
+    """The one perron._Frame of an irreducible M, as every solve of M builds it."""
+    (frame,) = perron._frames(M)
+    return frame
+
+
 def _noda(M, **kwargs):
-    """perron._noda on M with the v-iteration arguments that perron._operands derives from M and its
-    pattern, run in the floating-point scope of a solve."""
-    M, _, tridiagonal, abs_M = perron._metzler_blocks(M)
-    neg, abs_M, floor, reach, tridiagonal = perron._operands(M, abs_M, tridiagonal)
-    return perron._FLOAT_SCOPE(perron._noda)(M, neg.T, abs_M, floor, reach, tridiagonal, **kwargs)
+    """perron._noda on the frame of an irreducible M, run in the floating-point scope of a solve."""
+    return perron._FLOAT_SCOPE(perron._noda)(_frame(M), **kwargs)
 
 
 @pytest.mark.parametrize("n", [3, 8, 12, 32])
@@ -582,7 +585,7 @@ def test_left_start_steps_past_an_exact_root():
     data = spectral_bound(M)
     assert data.spb_lo == data.spb_hi == 1.0
     v = np.array([2.0, 1.0]) / 3.0
-    assert perron._scaled_solve(-M.T, v, 1.0, 0.0, v, trans=True) is None
+    assert perron._scaled_solve(_frame(M), v, 1.0, 0.0, v, trans=True) is None
     assert np.abs(data.u / data.u[1] - [0.5, 1.0]).max() <= 1e-15
 
 
@@ -695,8 +698,10 @@ def _tridiagonal_metzler(rng, n, decades, kind, cuts=0):
 
 
 def _tridiagonal(M):
-    """The tridiagonal fact that the pattern memo records for M, as every solve of M reads it."""
-    return perron._metzler_blocks(M)[2]
+    """The tridiagonal fact that the pattern memo records for M, as every frame of a solve of M carries it."""
+    facts = {F.tridiagonal for F in perron._frames(M)}
+    assert len(facts) == 1
+    return facts.pop()
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "drift"])
@@ -714,7 +719,7 @@ def test_tridiagonal_scaled_solve_matches_the_explicit_system(kind):
         S = shift * np.eye(n) - (x[None, :] / x[:, None]) * M
         rhs = rng.uniform(0.5, 2.0, n)
         for trans, system in ((False, S), (True, S.T)):
-            z = perron._scaled_solve(-M.T, x, shift, 0.0, rhs, trans, True)
+            z = perron._scaled_solve(_frame(M), x, shift, 0.0, rhs, trans)
             expected = np.linalg.solve(system, rhs)
             assert (np.abs(z - expected) <= 1e-14 * np.abs(expected)).all()
 
@@ -723,18 +728,19 @@ def test_tridiagonal_scaled_solve_steps_past_an_exact_root():
     # the Neumann stencil at shift 0 and the constant x is exactly singular: dgtsv's last pivot is 0
     M = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
     x = np.full(3, 1.0 / 3.0)
-    assert perron._scaled_solve(-M.T, x, 0.0, 0.0, np.ones(3), False, True) is None
-    z = perron._scaled_solve(-M.T, x, 0.0, 0.5, np.ones(3), False, True)
+    F = _frame(M)
+    assert F.tridiagonal and perron._scaled_solve(F, x, 0.0, 0.0, np.ones(3), False) is None
+    z = perron._scaled_solve(F, x, 0.0, 0.5, np.ones(3), False)
     np.testing.assert_allclose(z, np.linalg.solve(0.5 * np.eye(3) - M, np.ones(3)), rtol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "drift"])
-@pytest.mark.parametrize(("decades", "max_n"), [(2, 60), (12, 7)])
+@pytest.mark.parametrize(("decades", "max_n"), [(2, 60), (12, 7), (3, 60), (4, 60), (3, 200)])
 def test_tridiagonal_spectral_bound_and_perron_vectors_match_lapack(kind, decades, max_n):
     # irreducible and reducible draws: a cut pair splits the pattern into intervals of neighbours,
     # each a tridiagonal diagonal block. Longer chains of wider entries spread the Perron vector over
-    # 50 decades and more, where a shift rounded below the root can stall the bracket with the dense
-    # solve as with the tridiagonal one (CHANGES.md, FOUND)
+    # 50 decades and more, where a shift rounded below the root stalls the bracket of v or of u, with
+    # the dense solve as with the tridiagonal one, unless the stalled Noda run steps once more past it
     rng = np.random.default_rng(41)
     reducible = 0
     for k in range(80):
@@ -747,11 +753,13 @@ def test_tridiagonal_spectral_bound_and_perron_vectors_match_lapack(kind, decade
         assert data.spb_lo <= data.spb <= data.spb_hi and data.spb_hi - data.spb_lo <= perron.WIDTH_TOL * norm
         if data.blocks is not None:
             reducible += 1
-            for idx in perron._block_indices(M, False):
+            for idx in perron._block_pattern(M, False)[0]:
                 assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
             continue
         u, v = perron_vectors(M)
         np.testing.assert_array_equal(v, data.v)
+        q = M.T @ u / u  # the left vector's own Collatz-Wielandt bracket, at ||M^T||_inf
+        assert q.max() - q.min() <= perron.WIDTH_TOL * float(np.abs(M).sum(axis=0).max())
         # on the wider draws the vectors agree with LAPACK's to 2e-12 of their largest entry, with the
         # dense solve as with the tridiagonal one
         if decades == 2:
