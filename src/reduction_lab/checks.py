@@ -372,8 +372,8 @@ def homogeneity_check(F: LinearFamily, m: float, beta: float, alphas) -> CheckLi
     OverflowRisk when some alpha*(mA + beta V) is not finite.
     """
     alphas = np.asarray(alphas, dtype=float)
-    if not alphas.size or (alphas <= 0.0).any():
-        raise ValueError("need at least one scaling factor, each strictly positive")
+    if not alphas.size or not ((0.0 < alphas) & (alphas < math.inf)).all():
+        raise ValueError("need at least one scaling factor, each strictly positive and finite")
     M = F.matrix_at(m, beta)
     base = spectral_bound(M).spb
     with np.errstate(over="ignore"):
@@ -452,8 +452,8 @@ def find_threshold(F: LinearFamily, m_lo: float, m_hi: float) -> float:
     next to the root, the step bisects. Each solve is a solve_along point
     started from the previous one's result, so a solver error names its m.
     """
-    if not 0.0 < m_lo < m_hi:
-        raise ValueError("need 0 < m_lo < m_hi")
+    if not 0.0 < m_lo < m_hi < math.inf:
+        raise ValueError("need 0 < m_lo < m_hi < inf")
 
     grid = np.linspace(m_lo, m_hi, THRESHOLD_PRESWEEP)
     points = sweep_along("m", grid, F.matrices_at).points

@@ -158,22 +158,25 @@ class KingmanFamily:
 
     def matrices_at(self, theta) -> tuple[np.ndarray, Exception | None]:
         """The members along a 1-D theta array, stacked (k, n, n) up to the first point where an entry
-        overflows, and that point's OverflowRisk or None. exp(g*theta) is taken only where c != 0, so
-        an entry that is 0 at every theta cannot overflow; where it is not a normal finite number, the
-        entry is exp(log(c) + g*theta)."""
+        overflows or theta is not finite, and that point's OverflowRisk or ValueError, or None. exp(g*theta)
+        is taken only where c != 0, so an entry that is 0 at every theta cannot overflow; where it is not a
+        normal finite number, the entry is exp(log(c) + g*theta)."""
         theta = np.asarray(theta, dtype=float).ravel()
+        invalid = lambda k: ValueError(f"theta must be finite, got {theta[k]}")  # noqa: E731
+        finite, error = _until_first(theta, ~np.isfinite(theta), invalid)
         nonzero = self.c != 0.0
-        c, exponent = self.c[nonzero], self.g[nonzero] * theta[:, None]
+        c, exponent = self.c[nonzero], self.g[nonzero] * finite[:, None]
         with np.errstate(over="ignore"):
             growth = np.exp(exponent)
             outside = (growth < _TINY) | (growth == math.inf)
             entries = np.multiply(growth, c, out=growth)  # c*growth in the buffer of growth
             if outside.any():
                 entries[outside] = np.exp(np.log(np.broadcast_to(c, entries.shape)[outside]) + exponent[outside])
-        S = np.zeros((theta.size, *self.c.shape))
+        S = np.zeros((finite.size, *self.c.shape))
         S[:, nonzero] = entries
         at = "c*exp(g*theta) overflows double precision at theta = {}"
-        return _until_first(S, np.isinf(entries).any(axis=1), lambda k: OverflowRisk(at.format(theta.item(k))))
+        S, overflow = _until_first(S, np.isinf(entries).any(axis=1), lambda k: OverflowRisk(at.format(theta.item(k))))
+        return S, overflow or error
 
     def matrix_at(self, theta: float) -> np.ndarray:
         """The member at theta, the one-point case of matrices_at."""
@@ -346,8 +349,8 @@ def random_diagonal(n: int, lo: float, hi: float, seed: int) -> np.ndarray:
     """Seeded diagonal matrix with diagonal entries uniform in [lo, hi)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if lo > hi:
-        raise ValueError("need lo <= hi")
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError("need finite lo <= hi")
     rng = XorShift64Star(seed)
     d = np.array([lo + (hi - lo) * rng.uniform() for _ in range(n)])
     return np.diag(d)

@@ -96,27 +96,9 @@ class SccDecomposition:
     component_count: int
 
 
-def _off_diagonal_signs(M) -> tuple[bool, bool]:
-    """(all off-diagonal entries >= 0, all off-diagonal entries != 0) of a validated square M.
-
-    Both hold for n = 1. An off-diagonal pattern with no zero is strongly connected.
-    """
-    off = M.copy()
-    off.reshape(-1)[:: M.shape[0] + 1] = 1.0  # a positive diagonal leaves both answers to the off-diagonal
-    least = float(_min(off, axis=None))
-    if least >= 0.0:
-        return True, least > 0.0  # a zero among nonnegative entries is the least of them
-    return False, bool((off != 0.0).all())
-
-
-def is_essentially_nonnegative(M) -> bool:
-    """True iff every off-diagonal entry is >= 0 (exact comparison)."""
-    return _off_diagonal_signs(square_matrix(M))[0]
-
-
 @functools.lru_cache(maxsize=64)
 def _scc_blocks(n: int, packed: bytes) -> tuple[tuple[np.ndarray, ...], bool]:
-    """(blocks, tridiagonal) of an n x n adjacency pattern packed by np.packbits.
+    """(blocks, tridiagonal) of an n x n adjacency pattern packed by np.packbits: _pattern's memo.
 
     blocks are the vertex indices of each SCC in label order: read-only views of one array, in
     increasing order within each component, from one csgraph.connected_components call on the
@@ -134,20 +116,31 @@ def _scc_blocks(n: int, packed: bytes) -> tuple[tuple[np.ndarray, ...], bool]:
     return blocks, n >= 3 and not (np.triu(adjacency, 2).any() or np.tril(adjacency, -2).any())
 
 
-def _block_pattern(M, dense: bool) -> tuple[tuple[np.ndarray, ...], bool]:
-    """(row indices of each strongly connected diagonal block in label order, whether M is tridiagonal) of
-    a square M: all rows and False when M is `dense` off the diagonal, else _scc_blocks of its off-diagonal
-    pattern, read-only and memoised for the last 64 patterns."""
-    if dense:
-        return (np.arange(M.shape[0]),), False
-    adjacency = M != 0.0
+def _pattern(M) -> tuple[bool, tuple[np.ndarray, ...], bool]:
+    """(every off-diagonal entry >= 0, blocks, tridiagonal) of a validated square M: _scc_blocks of its
+    off-diagonal pattern, or all rows as one block and False, with no memo lookup, when that pattern has no
+    zero (n = 1 included). Every question a solve or a predicate asks of M's structure is answered here."""
+    n = M.shape[0]
+    off = M.copy()
+    off.reshape(-1)[:: n + 1] = 1.0  # a positive diagonal leaves every answer to the off-diagonal
+    least = float(_min(off, axis=None))
+    if least > 0.0:
+        return True, (np.arange(n),), False
+    adjacency = off != 0.0
+    if least < 0.0 and adjacency.all():  # a zero among nonnegative entries is the least of them
+        return False, (np.arange(n),), False
     np.fill_diagonal(adjacency, False)
-    return _scc_blocks(M.shape[0], np.packbits(adjacency).tobytes())
+    return (least == 0.0, *_scc_blocks(n, np.packbits(adjacency).tobytes()))
+
+
+def is_essentially_nonnegative(M) -> bool:
+    """True iff every off-diagonal entry is >= 0 (exact comparison)."""
+    return _pattern(square_matrix(M))[0]
 
 
 def scc_decomposition(M) -> SccDecomposition:
     """Strongly connected components of the digraph i -> j iff i != j and M[i][j] != 0, in fresh labels."""
-    blocks = _block_pattern(square_matrix(M), False)[0]
+    blocks = _pattern(square_matrix(M))[1]
     labels = np.empty(sum(idx.size for idx in blocks), dtype=np.int32)
     for c, idx in enumerate(blocks):
         labels[idx] = c
@@ -156,8 +149,7 @@ def scc_decomposition(M) -> SccDecomposition:
 
 def is_irreducible(M) -> bool:
     """True iff the off-diagonal adjacency digraph is strongly connected (n = 1 counts)."""
-    M = square_matrix(M)
-    return _off_diagonal_signs(M)[1] or len(_block_pattern(M, False)[0]) == 1
+    return len(_pattern(square_matrix(M))[1]) == 1
 
 
 def _unit_vector(x, n: int):
@@ -186,7 +178,7 @@ def _ones(n: int) -> np.ndarray:
 class _Frame:
     """The operands of the Noda solves of one irreducible diagonal block M, as _frames builds them.
 
-    reach is the same for M and M^T, and so is tridiagonal, the pattern memo's fact (_scc_blocks) by
+    reach is the same for M and M^T, and so is tridiagonal, the fact of M's pattern (_pattern) by
     which _scaled_solve picks dgtsv over dgesv; the frame of M^T is made of transposed views.
     """
 
@@ -392,7 +384,7 @@ def grid_starts(stack) -> list[SpectralData | None]:
         return none
     pattern = S != 0.0
     union = pattern.any(axis=0)
-    indices = _block_pattern(union, _off_diagonal_signs(union)[1])[0]
+    indices = _pattern(union)[1]
     if max(idx.size for idx in indices) > BATCH_MAX_N:
         return none
     if len(indices) == 1:
@@ -479,13 +471,12 @@ def _solve_irreducible(F, start: SpectralData | None = None) -> SpectralData:
 
 
 def _frames(M) -> list[_Frame]:
-    """The _Frame of each strongly connected diagonal block of M in label order (_block_pattern), or of M
-    itself when it is irreducible: the set-up of a solve. NotEssentiallyNonnegative if M is not Metzler."""
+    """The _Frame of each strongly connected diagonal block of M in label order, or of M itself when it is
+    irreducible, from one _pattern call: the set-up of a solve. NotEssentiallyNonnegative if M is not Metzler."""
     M, abs_M = _matrix_and_abs(M)
-    nonnegative, dense = _off_diagonal_signs(M)
+    nonnegative, indices, tridiagonal = _pattern(M)
     if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
-    indices, tridiagonal = _block_pattern(M, dense)
     if len(indices) == 1:
         blocks = [(M, abs_M)]
     else:
@@ -551,13 +542,15 @@ def perron_vectors(M):
 
 def resolvent(M, xi: float) -> np.ndarray:
     """(xi*I - M)^-1 from one LAPACK solve with n right-hand sides: dgtsv on the three diagonals of
-    xi*I - M when M is tridiagonal (_block_pattern), else dgesv, both LU with partial pivoting.
-    SingularResolvent if a pivot, a diagonal entry of U, is at most n*eps*max|xi*I - M|, an exact zero
-    included, which either routine reports as info > 0."""
+    xi*I - M when M is tridiagonal (_pattern), else dgesv, both LU with partial pivoting. ValueError unless xi
+    is finite; SingularResolvent if a pivot, a diagonal entry of U, is at most n*eps*max|xi*I - M|, an exact
+    zero included, which either routine reports as info > 0."""
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi}")
     M = square_matrix(M)
     n = M.shape[0]
     eye = np.eye(n)
-    if _block_pattern(M, _off_diagonal_signs(M)[1])[1]:
+    if _pattern(M)[2]:
         bands = (-np.diagonal(M, -1), xi - np.diagonal(M), -np.diagonal(M, 1))
         _, pivots, _, R, _ = _lapack().dgtsv(*bands, eye)
         largest = max(float(_max(np.abs(band))) for band in bands)

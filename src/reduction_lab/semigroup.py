@@ -26,8 +26,8 @@ def expm(M, t: float) -> np.ndarray:
     from scipy.linalg import expm as scipy_expm  # imported on first use, like the solver's LAPACK
 
     M = square_matrix(M)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     return scipy_expm(t * M)
 
 

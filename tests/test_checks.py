@@ -1,10 +1,12 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from reduction_lab import (
+    Grid1D,
     KarlinFamily,
     KingmanFamily,
     LinearFamily,
@@ -13,18 +15,22 @@ from reduction_lab import (
     NotEssentiallyNonnegative,
     NotIrreducible,
     NotMonotoneOnBracket,
+    ReductionLabError,
     SweepResult,
     check_midpoint_convexity,
     check_monotone_reduction,
     derivative_bound_check,
+    expm,
     find_threshold,
     homogeneity_check,
+    is_resolvent_positive_at,
     kingman_superconvexity_check,
     kirkland_check,
     karlin_monotonicity_check,
     lindqvist_check,
     perron_derivative,
     positivity_of_semigroup_check,
+    resolvent,
     spectral_bound,
     strict_convexity_probe,
     sweep_spb_in_beta,
@@ -509,6 +515,42 @@ def test_homogeneity_rejects_an_empty_factor_list():
     # with no factor the check would pass with margin inf and witness alpha = 0
     with pytest.raises(ValueError, match="at least one scaling factor"):
         homogeneity_check(FAM, 1.0, 1.0, [])
+
+
+KINGMAN = KingmanFamily(np.ones((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+KARLIN = KarlinFamily(np.full((2, 2), 0.5), np.diag([1.0, 2.0]))
+# every entry point that takes a real scalar, with that scalar as x
+SCALAR_ARGUMENTS = {
+    "resolvent xi": lambda x: resolvent(A_SYM, x),
+    "is_resolvent_positive_at xi": lambda x: is_resolvent_positive_at(A_SYM, x),
+    "expm t": lambda x: expm(A_SYM, x),
+    "find_threshold m_lo": lambda x: find_threshold(FAM, x, 10.0),
+    "find_threshold m_hi": lambda x: find_threshold(FAM, 0.1, x),
+    "homogeneity alpha": lambda x: homogeneity_check(FAM, 1.0, 1.0, [1.0, x]),
+    "homogeneity m": lambda x: homogeneity_check(FAM, x, 1.0, [1.0]),
+    "homogeneity beta": lambda x: homogeneity_check(FAM, 1.0, x, [1.0]),
+    "random_diagonal lo": lambda x: random_diagonal(3, x, 1.0, 1),
+    "random_diagonal hi": lambda x: random_diagonal(3, -1.0, x, 1),
+    "kingman theta": lambda x: KINGMAN.matrix_at(x),
+    "kingman_superconvexity theta": lambda x: kingman_superconvexity_check(KINGMAN, [0.0, 0.5, x]),
+    "linear m": lambda x: FAM.matrix_at(x, 1.0),
+    "linear beta": lambda x: FAM.matrix_at(1.0, x),
+    "karlin alpha": lambda x: KARLIN.matrix_at(x),
+    "derivative_bound m": lambda x: derivative_bound_check(FAM, x),
+    "m sweep": lambda x: sweep_spb_in_m(FAM, [1.0, x]),
+    "beta sweep": lambda x: sweep_spb_in_beta(FAM, [1.0, x]),
+    "Grid1D length": lambda x: Grid1D(10, x),
+}
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", SCALAR_ARGUMENTS)
+def test_non_finite_scalar_argument_raises_a_typed_error_without_warning(entry, x):
+    # a NaN or infinite scalar fails where it enters, never as NaN results or a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, ReductionLabError)):
+            SCALAR_ARGUMENTS[entry](x)
 
 
 def test_homogeneity_randomized():

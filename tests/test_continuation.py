@@ -336,8 +336,8 @@ def test_block_midpoint_stays_finite_near_the_top_of_the_range():
 
 def test_block_indices_are_memoised_read_only():
     M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    blocks = perron._block_pattern(M, False)[0]
-    assert perron._block_pattern(2.0 * M, False)[0] is blocks  # same off-diagonal pattern
+    blocks = perron._pattern(M)[1]
+    assert perron._pattern(2.0 * M)[1] is blocks  # same off-diagonal pattern
     assert [idx.tolist() for idx in blocks] == [[1, 2], [0]]
     for idx in blocks:
         with pytest.raises(ValueError):

@@ -100,7 +100,7 @@ def test_perron_enters_one_floating_point_scope_per_solve():
 
 def test_perron_steps_read_the_tridiagonal_fact_and_compute_no_pattern():
     # whether a matrix is tridiagonal is recorded once per off-diagonal pattern by the memo behind
-    # _block_pattern and carried in the frame of each solved block: a Noda step compares no entry with
+    # _pattern and carried in the frame of each solved block: a Noda step compares no entry with
     # zero and builds no pattern, O(n^2) work that every step of a dense solve would pay again
     tree = parse("perron")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -120,6 +120,22 @@ def test_perron_steps_read_the_tridiagonal_fact_and_compute_no_pattern():
         and any(isinstance(field, ast.AnnAssign) and ast.unparse(field.target) == "tridiagonal" for field in node.body)
     }
     assert declaring == {"_Frame"}
+
+
+def test_perron_asks_for_the_structure_of_a_matrix_in_one_place():
+    # one function packs an off-diagonal pattern for the memo, and it decides on its own whether a
+    # pattern is dense: no caller passes that in
+    tree = parse("perron")
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    packing = [
+        function.name
+        for function in functions
+        if any(isinstance(node, ast.Attribute) and node.attr == "packbits" for node in ast.walk(function))
+    ]
+    assert packing == ["_pattern"]
+    for function in functions:
+        arguments = function.args.posonlyargs + function.args.args + function.args.kwonlyargs
+        assert "dense" not in {arg.arg for arg in arguments}, function.name
 
 
 def test_perron_binds_no_module_level_state():

@@ -625,25 +625,39 @@ def _mutual_reach(adjacency):
 
 
 def test_scc_matches_mutual_reachability():
-    # a referee independent of csgraph; the second matrix of each draw has the first's pattern and
-    # other values, so its labels come from the pattern memo
+    # a referee independent of csgraph; the second and third matrices of each draw have the first's
+    # pattern and other values, the third with random signs as well, so their labels come from the
+    # pattern memo. The last 20 draws have a full pattern, which takes no memo lookup at all
     rng = np.random.default_rng(3)
+    signs_rng = np.random.default_rng(4)
     counts = set()
-    for k in range(200):
+    for k in range(220):
         n = 160 if k % 20 == 0 else int(rng.integers(1, 161))
-        pattern = rng.uniform(size=(n, n)) < 10.0 ** rng.uniform(-2.5, -0.3)
+        density = 10.0 ** rng.uniform(-2.5, -0.3) if k < 200 else 1.0
+        pattern = rng.uniform(size=(n, n)) < density
         adjacency = pattern.copy()
         np.fill_diagonal(adjacency, False)
         expected = _mutual_reach(adjacency)
-        for M in (rng.uniform(0.5, 1.0, size=(n, n)) * pattern, rng.uniform(2.0, 3.0, size=(n, n)) * pattern):
-            hits = perron._scc_blocks.cache_info().hits
+        full = adjacency.sum() == n * (n - 1)  # n = 1 included
+        signed = signs_rng.choice([-1.0, 1.0], (n, n)) * signs_rng.uniform(0.5, 1.0, (n, n)) * pattern
+        for i, M in enumerate(
+            (rng.uniform(0.5, 1.0, size=(n, n)) * pattern, rng.uniform(2.0, 3.0, size=(n, n)) * pattern, signed)
+        ):
+            before = perron._scc_blocks.cache_info()
             dec = scc_decomposition(M)
+            after = perron._scc_blocks.cache_info()
+            if full:
+                assert (after.hits, after.misses) == (before.hits, before.misses)
+            elif i > 0:
+                assert after.hits == before.hits + 1
             assert np.array_equal(dec.component_id[:, None] == dec.component_id, expected)
             assert dec.component_count == len({tuple(row) for row in expected})
-        assert perron._scc_blocks.cache_info().hits == hits + 1
-        counts.add((n == 160, min(dec.component_count, 3)))
-    # the draws reach one, two and three or more components, at n = 160 as well
-    assert counts >= {(True, 1), (True, 3), (False, 1), (False, 2), (False, 3)}
+            assert is_irreducible(M) == (dec.component_count == 1)
+            assert is_essentially_nonnegative(M) == bool((M[~np.eye(n, dtype=bool)] >= 0.0).all())
+        counts.add((n == 160, min(dec.component_count, 3), full))
+    # the draws reach one, two and three or more components, at n = 160 as well, and full patterns
+    assert counts >= {(True, 1, False), (True, 3, False), (False, 1, False), (False, 2, False), (False, 3, False)}
+    assert counts >= {(True, 1, True), (False, 1, True)}
 
 
 def test_quotient_near_the_top_of_the_range_is_finite_and_the_solve_silent():
@@ -753,7 +767,7 @@ def test_tridiagonal_spectral_bound_and_perron_vectors_match_lapack(kind, decade
         assert data.spb_lo <= data.spb <= data.spb_hi and data.spb_hi - data.spb_lo <= perron.WIDTH_TOL * norm
         if data.blocks is not None:
             reducible += 1
-            for idx in perron._block_pattern(M, False)[0]:
+            for idx in perron._pattern(M)[1]:
                 assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
             continue
         u, v = perron_vectors(M)
@@ -769,14 +783,20 @@ def test_tridiagonal_spectral_bound_and_perron_vectors_match_lapack(kind, decade
 
 
 def test_tridiagonal_resolvent_matches_the_inverse():
-    # xi above ||M||_inf >= spb makes xi*I - M an M-matrix, whatever the spread of the entries
+    # xi above ||M||_inf >= spb makes xi*I - M an M-matrix, whatever the spread of the entries; with the
+    # off-diagonal signs flipped at random M is not Metzler, and xi*I - M stays strictly diagonally dominant
     rng = np.random.default_rng(42)
+    signs_rng = np.random.default_rng(43)
     for k in range(40):
         n = int(rng.integers(3, 161))
         M = _tridiagonal_metzler(rng, n, 12, ("symmetric", "drift")[k % 2], cuts=k % 3)
-        for xi in _norm(M) * np.array([1.1, 2.0, 11.0]):
-            expected = np.linalg.inv(xi * np.eye(n) - M)
-            assert np.abs(resolvent(M, xi) - expected).max() <= 1e-13 * np.abs(expected).max()
+        flipped = np.where(np.eye(n, dtype=bool), M, signs_rng.choice([-1.0, 1.0], (n, n)) * M)
+        flipped[0, 1] = -abs(flipped[0, 1]) if flipped[0, 1] else -1.0  # at least one negative entry
+        assert perron._pattern(flipped)[::2] == (False, True)
+        for N in (M, flipped):
+            for xi in _norm(N) * np.array([1.1, 2.0, 11.0]):
+                expected = np.linalg.inv(xi * np.eye(n) - N)
+                assert np.abs(resolvent(N, xi) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_tridiagonal_resolvent_at_the_neumann_spectral_bound_is_singular():
