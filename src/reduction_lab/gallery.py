@@ -73,13 +73,16 @@ class LinearFamily:
     def matrices_at(self, m, beta=1.0) -> tuple[np.ndarray, Exception | None]:
         """The members m*A + beta*V along 1-D arrays m and beta (a scalar is broadcast), stacked
         (k, n, n) up to the first failing point, and that point's error or None: ValueError where
-        m < 0, OverflowRisk where the member is not finite."""
+        m or beta is not finite or m < 0, OverflowRisk where the member of finite m and beta is not finite."""
         m, beta = np.broadcast_arrays(*(np.asarray(p, dtype=float).ravel() for p in (m, beta)))
         with np.errstate(over="ignore", invalid="ignore"):
             S = m[:, None, None] * self.A
             S += beta[:, None, None] * self.V
 
-        def error_at(k):
+        def error_at(k):  # a NaN or infinite m or beta leaves its member non-finite too, since inf*0 is NaN
+            for name, p in (("m", m), ("beta", beta)):
+                if not math.isfinite(p[k]):
+                    return ValueError(f"{name} must be finite, got {p.item(k)}")
             if m[k] < 0.0:
                 return ValueError("mixing weight m must be nonnegative")
             return OverflowRisk(f"m*A + beta*V overflows double precision at m = {m.item(k)}, beta = {beta.item(k)}")

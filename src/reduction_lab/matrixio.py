@@ -52,9 +52,17 @@ def parse_matrix(text: str, origin: str = "<string>") -> np.ndarray:
     return out
 
 
-def load_matrix(path) -> np.ndarray:
+def read_text(path) -> str:
+    """The text of the UTF-8 file at path, as every input file is read; a ParseError naming it if it does not decode."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read(), origin=str(path))
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
+def load_matrix(path) -> np.ndarray:
+    return parse_matrix(read_text(path), origin=str(path))
 
 
 def save_matrix(path, M) -> None:

@@ -155,7 +155,8 @@ def is_irreducible(M) -> bool:
 def _unit_vector(x, n: int):
     """x/sum(x) where x is a vector of length n with a finite sum and x/sum(x) is strictly positive, else None.
 
-    The test follows the division, so an entry that underflows to 0 there fails it.
+    The one test of a vector that can carry a Collatz-Wielandt bracket, passed by the v and u starts and by
+    every Noda iterate. It follows the division, so an entry that underflows to 0 there fails it.
     """
     if x is None or x.shape != (n,):
         return None
@@ -164,14 +165,6 @@ def _unit_vector(x, n: int):
         return None
     x = x / total
     return x if _min(x) > 0.0 else None
-
-
-@functools.lru_cache(maxsize=64)
-def _ones(n: int) -> np.ndarray:
-    """Read-only ones(n), the right-hand side of every Noda step."""
-    ones = np.ones(n)
-    ones.flags.writeable = False
-    return ones
 
 
 @dataclass(slots=True)
@@ -250,14 +243,14 @@ def _noda(F, start=None, below=-math.inf):
     from the narrowest bracket at its hi + slack (at least the rounding floor),
     and stops at a second such step. It stops as well at the rounding floor of
     the quotients, floor*max(|M|x/x), at a shift still singular after
-    _scaled_solve's move, or at an iterate that is not strictly positive (an
-    entry underflowed), and returns the narrowest bracket seen as (x, lo, hi,
-    steps), steps counting the solves made. As soon as the upper end falls
-    below `below`, the current bracket is returned instead.
+    _scaled_solve's move, or at an iterate that _unit_vector refuses (an entry
+    underflowed or the solve was not finite), and returns the narrowest bracket
+    seen as (x, lo, hi, steps), steps counting the solves made. As soon as the
+    upper end falls below `below`, the current bracket is returned instead.
     It runs in its caller's _FLOAT_SCOPE, and values decide every overflow: an
     infinite quotient ends the loop through the bracket tests (and _too_wide
     refuses a bracket with an infinite end), and a solve that is not finite
-    fails the test of the next iterate.
+    fails _unit_vector.
 
     The floor test first tries max|q| = max(-lo, hi) in place of max(|M|x/x), and
     computes |M|x/x only when that fails. (|M|x)_i >= |(Mx)_i| holds for the
@@ -269,8 +262,8 @@ def _noda(F, start=None, below=-math.inf):
     """
     M, abs_M, floor, reach = F.M, F.abs_M, F.floor, F.reach
     n = M.shape[0]
-    ones = _ones(n)
-    x = np.full(n, 1.0 / n) if start is None else start
+    ones = np.ones(n)
+    x = ones / n if start is None else start
     best = None  # (width, x, lo, hi) of the narrowest bracket so far
     prev_hi = np.inf
     steps = 0
@@ -304,14 +297,9 @@ def _noda(F, start=None, below=-math.inf):
             break
         np.abs(z, out=z)
         z *= x  # y = x*z
-        total = float(_sum(z))
-        if not (total > 0.0 and math.isfinite(total)):
+        x = _unit_vector(z, n)
+        if x is None:
             break
-        z /= total
-        least = float(_min(z))
-        if not least > 0.0:
-            break  # no positive iterate to continue from: an entry underflowed
-        x = z
         prev_hi = hi
         steps += 1
     return (*best[1:], steps)

@@ -21,7 +21,7 @@ import numpy as np
 from .checks import FAMILY_KINDS, THRESHOLD_PRESWEEP, is_uniform
 from .errors import InvariantViolation, NegativeKernel, NonPositiveDiffusion, ParseError
 from .gallery import Grid1D, KarlinFamily, KingmanFamily, LinearFamily, elliptic_1d, laplacian_1d, nonlocal_operator
-from .matrixio import load_matrix
+from .matrixio import load_matrix, read_text
 
 
 @dataclass
@@ -239,7 +239,9 @@ def _require_matrix(items: _Items, name):
 
 
 def _linspace(origin, start, stop, count):
-    """np.linspace(start, stop, count); a ParseError if rounding repeats a point."""
+    """np.linspace(start, stop, count); a ParseError if stop - start overflows or rounding repeats a point."""
+    if not math.isfinite(stop - start):
+        raise ParseError(f"{origin}: the span from {start!r} to {stop!r} overflows double precision")
     points = np.linspace(start, stop, count)
     if not (np.diff(points) > 0.0).all():
         raise ParseError(f"{origin}: {count} points from {start!r} to {stop!r} repeat a value in double precision")
@@ -248,8 +250,7 @@ def _linspace(origin, start, stop, count):
 
 def parse_scenario(path) -> Scenario:
     origin = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        items = _Items(_read_items(fh.read(), origin), origin)
+    items = _Items(_read_items(read_text(path), origin), origin)
 
     kind, kind_line = items.require("family", "kind")
     kind = kind.lower()

@@ -537,6 +537,23 @@ def test_non_finite_bounds_are_a_parse_error(tmp_path, capsys, command, section,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["scenario", "matrix", "A_file"])
+def test_input_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, case):
+    # exit 1 is left to a failing report line: a file that does not decode is named in a ParseError
+    not_utf8 = b"# \xff\n"
+    matrix = tmp_path / "A.txt"
+    matrix.write_bytes(b"2\n-1 1\n1 -1\n" + (b"" if case == "scenario" else not_utf8))
+    scn = tmp_path / "case.scn"
+    A = "A_file = A.txt" if case == "A_file" else "A = -1 1 ; 1 -1"
+    text = f"[family]\nkind = linear\n{A}\nV_diag = 1 -1\n".encode()
+    scn.write_bytes(text + (not_utf8 if case == "scenario" else b""))
+    argv = ["spb", str(matrix)] if case == "matrix" else ["check", str(scn), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    bad = scn if case == "scenario" else matrix
+    assert capsys.readouterr().err == f"ParseError: {bad}: not UTF-8 text (invalid start byte)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_numerical_failure_exit_code(tmp_path):
     # nilpotent entry pattern has zero spectral radius, so log(rho) blows up
     scn = write(

@@ -14,6 +14,7 @@ from reduction_lab import (
     NegativeKernel,
     NonPositiveDiffusion,
     OverflowRisk,
+    derivative_bound_check,
     elliptic_1d,
     eigenvalues_oracle,
     is_essentially_nonnegative,
@@ -221,6 +222,23 @@ def test_kingman_entry_whose_exp_underflows_stays_positive():
     A = KingmanFamily([[1.0, 1e300], [1.0, 1.0]], [[0.0, -800.0], [0.0, 0.0]]).matrix_at(1.0)
     assert A[0, 1] == pytest.approx(math.exp(300.0 * math.log(10.0) - 800.0), rel=1e-12)
     assert is_irreducible(A)
+
+
+@pytest.mark.parametrize(
+    "m, beta", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)]
+)
+def test_non_finite_linear_parameter_is_a_value_error_that_names_it(m, beta):
+    # the member of such a point is not finite, but no overflow happened: the input is not a number
+    fam = LinearFamily([[-1.0, 1.0], [1.0, -1.0]], np.diag([1.0, -1.0]))
+    name = "beta" if math.isfinite(m) else "m"
+    with pytest.raises(ValueError, match=f"^{name} must be finite") as raised:
+        fam.matrix_at(m, beta)
+    assert "overflows" not in str(raised.value)
+    S, error = fam.matrices_at([0.5, m], [1.0, beta])
+    assert S.shape == (1, 2, 2) and isinstance(error, ValueError) and str(error) == str(raised.value)
+    if name == "m":
+        with pytest.raises(ValueError, match="^m must be finite"):
+            derivative_bound_check(fam, m)
 
 
 def test_wrappers_return_their_methods_result():

@@ -138,9 +138,20 @@ def test_perron_asks_for_the_structure_of_a_matrix_in_one_place():
         assert "dense" not in {arg.arg for arg in arguments}, function.name
 
 
+def test_perron_caches_two_functions_and_tests_every_bracket_vector_in_one():
+    # the LAPACK import and the pattern memo are the only caches; whether a vector can carry a
+    # Collatz-Wielandt bracket is decided by _unit_vector alone, for each start and each Noda iterate
+    functions = {node.name: node for node in parse("perron").body if isinstance(node, ast.FunctionDef)}
+    cached = {name for name, node in functions.items() if any("cache" in ast.unparse(d) for d in node.decorator_list)}
+    assert cached == {"_lapack", "_scc_blocks"}
+    noda = list(ast.walk(functions["_noda"]))
+    assert "_unit_vector" in {ast.unparse(node.func) for node in noda if isinstance(node, ast.Call)}
+    assert not [node for node in noda if getattr(node, "attr", None) == "isfinite"]
+
+
 def test_perron_binds_no_module_level_state():
-    # the constants, the one floating-point scope and the bound reductions; the memos are caches
-    # of functions, and no flag or table lives beside them
+    # the constants, the one floating-point scope and the bound reductions; the two memos
+    # (_lapack, _scc_blocks) are caches of functions, and no flag or table lives beside them
     bound = {
         target.id
         for node in parse("perron").body

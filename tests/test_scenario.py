@@ -123,6 +123,14 @@ def test_grid_requires_start_below_stop(tmp_path):
         )
 
 
+def test_grid_whose_span_overflows_is_rejected(tmp_path):
+    # stop - start = 2e308 overflows, where np.linspace would warn and then repeat points
+    with pytest.raises(ParseError, match=r"span from -1e\+308 to 1e\+308 overflows double precision"):
+        parse_scenario(
+            write(tmp_path, MINIMAL_LINEAR + "[grid]\nname = beta\nstart = -1e308\nstop = 1e308\ncount = 3\n")
+        )
+
+
 def test_m_grid_must_be_positive(tmp_path):
     with pytest.raises(ParseError, match="above 0"):
         parse_scenario(
