@@ -75,9 +75,12 @@ class LinearFamily:
         (k, n, n) up to the first failing point, and that point's error or None: ValueError where
         m or beta is not finite or m < 0, OverflowRisk where the member of finite m and beta is not finite."""
         m, beta = np.broadcast_arrays(*(np.asarray(p, dtype=float).ravel() for p in (m, beta)))
+        n = self.n
         with np.errstate(over="ignore", invalid="ignore"):
             S = m[:, None, None] * self.A
-            S += beta[:, None, None] * self.V
+            # V is diagonal (_require_diagonal), and the beta*0 that beta*V adds off it moves no value: the
+            # stride n + 1 of each flattened member is its diagonal (a view an empty stack has too)
+            S.reshape(len(S), n * n)[:, :: n + 1] += beta[:, None] * self.V.diagonal()
 
         def error_at(k):  # a NaN or infinite m or beta leaves its member non-finite too, since inf*0 is NaN
             for name, p in (("m", m), ("beta", beta)):

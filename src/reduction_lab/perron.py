@@ -97,14 +97,18 @@ class SccDecomposition:
 
 
 @functools.lru_cache(maxsize=64)
-def _scc_blocks(n: int, packed: bytes) -> tuple[tuple[np.ndarray, ...], bool]:
-    """(blocks, tridiagonal) of an n x n adjacency pattern packed by np.packbits: _pattern's memo.
+def _scc_blocks(n: int, packed: bytes) -> tuple[tuple[np.ndarray, ...], str]:
+    """(blocks, structure) of an n x n adjacency pattern packed by np.packbits: _pattern's memo.
 
     blocks are the vertex indices of each SCC in label order: read-only views of one array, in
     increasing order within each component, from one csgraph.connected_components call on the
-    unpacked dense pattern. tridiagonal is whether n >= 3 and every edge joins neighbours i, i +- 1;
-    each SCC of such a pattern is then an interval of neighbours, so its diagonal block is tridiagonal
-    too. A pattern of n <= 2 is banded and triangular alike, and gains nothing from a band solver.
+    unpacked dense pattern. structure names the solver of each diagonal block (_scaled_solve,
+    resolvent). "tridiagonal": n >= 3 and every edge joins neighbours i, i +- 1; each SCC of such a
+    pattern is then an interval of neighbours, so its diagonal block is tridiagonal too. "cyclic": n >= 4,
+    one SCC, and the edges off that band are exactly the two corners (0, n-1) and (n-1, 0), as on a
+    periodic grid; a reducible one stays dense, as a block that wraps past a corner is not banded in
+    index order. "dense" otherwise: a pattern of n <= 2 is banded and triangular alike, and gains
+    nothing from a band solver.
     """
     from scipy.sparse import csgraph
 
@@ -113,22 +117,24 @@ def _scc_blocks(n: int, packed: bytes) -> tuple[tuple[np.ndarray, ...], bool]:
     order = np.argsort(labels, kind="stable")
     order.flags.writeable = False
     blocks = tuple(np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]))
-    return blocks, n >= 3 and not (np.triu(adjacency, 2).any() or np.tril(adjacency, -2).any())
+    off_band = int(np.triu(adjacency, 2).sum() + np.tril(adjacency, -2).sum())
+    cyclic = n >= 4 and count == 1 and off_band == 2 and adjacency[0, -1] and adjacency[-1, 0]
+    return blocks, "tridiagonal" if n >= 3 and not off_band else "cyclic" if cyclic else "dense"
 
 
-def _pattern(M) -> tuple[bool, tuple[np.ndarray, ...], bool]:
-    """(every off-diagonal entry >= 0, blocks, tridiagonal) of a validated square M: _scc_blocks of its
-    off-diagonal pattern, or all rows as one block and False, with no memo lookup, when that pattern has no
-    zero (n = 1 included). Every question a solve or a predicate asks of M's structure is answered here."""
+def _pattern(M) -> tuple[bool, tuple[np.ndarray, ...], str]:
+    """(every off-diagonal entry >= 0, blocks, structure) of a validated square M: _scc_blocks of its
+    off-diagonal pattern, or all rows as one block and "dense", with no memo lookup, when that pattern has
+    no zero (n = 1 included). Every question a solve or a predicate asks of M's structure is answered here."""
     n = M.shape[0]
     off = M.copy()
     off.reshape(-1)[:: n + 1] = 1.0  # a positive diagonal leaves every answer to the off-diagonal
     least = float(_min(off, axis=None))
     if least > 0.0:
-        return True, (np.arange(n),), False
+        return True, (np.arange(n),), "dense"
     adjacency = off != 0.0
     if least < 0.0 and adjacency.all():  # a zero among nonnegative entries is the least of them
-        return False, (np.arange(n),), False
+        return False, (np.arange(n),), "dense"
     np.fill_diagonal(adjacency, False)
     return (least == 0.0, *_scc_blocks(n, np.packbits(adjacency).tobytes()))
 
@@ -171,8 +177,8 @@ def _unit_vector(x, n: int):
 class _Frame:
     """The operands of the Noda solves of one irreducible diagonal block M, as _frames builds them.
 
-    reach is the same for M and M^T, and so is tridiagonal, the fact of M's pattern (_pattern) by
-    which _scaled_solve picks dgtsv over dgesv; the frame of M^T is made of transposed views.
+    reach is the same for M and M^T, and so is structure, the fact of M's pattern (_pattern) by
+    which _scaled_solve picks its LAPACK solver; the frame of M^T is made of transposed views.
     """
 
     M: np.ndarray
@@ -180,7 +186,7 @@ class _Frame:
     abs_M: np.ndarray  # |M|
     floor: float  # 4*n*eps: relative rounding floor of the Collatz-Wielandt quotients
     reach: float  # 2*max(0, -min_i M_ii), so that max(|M|x/x) <= max|(Mx)/x| + reach
-    tridiagonal: bool
+    structure: str  # "dense", "tridiagonal" or "cyclic" (_scc_blocks)
 
 
 def _scaled_solve(F, x, shift, slack, rhs, trans=False):
@@ -192,11 +198,19 @@ def _scaled_solve(F, x, shift, slack, rhs, trans=False):
     rebuilt at shift + slack, just past it, and solved once more (Wilkinson's
     remedy at an exact eigenvalue); None if that is singular too. A tridiagonal
     frame is solved from the three diagonals of the system by dgtsv, Gaussian
-    elimination with partial pivoting in O(n), and any other by the dense
-    dgesv; both factor the same entries S_ij = (x_j/x_i)*(-M_ij).
+    elimination with partial pivoting in O(n), and a dense one by dgesv; both
+    factor the same entries S_ij = (x_j/x_i)*(-M_ij). A cyclic frame splits S =
+    T + U W, T the band, U = [e_0, e_{n-1}] and W the corners S_{0,n-1} and
+    S_{n-1,0}, solves T [z0, Y] = [rhs, U] by one dgtsv and takes z = z0 +
+    Y C^-1 (-W z0), C = I + W Y (Sherman-Morrison-Woodbury; Temperton 1975).
+    Above spb, T and C are nonsingular M-matrices and W <= 0, so every term of
+    z is >= 0 and only C's determinant cancels: it carries the singularity of
+    S, and is info > 0 where it is zero or not finite.
     """
     neg_MT = F.neg_MT
-    if F.tridiagonal:
+    dense, cyclic = F.structure == "dense", F.structure == "cyclic"
+    n = x.shape[0]
+    if not dense:
         # S_{i,i+1} = (x_{i+1}/x_i)*(-M_{i,i+1}) and S_{i+1,i} = (x_i/x_{i+1})*(-M_{i+1,i}); S^T swaps the two
         upper = x[1:] / x[:-1]
         upper *= np.diagonal(neg_MT, -1)
@@ -204,12 +218,16 @@ def _scaled_solve(F, x, shift, slack, rhs, trans=False):
         lower *= np.diagonal(neg_MT, 1)
         if trans:
             upper, lower = lower, upper
+    if cyclic:
+        # the corners (S_{0,n-1}, S_{n-1,0}), each <= 0; S^T swaps them
+        corners = x[[-1, 0]] / x[[0, -1]] * neg_MT[[-1, 0], [0, -1]]
+        top, bottom = (corners[::-1] if trans else corners).tolist()
+        columns = np.zeros((3, n))
+        columns[0], columns[1, 0], columns[2, -1] = rhs, 1.0, 1.0
+        rhs = columns.T  # the columns [rhs, e_0, e_{n-1}]
     lapack = _lapack()
-    n = x.shape[0]
     for s in (shift, shift + slack):
-        if F.tridiagonal:
-            z, info = lapack.dgtsv(lower, np.diagonal(neg_MT) + s, upper, rhs)[3:]
-        else:
+        if dense:
             # A is the transpose of the system in C order, so A.T is the system in the Fortran order
             # that dgesv factors without a copy: A = S^T for S, and A = S for S^T; either way the
             # entry S_ij is the product (x_j/x_i)*(-M_ij)
@@ -221,6 +239,17 @@ def _scaled_solve(F, x, shift, slack, rhs, trans=False):
                 A *= neg_MT
             A.reshape(-1)[:: n + 1] += s
             z, info = lapack.dgesv(A.T, rhs, overwrite_a=True)[2:]
+        else:
+            z, info = lapack.dgtsv(lower, np.diagonal(neg_MT) + s, upper, rhs)[3:]
+        if cyclic and info == 0:
+            (head, y00, y01), (tail, y10, y11) = z[0].tolist(), z[-1].tolist()  # rows 0 and n-1 of [z0, Y]
+            c00, c01, c10, c11 = 1.0 + top * y10, top * y11, bottom * y00, 1.0 + bottom * y01
+            g0, g1 = -top * tail, -bottom * head  # -W z0
+            det = c00 * c11 - c01 * c10
+            if 0.0 < abs(det) < math.inf:
+                z = z @ (1.0, (g0 * c11 - c01 * g1) / det, (c00 * g1 - c10 * g0) / det)
+            else:
+                info = 1
         if info == 0:
             return z
     return None
@@ -450,7 +479,7 @@ def _solve_irreducible(F, start: SpectralData | None = None) -> SpectralData:
             u_start = np.abs(w, out=w)
             u_start /= v
             u_start = _unit_vector(u_start, M.shape[0])
-        u, _, _, steps_u = _noda(_Frame(M.T, F.neg_MT.T, F.abs_M.T, F.floor, F.reach, F.tridiagonal), u_start)
+        u, _, _, steps_u = _noda(_Frame(M.T, F.neg_MT.T, F.abs_M.T, F.floor, F.reach, F.structure), u_start)
         steps += steps_u
     # two-sided Rayleigh quotient: error is quadratic in the vector errors
     uv = float(u @ v)
@@ -462,7 +491,7 @@ def _frames(M) -> list[_Frame]:
     """The _Frame of each strongly connected diagonal block of M in label order, or of M itself when it is
     irreducible, from one _pattern call: the set-up of a solve. NotEssentiallyNonnegative if M is not Metzler."""
     M, abs_M = _matrix_and_abs(M)
-    nonnegative, indices, tridiagonal = _pattern(M)
+    nonnegative, indices, structure = _pattern(M)
     if not nonnegative:
         raise NotEssentiallyNonnegative("matrix has a negative off-diagonal entry")
     if len(indices) == 1:
@@ -470,7 +499,7 @@ def _frames(M) -> list[_Frame]:
     else:
         blocks = [(B, np.abs(B)) for B in (M[idx[:, None], idx] for idx in indices)]
     return [
-        _Frame(B, -B.T, abs_B, 4.0 * B.shape[0] * EPS, 2.0 * max(0.0, -float(_min(B.diagonal()))), tridiagonal)
+        _Frame(B, -B.T, abs_B, 4.0 * B.shape[0] * EPS, 2.0 * max(0.0, -float(_min(B.diagonal()))), structure)
         for B, abs_B in blocks
     ]
 
@@ -529,25 +558,43 @@ def perron_vectors(M):
 
 
 def resolvent(M, xi: float) -> np.ndarray:
-    """(xi*I - M)^-1 from one LAPACK solve with n right-hand sides: dgtsv on the three diagonals of
-    xi*I - M when M is tridiagonal (_pattern), else dgesv, both LU with partial pivoting. ValueError unless xi
-    is finite; SingularResolvent if a pivot, a diagonal entry of U, is at most n*eps*max|xi*I - M|, an exact
-    zero included, which either routine reports as info > 0."""
+    """(xi*I - M)^-1 from one LAPACK solve with n right-hand sides, LU with partial pivoting: dgtsv on the
+    three diagonals of S = xi*I - M when M is tridiagonal (_pattern), else dgesv. ValueError unless xi is
+    finite; SingularResolvent if a pivot, a diagonal entry of U, is at most n*eps*max|S|, an exact zero
+    included, which either routine reports as info > 0. A cyclic M takes dgtsv on the band T of S, whose
+    inverse holds Y = T^-1 U as its columns 0 and n-1, and S^-1 = T^-1 + Y C^-1 (-W T^-1) (_scaled_solve).
+    When T's pivots pass that test, S is singular where C is, and C's two pivots are tested against
+    n*eps*max|C|: C is dimensionless, so no change of units moves the test. A cyclic M whose T fails it,
+    which a Metzler M can only below spb(M), is left to dgesv."""
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi}")
     M = square_matrix(M)
     n = M.shape[0]
     eye = np.eye(n)
-    if _pattern(M)[2]:
+
+    def regular(pivots, largest) -> bool:
+        return float(np.min(np.abs(pivots))) > n * EPS * max(largest, np.finfo(float).tiny)
+
+    structure = _pattern(M)[2]
+    if structure != "dense":
         bands = (-np.diagonal(M, -1), xi - np.diagonal(M), -np.diagonal(M, 1))
         _, pivots, _, R, _ = _lapack().dgtsv(*bands, eye)
         largest = max(float(_max(np.abs(band))) for band in bands)
-    else:
+    if structure == "cyclic" and regular(pivots, largest):
+        top, bottom = -float(M[0, -1]), -float(M[-1, 0])  # the corners S_{0,n-1} and S_{n-1,0}
+        (y00, y01), (y10, y11) = R[0, [0, -1]].tolist(), R[-1, [0, -1]].tolist()
+        c00, c01, c10, c11 = 1.0 + top * y10, top * y11, bottom * y00, 1.0 + bottom * y01
+        det = c00 * c11 - c01 * c10
+        pivot = max(abs(c00), abs(c10))  # C's first LU pivot, and |det|/pivot its second
+        pivots, largest = (pivot, abs(det) / pivot if pivot else 0.0), max(pivot, abs(c01), abs(c11))
+        if regular(pivots, largest):
+            # C^-1 diag(-top, -bottom) times T^-1's rows n-1 and 0 is C^-1 (-W T^-1)
+            R += R[:, [0, -1]] @ (np.array([[-top * c11, bottom * c01], [top * c10, -bottom * c00]]) / det) @ R[[-1, 0]]
+            return R
+    elif structure != "tridiagonal":
         shifted = xi * eye - M
         lu, _, R, _ = _lapack().dgesv(shifted, eye)
-        pivots = np.diagonal(lu)
-        largest = float(np.max(np.abs(shifted)))
-    tiny = n * EPS * max(largest, np.finfo(float).tiny)
-    if float(np.min(np.abs(pivots))) <= tiny:
+        pivots, largest = np.diagonal(lu), float(np.max(np.abs(shifted)))
+    if not regular(pivots, largest):
         raise SingularResolvent(f"xi = {xi} lies in the spectrum within pivot tolerance")
     return R

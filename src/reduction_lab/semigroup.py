@@ -32,11 +32,13 @@ def expm(M, t: float) -> np.ndarray:
 
 
 def _renormalized(E):
-    """(E/c, log c) for c = ||E||_inf; OverflowRisk unless c is positive and finite."""
+    """(E/c, log c) for c = ||E||_inf, dividing E, a fresh product, in place; OverflowRisk unless c is
+    positive and finite."""
     c = float(np.max(np.abs(E).sum(axis=1)))
     if not (math.isfinite(c) and c > 0.0):
         raise OverflowRisk("propagator norm left the representable range")
-    return E / c, math.log(c)
+    E /= c
+    return E, math.log(c)
 
 
 def _norm_inf(M) -> float:

@@ -61,5 +61,6 @@ def test_sweeps_pass_agrees_with_lapack(monkeypatch, tmp_path):
 
 
 def test_operators_pass_agrees_with_lapack(monkeypatch, tmp_path):
-    # the elliptic Dirichlet and Neumann operators and the Neumann Laplacian take the tridiagonal solve
+    # the elliptic Dirichlet and Neumann operators and the Neumann Laplacian take the tridiagonal solve,
+    # and the periodic elliptic operators the cyclic one
     assert _pass_errors(monkeypatch, tmp_path, "operators") == ([], [])

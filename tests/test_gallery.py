@@ -309,6 +309,23 @@ def test_stacked_members_equal_scalar_members_byte_for_byte(kind):
         assert (S[:, 3:, :2] == 0.0).all() and (S[:, 0, 1] > 0.0).all() and np.isfinite(S).all()
 
 
+def test_linear_members_add_the_growth_term_on_the_diagonal_alone_bit_for_bit():
+    # V is diagonal, so beta*V adds beta*0 off the diagonal, which matrices_at skips: each stack equals
+    # m*A + beta*V byte for byte, with negative beta, zero entries in A and V, and an empty grid
+    rng = np.random.default_rng(7)
+    for seed in range(20):
+        n = int(rng.integers(1, 9))
+        A = random_ess_nonneg(n, seed) * (rng.uniform(size=(n, n)) < 0.6)
+        np.fill_diagonal(A, rng.uniform(-2.0, 0.0, n))
+        V = np.diag(rng.uniform(-1.5, 1.5, n) * (rng.uniform(size=n) < 0.7))
+        m, beta = rng.uniform(0.0, 5.0, 7), rng.uniform(-3.0, 3.0, 7)
+        m[0] = 0.0
+        S, error = LinearFamily(A, V).matrices_at(m, beta)
+        assert error is None and S.tobytes() == (m[:, None, None] * A + beta[:, None, None] * V).tobytes()
+        S, error = LinearFamily(A, V).matrices_at(np.array([]))
+        assert error is None and S.shape == (0, n, n)
+
+
 @pytest.mark.parametrize(
     "F, grid, failing",
     [

@@ -99,9 +99,9 @@ def test_perron_enters_one_floating_point_scope_per_solve():
 
 
 def test_perron_steps_read_the_tridiagonal_fact_and_compute_no_pattern():
-    # whether a matrix is tridiagonal is recorded once per off-diagonal pattern by the memo behind
-    # _pattern and carried in the frame of each solved block: a Noda step compares no entry with
-    # zero and builds no pattern, O(n^2) work that every step of a dense solve would pay again
+    # whether a matrix is dense, tridiagonal or cyclic is recorded once per off-diagonal pattern by the
+    # memo behind _pattern and carried in the frame of each solved block: a Noda step compares no entry
+    # with zero and builds no pattern, O(n^2) work that every step of a dense solve would pay again
     tree = parse("perron")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in ("_noda", "_scaled_solve"):
@@ -112,12 +112,12 @@ def test_perron_steps_read_the_tridiagonal_fact_and_compute_no_pattern():
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
             arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-            assert "tridiagonal" not in {arg.arg for arg in arguments}, node.name
+            assert "structure" not in {arg.arg for arg in arguments}, node.name
     declaring = {
         node.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
-        and any(isinstance(field, ast.AnnAssign) and ast.unparse(field.target) == "tridiagonal" for field in node.body)
+        and any(isinstance(field, ast.AnnAssign) and ast.unparse(field.target) == "structure" for field in node.body)
     }
     assert declaring == {"_Frame"}
 

@@ -711,9 +711,9 @@ def _tridiagonal_metzler(rng, n, decades, kind, cuts=0):
     return M
 
 
-def _tridiagonal(M):
-    """The tridiagonal fact that the pattern memo records for M, as every frame of a solve of M carries it."""
-    facts = {F.tridiagonal for F in perron._frames(M)}
+def _structure(M):
+    """The structure that the pattern memo records for M, as every frame of a solve of M carries it."""
+    facts = {F.structure for F in perron._frames(M)}
     assert len(facts) == 1
     return facts.pop()
 
@@ -726,7 +726,7 @@ def test_tridiagonal_scaled_solve_matches_the_explicit_system(kind):
     for _ in range(60):
         n = int(rng.integers(3, 201))
         M = _tridiagonal_metzler(rng, n, 100, kind)
-        assert _tridiagonal(M)
+        assert _structure(M) == "tridiagonal"
         x = 10.0 ** rng.uniform(-50.0, 50.0, n)
         q = M @ x / x
         shift = q.max() + np.abs(q).max()
@@ -743,7 +743,7 @@ def test_tridiagonal_scaled_solve_steps_past_an_exact_root():
     M = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
     x = np.full(3, 1.0 / 3.0)
     F = _frame(M)
-    assert F.tridiagonal and perron._scaled_solve(F, x, 0.0, 0.0, np.ones(3), False) is None
+    assert F.structure == "tridiagonal" and perron._scaled_solve(F, x, 0.0, 0.0, np.ones(3), False) is None
     z = perron._scaled_solve(F, x, 0.0, 0.5, np.ones(3), False)
     np.testing.assert_allclose(z, np.linalg.solve(0.5 * np.eye(3) - M, np.ones(3)), rtol=1e-15)
 
@@ -760,7 +760,7 @@ def test_tridiagonal_spectral_bound_and_perron_vectors_match_lapack(kind, decade
     for k in range(80):
         n = int(rng.integers(3, max_n + 1))
         M = _tridiagonal_metzler(rng, n, decades, kind, cuts=k % 3)
-        assert _tridiagonal(M)
+        assert _structure(M) == "tridiagonal"
         data = spectral_bound(M)
         norm = _norm(M)
         assert abs(data.spb - _lapack_block_spb(M)) <= 1e-13 * norm
@@ -792,7 +792,7 @@ def test_tridiagonal_resolvent_matches_the_inverse():
         M = _tridiagonal_metzler(rng, n, 12, ("symmetric", "drift")[k % 2], cuts=k % 3)
         flipped = np.where(np.eye(n, dtype=bool), M, signs_rng.choice([-1.0, 1.0], (n, n)) * M)
         flipped[0, 1] = -abs(flipped[0, 1]) if flipped[0, 1] else -1.0  # at least one negative entry
-        assert perron._pattern(flipped)[::2] == (False, True)
+        assert perron._pattern(flipped)[::2] == (False, "tridiagonal")
         for N in (M, flipped):
             for xi in _norm(N) * np.array([1.1, 2.0, 11.0]):
                 expected = np.linalg.inv(xi * np.eye(n) - N)
@@ -802,12 +802,160 @@ def test_tridiagonal_resolvent_matches_the_inverse():
 def test_tridiagonal_resolvent_at_the_neumann_spectral_bound_is_singular():
     # the Neumann rows sum to exactly 0, so spb = 0 and -L is singular: dgtsv returns an exact zero pivot
     L = laplacian_1d(Grid1D(40, 1.0, "neumann"))
-    assert _tridiagonal(L) and spectral_bound(L).spb == 0.0
+    assert _structure(L) == "tridiagonal" and spectral_bound(L).spb == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularResolvent):
             resolvent(L, 0.0)
     assert resolvent(L, 1.0).min() > 0.0
+
+
+def test_pattern_structure_marks_a_strongly_connected_ring_cyclic():
+    def structure(n, edges):
+        M = -np.eye(n)
+        for i, j in edges:
+            M[i, j] = 1.0
+        return perron._pattern(M)[2]
+
+    ring = [(i, (i + 1) % 6) for i in range(6)] + [((i + 1) % 6, i) for i in range(6)]
+    assert structure(6, ring) == "cyclic"
+    assert structure(6, [e for e in ring if e != (2, 3)]) == "cyclic"  # still one strongly connected block
+    assert structure(6, ring + [(0, 2)]) == "dense"
+    assert structure(6, [(i, (i + 1) % 6) for i in range(6)]) == "dense"  # one corner only
+    assert structure(4, [(0, 1), (1, 0), (2, 3), (0, 3), (3, 0)]) == "dense"  # vertex 2 is a block of its own
+    assert structure(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]) == "dense"
+    assert structure(3, [(0, 1), (1, 0), (1, 2), (2, 1)]) == "tridiagonal"
+
+
+def _cyclic_metzler(rng, n, decades, kind):
+    """_tridiagonal_metzler with both corner couplings drawn like its other entries, as on a periodic grid."""
+    M = _tridiagonal_metzler(rng, n, decades, kind)
+    M[0, -1], M[-1, 0] = 10.0 ** rng.uniform(-decades / 2, decades / 2, 2)
+    return M
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "drift"])
+def test_cyclic_scaled_solve_matches_the_explicit_system(kind):
+    # as the tridiagonal test above, with both corners: the band solve and its 2x2 correction, in both
+    # orientations, against numpy's dense solve of S built entry by entry
+    rng = np.random.default_rng(40)
+    for _ in range(60):
+        n = int(rng.integers(4, 201))
+        M = _cyclic_metzler(rng, n, 100, kind)
+        assert _structure(M) == "cyclic"
+        x = 10.0 ** rng.uniform(-50.0, 50.0, n)
+        q = M @ x / x
+        shift = q.max() + np.abs(q).max()
+        S = shift * np.eye(n) - (x[None, :] / x[:, None]) * M
+        rhs = rng.uniform(0.5, 2.0, n)
+        for trans, system in ((False, S), (True, S.T)):
+            z = perron._scaled_solve(_frame(M), x, shift, 0.0, rhs, trans)
+            expected = np.linalg.solve(system, rhs)
+            assert (np.abs(z - expected) <= 1e-14 * np.abs(expected)).all()
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "drift"])
+def test_cyclic_scaled_solve_near_the_spectral_bound(kind):
+    # at x = v, S = shift*I - D^-1 M D has S 1 = (shift - spb) 1, and 1e-12*||M||_inf above spb it is as
+    # near singular as a converging Noda step makes it. A backward-stable solve is then accurate to about
+    # n*eps*||M||_inf/(shift - spb) relative, numpy's too; the corrected band solve, whose every term is
+    # >= 0 above spb, keeps each entry positive as well
+    rng = np.random.default_rng(46)
+    for _ in range(30):
+        n = int(rng.integers(4, 161))
+        M = _cyclic_metzler(rng, n, 4, kind)
+        data, norm, F = spectral_bound(M), _norm(M), _frame(M)
+        rhs = rng.uniform(0.5, 2.0, n)
+        for gap in (1e-12, 1e-3, 1.0):
+            shift = data.spb_hi + gap * norm
+            S = shift * np.eye(n) - (data.v[None, :] / data.v[:, None]) * M
+            for trans, system in ((False, S), (True, S.T)):
+                z = perron._scaled_solve(F, data.v, shift, 0.0, rhs, trans)
+                expected = np.linalg.solve(system, rhs)
+                assert (z > 0.0).all()
+                assert (np.abs(z - expected) <= n * perron.EPS / gap * np.abs(expected)).all()
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "drift"])
+def test_cyclic_spectral_bound_and_perron_vectors_match_lapack(kind):
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        n = int(rng.integers(4, 101))
+        M = _cyclic_metzler(rng, n, 2, kind)
+        data, norm = spectral_bound(M), _norm(M)
+        assert abs(data.spb - _lapack_block_spb(M)) <= 1e-13 * norm
+        assert data.spb_lo <= data.spb <= data.spb_hi and data.spb_hi - data.spb_lo <= perron.WIDTH_TOL * norm
+        u, v = perron_vectors(M)
+        np.testing.assert_array_equal(v, data.v)
+        assert np.abs(u / u.max() - _lapack_left_perron(M)).max() <= 1e-13
+        assert np.abs(v / v.max() - _lapack_left_perron(M.T)).max() <= 1e-13
+
+
+def test_cyclic_resolvent_matches_the_inverse():
+    # as the tridiagonal test: xi above ||M||_inf, on Metzler draws and on draws with their off-diagonal
+    # signs, corners included, flipped at random; and for the Metzler draws near spb, where both solves
+    # are accurate to about n*eps*||M||_inf/(xi - spb) of the largest entry
+    rng = np.random.default_rng(42)
+    signs_rng = np.random.default_rng(43)
+    for k in range(40):
+        n = int(rng.integers(4, 161))
+        M = _cyclic_metzler(rng, n, 12, ("symmetric", "drift")[k % 2])
+        flipped = np.where(np.eye(n, dtype=bool), M, signs_rng.choice([-1.0, 1.0], (n, n)) * M)
+        flipped[0, -1] = -abs(flipped[0, -1])  # at least one negative entry
+        assert perron._pattern(M)[::2] == (True, "cyclic") and perron._pattern(flipped)[::2] == (False, "cyclic")
+        for N in (M, flipped):
+            for xi in _norm(N) * np.array([1.1, 2.0, 11.0]):
+                expected = np.linalg.inv(xi * np.eye(n) - N)
+                assert np.abs(resolvent(N, xi) - expected).max() <= 1e-13 * np.abs(expected).max()
+        for gap in (1e-6, 1e-3):
+            xi = _lapack_block_spb(M) + gap * _norm(M)
+            expected = np.linalg.inv(xi * np.eye(n) - M)
+            assert np.abs(resolvent(M, xi) - expected).max() <= n * perron.EPS / gap * np.abs(expected).max()
+
+
+def test_cyclic_resolvent_at_the_periodic_spectral_bound_is_singular():
+    # the periodic rows sum to exactly 0 as the Neumann ones do, so spb = 0: the band of -L is regular, and
+    # the 2x2 capacitance matrix carries the singularity
+    L = laplacian_1d(Grid1D(40, 1.0, "periodic"))
+    assert _structure(L) == "cyclic" and spectral_bound(L).spb == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularResolvent):
+            resolvent(L, 0.0)
+    assert resolvent(L, 1.0).min() > 0.0
+
+
+def test_cyclic_resolvent_with_a_singular_band_is_left_to_the_dense_solve():
+    # the 5-cycle at xi = 0: its band, the path on 5 vertices, has the eigenvalue 0 (dgtsv's last pivot is
+    # exactly 0), while the cycle's eigenvalues 2*cos(2*pi*k/5) leave -C regular
+    C = np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1)
+    assert _structure(C) == "cyclic"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(resolvent(C, 0.0), np.linalg.inv(-C), rtol=0.0, atol=1e-15)
+
+
+def _dense_singular(M, xi):
+    """The dense singular test of resolvent: a pivot of the LU of xi*I - M at most n*eps*max|xi*I - M|."""
+    S = xi * np.eye(len(M)) - M
+    lu = scipy.linalg.lapack.dgetrf(S)[0]
+    return np.abs(np.diagonal(lu)).min() <= len(M) * perron.EPS * max(np.abs(S).max(), np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("k", [-600, -300, -40, 0, 40, 300, 600])
+def test_cyclic_singular_test_does_not_move_with_units(k):
+    # 2^k L answers as L does, on the dense test and the cyclic one alike: singular at spb, regular
+    # 1e-3*||M||_inf above it. The capacitance matrix is dimensionless, so a test of its pivots against
+    # n*eps*max|xi*I - M|, a tolerance in the units of M, misses the singularity for k <= -40 and finds
+    # one 1e-3*||M||_inf above spb for k >= 40
+    M = 2.0**k * laplacian_1d(Grid1D(50, 1.0, "periodic"))
+    assert _structure(M) == "cyclic"
+    for xi, singular in ((spectral_bound(M).spb, True), (1e-3 * _norm(M), False)):
+        assert _dense_singular(M, xi) == singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularResolvent) if singular else contextlib.nullcontext():
+                resolvent(M, xi)
 
 
 def _count_lapack_solvers(monkeypatch):
@@ -834,13 +982,14 @@ def test_only_a_tridiagonal_pattern_calls_dgtsv(monkeypatch, boundary):
     L = laplacian_1d(Grid1D(12, 1.0, boundary)) + np.diag(np.linspace(0.0, 1.0, 12))
     L[0, 1] *= 2.0  # not symmetric, so the left vector takes solves of its own
     dense = random_ess_nonneg(12, 3)
-    tridiagonal = boundary != "periodic"  # the corner couplings of a periodic grid make it dense
-    assert _tridiagonal(L) == tridiagonal and not _tridiagonal(dense)
+    # the corner couplings of a periodic grid make it cyclic: a band solve and a 2x2 correction
+    structure = "cyclic" if boundary == "periodic" else "tridiagonal"
+    assert _structure(L) == structure and _structure(dense) == "dense"
     counts = _count_lapack_solvers(monkeypatch)
     spectral_bound(L)
     perron_vectors(L)
     resolvent(L, spectral_bound(L).spb + 1.0)
-    assert counts[("dgesv", "dgtsv")[tridiagonal]] > 0 and counts[("dgtsv", "dgesv")[tridiagonal]] == 0
+    assert counts["dgtsv"] > 0 and counts["dgesv"] == 0
     counts.update(dgesv=0, dgtsv=0)
     spectral_bound(dense)
     resolvent(dense, spectral_bound(dense).spb + 1.0)

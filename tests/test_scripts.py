@@ -48,6 +48,22 @@ def test_output_digest_repeats():
     assert re.fullmatch("[0-9a-f]{64}", untraced[3]) and untraced[3] == traced[3]
 
 
+def test_output_digest_verdicts_list_exit_codes_and_words_without_margins():
+    # one exit line per operation, then a name and its pass/fail word per report line, the suite's too
+    args = [ROOT / "scripts" / "output_digest.py", "--verdicts", "--workloads", "operators", "--seeds", "0"]
+    run = _run(*args, "--suite", "2")
+    assert run.returncode == 0, run.stderr
+    lines = [line.split() for line in run.stdout.splitlines()]
+    exits = [line for line in lines if line[3] == "exit"]
+    reports = [line for line in lines if line[0] == "operators" and line[3] != "exit"]
+    suite = [line for line in lines if line[0] == "suite"]
+    assert len(exits) >= 10 and all(line[:2] == ["operators", "0"] and len(line) == 5 for line in exits)
+    assert {line[4] for line in exits} <= {"0", "1"}
+    assert reports and suite and len(exits) + len(reports) + len(suite) == len(lines)
+    assert all(len(line) == 5 and line[4] in ("pass", "fail") for line in reports)
+    assert all(line[:2] == ["suite", "2"] and len(line) == 4 and line[3] in ("pass", "fail") for line in suite)
+
+
 def test_readme_quickstart_runs_as_printed(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)

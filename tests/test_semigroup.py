@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -236,3 +238,13 @@ def test_ladder_probes_match_direct_expm():
         for t, E in ladder_probes(M):
             direct = scipy.linalg.expm(t * M)
             assert np.max(np.abs(E - direct)) <= 1e-12 * np.max(np.abs(direct)), (M.shape, t)
+
+
+def test_probes_stay_bit_identical_while_the_ladder_climbs():
+    # each squaring renormalizes its fresh product in place, so no rung already drawn shares an array
+    # with a later one: the probes read from the first rungs keep their bytes after 10 more are drawn
+    ladder = semigroup.propagators(random_ess_nonneg(6, 11))
+    rungs = list(itertools.islice(ladder, semigroup.PROBE_RUNGS[-1] + 1))
+    before = [(t, E.tobytes()) for t, E in semigroup.probes(rungs)]
+    assert len(list(itertools.islice(ladder, 10))) == 10
+    assert [(t, E.tobytes()) for t, E in semigroup.probes(rungs)] == before
